@@ -3,7 +3,7 @@
 Core pieces:
 
 * :mod:`refguide.linalg` -- small dense-matrix helpers (matmul, stable
-  row softmax, norms, row stacking).
+  row softmax, norms, row stacking) and the precision-to-dtype table.
 * :mod:`refguide.kernels` -- the attention variants: plain self-attention,
   concatenated attention over a reference's keys/values, the scalar- and
   multi-reference guided blends, and the per-token coefficient construction

@@ -13,18 +13,17 @@ K/V size for the reference-conditioned policies, zero for plain.
 import platform
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .kernels import attention, concat_attention, rfg_attention
+from .linalg import PRECISION_DTYPES
 from .rng import stream
 
 DEFAULT_BENCH_GRID = ((64, 64, 64, 8), (256, 64, 64, 8))
 BENCH_POLICIES = ("plain", "concat", "rfg")
 _BENCH_STRENGTH = 0.35
-
-_DTYPES = {"f32": np.float32, "f64": np.float64}
 
 
 @dataclass
@@ -38,15 +37,7 @@ class BenchReport:
     expectation_violations: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "iterations": self.iterations,
-            "warmup": self.warmup,
-            "seed": self.seed,
-            "build": self.build,
-            "cells": self.cells,
-            "expectation_violations": self.expectation_violations,
-        }
+        return asdict(self)
 
 
 def _draw_batch(gen, length, d, d_v, batch, dtype):
@@ -79,11 +70,11 @@ def run_bench(
     seed: int = 0,
 ) -> BenchReport:
     """Time every policy at every grid cell and report medians."""
-    if precision not in _DTYPES:
+    if precision not in PRECISION_DTYPES:
         raise ValueError(f"precision must be 'f32' or 'f64', got {precision!r}")
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
-    dtype = _DTYPES[precision]
+    dtype = PRECISION_DTYPES[precision]
     report = BenchReport(
         precision=precision,
         iterations=int(iterations),
@@ -93,8 +84,6 @@ def run_bench(
     )
 
     for cell_index, (length, d, d_v, batch) in enumerate(grid):
-        if batch < 2:
-            raise ValueError(f"bench batch must be at least 2, got {batch}")
         samples = _draw_batch(stream(seed, cell_index), length, d, d_v, batch, dtype)
         k0, v0 = samples[0][1], samples[0][2]
         per_sample_cache = k0.nbytes + v0.nbytes

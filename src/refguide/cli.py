@@ -15,6 +15,7 @@ from pathlib import Path
 from .artifacts import write_json, write_pgm, write_raw, write_sweep_csv
 from .bench import run_bench
 from .config import PRESETS, ConfigError, parse_config
+from .linalg import PRECISION_DTYPES
 from .oracle import run_equivalence_suite
 from .pipeline import generate_batch, trajectory_distance
 
@@ -30,7 +31,7 @@ def _cells(text: str, width: int, shape_word: str):
     cells = []
     for part in text.split(","):
         dims = part.lower().split("x")
-        if len(dims) != width or not all(p.isdigit() and int(p) > 0 for p in dims):
+        if len(dims) != width or not all(p.isdigit() for p in dims):
             raise argparse.ArgumentTypeError(f"expected {shape_word} cells like 64x32x32, got {part!r}")
         cells.append(tuple(int(p) for p in dims))
     return tuple(cells)
@@ -50,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, metavar="N", help="master seed (weights N, noise N+1, suite N)")
     common.add_argument("--preset", choices=PRESETS, help="reference-strength preset")
     common.add_argument("--out", dest="out_dir", metavar="DIR", help="output directory (default: out)")
-    common.add_argument("--precision", choices=("f32", "f64"), help="working float width (default: f32)")
+    common.add_argument("--precision", choices=tuple(PRECISION_DTYPES), help="working float width (default: f32)")
 
     parser = argparse.ArgumentParser(
         prog="refguide",
@@ -93,14 +94,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--warmup", type=int, metavar="N", help="untimed iterations per cell (default: 10)")
 
     return parser
-
-
-_OVERRIDE_KEYS = (
-    "seed", "preset", "out_dir", "precision",
-    "trials", "grid", "threshold", "stress_scale", "stress_trials", "corrupt_kernel",
-    "sweep_strengths", "duplicate_noise",
-    "bench_grid", "iterations", "warmup",
-)
 
 
 def _out_dir(cfg) -> Path:
@@ -196,18 +189,22 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    overrides = {k: v for k, v in vars(args).items() if k in _OVERRIDE_KEYS and v is not None}
+    # Every other flag's dest is a RunConfig field, so parse_config rejects a
+    # flag that has none instead of dropping it.
+    overrides = vars(args)
+    command, config_path = overrides.pop("command"), overrides.pop("config")
     try:
-        cfg = parse_config(args.config, overrides)
+        return _COMMANDS[command](parse_config(config_path, overrides))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-
-    try:
-        return _COMMANDS[args.command](cfg)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        # A finite but huge configured value can still overflow the logits.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

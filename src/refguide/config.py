@@ -7,12 +7,16 @@ points; anything else goes through preset "custom".
 """
 
 import json
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_args
 
+from .bench import DEFAULT_BENCH_GRID
 from .kernels import POLICY_KINDS, AttentionPolicy
+from .linalg import PRECISION_DTYPES
 from .oracle import DEFAULT_GRID
-from .pipeline import PRECISION_DTYPES, PipelineConfig
+from .pipeline import PipelineConfig
 
 # Recommended operating points. "consistent" strengthens subject consistency
 # (working range 0.3..0.4, midpoint used); "diverse" pushes away from the
@@ -40,14 +44,68 @@ class ConfigError(ValueError):
     """Bad configuration: unknown key, bad value, or violated invariant."""
 
 
+def _coerce(key: str, value, hint):
+    """Check ``value`` against the field annotation ``hint``; return it normalised.
+
+    Handles the annotation forms RunConfig uses: ``str``, ``bool``, ``int``,
+    ``float`` (finite), ``tuple[float, ...]``, and grids of positive integers
+    ``tuple[tuple[int, ...], ...]`` whose inner tuple type fixes the cell
+    width; each may be written ``X | None``.
+    """
+    args = get_args(hint)
+    if type(None) in args:
+        if value is None:
+            return None
+        hint = args[0]
+        args = get_args(hint)
+    if hint is str:
+        if not isinstance(value, str):
+            raise ConfigError(f"key {key!r} must be a string, got {value!r}")
+        return value
+    if hint is bool:
+        if not isinstance(value, bool):
+            raise ConfigError(f"key {key!r} must be true or false, got {value!r}")
+        return value
+    if hint is int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"key {key!r} must be an integer, got {value!r}")
+        return value
+    if hint is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"key {key!r} must be a number, got {value!r}")
+        if not math.isfinite(value):
+            raise ConfigError(f"key {key!r} must be finite, got {value!r}")
+        return float(value)
+    if args[0] is float:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"key {key!r} must be a list of numbers, got {value!r}")
+        return tuple(_coerce(key, v, float) for v in value)
+    width = len(get_args(args[0]))
+    ok = isinstance(value, (list, tuple)) and all(
+        isinstance(cell, (list, tuple))
+        and len(cell) == width
+        and all(isinstance(v, int) and not isinstance(v, bool) and v > 0 for v in cell)
+        for cell in value
+    )
+    if not ok:
+        raise ConfigError(f"key {key!r} must be a list of {width}-integer cells, got {value!r}")
+    return tuple(tuple(cell) for cell in value)
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a subcommand needs, resolved from defaults, file, and flags."""
+    """Everything a subcommand needs, resolved from defaults, file, and flags.
+
+    The field annotations are the config schema: every value is checked
+    against its field's type when the config is built (``X | None`` marks the
+    keys that may be null), then against the range invariants below, so no
+    command re-checks what it reads from here.
+    """
 
     preset: str = "custom"
     policy_kind: str = "rfg"
     strength: float = CONSISTENT_STRENGTH
-    strengths: tuple | None = None
+    strengths: tuple[float, ...] | None = None
     references: int = 2
     side: int = 16
     blocks: int = 4
@@ -56,7 +114,7 @@ class RunConfig:
     d_v: int = 32
     steps: int = 20
     batch: int = 4
-    layer_strengths: tuple | None = None
+    layer_strengths: tuple[float, ...] | None = None
     duplicate_noise: bool = False
     weights_seed: int = 42
     noise_seed: int = 7
@@ -64,37 +122,43 @@ class RunConfig:
     precision: str = "f32"
     out_dir: str = "out"
     trials: int = 20
-    grid: tuple | None = None
+    grid: tuple[tuple[int, int, int], ...] | None = None
     threshold: float | None = None
     stress_scale: float = 100.0
     stress_trials: int = 5
     corrupt_kernel: float = 0.0
-    sweep_strengths: tuple = (-0.3, 0.2, 0.35)
-    bench_grid: tuple = ((64, 64, 64, 8), (256, 64, 64, 8))
+    sweep_strengths: tuple[float, ...] = (-0.3, 0.2, 0.35)
+    bench_grid: tuple[tuple[int, int, int, int], ...] = DEFAULT_BENCH_GRID
     iterations: int = 100
     warmup: int = 10
 
     def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, _coerce(f.name, getattr(self, f.name), f.type))
         if self.preset not in PRESETS:
             raise ConfigError(f"unknown preset {self.preset!r}, expected one of {PRESETS}")
         if self.policy_kind not in POLICY_KINDS:
             raise ConfigError(f"unknown policy_kind {self.policy_kind!r}, expected one of {POLICY_KINDS}")
         if self.precision not in PRECISION_DTYPES:
-            raise ConfigError(f"precision must be 'f32' or 'f64', got {self.precision!r}")
-        if self.references < 1:
-            raise ConfigError(f"references must be at least 1, got {self.references}")
-        if self.trials < 1:
-            raise ConfigError(f"trials must be at least 1, got {self.trials}")
-        if self.stress_trials < 0:
-            raise ConfigError(f"stress_trials must be nonnegative, got {self.stress_trials}")
-        if self.iterations < 1:
-            raise ConfigError(f"iterations must be at least 1, got {self.iterations}")
-        if self.warmup < 0:
-            raise ConfigError(f"warmup must be nonnegative, got {self.warmup}")
+            raise ConfigError(f"precision must be one of {tuple(PRECISION_DTYPES)}, got {self.precision!r}")
+        for key in ("weights_seed", "noise_seed", "seed", "stress_trials", "warmup"):
+            value = getattr(self, key)
+            if value is not None and value < 0:
+                raise ConfigError(f"{key} must be nonnegative, got {value}")
+        for key in ("references", "trials", "iterations"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be at least 1, got {getattr(self, key)}")
+        for key in ("threshold", "stress_scale"):
+            value = getattr(self, key)
+            if value is not None and value <= 0:
+                raise ConfigError(f"{key} must be positive, got {value}")
         if not self.sweep_strengths:
             raise ConfigError("sweep_strengths must name at least one coefficient")
         if not self.bench_grid:
             raise ConfigError("bench_grid must name at least one (L, d, d_v, B) cell")
+        for cell in self.bench_grid:
+            if cell[3] < 2:
+                raise ConfigError(f"bench_grid batch must be at least 2, got cell {'x'.join(map(str, cell))}")
 
     def resolved_policy(self) -> AttentionPolicy:
         """The attention policy this config's preset (or custom fields) names."""
@@ -130,23 +194,10 @@ class RunConfig:
         policy = self.resolved_policy()
         if strength_override is not None:
             policy = AttentionPolicy.rfg(float(strength_override))
-        weights_seed, noise_seed = self.resolved_seeds()
+        shared = {f.name: getattr(self, f.name) for f in fields(PipelineConfig) if f.name in _FIELD_NAMES}
+        shared["weights_seed"], shared["noise_seed"] = self.resolved_seeds()
         try:
-            return PipelineConfig(
-                side=self.side,
-                blocks=self.blocks,
-                d_model=self.d_model,
-                d=self.d,
-                d_v=self.d_v,
-                steps=self.steps,
-                batch=self.batch,
-                policy=policy,
-                layer_strengths=self.layer_strengths,
-                duplicate_noise=self.duplicate_noise,
-                weights_seed=weights_seed,
-                noise_seed=noise_seed,
-                precision=self.precision,
-            )
+            return PipelineConfig(**shared, policy=policy)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -175,56 +226,7 @@ class RunConfig:
         return out
 
 
-_FIELD_NAMES = tuple(f.name for f in fields(RunConfig))
-_INT_KEYS = {
-    "references", "side", "blocks", "d_model", "d", "d_v", "steps", "batch",
-    "weights_seed", "noise_seed", "seed", "trials", "stress_trials",
-    "iterations", "warmup",
-}
-_FLOAT_KEYS = {"strength", "threshold", "stress_scale", "corrupt_kernel"}
-_STR_KEYS = {"preset", "policy_kind", "precision", "out_dir"}
-_BOOL_KEYS = {"duplicate_noise"}
-_FLOAT_SEQ_KEYS = {"strengths", "layer_strengths", "sweep_strengths"}
-_GRID_KEYS = {"grid": 3, "bench_grid": 4}
-
-
-def _coerce(key: str, value):
-    if value is None and key in ("seed", "threshold", "strengths", "layer_strengths", "grid"):
-        return None
-    if key in _INT_KEYS:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"key {key!r} must be an integer, got {value!r}")
-        return value
-    if key in _FLOAT_KEYS:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"key {key!r} must be a number, got {value!r}")
-        return float(value)
-    if key in _STR_KEYS:
-        if not isinstance(value, str):
-            raise ConfigError(f"key {key!r} must be a string, got {value!r}")
-        return value
-    if key in _BOOL_KEYS:
-        if not isinstance(value, bool):
-            raise ConfigError(f"key {key!r} must be true or false, got {value!r}")
-        return value
-    if key in _FLOAT_SEQ_KEYS:
-        if not isinstance(value, (list, tuple)) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-        ):
-            raise ConfigError(f"key {key!r} must be a list of numbers, got {value!r}")
-        return tuple(float(v) for v in value)
-    if key in _GRID_KEYS:
-        width = _GRID_KEYS[key]
-        ok = isinstance(value, (list, tuple)) and all(
-            isinstance(cell, (list, tuple))
-            and len(cell) == width
-            and all(isinstance(v, int) and not isinstance(v, bool) and v > 0 for v in cell)
-            for cell in value
-        )
-        if not ok:
-            raise ConfigError(f"key {key!r} must be a list of {width}-integer cells, got {value!r}")
-        return tuple(tuple(cell) for cell in value)
-    raise ConfigError(f"unknown config key {key!r}")
+_FIELD_NAMES = frozenset(f.name for f in fields(RunConfig))
 
 
 def parse_config(path=None, overrides=None) -> RunConfig:
@@ -248,7 +250,7 @@ def parse_config(path=None, overrides=None) -> RunConfig:
     if overrides:
         data.update({k: v for k, v in overrides.items() if v is not None})
 
-    unknown = sorted(set(data) - set(_FIELD_NAMES))
+    unknown = sorted(set(data) - _FIELD_NAMES)
     if unknown:
         raise ConfigError(f"unknown config key {unknown[0]!r}" + (f" (and {len(unknown) - 1} more)" if len(unknown) > 1 else ""))
 
@@ -260,7 +262,6 @@ def parse_config(path=None, overrides=None) -> RunConfig:
                 f"preset {preset!r} fixes the policy; key {clashing[0]!r} is only valid with preset 'custom'"
             )
 
-    kwargs = {k: _coerce(k, v) for k, v in data.items()}
-    cfg = RunConfig(**kwargs)
+    cfg = RunConfig(**data)
     cfg.pipeline_config()
     return cfg

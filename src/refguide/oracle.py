@@ -32,7 +32,7 @@ correct kernels at random.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from .kernels import (
     rfg_matrix,
     rfg_multi,
 )
-from .linalg import ShapeError
+from .linalg import PRECISION_DTYPES, ShapeError
 from .rng import stream
 
 DEFAULT_GRID = tuple(
@@ -56,7 +56,6 @@ DEFAULT_GRID = tuple(
     for d_v in (1, 4, 32)
 )
 
-PRECISION_DTYPES = {"f32": np.float32, "f64": np.float64}
 PRECISION_THRESHOLDS = {"f32": 1e-5, "f64": 1e-10}
 
 
@@ -156,26 +155,7 @@ class EquivalenceReport:
     passed: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "seed": self.seed,
-            "grid": [list(cell) for cell in self.grid],
-            "trials_per_cell": self.trials_per_cell,
-            "stress_trials_per_cell": self.stress_trials_per_cell,
-            "stress_scale": self.stress_scale,
-            "threshold": self.threshold,
-            "stress_threshold": self.stress_threshold,
-            "total_trials": self.total_trials,
-            "max_rel_error": self.max_rel_error,
-            "stress_max_rel_error": self.stress_max_rel_error,
-            "identity_errors": self.identity_errors,
-            "exact_failures": self.exact_failures,
-            "range_violations": self.range_violations,
-            "coefficient_min": self.coefficient_min,
-            "coefficient_max": self.coefficient_max,
-            "worst": self.worst,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "grid": [list(cell) for cell in self.grid]}
 
 
 def _draw_inputs(gen, length, d, d_v, dtype, scale):
@@ -267,7 +247,9 @@ def run_equivalence_suite(
             )
 
             def deviation(a, b):
-                return float(np.max(np.abs(np.asarray(a, np.float64) - np.asarray(b, np.float64)))) / guard
+                # A NaN would vanish from every max() below and pass the trial.
+                err = float(np.max(np.abs(np.asarray(a, np.float64) - np.asarray(b, np.float64)))) / guard
+                return err if math.isfinite(err) else math.inf
 
             errors = {
                 "matrix_vs_oracle": deviation(blended, oracle),

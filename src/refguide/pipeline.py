@@ -21,10 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import AttentionInputs, AttentionPolicy, ReferenceKV, apply_policy
-from .linalg import frobenius_norm, matmul
+from .linalg import PRECISION_DTYPES, frobenius_norm, matmul
 from .rng import stream, uniform_matrix
-
-PRECISION_DTYPES = {"f32": np.float32, "f64": np.float64}
 
 # Residual update gain for the attention blocks. 0.5 keeps the untrained
 # dynamics bounded over the default 20 steps; 1.0 lets |h| grow enough to
@@ -125,25 +123,6 @@ class DenoiserWeights:
             h.update(a.tobytes())
         return h.hexdigest()
 
-    def save(self, path) -> None:
-        arrays = {"w_in": self.w_in, "pos": self.pos, "w_out": self.w_out}
-        for i, blk in enumerate(self.blocks):
-            arrays[f"b{i}_q"] = blk.w_q
-            arrays[f"b{i}_k"] = blk.w_k
-            arrays[f"b{i}_v"] = blk.w_v
-            arrays[f"b{i}_mix"] = blk.w_mix
-        np.savez(path, **arrays)
-
-    @classmethod
-    def load(cls, path) -> "DenoiserWeights":
-        with np.load(path) as data:
-            n_blocks = sum(1 for key in data.files if key.endswith("_q"))
-            blocks = [
-                BlockWeights(data[f"b{i}_q"], data[f"b{i}_k"], data[f"b{i}_v"], data[f"b{i}_mix"])
-                for i in range(n_blocks)
-            ]
-            return cls(w_in=data["w_in"], pos=data["pos"], blocks=blocks, w_out=data["w_out"])
-
 
 def init_denoiser(seed: int, config: PipelineConfig) -> DenoiserWeights:
     """Draw the full weight set for ``config`` from one seeded stream."""
@@ -191,10 +170,9 @@ def _forward(latent, weights, policies, caches, collect_cache=False):
     return pred.reshape(side, side), ReferenceKV(captured) if collect_cache else None
 
 
-def reference_pass(latent, weights, blocks=None):
+def reference_pass(latent, weights):
     """Plain self-attention pass that also captures the per-layer K/V cache."""
-    n = len(weights.blocks) if blocks is None else blocks
-    plain = (AttentionPolicy.plain(),) * n
+    plain = (AttentionPolicy.plain(),) * len(weights.blocks)
     return _forward(latent, weights, plain, caches=None, collect_cache=True)
 
 
@@ -221,13 +199,12 @@ def denoise_step(latents, t: int, steps: int, weights, policy, cache=None):
     if latents.shape[0] <= n_refs and n_refs > 0:
         raise ValueError(f"batch of {latents.shape[0]} cannot supply {n_refs} reference(s) and a guided sample")
 
-    plain = (AttentionPolicy.plain(),) * n_blocks
     out = np.empty_like(latents)
     u = 1.0 / (steps - t)
 
     caches = []
     for i in range(n_refs):
-        pred, kv = _forward(latents[i], weights, plain, caches=None, collect_cache=True)
+        pred, kv = reference_pass(latents[i], weights)
         out[i] = latents[i] + (pred - latents[i]) * u
         caches.append(kv)
     if cache is not None:

@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from refguide.artifacts import load_raw
 from refguide.cli import main
@@ -209,3 +210,17 @@ class TestErrorPaths:
 
     def test_sweep_flag_rejected_on_generate(self, capsys):
         assert run(capsys, "generate", "--strengths", "0.1")[0] == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("generate", "--seed", "-1"),
+        ("bench", "--grid", "8x8x8x1"),
+        ("sweep", "--strengths=nan"),
+        ("sweep", "--strengths=1e30"),
+        ("check", "--stress-scale", "1e300"),
+        ("check", "--threshold", "-1"),
+        ("check", "--corrupt-kernel", "nan"),
+    ])
+    def test_bad_value_is_usage_error(self, tmp_path, capsys, argv):
+        code, _, err = run(capsys, *argv, "--out", str(tmp_path))
+        assert code == 2
+        assert "error: " in err

@@ -1,8 +1,12 @@
+import argparse
 import json
+from dataclasses import fields
+from typing import get_args, get_origin
 
 import numpy as np
 import pytest
 
+from refguide.cli import _build_parser
 from refguide.config import (
     BLEND_RANGE,
     BLEND_STRENGTH,
@@ -172,3 +176,30 @@ class TestResolvedView:
     def test_pipeline_precision_propagates(self):
         cfg = parse_config(overrides={"precision": "f64"})
         assert cfg.pipeline_config().dtype == np.float64
+
+
+def _mentions(hint, kind) -> bool:
+    return hint is kind or get_origin(hint) is kind or any(_mentions(a, kind) for a in get_args(hint))
+
+
+FLOAT_FIELDS = [f for f in fields(RunConfig) if _mentions(f.type, float)]
+
+
+class TestSchema:
+    def test_every_flag_is_a_config_field(self):
+        parser = _build_parser()
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        dests = {
+            action.dest
+            for sub in subparsers.choices.values()
+            for action in sub._actions
+            if not isinstance(action, argparse._HelpAction)
+        }
+        assert dests - {"command", "config"} <= {f.name for f in fields(RunConfig)}
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", FLOAT_FIELDS, ids=lambda f: f.name)
+    def test_float_fields_reject_non_finite(self, field, bad):
+        value = [0.1, bad] if _mentions(field.type, tuple) else bad
+        with pytest.raises(ConfigError, match=f"'{field.name}'"):
+            parse_config(overrides={field.name: value})

@@ -149,14 +149,16 @@ class TestEquivalenceSuite:
         assert a.to_dict() == b.to_dict()
 
     def test_corruption_fails_and_names_worst_trial(self):
-        report = run_equivalence_suite(
-            seed=5, grid=((4, 4, 4),), trials_per_cell=5, corrupt_coefficient=0.1
-        )
-        assert not report.passed
-        assert report.worst is not None
-        assert report.worst["error"] > report.threshold
-        assert report.worst["stream_key"][0] == 5
-        assert report.worst["identity"] in ("matrix_vs_oracle", "matrix_vs_concat", "guidance_vs_matrix")
+        # A NaN entry must fail too, although max() would drop its deviation.
+        for delta in (0.1, float("nan")):
+            report = run_equivalence_suite(
+                seed=5, grid=((4, 4, 4),), trials_per_cell=5, corrupt_coefficient=delta
+            )
+            assert report.passed is False
+            assert report.worst is not None
+            assert report.worst["error"] > report.threshold
+            assert report.worst["stream_key"][0] == 5
+            assert report.worst["identity"] in ("matrix_vs_oracle", "matrix_vs_concat", "guidance_vs_matrix")
 
     def test_stress_cells_accounted_separately(self):
         report = run_equivalence_suite(

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from refguide.kernels import AttentionPolicy
 from refguide.oracle import max_rel_error
 from refguide.pipeline import (
-    DenoiserWeights,
     PipelineConfig,
     Trajectory,
     denoise_step,
@@ -98,15 +97,6 @@ class TestInitDenoiser:
     def test_recorded_weight_digest(self):
         w = init_denoiser(42, PipelineConfig())
         assert w.digest() == BASELINES["weights_digest_seed42_default"]
-
-    def test_save_load_round_trip(self, tmp_path):
-        w = init_denoiser(6, small_config())
-        path = tmp_path / "weights.npz"
-        w.save(path)
-        loaded = DenoiserWeights.load(path)
-        assert loaded.digest() == w.digest()
-        assert len(loaded.blocks) == len(w.blocks)
-        assert np.array_equal(loaded.blocks[1].w_mix, w.blocks[1].w_mix)
 
 
 class TestReferencePass:
