@@ -1,17 +1,27 @@
 """Attention kernels that condition a sample on reference keys and values.
 
 All kernels share one working dtype per call (float32 or float64) and never
-upcast internally; callers pick the precision by casting their inputs. Three
-routes to reference conditioning are provided:
+upcast internally; callers pick the precision by casting their inputs.
+
+Every route is built on one primitive, attention over a single key/value
+partition, which also returns each query row's softmax statistics: the
+logit maximum ``m`` and the sum ``s`` of ``exp(logit - m)``. The logits
+buffer it allocates is scaled, shifted, exponentiated and normalised in
+place. ``attention`` is that primitive's output. Three routes to reference
+conditioning derive from it:
 
 * ``concat_attention`` appends the reference keys/values to the sample's own,
   so reference tokens compete with self tokens inside one softmax.
 * ``rfg_attention`` runs two separate attentions and mixes the outputs with a
   scalar strength ``c``; negative ``c`` pushes away from the reference.
 * ``rfg_matrix`` mixes the two outputs entrywise with a coefficient matrix.
-  With the matrix built by ``concat_coefficient_vector`` +
-  ``build_rank1_coefficient`` it reproduces ``concat_attention`` up to
+  With the per-row coefficient that concatenated attention implies -- the
+  reference partition's softmax mass, a log-sum-exp merge of the two
+  partitions' ``(m, s)`` -- it reproduces ``concat_attention`` up to
   rounding, which is what the equivalence oracle certifies.
+  ``reference_branches`` returns both branches and that coefficient from
+  one pass over each partition; the "rfg-matrix" policy and the oracle's
+  suite both run it.
 
 ``apply_policy`` dispatches on a declarative ``AttentionPolicy`` so pipeline
 code never branches on kernel names itself.
@@ -22,7 +32,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import ShapeError, matmul, row_softmax, stack_rows
+from .linalg import ShapeError, matmul, row_softmax_inplace, stack_rows
+
+# Not called here any more; the benchmark's span recorder (perfbench/spans.py)
+# wraps ``refguide.kernels.row_softmax`` by name, so the name stays importable.
+from .linalg import row_softmax  # noqa: F401
 
 POLICY_KINDS = ("plain", "concat", "cross-frame", "rfg", "rfg-multi", "rfg-matrix")
 
@@ -165,6 +179,77 @@ class ReferenceKV:
         return sum(k.nbytes + v.nbytes for k, v in self._layers)
 
 
+def _softmax(q, k, d) -> tuple:
+    """``(p, m, s)``: row softmax ``p`` of q k^T / sqrt(d), with its row statistics.
+
+    The scale and the softmax run in place on the logits buffer this function
+    owns; ``m`` and ``s`` are as ``row_softmax_inplace`` returns them.
+    """
+    logits = matmul(q, k.T)
+    logits *= _scale(q, d)
+    return (logits, *row_softmax_inplace(logits))
+
+
+def _partition(q, k, v, d=None) -> tuple:
+    """Attention over one key/value partition, with its softmax row statistics.
+
+    Returns ``(out, m, s)``: the normalised output ``row_softmax(q k^T /
+    sqrt(d)) v``, each row's logit maximum ``m``, and the row sum ``s`` of
+    ``exp(logits - m)``. Every policy derives from this call: the outputs of
+    several partitions combine through ``(m, s)`` alone.
+    """
+    p, m, s = _softmax(q, k, d)
+    return matmul(p, v), m, s
+
+
+def _reference_mass(m_ref, s_ref, m_self, s_self) -> np.ndarray:
+    """Reference partition's share of each row's softmax mass, a / (a + b).
+
+    The log-sum-exp merge: ``a = s_ref * exp(m_ref - M)`` and ``b = s_self *
+    exp(m_self - M)`` under the common row maximum ``M``. Values are clipped
+    into the open interval (0, 1) at the working dtype's resolution: the
+    exact ratio is strictly inside (0, 1), but at extreme logit gaps the
+    quotient rounds to 0.0 or 1.0 and the clip restores the invariant without
+    moving any non-degenerate value. Identical partitions give exactly 0.5
+    (``a == b``, and ``a / (a + a)`` is exact).
+    """
+    top = np.maximum(m_ref, m_self)
+    a = s_ref * np.exp(m_ref - top)
+    b = s_self * np.exp(m_self - top)
+    c = a / (a + b)
+    dt = c.dtype.type
+    return np.clip(c, np.finfo(dt).tiny, np.nextafter(dt(1.0), dt(0.0)))
+
+
+def reference_branches(q, k_ref, v_ref, k_self, v_self, d=None) -> tuple:
+    """Both branch attentions and the reference's softmax mass, in one pass.
+
+    Returns ``(a_ref, a_self, c_vec)``. Each branch is bitwise
+    ``attention`` over its partition, and ``c_vec[l]`` is the weight
+    concatenated attention would give the reference partition in row ``l``,
+    as ``concat_coefficient_vector`` returns it. The branches' logits are
+    computed once; the coefficient comes from their row statistics.
+    """
+    _same_dtype(q, k_ref, v_ref, k_self, v_self)
+    a_ref, m_ref, s_ref = _partition(q, k_ref, v_ref, d)
+    a_self, m_self, s_self = _partition(q, k_self, v_self, d)
+    return a_ref, a_self, _reference_mass(m_ref, s_ref, m_self, s_self)
+
+
+def blend(coeff, a_ref, a_self) -> np.ndarray:
+    """``coeff * a_ref + (1 - coeff) * a_self``.
+
+    ``coeff`` is a scalar, a per-row column of shape (L, 1), or a full
+    (L, d_v) matrix; every form is the same entrywise arithmetic.
+    """
+    return coeff * a_ref + (1.0 - coeff) * a_self
+
+
+def guidance(coeff, a_ref, a_self) -> np.ndarray:
+    """``a_self + coeff * (a_ref - a_self)``: ``blend`` as a residual update."""
+    return a_self + coeff * (a_ref - a_self)
+
+
 def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, d=None) -> np.ndarray:
     """Scaled dot-product attention: row_softmax(q k^T / sqrt(d)) v.
 
@@ -172,8 +257,7 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, d=None) -> np.ndarray
     concatenated calls can share one temperature.
     """
     _same_dtype(q, k, v)
-    logits = matmul(q, k.T) * _scale(q, d)
-    return matmul(row_softmax(logits), v)
+    return _partition(q, k, v, d)[0]
 
 
 def concat_attention(q, k_ref, v_ref, k_self, v_self, d=None) -> np.ndarray:
@@ -195,9 +279,7 @@ def rfg_attention(q, k_ref, v_ref, k_self, v_self, c: float, d=None) -> np.ndarr
     if c == 1.0:
         return attention(q, k_ref, v_ref, d=d)
     _same_dtype(q, k_ref, v_ref, k_self, v_self)
-    a_ref = attention(q, k_ref, v_ref, d=d)
-    a_self = attention(q, k_self, v_self, d=d)
-    return c * a_ref + (1.0 - c) * a_self
+    return blend(c, attention(q, k_ref, v_ref, d=d), attention(q, k_self, v_self, d=d))
 
 
 def rfg_multi(q, refs, k_self, v_self, d=None) -> np.ndarray:
@@ -222,26 +304,14 @@ def rfg_multi(q, refs, k_self, v_self, d=None) -> np.ndarray:
 def concat_coefficient_vector(q, k_ref, k_self, d=None) -> np.ndarray:
     """Per-row weight of the reference partition inside concatenated attention.
 
-    Row l gets sum_ref exp(logit) / sum_all exp(logit), both partitions
-    shifted by their shared row maximum before exponentiation. Values are
-    clipped into the open interval (0, 1) at the working dtype's resolution:
-    the exact ratio is strictly inside (0, 1), but at extreme logit gaps the
-    quotient rounds to 0.0 or 1.0 and the clip restores the invariant without
-    moving any non-degenerate value. When the partitions hold identical keys
-    the result is exactly 0.5 (the denominator is then num + num).
+    Row l gets sum_ref exp(logit) / sum_all exp(logit), merged from each
+    partition's row maximum and row sum (see ``reference_branches``, which
+    returns the same vector along with both branch outputs).
     """
     _same_dtype(q, k_ref, k_self)
-    scale = _scale(q, d)
-    logits_ref = matmul(q, k_ref.T) * scale
-    logits_self = matmul(q, k_self.T) * scale
-    if not (np.isfinite(logits_ref).all() and np.isfinite(logits_self).all()):
-        raise ValueError("coefficient vector requires finite logits")
-    m = np.maximum(logits_ref.max(axis=1), logits_self.max(axis=1))[:, None]
-    num = np.exp(logits_ref - m).sum(axis=1)
-    den = num + np.exp(logits_self - m).sum(axis=1)
-    dt = q.dtype.type
-    c = num / den
-    return np.clip(c, np.finfo(dt).tiny, np.nextafter(dt(1.0), dt(0.0)))
+    _, m_ref, s_ref = _softmax(q, k_ref, d)
+    _, m_self, s_self = _softmax(q, k_self, d)
+    return _reference_mass(m_ref, s_ref, m_self, s_self)
 
 
 def build_rank1_coefficient(c_vec: np.ndarray, d_v: int) -> np.ndarray:
@@ -254,14 +324,18 @@ def build_rank1_coefficient(c_vec: np.ndarray, d_v: int) -> np.ndarray:
     return np.repeat(c_vec[:, None], d_v, axis=1)
 
 
-def rfg_matrix(q, k_ref, v_ref, k_self, v_self, coeff: np.ndarray, d=None) -> np.ndarray:
-    """Entrywise blend of the two branch outputs: C * A_ref + (1 - C) * A_self."""
+def _branches(q, k_ref, v_ref, k_self, v_self, coeff, d):
     _same_dtype(q, k_ref, v_ref, k_self, v_self)
     a_ref = attention(q, k_ref, v_ref, d=d)
     a_self = attention(q, k_self, v_self, d=d)
     if coeff.shape != a_ref.shape:
         raise ShapeError(f"coefficient shape {coeff.shape} does not match output shape {a_ref.shape}")
-    return coeff * a_ref + (1.0 - coeff) * a_self
+    return a_ref, a_self
+
+
+def rfg_matrix(q, k_ref, v_ref, k_self, v_self, coeff: np.ndarray, d=None) -> np.ndarray:
+    """Entrywise blend of the two branch outputs: C * A_ref + (1 - C) * A_self."""
+    return blend(coeff, *_branches(q, k_ref, v_ref, k_self, v_self, coeff, d))
 
 
 def guidance_form(q, k_ref, v_ref, k_self, v_self, coeff: np.ndarray, d=None) -> np.ndarray:
@@ -270,12 +344,7 @@ def guidance_form(q, k_ref, v_ref, k_self, v_self, coeff: np.ndarray, d=None) ->
     A_self + C * (A_ref - A_self); the same blend as ``rfg_matrix`` written
     as a residual update.
     """
-    _same_dtype(q, k_ref, v_ref, k_self, v_self)
-    a_ref = attention(q, k_ref, v_ref, d=d)
-    a_self = attention(q, k_self, v_self, d=d)
-    if coeff.shape != a_ref.shape:
-        raise ShapeError(f"coefficient shape {coeff.shape} does not match output shape {a_ref.shape}")
-    return a_self + coeff * (a_ref - a_self)
+    return guidance(coeff, *_branches(q, k_ref, v_ref, k_self, v_self, coeff, d))
 
 
 def apply_policy(inputs: AttentionInputs, policy: AttentionPolicy, cache=None, layer: int = 0) -> np.ndarray:
@@ -315,7 +384,6 @@ def apply_policy(inputs: AttentionInputs, policy: AttentionPolicy, cache=None, l
     if policy.kind == "rfg":
         return rfg_attention(q, k_ref, v_ref, k, v, policy.strength)
     if policy.kind == "rfg-matrix":
-        c_vec = concat_coefficient_vector(q, k_ref, k)
-        coeff = build_rank1_coefficient(c_vec, v.shape[1])
-        return rfg_matrix(q, k_ref, v_ref, k, v, coeff)
+        a_ref, a_self, c_vec = reference_branches(q, k_ref, v_ref, k, v)
+        return blend(c_vec[:, None], a_ref, a_self)
     raise ValueError(f"unknown policy kind {policy.kind!r}")

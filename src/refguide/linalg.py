@@ -5,8 +5,10 @@ finite. ``PRECISION_DTYPES`` maps each precision name to its working dtype;
 it is the one such table the package reads. Values are validated once where
 they enter (the run config and ``AttentionInputs``), so these operations do
 not re-check their operands; numpy itself raises on mismatched shapes.
-``row_softmax`` keeps its finiteness check because finite inputs can still
-overflow into its logits. Arithmetic is numpy's, which is deterministic
+The row softmax is written once, in ``row_softmax_inplace``, which works in
+its argument's buffer and returns the per-row statistics that let partial
+softmaxes merge; ``row_softmax`` is its copying form. It keeps its
+finiteness check because finite inputs can still overflow into the logits. Arithmetic is numpy's, which is deterministic
 run-to-run on a fixed build -- the property the reproducibility tests pin
 down.
 """
@@ -25,19 +27,32 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
-def row_softmax(a: np.ndarray) -> np.ndarray:
-    """Softmax over each row, stabilized by subtracting the row maximum.
+def row_softmax_inplace(a: np.ndarray) -> tuple:
+    """Overwrite ``a`` with its row softmax; return the row statistics.
 
-    The shift keeps ``exp`` bounded by 1 regardless of logit magnitude and
-    cancels exactly in the normalization, so the result is the textbook
-    softmax without its overflow. Every row sums to 1 and every entry lies
-    in (0, 1].
+    Each row is shifted by its maximum ``m``, exponentiated and divided by
+    its sum ``s`` of ``exp(a - m)``, all in ``a``'s own buffer, so no
+    temporary of ``a``'s size is made. The shift keeps ``exp`` bounded by 1
+    regardless of logit magnitude and cancels exactly in the normalization.
+    Every row then sums to 1 and every entry lies in (0, 1]. Returns ``(m,
+    s)`` as 1-D arrays of ``a``'s dtype: two partitions' softmax masses merge
+    through them alone (``s * exp(m - M)`` under a common maximum ``M``).
     """
     if not np.isfinite(a).all():
         raise ValueError("row_softmax requires finite logits")
-    shifted = a - a.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    m = a.max(axis=1, keepdims=True)
+    a -= m
+    np.exp(a, out=a)
+    s = a.sum(axis=1, keepdims=True)
+    a /= s
+    return m[:, 0], s[:, 0]
+
+
+def row_softmax(a: np.ndarray) -> np.ndarray:
+    """Softmax over each row, as a new array; ``a`` is left unchanged."""
+    out = a.copy(order="K")
+    row_softmax_inplace(out)
+    return out
 
 
 def frobenius_norm(a: np.ndarray) -> float:

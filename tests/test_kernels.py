@@ -15,12 +15,18 @@ from refguide.kernels import (
     concat_attention,
     concat_coefficient_vector,
     guidance_form,
+    reference_branches,
     rfg_attention,
     rfg_matrix,
     rfg_multi,
 )
 from refguide.linalg import ShapeError
-from refguide.oracle import max_rel_error, naive_attention, naive_coefficient_vector
+from refguide.oracle import (
+    PRECISION_THRESHOLDS,
+    max_rel_error,
+    naive_attention,
+    naive_coefficient_vector,
+)
 from refguide.rng import stream
 
 
@@ -197,6 +203,62 @@ class TestCoefficientVector:
     def test_returns_working_dtype(self):
         q, k_ref, _, k_self, _ = draw_set(53, dtype=np.float32)
         assert concat_coefficient_vector(q, k_ref, k_self).dtype == np.float32
+
+
+@st.composite
+def partition_sets(draw):
+    """q plus reference and self partitions of independent sizes, f32 or f64."""
+    precision = draw(st.sampled_from(["f32", "f64"]))
+    dtype = np.float32 if precision == "f32" else np.float64
+    length, s_ref, s_self = (draw(st.integers(1, 8)) for _ in range(3))
+    d, d_v = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    q_scale = draw(st.sampled_from([1.0, 10.0]))
+    gen = stream(draw(st.integers(0, 2**16)))
+    q = (gen.uniform(-1, 1, (length, d)) * q_scale).astype(dtype)
+    shapes = ((s_ref, d), (s_ref, d_v), (s_self, d), (s_self, d_v))
+    parts = [gen.uniform(-1, 1, shape).astype(dtype) for shape in shapes]
+    return precision, q_scale, (q, *parts)
+
+
+class TestReferenceBranches:
+    """Properties of the two-partition pass behind the rfg-matrix policy."""
+
+    @given(partition_sets())
+    def test_branches_are_bitwise_attention(self, case):
+        _, _, (q, k_ref, v_ref, k_self, v_self) = case
+        a_ref, a_self, _ = reference_branches(q, k_ref, v_ref, k_self, v_self)
+        assert np.array_equal(a_ref, attention(q, k_ref, v_ref))
+        assert np.array_equal(a_self, attention(q, k_self, v_self))
+
+    @given(partition_sets())
+    def test_swapped_partitions_give_complement(self, case):
+        _, _, (q, k_ref, v_ref, k_self, v_self) = case
+        c = reference_branches(q, k_ref, v_ref, k_self, v_self)[2]
+        swapped = reference_branches(q, k_self, v_self, k_ref, v_ref)[2]
+        ulp = np.finfo(q.dtype).eps
+        assert np.all(np.abs(c.astype(np.float64) + swapped - 1.0) <= 4 * ulp)
+
+    @given(partition_sets())
+    def test_identical_partitions_give_exact_half(self, case):
+        _, _, (q, _, _, k_self, v_self) = case
+        c = reference_branches(q, k_self, v_self, k_self, v_self)[2]
+        assert c.dtype == q.dtype
+        assert np.array_equal(c, np.full(q.shape[0], 0.5, dtype=q.dtype))
+
+    @given(partition_sets())
+    def test_coefficient_strictly_inside_unit_interval(self, case):
+        _, _, (q, k_ref, v_ref, k_self, v_self) = case
+        c = reference_branches(q, k_ref, v_ref, k_self, v_self)[2]
+        assert (c > 0.0).all() and (c < 1.0).all()
+
+    @given(partition_sets())
+    def test_coefficient_matches_loop_oracle(self, case):
+        # The suite's bound, scaled with the query like its stress trials.
+        precision, q_scale, (q, k_ref, v_ref, k_self, v_self) = case
+        c = reference_branches(q, k_ref, v_ref, k_self, v_self)[2]
+        slow = naive_coefficient_vector(q, k_ref, k_self)
+        assert np.max(np.abs(c - slow)) <= PRECISION_THRESHOLDS[precision] * q_scale
+        assert np.array_equal(c, concat_coefficient_vector(q, k_ref, k_self))
 
 
 class TestRank1Coefficient:

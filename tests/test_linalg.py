@@ -63,6 +63,19 @@ class TestRowSoftmax:
         assert np.allclose(out.sum(axis=1), 1.0, atol=1e-12)
         assert (out > 0.0).all() and (out <= 1.0).all()
 
+    @given(st.sampled_from([np.float32, np.float64]).flatmap(
+        lambda dt: arrays(dt, st.tuples(st.integers(1, 6), st.integers(1, 6)),
+                          elements=st.floats(-100, 100, width=np.finfo(dt).bits))
+    ))
+    def test_matches_three_temporary_formula_and_keeps_input(self, a):
+        before = a.copy()
+        shifted = a - a.max(axis=1, keepdims=True)
+        e = np.exp(shifted)
+        out = row_softmax(a)
+        assert np.array_equal(a, before)
+        assert out.dtype == a.dtype
+        assert np.array_equal(out, e / e.sum(axis=1, keepdims=True))
+
 
 class TestFrobeniusNorm:
     def test_three_four_five(self):
