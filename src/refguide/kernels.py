@@ -221,7 +221,7 @@ def _reference_mass(m_ref, s_ref, m_self, s_self) -> np.ndarray:
     return np.clip(c, np.finfo(dt).tiny, np.nextafter(dt(1.0), dt(0.0)))
 
 
-def reference_branches(q, k_ref, v_ref, k_self, v_self, d=None) -> tuple:
+def reference_branches(q, k_ref, v_ref, k_self, v_self) -> tuple:
     """Both branch attentions and the reference's softmax mass, in one pass.
 
     Returns ``(a_ref, a_self, c_vec)``. Each branch is bitwise
@@ -231,8 +231,8 @@ def reference_branches(q, k_ref, v_ref, k_self, v_self, d=None) -> tuple:
     computed once; the coefficient comes from their row statistics.
     """
     _same_dtype(q, k_ref, v_ref, k_self, v_self)
-    a_ref, m_ref, s_ref = _partition(q, k_ref, v_ref, d)
-    a_self, m_self, s_self = _partition(q, k_self, v_self, d)
+    a_ref, m_ref, s_ref = _partition(q, k_ref, v_ref)
+    a_self, m_self, s_self = _partition(q, k_self, v_self)
     return a_ref, a_self, _reference_mass(m_ref, s_ref, m_self, s_self)
 
 

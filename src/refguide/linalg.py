@@ -8,9 +8,9 @@ not re-check their operands; numpy itself raises on mismatched shapes.
 The row softmax is written once, in ``row_softmax_inplace``, which works in
 its argument's buffer and returns the per-row statistics that let partial
 softmaxes merge; ``row_softmax`` is its copying form. It keeps its
-finiteness check because finite inputs can still overflow into the logits. Arithmetic is numpy's, which is deterministic
-run-to-run on a fixed build -- the property the reproducibility tests pin
-down.
+finiteness check because finite inputs can still overflow into the logits.
+Arithmetic is numpy's, which is deterministic run-to-run on a fixed build --
+the property the reproducibility tests pin down.
 """
 
 import numpy as np

@@ -11,9 +11,11 @@ from refguide.kernels import (
     ReferenceKV,
     apply_policy,
     attention,
+    blend,
     build_rank1_coefficient,
     concat_attention,
     concat_coefficient_vector,
+    guidance,
     guidance_form,
     reference_branches,
     rfg_attention,
@@ -259,6 +261,18 @@ class TestReferenceBranches:
         slow = naive_coefficient_vector(q, k_ref, k_self)
         assert np.max(np.abs(c - slow)) <= PRECISION_THRESHOLDS[precision] * q_scale
         assert np.array_equal(c, concat_coefficient_vector(q, k_ref, k_self))
+
+    @given(partition_sets())
+    def test_public_matrix_blend_is_bitwise_the_policy_path(self, case):
+        # The suite certifies blend and guidance over these branches; the
+        # public route (concat_coefficient_vector, rfg_matrix, guidance_form)
+        # must give the same bits.
+        _, _, (q, k_ref, v_ref, k_self, v_self) = case
+        a_ref, a_self, c = reference_branches(q, k_ref, v_ref, k_self, v_self)
+        coeff = build_rank1_coefficient(c, v_ref.shape[1])
+        public = build_rank1_coefficient(concat_coefficient_vector(q, k_ref, k_self), v_ref.shape[1])
+        assert np.array_equal(rfg_matrix(q, k_ref, v_ref, k_self, v_self, public), blend(coeff, a_ref, a_self))
+        assert np.array_equal(guidance_form(q, k_ref, v_ref, k_self, v_self, public), guidance(coeff, a_ref, a_self))
 
 
 class TestRank1Coefficient:
