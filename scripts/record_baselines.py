@@ -5,7 +5,8 @@ forward pass, the update schedule, or the sweep CSV format, then review the
 diff before committing. The recorded values pin:
 
   - the weight digest for seed 42 at the default architecture,
-  - the final-latent digest for the default generate run,
+  - the final-latent digest for the default generate run (rfg 0.35), and
+    for the default cross-frame and rfg-multi (0.3, 0.3) runs,
   - the per-step reference distances for c in {-0.3, 0, 0.2, 0.35}, and
   - the byte-exact default sweep CSV as produced by the command line.
 """
@@ -29,6 +30,8 @@ def record_baselines() -> dict:
     default = PipelineConfig()
     weights_digest = init_denoiser(42, default).digest()
     final_digest = generate_batch(default).final_digest()
+    cross_frame_digest = generate_batch(PipelineConfig(policy=AttentionPolicy.cross_frame())).final_digest()
+    multi_digest = generate_batch(PipelineConfig(policy=AttentionPolicy.rfg_multi((0.3, 0.3)))).final_digest()
 
     distance_series = {}
     for c in DISTANCE_STRENGTHS:
@@ -39,6 +42,8 @@ def record_baselines() -> dict:
     return {
         "weights_digest_seed42_default": weights_digest,
         "final_digest_seeds42_7_rfg035_default": final_digest,
+        "final_digest_seeds42_7_cross_frame_default": cross_frame_digest,
+        "final_digest_seeds42_7_rfg_multi_03_03_default": multi_digest,
         "distance_series_seed42_default": distance_series,
     }
 

@@ -193,6 +193,8 @@ class RunConfig:
         """PipelineConfig for this run; ``strength_override`` swaps in one rfg strength."""
         policy = self.resolved_policy()
         if strength_override is not None:
+            if self.layer_strengths is not None:
+                raise ConfigError("key 'layer_strengths' sets every block's strength, so sweep cannot override it")
             policy = AttentionPolicy.rfg(float(strength_override))
         shared = {f.name: getattr(self, f.name) for f in fields(PipelineConfig) if f.name in _FIELD_NAMES}
         shared["weights_seed"], shared["noise_seed"] = self.resolved_seeds()

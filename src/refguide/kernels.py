@@ -6,9 +6,9 @@ upcast internally; callers pick the precision by casting their inputs.
 Every route is built on one primitive, attention over a single key/value
 partition, which also returns each query row's softmax statistics: the
 logit maximum ``m`` and the sum ``s`` of ``exp(logit - m)``. The logits
-buffer it allocates is scaled, shifted, exponentiated and normalised in
-place. ``attention`` is that primitive's output. Three routes to reference
-conditioning derive from it:
+buffer it allocates is scaled by ``1 / sqrt(d)``, ``d`` the query width,
+then shifted, exponentiated and normalised in place. ``attention`` is that
+primitive's output. Three routes to reference conditioning derive from it:
 
 * ``concat_attention`` appends the reference keys/values to the sample's own,
   so reference tokens compete with self tokens inside one softmax.
@@ -20,8 +20,8 @@ conditioning derive from it:
   partitions' ``(m, s)`` -- it reproduces ``concat_attention`` up to
   rounding, which is what the equivalence oracle certifies.
   ``reference_branches`` returns both branches and that coefficient from
-  one pass over each partition; the "rfg-matrix" policy and the oracle's
-  suite both run it.
+  one pass over each partition; the "rfg-matrix" policy, the oracle's
+  suite, ``rfg_matrix`` and ``guidance_form`` all run it.
 
 ``apply_policy`` dispatches on a declarative ``AttentionPolicy`` so pipeline
 code never branches on kernel names itself.
@@ -49,14 +49,6 @@ def _same_dtype(*arrays: np.ndarray) -> np.dtype:
     return dt
 
 
-def _scale(q: np.ndarray, d) -> float:
-    if d is None:
-        d = q.shape[1]
-    if d <= 0:
-        raise ValueError(f"attention scale dimension must be positive, got {d}")
-    return 1.0 / float(np.sqrt(d))
-
-
 @dataclass(frozen=True, eq=False)
 class AttentionInputs:
     """Projected query/key/value matrices for one attention call.
@@ -79,18 +71,6 @@ class AttentionInputs:
         if self.k.shape[0] != self.v.shape[0]:
             raise ShapeError(f"k and v row counts differ: {self.k.shape} vs {self.v.shape}")
         _same_dtype(self.q, self.k, self.v)
-
-    @property
-    def length(self) -> int:
-        return self.q.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.q.shape[1]
-
-    @property
-    def d_v(self) -> int:
-        return self.v.shape[1]
 
 
 @dataclass(frozen=True)
@@ -144,10 +124,6 @@ class AttentionPolicy:
         return cls("rfg-matrix")
 
     @property
-    def needs_reference(self) -> bool:
-        return self.kind != "plain"
-
-    @property
     def reference_count(self) -> int:
         if self.kind == "plain":
             return 0
@@ -174,23 +150,22 @@ class ReferenceKV:
             raise LookupError(f"no cached keys/values for layer {index}; cache holds {len(self._layers)} layers")
         return self._layers[index]
 
-    @property
-    def nbytes(self) -> int:
-        return sum(k.nbytes + v.nbytes for k, v in self._layers)
 
-
-def _softmax(q, k, d) -> tuple:
+def _softmax(q, k) -> tuple:
     """``(p, m, s)``: row softmax ``p`` of q k^T / sqrt(d), with its row statistics.
 
-    The scale and the softmax run in place on the logits buffer this function
-    owns; ``m`` and ``s`` are as ``row_softmax_inplace`` returns them.
+    ``d`` is the width of q. The scale and the softmax run in place on the
+    logits buffer this function owns; ``m`` and ``s`` are as
+    ``row_softmax_inplace`` returns them.
     """
+    if q.shape[1] == 0:
+        raise ValueError("attention needs queries of positive width, got 0")
     logits = matmul(q, k.T)
-    logits *= _scale(q, d)
+    logits *= 1.0 / float(np.sqrt(q.shape[1]))
     return (logits, *row_softmax_inplace(logits))
 
 
-def _partition(q, k, v, d=None) -> tuple:
+def _partition(q, k, v) -> tuple:
     """Attention over one key/value partition, with its softmax row statistics.
 
     Returns ``(out, m, s)``: the normalised output ``row_softmax(q k^T /
@@ -198,7 +173,7 @@ def _partition(q, k, v, d=None) -> tuple:
     ``exp(logits - m)``. Every policy derives from this call: the outputs of
     several partitions combine through ``(m, s)`` alone.
     """
-    p, m, s = _softmax(q, k, d)
+    p, m, s = _softmax(q, k)
     return matmul(p, v), m, s
 
 
@@ -250,23 +225,19 @@ def guidance(coeff, a_ref, a_self) -> np.ndarray:
     return a_self + coeff * (a_ref - a_self)
 
 
-def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, d=None) -> np.ndarray:
-    """Scaled dot-product attention: row_softmax(q k^T / sqrt(d)) v.
-
-    ``d`` overrides the scale dimension (default: width of q) so split and
-    concatenated calls can share one temperature.
-    """
+def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Scaled dot-product attention: row_softmax(q k^T / sqrt(d)) v, d the width of q."""
     _same_dtype(q, k, v)
-    return _partition(q, k, v, d)[0]
+    return _partition(q, k, v)[0]
 
 
-def concat_attention(q, k_ref, v_ref, k_self, v_self, d=None) -> np.ndarray:
+def concat_attention(q, k_ref, v_ref, k_self, v_self) -> np.ndarray:
     """Attention over reference tokens stacked ahead of the sample's own."""
     _same_dtype(q, k_ref, v_ref, k_self, v_self)
-    return attention(q, stack_rows(k_ref, k_self), stack_rows(v_ref, v_self), d=d)
+    return attention(q, stack_rows(k_ref, k_self), stack_rows(v_ref, v_self))
 
 
-def rfg_attention(q, k_ref, v_ref, k_self, v_self, c: float, d=None) -> np.ndarray:
+def rfg_attention(q, k_ref, v_ref, k_self, v_self, c: float) -> np.ndarray:
     """Blend of reference and self attention: c * A_ref + (1 - c) * A_self.
 
     c == 0 and c == 1 return the self or reference branch exactly (no
@@ -275,14 +246,14 @@ def rfg_attention(q, k_ref, v_ref, k_self, v_self, c: float, d=None) -> np.ndarr
     """
     c = float(c)
     if c == 0.0:
-        return attention(q, k_self, v_self, d=d)
+        return attention(q, k_self, v_self)
     if c == 1.0:
-        return attention(q, k_ref, v_ref, d=d)
+        return attention(q, k_ref, v_ref)
     _same_dtype(q, k_ref, v_ref, k_self, v_self)
-    return blend(c, attention(q, k_ref, v_ref, d=d), attention(q, k_self, v_self, d=d))
+    return blend(c, attention(q, k_ref, v_ref), attention(q, k_self, v_self))
 
 
-def rfg_multi(q, refs, k_self, v_self, d=None) -> np.ndarray:
+def rfg_multi(q, refs, k_self, v_self) -> np.ndarray:
     """Multi-reference blend: sum_j c_j * A_j + (1 - sum_j c_j) * A_self.
 
     ``refs`` is a sequence of (c_j, k_j, v_j) triples. With a single
@@ -293,15 +264,15 @@ def rfg_multi(q, refs, k_self, v_self, d=None) -> np.ndarray:
         raise ValueError("rfg_multi needs at least one reference")
     if len(refs) == 1:
         c, k_ref, v_ref = refs[0]
-        return rfg_attention(q, k_ref, v_ref, k_self, v_self, c, d=d)
+        return rfg_attention(q, k_ref, v_ref, k_self, v_self, c)
     total = float(sum(float(c) for c, _, _ in refs))
-    out = (1.0 - total) * attention(q, k_self, v_self, d=d)
+    out = (1.0 - total) * attention(q, k_self, v_self)
     for c, k_ref, v_ref in refs:
-        out += float(c) * attention(q, k_ref, v_ref, d=d)
+        out += float(c) * attention(q, k_ref, v_ref)
     return out
 
 
-def concat_coefficient_vector(q, k_ref, k_self, d=None) -> np.ndarray:
+def concat_coefficient_vector(q, k_ref, k_self) -> np.ndarray:
     """Per-row weight of the reference partition inside concatenated attention.
 
     Row l gets sum_ref exp(logit) / sum_all exp(logit), merged from each
@@ -309,8 +280,8 @@ def concat_coefficient_vector(q, k_ref, k_self, d=None) -> np.ndarray:
     returns the same vector along with both branch outputs).
     """
     _same_dtype(q, k_ref, k_self)
-    _, m_ref, s_ref = _softmax(q, k_ref, d)
-    _, m_self, s_self = _softmax(q, k_self, d)
+    _, m_ref, s_ref = _softmax(q, k_ref)
+    _, m_self, s_self = _softmax(q, k_self)
     return _reference_mass(m_ref, s_ref, m_self, s_self)
 
 
@@ -324,46 +295,37 @@ def build_rank1_coefficient(c_vec: np.ndarray, d_v: int) -> np.ndarray:
     return np.repeat(c_vec[:, None], d_v, axis=1)
 
 
-def _branches(q, k_ref, v_ref, k_self, v_self, coeff, d):
-    _same_dtype(q, k_ref, v_ref, k_self, v_self)
-    a_ref = attention(q, k_ref, v_ref, d=d)
-    a_self = attention(q, k_self, v_self, d=d)
+def rfg_matrix(q, k_ref, v_ref, k_self, v_self, coeff: np.ndarray) -> np.ndarray:
+    """Entrywise blend of the two branch outputs: C * A_ref + (1 - C) * A_self."""
+    a_ref, a_self, _ = reference_branches(q, k_ref, v_ref, k_self, v_self)
     if coeff.shape != a_ref.shape:
         raise ShapeError(f"coefficient shape {coeff.shape} does not match output shape {a_ref.shape}")
-    return a_ref, a_self
+    return blend(coeff, a_ref, a_self)
 
 
-def rfg_matrix(q, k_ref, v_ref, k_self, v_self, coeff: np.ndarray, d=None) -> np.ndarray:
-    """Entrywise blend of the two branch outputs: C * A_ref + (1 - C) * A_self."""
-    return blend(coeff, *_branches(q, k_ref, v_ref, k_self, v_self, coeff, d))
-
-
-def guidance_form(q, k_ref, v_ref, k_self, v_self, coeff: np.ndarray, d=None) -> np.ndarray:
+def guidance_form(q, k_ref, v_ref, k_self, v_self, coeff: np.ndarray) -> np.ndarray:
     """Self output plus a coefficient-gated correction toward the reference.
 
     A_self + C * (A_ref - A_self); the same blend as ``rfg_matrix`` written
     as a residual update.
     """
-    return guidance(coeff, *_branches(q, k_ref, v_ref, k_self, v_self, coeff, d))
+    a_ref, a_self, _ = reference_branches(q, k_ref, v_ref, k_self, v_self)
+    if coeff.shape != a_ref.shape:
+        raise ShapeError(f"coefficient shape {coeff.shape} does not match output shape {a_ref.shape}")
+    return guidance(coeff, a_ref, a_self)
 
 
-def apply_policy(inputs: AttentionInputs, policy: AttentionPolicy, cache=None, layer: int = 0) -> np.ndarray:
+def apply_policy(inputs: AttentionInputs, policy: AttentionPolicy, caches=(), layer: int = 0) -> np.ndarray:
     """Run one attention block under ``policy``.
 
-    ``cache`` is a ReferenceKV (or a sequence of them for "rfg-multi", one
-    per strength, in order). Reference-conditioned kinds raise ValueError
-    when the cache is missing or its count does not match the policy.
+    ``caches`` holds one ReferenceKV per reference the policy reads (for
+    "rfg-multi", one per strength, in order; "plain" reads none).
+    Reference-conditioned kinds raise ValueError when the count does not
+    match the policy.
     """
     q, k, v = inputs.q, inputs.k, inputs.v
     if policy.kind == "plain":
         return attention(q, k, v)
-
-    if cache is None:
-        caches = []
-    elif isinstance(cache, ReferenceKV):
-        caches = [cache]
-    else:
-        caches = list(cache)
     if len(caches) != policy.reference_count:
         raise ValueError(
             f"policy {policy.kind!r} needs {policy.reference_count} reference cache(s), got {len(caches)}"

@@ -68,15 +68,15 @@ def _as_rows(a) -> list:
     return np.asarray(a, dtype=np.float64).tolist()
 
 
-def naive_attention(q, k, v, d=None) -> np.ndarray:
-    """Loop-based scaled dot-product attention in 64-bit Python floats."""
+def naive_attention(q, k, v) -> np.ndarray:
+    """Loop-based scaled dot-product attention in 64-bit Python floats; d is the width of q."""
     q_rows, k_rows, v_rows = _as_rows(q), _as_rows(k), _as_rows(v)
     width = len(q_rows[0])
     if len(k_rows[0]) != width:
         raise ShapeError(f"q width {width} does not match k width {len(k_rows[0])}")
     if len(v_rows) != len(k_rows):
         raise ShapeError(f"k has {len(k_rows)} rows but v has {len(v_rows)}")
-    scale = 1.0 / math.sqrt(width if d is None else d)
+    scale = 1.0 / math.sqrt(width)
     d_v = len(v_rows[0])
     out = []
     for q_row in q_rows:
@@ -89,20 +89,19 @@ def naive_attention(q, k, v, d=None) -> np.ndarray:
     return np.array(out, dtype=np.float64)
 
 
-def naive_concat_attention(q, k_ref, v_ref, k_self, v_self, d=None) -> np.ndarray:
+def naive_concat_attention(q, k_ref, v_ref, k_self, v_self) -> np.ndarray:
     """Brute-force attention over reference keys/values stacked ahead of self."""
     k_all = _as_rows(k_ref) + _as_rows(k_self)
     v_all = _as_rows(v_ref) + _as_rows(v_self)
     if len(k_all) != len(v_all):
         raise ShapeError("stacked k and v row counts differ")
-    return naive_attention(q, k_all, v_all, d=d)
+    return naive_attention(q, k_all, v_all)
 
 
-def naive_coefficient_vector(q, k_ref, k_self, d=None) -> np.ndarray:
+def naive_coefficient_vector(q, k_ref, k_self) -> np.ndarray:
     """Loop-based reference-partition weight per query row, unclipped."""
     q_rows, ref_rows, self_rows = _as_rows(q), _as_rows(k_ref), _as_rows(k_self)
-    width = len(q_rows[0])
-    scale = 1.0 / math.sqrt(width if d is None else d)
+    scale = 1.0 / math.sqrt(len(q_rows[0]))
     out = []
     for q_row in q_rows:
         ref_logits = [sum(qt * kt for qt, kt in zip(q_row, k_row)) * scale for k_row in ref_rows]

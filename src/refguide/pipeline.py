@@ -13,6 +13,9 @@ ReferenceKV cache, rebuilt every step from the reference's current latent,
 and every guided sample reads that cache. The reference therefore never sees
 the guided samples, so its trajectory is bitwise identical across policies
 and batch sizes for fixed seeds.
+
+``denoise_step`` takes one policy per block (``PipelineConfig.layer_policies``);
+its guided samples read only the caches that same step rebuilt.
 """
 
 import hashlib
@@ -55,7 +58,7 @@ class PipelineConfig:
         if self.precision not in PRECISION_DTYPES:
             raise ValueError(f"precision must be one of {sorted(PRECISION_DTYPES)}, got {self.precision!r}")
         refs = self.policy.reference_count
-        if self.policy.needs_reference and self.batch < refs + 1:
+        if self.batch < refs + 1:
             raise ValueError(
                 f"policy {self.policy.kind!r} needs {refs} reference(s) plus a guided sample, "
                 f"so batch must be at least {refs + 1}, got {self.batch}"
@@ -152,7 +155,7 @@ def _forward(latent, weights, policies, caches, collect_cache=False):
     """One denoiser pass over a (side, side) latent.
 
     Returns (prediction, ReferenceKV or None). ``policies`` holds one policy
-    per block; ``caches`` is the reference cache list handed to apply_policy.
+    per block; ``caches`` is the ReferenceKV sequence handed to apply_policy.
     """
     side = latent.shape[0]
     x = latent.reshape(side * side, 1)
@@ -173,28 +176,21 @@ def _forward(latent, weights, policies, caches, collect_cache=False):
 def reference_pass(latent, weights):
     """Plain self-attention pass that also captures the per-layer K/V cache."""
     plain = (AttentionPolicy.plain(),) * len(weights.blocks)
-    return _forward(latent, weights, plain, caches=None, collect_cache=True)
+    return _forward(latent, weights, plain, caches=(), collect_cache=True)
 
 
-def denoise_step(latents, t: int, steps: int, weights, policy, cache=None):
+def denoise_step(latents, t: int, steps: int, weights, policies: tuple):
     """Advance every batch member one step: x + (prediction - x) / (steps - t).
 
-    Reference members (the first ``reference_count`` samples; none under the
-    plain policy) are processed first with plain attention, publishing their
-    K/V caches; guided members then run the configured policy at every block.
-    ``cache`` overrides the rebuilt reference caches when given (testing
-    hook). ``policy`` may be a single AttentionPolicy or one per block.
+    ``policies`` holds one AttentionPolicy per block. Reference members (the
+    first ``reference_count`` samples; none under the plain policy) are
+    processed first with plain attention, publishing their K/V caches;
+    guided members then run each block under that block's policy.
     """
     if not 0 <= t < steps:
         raise ValueError(f"step index {t} outside [0, {steps})")
-    latents = np.asarray(latents)
-    n_blocks = len(weights.blocks)
-    if isinstance(policy, AttentionPolicy):
-        policies = (policy,) * n_blocks
-    else:
-        policies = tuple(policy)
-        if len(policies) != n_blocks:
-            raise ValueError(f"got {len(policies)} per-layer policies for {n_blocks} blocks")
+    if len(policies) != len(weights.blocks):
+        raise ValueError(f"got {len(policies)} per-layer policies for {len(weights.blocks)} blocks")
     n_refs = policies[0].reference_count
     if latents.shape[0] <= n_refs and n_refs > 0:
         raise ValueError(f"batch of {latents.shape[0]} cannot supply {n_refs} reference(s) and a guided sample")
@@ -207,11 +203,9 @@ def denoise_step(latents, t: int, steps: int, weights, policy, cache=None):
         pred, kv = reference_pass(latents[i], weights)
         out[i] = latents[i] + (pred - latents[i]) * u
         caches.append(kv)
-    if cache is not None:
-        caches = [cache] if isinstance(cache, ReferenceKV) else list(cache)
 
     for i in range(n_refs, latents.shape[0]):
-        pred, _ = _forward(latents[i], weights, policies, caches=caches or None)
+        pred, _ = _forward(latents[i], weights, policies, caches)
         out[i] = latents[i] + (pred - latents[i]) * u
     return out
 

@@ -211,6 +211,14 @@ class TestErrorPaths:
     def test_sweep_flag_rejected_on_generate(self, capsys):
         assert run(capsys, "generate", "--strengths", "0.1")[0] == 2
 
+    def test_sweep_rejects_layer_strengths(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"layer_strengths": [0.1, 0.2, 0.3, 0.4], "steps": 3}))
+        code, _, err = run(capsys, "sweep", "--config", str(path), "--strengths=-0.3,0.35", "--out", str(tmp_path))
+        assert code == 2
+        assert "layer_strengths" in err
+        assert not (tmp_path / "sweep.csv").exists()
+
     @pytest.mark.parametrize("argv", [
         ("generate", "--seed", "-1"),
         ("bench", "--grid", "8x8x8x1"),

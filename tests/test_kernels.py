@@ -60,18 +60,15 @@ class TestAttention:
         q, k_ref, v_ref, *_ = draw_set(11, length=6, d=4, d_v=3)
         assert max_rel_error(attention(q, k_ref, v_ref), naive_attention(q, k_ref, v_ref)) < 1e-13
 
-    def test_scale_override(self):
-        q, k, v, *_ = draw_set(12)
-        wide = attention(q, k, v, d=36)
-        expected = naive_attention(q, k, v, d=36)
-        assert max_rel_error(wide, expected) < 1e-13
-        assert not np.allclose(wide, attention(q, k, v))
-
     def test_output_stays_in_value_hull(self):
         q, k, v, *_ = draw_set(13, length=8, d=4, d_v=5)
         out = attention(q, k, v)
         assert (out <= v.max(axis=0) + 1e-12).all()
         assert (out >= v.min(axis=0) - 1e-12).all()
+
+    def test_zero_width_query_rejected(self):
+        with pytest.raises(ValueError, match="width"):
+            attention(np.ones((2, 0)), np.ones((3, 0)), np.ones((3, 2)))
 
     def test_mixed_dtypes_rejected(self):
         q, k, v, *_ = draw_set(14)
@@ -91,9 +88,7 @@ class TestConcatAttention:
 
     def test_matches_attention_over_stacked_inputs(self):
         q, k_ref, v_ref, k_self, v_self = draw_set(21)
-        direct = attention(
-            q, np.concatenate([k_ref, k_self]), np.concatenate([v_ref, v_self]), d=q.shape[1]
-        )
+        direct = attention(q, np.concatenate([k_ref, k_self]), np.concatenate([v_ref, v_self]))
         assert np.array_equal(concat_attention(q, k_ref, v_ref, k_self, v_self), direct)
 
     def test_reference_rows_listed_first(self):
@@ -348,14 +343,14 @@ class TestAttentionPolicy:
         with pytest.warns(UserWarning):
             AttentionPolicy.rfg_multi((0.6, 0.6))
 
+    def test_needs_reference(self):
+        assert AttentionPolicy.plain().reference_count == 0
+        assert AttentionPolicy.cross_frame().reference_count == 1
+
     def test_reference_counts(self):
         assert AttentionPolicy.plain().reference_count == 0
         assert AttentionPolicy.concat().reference_count == 1
         assert AttentionPolicy.rfg_multi((0.2, 0.3, 0.1)).reference_count == 3
-
-    def test_needs_reference(self):
-        assert not AttentionPolicy.plain().needs_reference
-        assert AttentionPolicy.cross_frame().needs_reference
 
 
 class TestReferenceKV:
@@ -369,12 +364,6 @@ class TestReferenceKV:
         cache = ReferenceKV([(np.ones((2, 2)), np.ones((2, 2)))])
         with pytest.raises(LookupError, match="layer 3"):
             cache.layer(3)
-
-    def test_nbytes_counts_all_layers(self):
-        k = np.ones((4, 2), dtype=np.float32)
-        v = np.ones((4, 3), dtype=np.float32)
-        cache = ReferenceKV([(k, v), (k, v)])
-        assert cache.nbytes == 2 * (k.nbytes + v.nbytes)
 
     def test_mismatched_rows_rejected(self):
         with pytest.raises(ShapeError):
@@ -390,27 +379,27 @@ class TestApplyPolicy:
 
     def test_plain_ignores_cache(self):
         inputs, cache, (q, _, _, k_self, v_self) = self.make()
-        out = apply_policy(inputs, AttentionPolicy.plain(), cache)
+        out = apply_policy(inputs, AttentionPolicy.plain(), [cache])
         assert np.array_equal(out, attention(q, k_self, v_self))
 
     def test_concat_dispatch(self):
         inputs, cache, parts = self.make()
-        out = apply_policy(inputs, AttentionPolicy.concat(), cache)
+        out = apply_policy(inputs, AttentionPolicy.concat(), [cache])
         assert np.array_equal(out, concat_attention(*parts))
 
     def test_cross_frame_is_reference_branch(self):
         inputs, cache, (q, k_ref, v_ref, _, _) = self.make()
-        out = apply_policy(inputs, AttentionPolicy.cross_frame(), cache)
+        out = apply_policy(inputs, AttentionPolicy.cross_frame(), [cache])
         assert np.array_equal(out, attention(q, k_ref, v_ref))
 
     def test_rfg_dispatch(self):
         inputs, cache, parts = self.make()
-        out = apply_policy(inputs, AttentionPolicy.rfg(0.35), cache)
+        out = apply_policy(inputs, AttentionPolicy.rfg(0.35), [cache])
         assert np.array_equal(out, rfg_attention(*parts, 0.35))
 
     def test_matrix_dispatch_matches_concat(self):
         inputs, cache, parts = self.make()
-        out = apply_policy(inputs, AttentionPolicy.rfg_matrix(), cache)
+        out = apply_policy(inputs, AttentionPolicy.rfg_matrix(), [cache])
         assert max_rel_error(out, concat_attention(*parts)) < 1e-13
 
     def test_multi_dispatch(self):
@@ -431,15 +420,10 @@ class TestApplyPolicy:
     def test_wrong_layer_index_raises(self):
         inputs, cache, _ = self.make()
         with pytest.raises(LookupError):
-            apply_policy(inputs, AttentionPolicy.concat(), cache, layer=2)
+            apply_policy(inputs, AttentionPolicy.concat(), [cache], layer=2)
 
 
 class TestAttentionInputs:
-    def test_properties(self):
-        q, k, v, *_ = draw_set(90, length=5, d=3, d_v=2)
-        inputs = AttentionInputs(q, k, v)
-        assert (inputs.length, inputs.d, inputs.d_v) == (5, 3, 2)
-
     def test_width_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             AttentionInputs(np.ones((2, 3)), np.ones((2, 4)), np.ones((2, 2)))

@@ -78,7 +78,6 @@ class TestNaiveConcatAttention:
             q,
             np.concatenate([parts[0], parts[2]]),
             np.concatenate([parts[1], parts[3]]),
-            d=4,
         )
         assert np.array_equal(out, stacked)
 

@@ -124,7 +124,7 @@ class TestDenoiseStep:
         cfg = small_config(batch=2)
         w = init_denoiser(8, cfg)
         latents = initial_noise(cfg)
-        out = denoise_step(latents, cfg.steps - 1, cfg.steps, w, AttentionPolicy.plain())
+        out = denoise_step(latents, cfg.steps - 1, cfg.steps, w, cfg.layer_policies())
         pred, _ = reference_pass(latents[0], w)
         assert np.allclose(out[0], pred, atol=1e-6)
 
@@ -133,7 +133,7 @@ class TestDenoiseStep:
         w = init_denoiser(8, cfg)
         latents = initial_noise(cfg)
         with pytest.raises(ValueError, match="step"):
-            denoise_step(latents, cfg.steps, cfg.steps, w, AttentionPolicy.plain())
+            denoise_step(latents, cfg.steps, cfg.steps, w, cfg.layer_policies())
 
     def test_policy_list_length_checked(self):
         cfg = small_config(batch=2)
@@ -147,14 +147,14 @@ class TestDenoiseStep:
         w = init_denoiser(8, cfg)
         latents = initial_noise(cfg)[:1]
         with pytest.raises(ValueError, match="reference"):
-            denoise_step(latents, 0, cfg.steps, w, AttentionPolicy.rfg(0.3))
+            denoise_step(latents, 0, cfg.steps, w, cfg.layer_policies())
 
     def test_plain_members_are_independent(self):
         cfg = small_config(batch=3, policy=AttentionPolicy.plain())
         w = init_denoiser(9, cfg)
         latents = initial_noise(cfg)
-        out = denoise_step(latents, 0, cfg.steps, w, AttentionPolicy.plain())
-        solo = denoise_step(latents[1:2], 0, cfg.steps, w, AttentionPolicy.plain())
+        out = denoise_step(latents, 0, cfg.steps, w, cfg.layer_policies())
+        solo = denoise_step(latents[1:2], 0, cfg.steps, w, cfg.layer_policies())
         assert np.array_equal(out[1], solo[0])
 
 
@@ -246,6 +246,14 @@ class TestGenerateBatch:
     def test_recorded_final_latent_digest(self):
         traj = generate_batch(PipelineConfig())
         assert traj.final_digest() == BASELINES["final_digest_seeds42_7_rfg035_default"]
+
+    @pytest.mark.parametrize("policy, key", [
+        (AttentionPolicy.cross_frame(), "final_digest_seeds42_7_cross_frame_default"),
+        (AttentionPolicy.rfg_multi((0.3, 0.3)), "final_digest_seeds42_7_rfg_multi_03_03_default"),
+    ])
+    def test_recorded_scalar_blend_digests(self, policy, key):
+        traj = generate_batch(PipelineConfig(policy=policy))
+        assert traj.final_digest() == BASELINES[key]
 
 
 class TestTrajectory:
