@@ -7,10 +7,14 @@ diff before committing. The recorded values pin:
   - the weight digest for seed 42 at the default architecture,
   - the final-latent digest for the default generate run (rfg 0.35), and
     for the default cross-frame and rfg-multi (0.3, 0.3) runs,
-  - the per-step reference distances for c in {-0.3, 0, 0.2, 0.35}, and
+  - the per-step reference distances for c in {-0.3, 0, 0.2, 0.35},
+  - the output digests of the loop oracle ``naive_concat_attention`` on fixed
+    suite draws (two cells, f32 and f64, one standard and one stressed
+    draw each), and
   - the byte-exact default sweep CSV as produced by the command line.
 """
 
+import hashlib
 import json
 import sys
 import tempfile
@@ -20,10 +24,33 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from refguide.cli import main as cli_main
 from refguide.kernels import AttentionPolicy
+from refguide.linalg import PRECISION_DTYPES
+from refguide.oracle import DEFAULT_GRID, _draw_inputs, naive_concat_attention
 from refguide.pipeline import PipelineConfig, generate_batch, init_denoiser, trajectory_distance
+from refguide.rng import stream
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "tests" / "data"
 DISTANCE_STRENGTHS = (-0.3, 0.0, 0.2, 0.35)
+ORACLE_CELLS = ((64, 32, 32), (64, 1, 1))
+ORACLE_DRAWS = (("standard", 0, 1.0), ("stressed", 1, 100.0))  # (name, trial, query scale)
+
+
+def oracle_digests() -> dict:
+    """sha256 of the oracle's f64 output bytes, keyed ``LxDxV/precision/draw``.
+
+    Each draw is the suite's own: ``_draw_inputs`` on ``stream(0, cell, trial)``,
+    with ``cell`` the index into ``DEFAULT_GRID``.
+    """
+    digests = {}
+    for cell in ORACLE_CELLS:
+        cell_index = DEFAULT_GRID.index(cell)
+        for precision, dtype in PRECISION_DTYPES.items():
+            for draw, trial, scale in ORACLE_DRAWS:
+                inputs = _draw_inputs(stream(0, cell_index, trial), *cell, dtype, scale)
+                out = naive_concat_attention(*inputs)
+                key = f"{'x'.join(map(str, cell))}/{precision}/{draw}"
+                digests[key] = hashlib.sha256(out.tobytes()).hexdigest()
+    return digests
 
 
 def record_baselines() -> dict:
@@ -45,6 +72,7 @@ def record_baselines() -> dict:
         "final_digest_seeds42_7_cross_frame_default": cross_frame_digest,
         "final_digest_seeds42_7_rfg_multi_03_03_default": multi_digest,
         "distance_series_seed42_default": distance_series,
+        "oracle_concat_digests_seed0": oracle_digests(),
     }
 
 

@@ -1,4 +1,7 @@
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,10 +9,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from refguide.linalg import ShapeError
+from refguide.linalg import PRECISION_DTYPES, ShapeError
 from refguide.oracle import (
     DEFAULT_GRID,
     EquivalenceReport,
+    _draw_inputs,
     max_rel_error,
     naive_attention,
     naive_coefficient_vector,
@@ -19,6 +23,11 @@ from refguide.oracle import (
 from refguide.rng import stream
 
 SMALL_GRID = ((1, 1, 1), (2, 4, 2), (4, 4, 4))
+ORACLE_DIGESTS = json.loads((Path(__file__).parent / "data" / "baselines.json").read_text())[
+    "oracle_concat_digests_seed0"
+]
+# Draw name -> (suite trial, query scale), as scripts/record_baselines.py records them.
+ORACLE_DRAWS = {"standard": (0, 1.0), "stressed": (1, 100.0)}
 
 
 class TestNaiveAttention:
@@ -80,6 +89,22 @@ class TestNaiveConcatAttention:
             np.concatenate([parts[1], parts[3]]),
         )
         assert np.array_equal(out, stacked)
+
+
+class TestRecordedOracleDigests:
+    @pytest.mark.parametrize("key", sorted(ORACLE_DIGESTS))
+    def test_output_bits_match_recorded_digest(self, key):
+        cell_text, precision, draw = key.split("/")
+        cell = tuple(int(n) for n in cell_text.split("x"))
+        trial, scale = ORACLE_DRAWS[draw]
+        inputs = _draw_inputs(
+            stream(0, DEFAULT_GRID.index(cell), trial), *cell, PRECISION_DTYPES[precision], scale
+        )
+        out = naive_concat_attention(*inputs)
+        assert hashlib.sha256(out.tobytes()).hexdigest() == ORACLE_DIGESTS[key]
+
+    def test_covers_both_cells_precisions_and_draws(self):
+        assert len(ORACLE_DIGESTS) == 8
 
 
 class TestNaiveCoefficientVector:
