@@ -12,6 +12,8 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import get_args
 
+import numpy as np
+
 from .bench import DEFAULT_BENCH_GRID
 from .kernels import POLICY_KINDS, AttentionPolicy
 from .linalg import PRECISION_DTYPES
@@ -152,6 +154,14 @@ class RunConfig:
             value = getattr(self, key)
             if value is not None and value <= 0:
                 raise ConfigError(f"{key} must be positive, got {value}")
+        # Suite inputs are uniform in [-1, 1] and stressed queries are scaled
+        # by stress_scale, so |q k^T| <= stress_scale * d in every check cell.
+        logit_bound = self.stress_scale * max(cell[1] for cell in self.check_grid)
+        if logit_bound >= float(np.finfo(PRECISION_DTYPES[self.precision]).max):
+            raise ConfigError(
+                f"stress_scale {self.stress_scale!r} times the widest check cell's d overflows "
+                f"{self.precision} logits ({logit_bound:.3g})"
+            )
         if not self.sweep_strengths:
             raise ConfigError("sweep_strengths must name at least one coefficient")
         if not self.bench_grid:
@@ -190,11 +200,20 @@ class RunConfig:
         return self.grid if self.grid is not None else DEFAULT_GRID
 
     def pipeline_config(self, strength_override: float | None = None) -> PipelineConfig:
-        """PipelineConfig for this run; ``strength_override`` swaps in one rfg strength."""
+        """PipelineConfig for this run; ``strength_override`` swaps in one rfg strength.
+
+        The override only replaces the strength of an ``rfg`` policy: any
+        other policy, or per-block ``layer_strengths``, is rejected by key.
+        """
         policy = self.resolved_policy()
         if strength_override is not None:
             if self.layer_strengths is not None:
                 raise ConfigError("key 'layer_strengths' sets every block's strength, so sweep cannot override it")
+            if policy.kind != "rfg":
+                key = "policy_kind" if self.preset == "custom" else "preset"
+                raise ConfigError(
+                    f"key {key!r} selects policy {policy.kind!r}, but sweep varies the strength of an 'rfg' policy"
+                )
             policy = AttentionPolicy.rfg(float(strength_override))
         shared = {f.name: getattr(self, f.name) for f in fields(PipelineConfig) if f.name in _FIELD_NAMES}
         shared["weights_seed"], shared["noise_seed"] = self.resolved_seeds()

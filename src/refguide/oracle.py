@@ -1,9 +1,11 @@
 """Brute-force attention oracle and the kernel equivalence suite.
 
 The naive functions here recompute attention with explicit Python loops over
-``math.exp`` in 64-bit floats. They share no arithmetic code with the numpy
-kernels in :mod:`refguide.kernels`; that independence is the point, so keep
-numpy expressions out of the naive paths.
+``math.exp`` in 64-bit floats. Every dot product is a left-to-right ``sum``
+of products, ``sum(map(mul, ...))``, and V is read by column; the recorded
+digests pin those bits, so do not reorder or compensate the sums. They share
+no arithmetic code with the numpy kernels in :mod:`refguide.kernels`; that
+independence is the point, so keep numpy expressions out of the naive paths.
 
 ``run_equivalence_suite`` draws seeded random inputs over a grid of shapes.
 Per trial it makes the call the "rfg-matrix" policy makes,
@@ -35,6 +37,7 @@ correct kernels at random.
 
 import math
 from dataclasses import asdict, dataclass, field
+from operator import mul
 
 import numpy as np
 
@@ -68,34 +71,36 @@ def _as_rows(a) -> list:
     return np.asarray(a, dtype=np.float64).tolist()
 
 
-def naive_attention(q, k, v) -> np.ndarray:
-    """Loop-based scaled dot-product attention in 64-bit Python floats; d is the width of q."""
-    q_rows, k_rows, v_rows = _as_rows(q), _as_rows(k), _as_rows(v)
+def _attention_rows(q_rows: list, k_rows: list, v_rows: list) -> np.ndarray:
+    """Attention over row lists: each sum runs left to right, V read by column."""
     width = len(q_rows[0])
     if len(k_rows[0]) != width:
         raise ShapeError(f"q width {width} does not match k width {len(k_rows[0])}")
     if len(v_rows) != len(k_rows):
         raise ShapeError(f"k has {len(k_rows)} rows but v has {len(v_rows)}")
     scale = 1.0 / math.sqrt(width)
-    d_v = len(v_rows[0])
+    v_cols = list(zip(*v_rows))
     out = []
     for q_row in q_rows:
-        logits = [sum(qt * kt for qt, kt in zip(q_row, k_row)) * scale for k_row in k_rows]
+        logits = [sum(map(mul, q_row, k_row)) * scale for k_row in k_rows]
         m = max(logits)
         weights = [math.exp(x - m) for x in logits]
         total = sum(weights)
         probs = [w / total for w in weights]
-        out.append([sum(p * v_row[c] for p, v_row in zip(probs, v_rows)) for c in range(d_v)])
+        out.append([sum(map(mul, probs, col)) for col in v_cols])
     return np.array(out, dtype=np.float64)
+
+
+def naive_attention(q, k, v) -> np.ndarray:
+    """Loop-based scaled dot-product attention in 64-bit Python floats; d is the width of q."""
+    return _attention_rows(_as_rows(q), _as_rows(k), _as_rows(v))
 
 
 def naive_concat_attention(q, k_ref, v_ref, k_self, v_self) -> np.ndarray:
     """Brute-force attention over reference keys/values stacked ahead of self."""
-    k_all = _as_rows(k_ref) + _as_rows(k_self)
-    v_all = _as_rows(v_ref) + _as_rows(v_self)
-    if len(k_all) != len(v_all):
-        raise ShapeError("stacked k and v row counts differ")
-    return naive_attention(q, k_all, v_all)
+    k_rows = _as_rows(k_ref) + _as_rows(k_self)
+    v_rows = _as_rows(v_ref) + _as_rows(v_self)
+    return _attention_rows(_as_rows(q), k_rows, v_rows)
 
 
 def naive_coefficient_vector(q, k_ref, k_self) -> np.ndarray:
@@ -104,8 +109,8 @@ def naive_coefficient_vector(q, k_ref, k_self) -> np.ndarray:
     scale = 1.0 / math.sqrt(len(q_rows[0]))
     out = []
     for q_row in q_rows:
-        ref_logits = [sum(qt * kt for qt, kt in zip(q_row, k_row)) * scale for k_row in ref_rows]
-        self_logits = [sum(qt * kt for qt, kt in zip(q_row, k_row)) * scale for k_row in self_rows]
+        ref_logits = [sum(map(mul, q_row, k_row)) * scale for k_row in ref_rows]
+        self_logits = [sum(map(mul, q_row, k_row)) * scale for k_row in self_rows]
         m = max(max(ref_logits), max(self_logits))
         num = sum(math.exp(x - m) for x in ref_logits)
         den = num + sum(math.exp(x - m) for x in self_logits)

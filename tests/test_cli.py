@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -218,6 +219,30 @@ class TestErrorPaths:
         assert code == 2
         assert "layer_strengths" in err
         assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("extra, key", [
+        ({"policy_kind": "concat"}, "policy_kind"),
+        ({"preset": "blend"}, "preset"),
+    ])
+    def test_sweep_rejects_non_rfg_policy(self, tmp_path, capsys, extra, key):
+        path = small_config_file(tmp_path, steps=3, **extra)
+        code, _, err = run(capsys, "sweep", "--config", path, "--strengths=0.35", "--out", str(tmp_path))
+        assert code == 2
+        assert f"key {key!r}" in err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("argv, precision", [
+        (("check", "--stress-scale", "1e300"), "f32"),
+        (("check", "--stress-scale", "1e307", "--precision", "f64"), "f64"),
+        (("check", "--stress-scale", "1e38", "--grid", "2x4x4"), "f32"),
+    ])
+    def test_overflowing_stress_scale_is_named(self, tmp_path, capsys, argv, precision):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, *argv, "--out", str(tmp_path))
+        assert code == 2
+        assert "config error: stress_scale" in err
+        assert precision in err
 
     @pytest.mark.parametrize("argv", [
         ("generate", "--seed", "-1"),

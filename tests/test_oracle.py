@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import math
@@ -9,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import refguide.oracle
 from refguide.linalg import PRECISION_DTYPES, ShapeError
 from refguide.oracle import (
     DEFAULT_GRID,
@@ -105,6 +107,44 @@ class TestRecordedOracleDigests:
 
     def test_covers_both_cells_precisions_and_draws(self):
         assert len(ORACLE_DIGESTS) == 8
+
+
+class TestOracleIndependence:
+    """The naive paths share no arithmetic with the kernels they certify."""
+
+    NAIVE_FUNCTIONS = (
+        "_as_rows", "_attention_rows", "naive_attention", "naive_concat_attention", "naive_coefficient_vector",
+    )
+    NUMPY_CONVERSIONS = {"asarray", "array", "float64"}
+
+    def test_naive_paths_use_no_kernel_names_or_numpy_arithmetic(self):
+        tree = ast.parse(Path(refguide.oracle.__file__).read_text())
+        imported = {
+            alias.asname or alias.name
+            for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in ("kernels", "linalg")
+            for alias in node.names
+        }
+        assert {"reference_branches", "ShapeError"} <= imported
+        functions = {
+            node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
+        }
+        assert set(self.NAIVE_FUNCTIONS) <= set(functions)
+        offences = []
+        for name in self.NAIVE_FUNCTIONS:
+            # The body only: a ``-> np.ndarray`` annotation computes nothing.
+            body = ast.Module(body=functions[name].body, type_ignores=[])
+            for node in ast.walk(body):
+                if isinstance(node, ast.Name) and node.id in imported - {"ShapeError"}:
+                    offences.append(f"{name} uses {node.id}")
+                if (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "np"
+                    and node.attr not in self.NUMPY_CONVERSIONS
+                ):
+                    offences.append(f"{name} uses np.{node.attr}")
+        assert offences == []
 
 
 class TestNaiveCoefficientVector:
