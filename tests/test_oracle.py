@@ -105,9 +105,6 @@ class TestRecordedOracleDigests:
         out = naive_concat_attention(*inputs)
         assert hashlib.sha256(out.tobytes()).hexdigest() == ORACLE_DIGESTS[key]
 
-    def test_covers_both_cells_precisions_and_draws(self):
-        assert len(ORACLE_DIGESTS) == 8
-
 
 class TestOracleIndependence:
     """The naive paths share no arithmetic with the kernels they certify."""
@@ -126,9 +123,7 @@ class TestOracleIndependence:
             for alias in node.names
         }
         assert {"reference_branches", "ShapeError"} <= imported
-        functions = {
-            node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
-        }
+        functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
         assert set(self.NAIVE_FUNCTIONS) <= set(functions)
         offences = []
         for name in self.NAIVE_FUNCTIONS:
