@@ -7,6 +7,9 @@ diff before committing. The recorded values pin:
   - the weight digest for seed 42 at the default architecture,
   - the final-latent digest for the default generate run (rfg 0.35), and
     for the default cross-frame and rfg-multi (0.3, 0.3) runs,
+  - final-latent digests at side 32 (L=1024, large enough for the kernels'
+    pooled query tiles) for rfg 0.35, concat and rfg-matrix at f32 and rfg
+    0.35 at f64, on a small schedule (2 blocks, 2 steps, batch 3),
   - the per-step reference distances for c in {-0.3, 0, 0.2, 0.35},
   - the output digests of the loop oracle ``naive_concat_attention`` on fixed
     suite draws (two cells, f32 and f64, one standard and one stressed
@@ -33,6 +36,21 @@ DATA_DIR = Path(__file__).resolve().parents[1] / "tests" / "data"
 DISTANCE_STRENGTHS = (-0.3, 0.0, 0.2, 0.35)
 ORACLE_CELLS = ((64, 32, 32), (64, 1, 1))
 ORACLE_DRAWS = (("standard", 0, 1.0), ("stressed", 1, 100.0))  # (name, trial, query scale)
+SIDE32 = dict(side=32, blocks=2, steps=2, batch=3)
+SIDE32_RUNS = {  # key -> (policy, precision)
+    "rfg035/f32": (AttentionPolicy.rfg(0.35), "f32"),
+    "concat/f32": (AttentionPolicy.concat(), "f32"),
+    "rfg-matrix/f32": (AttentionPolicy.rfg_matrix(), "f32"),
+    "rfg035/f64": (AttentionPolicy.rfg(0.35), "f64"),
+}
+
+
+def side32_digests() -> dict:
+    """Final-latent digests of the ``SIDE32_RUNS`` generations, keyed ``policy/precision``."""
+    return {
+        key: generate_batch(PipelineConfig(**SIDE32, policy=policy, precision=precision)).final_digest()
+        for key, (policy, precision) in SIDE32_RUNS.items()
+    }
 
 
 def oracle_digests() -> dict:
@@ -73,6 +91,7 @@ def record_baselines() -> dict:
         "final_digest_seeds42_7_rfg_multi_03_03_default": multi_digest,
         "distance_series_seed42_default": distance_series,
         "oracle_concat_digests_seed0": oracle_digests(),
+        "final_digests_seeds42_7_side32": side32_digests(),
     }
 
 

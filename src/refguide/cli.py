@@ -135,7 +135,10 @@ def _cmd_sweep(cfg) -> int:
     rows = []
     for c in cfg.sweep_strengths:
         pipeline_cfg = cfg.pipeline_config(strength_override=c)
-        traj = generate_batch(pipeline_cfg)
+        try:
+            traj = generate_batch(pipeline_cfg)
+        except ValueError as exc:
+            raise ConfigError(f"key 'sweep_strengths' value {c!r}: {exc}") from exc
         distances = {i: trajectory_distance(traj, i) for i in range(1, pipeline_cfg.batch)}
         for t in range(pipeline_cfg.steps + 1):
             for i in sorted(distances):

@@ -17,7 +17,7 @@ import numpy as np
 from .bench import DEFAULT_BENCH_GRID
 from .kernels import POLICY_KINDS, AttentionPolicy
 from .linalg import PRECISION_DTYPES
-from .oracle import DEFAULT_GRID
+from .oracle import DEFAULT_GRID, PRECISION_THRESHOLDS
 from .pipeline import PipelineConfig
 
 # Recommended operating points. "consistent" strengthens subject consistency
@@ -161,6 +161,14 @@ class RunConfig:
             raise ConfigError(
                 f"stress_scale {self.stress_scale!r} times the widest check cell's d overflows "
                 f"{self.precision} logits ({logit_bound:.3g})"
+            )
+        # A normalised deviation stays below about 2, so a stress bound of 1 or
+        # more would let every stressed trial pass.
+        threshold = self.threshold if self.threshold is not None else PRECISION_THRESHOLDS[self.precision]
+        if threshold * self.stress_scale >= 1.0:
+            raise ConfigError(
+                f"stress_scale {self.stress_scale!r} times the threshold {threshold!r} is at least 1, "
+                "so the stressed trials could never fail"
             )
         if not self.sweep_strengths:
             raise ConfigError("sweep_strengths must name at least one coefficient")

@@ -23,10 +23,18 @@ primitive's output. Three routes to reference conditioning derive from it:
   one pass over each partition; the "rfg-matrix" policy, the oracle's
   suite, ``rfg_matrix`` and ``guidance_form`` all run it.
 
+A large partition splits its query rows into ``TILE_ROWS``-row tiles and
+runs them on a thread pool, one thread per usable CPU, when BLAS runs one
+thread; the bytes are those of the untiled call (``_partition`` has the
+rule). The pool starts with the first such partition, not at import.
+
 ``apply_policy`` dispatches on a declarative ``AttentionPolicy`` so pipeline
 code never branches on kernel names itself.
 """
 
+import contextvars
+import functools
+import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -39,6 +47,25 @@ from .linalg import ShapeError, matmul, row_softmax_inplace, stack_rows
 from .linalg import row_softmax  # noqa: F401
 
 POLICY_KINDS = ("plain", "concat", "cross-frame", "rfg", "rfg-multi", "rfg-matrix")
+
+# Rows per pooled query tile and the least L * S worth the pool (see
+# ``_partition``). The pool gets one thread per usable CPU when OpenBLAS runs
+# one thread (its first nonempty thread variable is "1"), else no pool runs.
+TILE_ROWS = 256
+POOL_MIN_WORK = 1 << 19
+_BLAS_THREADS = next((os.environ[v] for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+                      if os.environ.get(v)), None)
+POOL_WORKERS = len(os.sched_getaffinity(0)) if _BLAS_THREADS == "1" and hasattr(os, "sched_getaffinity") else 1
+
+
+@functools.cache
+def _tile_pool(workers: int, pid: int):
+    """The tile pool of process ``pid``: a forked child has none of its parent's threads."""
+    # Imported on first use: concurrent.futures imports logging, about 1 MiB
+    # that a process which never pools (``refguide check``) should not carry.
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(workers, thread_name_prefix="refguide-tile")
 
 
 def _same_dtype(*arrays: np.ndarray) -> np.dtype:
@@ -172,9 +199,38 @@ def _partition(q, k, v) -> tuple:
     sqrt(d)) v``, each row's logit maximum ``m``, and the row sum ``s`` of
     ``exp(logits - m)``. Every policy derives from this call: the outputs of
     several partitions combine through ``(m, s)`` alone.
+
+    With ``POOL_WORKERS >= 2``, L a multiple of ``TILE_ROWS`` (two tiles at
+    least), S a multiple of 64 and ``L * S >= POOL_MIN_WORK``, the query rows
+    run as ``TILE_ROWS`` tiles on the thread pool, each tile in a copy of the
+    caller's context (so ``np.errstate`` reaches it). Each row's softmax is
+    its own, and on these shapes the tiles are bitwise the untiled call.
+    The call returns, or raises the first tile's error, once every tile is done.
     """
-    p, m, s = _softmax(q, k)
-    return matmul(p, v), m, s
+    length, keys = q.shape[0], k.shape[0]
+    # A zero-width query stays untiled, where ``_softmax`` rejects it.
+    if (POOL_WORKERS < 2 or q.shape[1] == 0 or length % TILE_ROWS or length < 2 * TILE_ROWS
+            or keys % 64 or length * keys < POOL_MIN_WORK):
+        p, m, s = _softmax(q, k)
+        return matmul(p, v), m, s
+    out = np.empty((length, v.shape[1]), dtype=q.dtype)
+    m, s = np.empty((2, length), dtype=q.dtype)
+    scale = 1.0 / float(np.sqrt(q.shape[1]))
+
+    def tile(rows):
+        p = q[rows] @ k.T
+        p *= scale
+        m[rows], s[rows] = row_softmax_inplace(p)
+        np.matmul(p, v, out=out[rows])
+
+    pool = _tile_pool(POOL_WORKERS, os.getpid())
+    tiles = [pool.submit(contextvars.copy_context().run, tile, slice(lo, lo + TILE_ROWS))
+             for lo in range(0, length, TILE_ROWS)]
+    # Wait for every tile, then raise the first failed tile's error.
+    for error in [done.exception() for done in tiles]:
+        if error is not None:
+            raise error
+    return out, m, s
 
 
 def _reference_mass(m_ref, s_ref, m_self, s_self) -> np.ndarray:

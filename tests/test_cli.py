@@ -245,6 +245,26 @@ class TestErrorPaths:
         assert precision in err
 
     @pytest.mark.parametrize("argv", [
+        ("check", "--precision", "f64", "--stress-scale", "1e300"),
+        ("check", "--stress-scale", "1e5"),
+        ("check", "--threshold", "0.5"),
+    ])
+    def test_vacuous_stress_bound_is_named(self, tmp_path, capsys, argv):
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path))
+        assert code == 2
+        assert "config error: stress_scale" in err
+        assert out == ""
+
+    def test_sweep_overflow_names_the_strength(self, tmp_path, capsys):
+        path = small_config_file(tmp_path, steps=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code, _, err = run(capsys, "sweep", "--config", path, "--strengths=0.35,1e30", "--out", str(tmp_path))
+        assert code == 2
+        assert "config error: key 'sweep_strengths' value 1e+30: row_softmax requires finite logits" in err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
         ("generate", "--seed", "-1"),
         ("bench", "--grid", "8x8x8x1"),
         ("sweep", "--strengths=nan"),

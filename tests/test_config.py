@@ -77,6 +77,21 @@ class TestParseConfig:
         pipeline = cfg.pipeline_config()
         assert (pipeline.side, pipeline.blocks, pipeline.steps, pipeline.batch) == (16, 4, 20, 4)
 
+    @pytest.mark.parametrize("overrides, ok", [
+        ({"stress_scale": 99_999.0}, True),
+        ({"stress_scale": 1e5}, False),
+        ({"precision": "f64", "stress_scale": 9.9e9}, True),
+        ({"precision": "f64", "stress_scale": 1e10}, False),
+        ({"threshold": 0.01, "stress_scale": 99.0}, True),
+        ({"threshold": 0.01}, False),
+    ])
+    def test_stress_bound_stays_below_one(self, overrides, ok):
+        if ok:
+            assert parse_config(overrides=overrides).stress_scale == overrides.get("stress_scale", 100.0)
+        else:
+            with pytest.raises(ConfigError, match="stress_scale"):
+                parse_config(overrides=overrides)
+
     def test_file_values_applied(self, tmp_path):
         path = write_config(tmp_path, {"steps": 8, "batch": 3, "precision": "f64"})
         cfg = parse_config(path)

@@ -1,10 +1,19 @@
 import math
+import os
+import signal
+import subprocess
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import refguide.kernels as kernels
 from refguide.kernels import (
     AttentionInputs,
     AttentionPolicy,
@@ -268,6 +277,165 @@ class TestReferenceBranches:
         public = build_rank1_coefficient(concat_coefficient_vector(q, k_ref, k_self), v_ref.shape[1])
         assert np.array_equal(rfg_matrix(q, k_ref, v_ref, k_self, v_self, public), blend(coeff, a_ref, a_self))
         assert np.array_equal(guidance_form(q, k_ref, v_ref, k_self, v_self, public), guidance(coeff, a_ref, a_self))
+
+
+class CountingPool(ThreadPoolExecutor):
+    """A tile pool that counts the tiles submitted to it."""
+
+    def __init__(self, workers):
+        super().__init__(workers)
+        self.submitted = 0
+
+    def submit(self, *args, **kwargs):
+        self.submitted += 1
+        return super().submit(*args, **kwargs)
+
+
+@contextmanager
+def tile_pool(workers):
+    """Run ``_partition`` with ``POOL_WORKERS`` set to ``workers`` on a fresh counting pool."""
+    pool = CountingPool(workers)
+    try:
+        with mock.patch.object(kernels, "POOL_WORKERS", workers), \
+                mock.patch.object(kernels, "_tile_pool", lambda workers, pid: pool):
+            yield pool
+    finally:
+        pool.shutdown()
+
+
+def partition_inputs(seed, length, keys, d, d_v, dtype):
+    gen = stream(seed)
+    shapes = ((length, d), (keys, d), (keys, d_v))
+    return [gen.uniform(-1, 1, shape).astype(dtype) for shape in shapes]
+
+
+def overflowing_tile_inputs(tile):
+    """f32 inputs of four pooled tiles whose tile ``tile`` overflows its logits."""
+    q, k, v = partition_inputs(7, 4 * kernels.TILE_ROWS, 512, 8, 8, np.float32)
+    rows = slice(tile * kernels.TILE_ROWS, (tile + 1) * kernels.TILE_ROWS)
+    q[rows] = np.float32(3e38)  # finite, but q k^T overflows
+    return q, k, v
+
+
+class TestPooledPartition:
+    """Large partitions run as query-row tiles on the thread pool, bitwise as untiled."""
+
+    @given(
+        st.sampled_from([512, 1024]), st.sampled_from([1, 2]), st.sampled_from([1, 8, 32]),
+        st.sampled_from([1, 8, 32]), st.sampled_from([np.float32, np.float64]), st.integers(0, 2**16),
+    )
+    def test_pooled_is_bitwise_untiled(self, length, key_factor, d, d_v, dtype, seed):
+        q, k, v = partition_inputs(seed, length, key_factor * length, d, d_v, dtype)
+        with tile_pool(1) as pool:
+            untiled = kernels._partition(q, k, v)
+        assert pool.submitted == 0
+        # Every shape here runs pooled, 512 x 512 included.
+        with tile_pool(2) as pool, mock.patch.object(kernels, "POOL_MIN_WORK", 0):
+            pooled = kernels._partition(q, k, v)
+        assert pool.submitted == length // kernels.TILE_ROWS
+        for a, b in zip(untiled, pooled):
+            assert a.dtype == b.dtype == dtype
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("length, keys, dtype", [
+        (576, 1024, np.float32),  # L not a multiple of the tile height
+        (1024, 1000, np.float64),  # S not a multiple of 64
+        (256, 4096, np.float32),  # a single tile
+        (512, 512, np.float32),  # L * S below the threshold
+    ])
+    def test_shapes_outside_the_rule_never_submit(self, length, keys, dtype):
+        q, k, v = partition_inputs(3, length, keys, 8, 8, dtype)
+        with tile_pool(2) as pool:
+            out, _, _ = kernels._partition(q, k, v)
+        assert pool.submitted == 0
+        assert np.array_equal(out, attention(q, k, v))
+
+    def test_zero_width_query_raises_before_any_tile(self):
+        with tile_pool(2) as pool, pytest.raises(ValueError, match="width"):
+            kernels._partition(np.ones((1024, 0)), np.ones((1024, 0)), np.ones((1024, 2)))
+        assert pool.submitted == 0
+
+    def test_worker_counts_give_the_same_bytes(self):
+        # 16 tiles on up to 4 threads, more than the cores, switching threads often.
+        q, k, v = partition_inputs(5, 4096, 512, 8, 8, np.float32)
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 4):
+                with tile_pool(workers):
+                    results.append(b"".join(a.tobytes() for a in kernels._partition(q, k, v)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results[0] == results[1] == results[2]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_starts_its_own_pool(self):
+        q, k, v = partition_inputs(9, 1024, 1024, 8, 8, np.float32)
+        with mock.patch.object(kernels, "POOL_WORKERS", 2):
+            expected = kernels._partition(q, k, v)[0]  # the parent's pool threads now exist
+            pid = os.fork()
+            if pid == 0:
+                os._exit(0 if np.array_equal(kernels._partition(q, k, v)[0], expected) else 1)
+        deadline = time.monotonic() + 10
+        while not (done := os.waitpid(pid, os.WNOHANG))[0]:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child waited on its parent's pool threads")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(done[1]) == 0
+
+    def test_overflowing_tile_raises_after_every_tile_finished(self, monkeypatch):
+        running, finished = [], []
+        real = kernels.row_softmax_inplace
+
+        def slow_softmax(a):
+            running.append(1)
+            try:
+                if np.isfinite(a).all():
+                    time.sleep(0.05)  # keep the finite tiles in flight while tile 0 fails
+                return real(a)
+            finally:
+                finished.append(1)
+                running.pop()
+
+        monkeypatch.setattr(kernels, "row_softmax_inplace", slow_softmax)
+        q, k, v = overflowing_tile_inputs(0)
+        with tile_pool(2) as pool, np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="row_softmax requires finite logits"):
+                kernels._partition(q, k, v)
+            assert not running
+            assert len(finished) == pool.submitted == 4
+        with tile_pool(1), np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="row_softmax requires finite logits"):
+                kernels._partition(q, k, v)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_caller_errstate_reaches_the_tiles(self, workers):
+        q, k, v = overflowing_tile_inputs(2)
+        with tile_pool(workers), np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError, match="overflow"):
+                kernels._partition(q, k, v)
+
+    @pytest.mark.parametrize("env, pooled", [
+        ({}, False),
+        ({"OPENBLAS_NUM_THREADS": "1"}, True),
+        ({"OMP_NUM_THREADS": "1"}, True),
+        ({"OPENBLAS_NUM_THREADS": "", "GOTO_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, False),
+    ])
+    def test_pool_needs_one_blas_thread_and_import_starts_no_pool(self, env, pooled):
+        blas_vars = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+        clean = {key: value for key, value in os.environ.items() if key not in blas_vars}
+        code = (
+            "import sys, threading, refguide.cli, refguide.kernels as k; "
+            "print(k.POOL_WORKERS, threading.active_count(), 'concurrent.futures' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env={**clean, **env}, capture_output=True, text=True, check=True
+        ).stdout.split()
+        workers = len(os.sched_getaffinity(0)) if pooled else 1
+        assert out == [str(workers), "1", "False"]
 
 
 class TestRank1Coefficient:

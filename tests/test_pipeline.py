@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import refguide.kernels as kernels
 from refguide.kernels import AttentionPolicy
 from refguide.oracle import max_rel_error
 from refguide.pipeline import (
@@ -254,6 +255,19 @@ class TestGenerateBatch:
     def test_recorded_scalar_blend_digests(self, policy, key):
         traj = generate_batch(PipelineConfig(policy=policy))
         assert traj.final_digest() == BASELINES[key]
+
+    @pytest.mark.parametrize("policy, precision, key", [
+        (AttentionPolicy.rfg(0.35), "f32", "rfg035/f32"),
+        (AttentionPolicy.concat(), "f32", "concat/f32"),
+        (AttentionPolicy.rfg_matrix(), "f32", "rfg-matrix/f32"),
+        (AttentionPolicy.rfg(0.35), "f64", "rfg035/f64"),
+    ])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_recorded_side32_digests(self, monkeypatch, workers, policy, precision, key):
+        # L = 1024: with 2 workers every partition runs as pooled query tiles.
+        monkeypatch.setattr(kernels, "POOL_WORKERS", workers)
+        cfg = PipelineConfig(side=32, blocks=2, steps=2, batch=3, policy=policy, precision=precision)
+        assert generate_batch(cfg).final_digest() == BASELINES["final_digests_seeds42_7_side32"][key]
 
 
 class TestTrajectory:
