@@ -71,7 +71,7 @@ def run_bench(
 ) -> BenchReport:
     """Time every policy at every grid cell and report medians."""
     if precision not in PRECISION_DTYPES:
-        raise ValueError(f"precision must be 'f32' or 'f64', got {precision!r}")
+        raise ValueError(f"precision must be one of {sorted(PRECISION_DTYPES)}, got {precision!r}")
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
     dtype = PRECISION_DTYPES[precision]

@@ -131,14 +131,22 @@ def _cmd_check(cfg) -> int:
     return 0 if report.passed else 1
 
 
+def _generate(pipeline_cfg, key: str, value):
+    """``generate_batch``, with a ValueError re-raised as a ConfigError naming ``key``.
+
+    A finite strength can still overflow the logits; ``key`` set the strength.
+    """
+    try:
+        return generate_batch(pipeline_cfg)
+    except ValueError as exc:
+        raise ConfigError(f"key {key!r} value {value!r}: {exc}") from exc
+
+
 def _cmd_sweep(cfg) -> int:
     rows = []
     for c in cfg.sweep_strengths:
         pipeline_cfg = cfg.pipeline_config(strength_override=c)
-        try:
-            traj = generate_batch(pipeline_cfg)
-        except ValueError as exc:
-            raise ConfigError(f"key 'sweep_strengths' value {c!r}: {exc}") from exc
+        traj = _generate(pipeline_cfg, "sweep_strengths", c)
         distances = {i: trajectory_distance(traj, i) for i in range(1, pipeline_cfg.batch)}
         for t in range(pipeline_cfg.steps + 1):
             for i in sorted(distances):
@@ -150,7 +158,11 @@ def _cmd_sweep(cfg) -> int:
 
 def _cmd_generate(cfg) -> int:
     pipeline_cfg = cfg.pipeline_config()
-    traj = generate_batch(pipeline_cfg)
+    if cfg.layer_strengths is not None:
+        key = "layer_strengths"
+    else:
+        key = "strengths" if cfg.policy_kind == "rfg-multi" else "strength"
+    traj = _generate(pipeline_cfg, key, getattr(cfg, key))
     out = _out_dir(cfg)
     for i in range(pipeline_cfg.batch):
         final = traj.final[i]

@@ -23,10 +23,10 @@ primitive's output. Three routes to reference conditioning derive from it:
   one pass over each partition; the "rfg-matrix" policy, the oracle's
   suite, ``rfg_matrix`` and ``guidance_form`` all run it.
 
-A large partition splits its query rows into ``TILE_ROWS``-row tiles and
-runs them on a thread pool, one thread per usable CPU, when BLAS runs one
-thread; the bytes are those of the untiled call (``_partition`` has the
-rule). The pool starts with the first such partition, not at import.
+A partition checks once that its operands share a dtype, then runs as one
+``_tile`` of query rows; a large one runs ``TILE_ROWS``-row tiles on a thread
+pool (one thread per usable CPU, when BLAS runs one thread) with the same
+bytes. ``_partition`` has the rule; the pool starts with its first use.
 
 ``apply_policy`` dispatches on a declarative ``AttentionPolicy`` so pipeline
 code never branches on kernel names itself.
@@ -40,11 +40,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import ShapeError, matmul, row_softmax_inplace, stack_rows
+from .linalg import ShapeError, row_softmax_inplace, stack_rows
 
-# Not called here any more; the benchmark's span recorder (perfbench/spans.py)
-# wraps ``refguide.kernels.row_softmax`` by name, so the name stays importable.
-from .linalg import row_softmax  # noqa: F401
+# Not called here; the benchmark's span recorder (perfbench/spans.py) wraps
+# ``refguide.kernels.matmul`` and ``row_softmax`` by name, so they stay importable.
+from .linalg import matmul, row_softmax  # noqa: F401
 
 POLICY_KINDS = ("plain", "concat", "cross-frame", "rfg", "rfg-multi", "rfg-matrix")
 
@@ -178,18 +178,16 @@ class ReferenceKV:
         return self._layers[index]
 
 
-def _softmax(q, k) -> tuple:
-    """``(p, m, s)``: row softmax ``p`` of q k^T / sqrt(d), with its row statistics.
+def _tile(q, k, v, scale) -> tuple:
+    """``(out, m, s)`` of attention for one tile of query rows, logits scaled by ``scale``.
 
-    ``d`` is the width of q. The scale and the softmax run in place on the
-    logits buffer this function owns; ``m`` and ``s`` are as
-    ``row_softmax_inplace`` returns them.
+    Pool threads run it, so it calls numpy and ``row_softmax_inplace`` only:
+    the span recorder that wraps the other module names is single-threaded.
     """
-    if q.shape[1] == 0:
-        raise ValueError("attention needs queries of positive width, got 0")
-    logits = matmul(q, k.T)
-    logits *= 1.0 / float(np.sqrt(q.shape[1]))
-    return (logits, *row_softmax_inplace(logits))
+    p = q @ k.T
+    p *= scale
+    m, s = row_softmax_inplace(p)
+    return p @ v, m, s
 
 
 def _partition(q, k, v) -> tuple:
@@ -198,39 +196,32 @@ def _partition(q, k, v) -> tuple:
     Returns ``(out, m, s)``: the normalised output ``row_softmax(q k^T /
     sqrt(d)) v``, each row's logit maximum ``m``, and the row sum ``s`` of
     ``exp(logits - m)``. Every policy derives from this call: the outputs of
-    several partitions combine through ``(m, s)`` alone.
+    several partitions combine through ``(m, s)`` alone. Mixed dtypes and a
+    zero-width query raise here, before any tile runs.
 
-    With ``POOL_WORKERS >= 2``, L a multiple of ``TILE_ROWS`` (two tiles at
-    least), S a multiple of 64 and ``L * S >= POOL_MIN_WORK``, the query rows
-    run as ``TILE_ROWS`` tiles on the thread pool, each tile in a copy of the
-    caller's context (so ``np.errstate`` reaches it). Each row's softmax is
-    its own, and on these shapes the tiles are bitwise the untiled call.
-    The call returns, or raises the first tile's error, once every tile is done.
+    The partition is one ``_tile``, except with ``POOL_WORKERS >= 2``, L a
+    multiple of ``TILE_ROWS`` (two tiles at least), S a multiple of 64 and
+    ``L * S >= POOL_MIN_WORK``: then ``TILE_ROWS``-row tiles run on the thread
+    pool, each in a copy of the caller's context (so ``np.errstate`` reaches
+    it). Each row's softmax is its own, and on these shapes the tiles are
+    bitwise the single tile. The call returns, or raises the first tile's
+    error, once every tile is done.
     """
+    _same_dtype(q, k, v)
+    if q.shape[1] == 0:
+        raise ValueError("attention needs queries of positive width, got 0")
     length, keys = q.shape[0], k.shape[0]
-    # A zero-width query stays untiled, where ``_softmax`` rejects it.
-    if (POOL_WORKERS < 2 or q.shape[1] == 0 or length % TILE_ROWS or length < 2 * TILE_ROWS
-            or keys % 64 or length * keys < POOL_MIN_WORK):
-        p, m, s = _softmax(q, k)
-        return matmul(p, v), m, s
-    out = np.empty((length, v.shape[1]), dtype=q.dtype)
-    m, s = np.empty((2, length), dtype=q.dtype)
     scale = 1.0 / float(np.sqrt(q.shape[1]))
-
-    def tile(rows):
-        p = q[rows] @ k.T
-        p *= scale
-        m[rows], s[rows] = row_softmax_inplace(p)
-        np.matmul(p, v, out=out[rows])
-
+    if (POOL_WORKERS < 2 or length % TILE_ROWS or length < 2 * TILE_ROWS
+            or keys % 64 or length * keys < POOL_MIN_WORK):
+        return _tile(q, k, v, scale)
     pool = _tile_pool(POOL_WORKERS, os.getpid())
-    tiles = [pool.submit(contextvars.copy_context().run, tile, slice(lo, lo + TILE_ROWS))
+    tiles = [pool.submit(contextvars.copy_context().run, _tile, q[lo:lo + TILE_ROWS], k, v, scale)
              for lo in range(0, length, TILE_ROWS)]
-    # Wait for every tile, then raise the first failed tile's error.
     for error in [done.exception() for done in tiles]:
         if error is not None:
             raise error
-    return out, m, s
+    return tuple(np.concatenate(parts) for parts in zip(*(done.result() for done in tiles)))
 
 
 def _reference_mass(m_ref, s_ref, m_self, s_self) -> np.ndarray:
@@ -261,7 +252,6 @@ def reference_branches(q, k_ref, v_ref, k_self, v_self) -> tuple:
     as ``concat_coefficient_vector`` returns it. The branches' logits are
     computed once; the coefficient comes from their row statistics.
     """
-    _same_dtype(q, k_ref, v_ref, k_self, v_self)
     a_ref, m_ref, s_ref = _partition(q, k_ref, v_ref)
     a_self, m_self, s_self = _partition(q, k_self, v_self)
     return a_ref, a_self, _reference_mass(m_ref, s_ref, m_self, s_self)
@@ -283,7 +273,6 @@ def guidance(coeff, a_ref, a_self) -> np.ndarray:
 
 def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Scaled dot-product attention: row_softmax(q k^T / sqrt(d)) v, d the width of q."""
-    _same_dtype(q, k, v)
     return _partition(q, k, v)[0]
 
 
@@ -305,7 +294,6 @@ def rfg_attention(q, k_ref, v_ref, k_self, v_self, c: float) -> np.ndarray:
         return attention(q, k_self, v_self)
     if c == 1.0:
         return attention(q, k_ref, v_ref)
-    _same_dtype(q, k_ref, v_ref, k_self, v_self)
     return blend(c, attention(q, k_ref, v_ref), attention(q, k_self, v_self))
 
 
@@ -332,13 +320,10 @@ def concat_coefficient_vector(q, k_ref, k_self) -> np.ndarray:
     """Per-row weight of the reference partition inside concatenated attention.
 
     Row l gets sum_ref exp(logit) / sum_all exp(logit), merged from each
-    partition's row maximum and row sum (see ``reference_branches``, which
-    returns the same vector along with both branch outputs).
+    partition's row maximum and row sum: ``reference_branches`` over
+    zero-width values, so no output product runs.
     """
-    _same_dtype(q, k_ref, k_self)
-    _, m_ref, s_ref = _softmax(q, k_ref)
-    _, m_self, s_self = _softmax(q, k_self)
-    return _reference_mass(m_ref, s_ref, m_self, s_self)
+    return reference_branches(q, k_ref, k_ref[:, :0], k_self, k_self[:, :0])[2]
 
 
 def build_rank1_coefficient(c_vec: np.ndarray, d_v: int) -> np.ndarray:

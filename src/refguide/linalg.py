@@ -1,4 +1,4 @@
-"""Dense 2-D matrix operations shared by the attention kernels.
+"""Dense 2-D matrix operations for the attention kernels and the denoiser.
 
 Matrices are plain numpy arrays: 2-D, float32 or float64, all entries
 finite. ``PRECISION_DTYPES`` maps each precision name to its working dtype;
@@ -10,7 +10,8 @@ its argument's buffer and returns the per-row statistics that let partial
 softmaxes merge; ``row_softmax`` is its copying form. It keeps its
 finiteness check because finite inputs can still overflow into the logits.
 Arithmetic is numpy's, which is deterministic run-to-run on a fixed build --
-the property the reproducibility tests pin down.
+the property the reproducibility tests pin down. ``matmul`` serves
+``pipeline``; ``kernels`` imports it only for the benchmark's span recorder.
 """
 
 import numpy as np

@@ -264,6 +264,22 @@ class TestErrorPaths:
         assert "config error: key 'sweep_strengths' value 1e+30: row_softmax requires finite logits" in err
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("extra, key", [
+        ({"strength": 1e30}, "strength"),
+        ({"policy_kind": "rfg-multi", "strengths": [1e30, 0.1]}, "strengths"),
+        ({"blocks": 4, "layer_strengths": [0.3, 1e30, 0.3, 0.3]}, "layer_strengths"),
+    ])
+    def test_generate_overflow_names_the_strength(self, tmp_path, capsys, extra, key):
+        path = small_config_file(tmp_path, steps=3, **extra)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code, _, err = run(capsys, "generate", "--config", path, "--out", str(out))
+        assert code == 2
+        assert f"config error: key {key!r} value " in err
+        assert "1e+30" in err
+        assert not list(out.glob("sample_*.raw"))
+
     @pytest.mark.parametrize("argv", [
         ("generate", "--seed", "-1"),
         ("bench", "--grid", "8x8x8x1"),

@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import signal
@@ -6,6 +7,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -279,6 +281,38 @@ class TestReferenceBranches:
         assert np.array_equal(guidance_form(q, k_ref, v_ref, k_self, v_self, public), guidance(coeff, a_ref, a_self))
 
 
+def _matrix_coefficient(q, v_ref):
+    return np.full((q.shape[0], v_ref.shape[1]), 0.5, dtype=q.dtype)
+
+
+# Every public kernel, called on its operands in order: (name, operand count, call).
+PUBLIC_KERNELS = (
+    ("concat_attention", 5, concat_attention),
+    ("rfg_attention", 5, lambda q, kr, vr, ks, vs: rfg_attention(q, kr, vr, ks, vs, 0.35)),
+    ("rfg_multi", 7, lambda q, k1, v1, k2, v2, ks, vs: rfg_multi(q, [(0.3, k1, v1), (0.2, k2, v2)], ks, vs)),
+    ("reference_branches", 5, reference_branches),
+    ("concat_coefficient_vector", 3, concat_coefficient_vector),
+    ("rfg_matrix", 5, lambda q, kr, vr, ks, vs: rfg_matrix(q, kr, vr, ks, vs, _matrix_coefficient(q, vr))),
+    ("guidance_form", 5, lambda q, kr, vr, ks, vs: guidance_form(q, kr, vr, ks, vs, _matrix_coefficient(q, vr))),
+)
+
+
+class TestMixedDtypes:
+    """Every public kernel rejects operands of two precisions, whichever operand differs."""
+
+    # At base f64 with operand 1 in f32, concat_attention's stacked keys
+    # would promote to f64 and match q; the kernel must still reject them.
+    @pytest.mark.parametrize("name, count, kernel", PUBLIC_KERNELS, ids=[case[0] for case in PUBLIC_KERNELS])
+    @pytest.mark.parametrize("dtype, other", [(np.float32, np.float64), (np.float64, np.float32)])
+    def test_each_operand_in_the_other_precision_is_rejected(self, name, count, kernel, dtype, other):
+        gen = stream(60)
+        operands = [gen.uniform(-1, 1, (6, 4)).astype(dtype) for _ in range(count)]
+        for i in range(count):
+            mixed = [a.astype(other) if j == i else a for j, a in enumerate(operands)]
+            with pytest.raises(ValueError, match="mixed dtypes"):
+                kernel(*mixed)
+
+
 class CountingPool(ThreadPoolExecutor):
     """A tile pool that counts the tiles submitted to it."""
 
@@ -353,6 +387,14 @@ class TestPooledPartition:
     def test_zero_width_query_raises_before_any_tile(self):
         with tile_pool(2) as pool, pytest.raises(ValueError, match="width"):
             kernels._partition(np.ones((1024, 0)), np.ones((1024, 0)), np.ones((1024, 2)))
+        assert pool.submitted == 0
+
+    @pytest.mark.parametrize("operand", [0, 1, 2])
+    def test_mixed_dtypes_raise_before_any_tile(self, operand):
+        parts = partition_inputs(4, 1024, 1024, 8, 8, np.float32)
+        parts[operand] = parts[operand].astype(np.float64)
+        with tile_pool(2) as pool, pytest.raises(ValueError, match="mixed dtypes"):
+            kernels._partition(*parts)
         assert pool.submitted == 0
 
     def test_worker_counts_give_the_same_bytes(self):
@@ -436,6 +478,41 @@ class TestPooledPartition:
         ).stdout.split()
         workers = len(os.sched_getaffinity(0)) if pooled else 1
         assert out == [str(workers), "1", "False"]
+
+
+class TestOneCodePath:
+    """The attention arithmetic lives in ``_tile`` alone, and every partition runs it."""
+
+    # Matrix products and the in-place softmax, by name; ``@`` is checked apart.
+    ARITHMETIC_NAMES = {"matmul", "dot", "einsum", "row_softmax_inplace"}
+
+    def test_only_the_tile_multiplies_matrices_or_runs_the_softmax(self):
+        tree = ast.parse(Path(kernels.__file__).read_text())
+        users = {}
+        for top in tree.body:
+            for node in ast.walk(top):
+                name = getattr(node, "id", None) or getattr(node, "attr", None)
+                if isinstance(getattr(node, "op", None), ast.MatMult) or name in self.ARITHMETIC_NAMES:
+                    users.setdefault(getattr(top, "name", "<module>"), []).append(ast.unparse(node))
+        assert set(users) == {"_tile"}, users
+
+    def test_every_partition_runs_the_tile(self):
+        calls = []
+        real = kernels._tile
+
+        def counting(*args):
+            calls.append(args[0].shape[0])
+            return real(*args)
+
+        q, k, v = partition_inputs(8, 1024, 1024, 8, 8, np.float32)
+        with mock.patch.object(kernels, "_tile", counting):
+            with tile_pool(1):
+                kernels._partition(q, k, v)
+            assert calls == [1024]
+            calls.clear()
+            with tile_pool(2):
+                kernels._partition(q, k, v)
+        assert calls == [kernels.TILE_ROWS] * (1024 // kernels.TILE_ROWS)
 
 
 class TestRank1Coefficient:
