@@ -13,7 +13,11 @@ diff before committing. The recorded values pin:
   - the per-step reference distances for c in {-0.3, 0, 0.2, 0.35},
   - the output digests of the loop oracle ``naive_concat_attention`` on fixed
     suite draws (two cells, f32 and f64, one standard and one stressed
-    draw each), and
+    draw each),
+  - the sha256 of the equivalence suite's sorted-key JSON report at the
+    benchmark's ``check`` settings (4 trials and 1 stress trial per cell):
+    f32 seed 0, f64 seed 3, and a failing f32 seed 0 run with the
+    coefficient corrupted by 1e-3, and
   - the byte-exact default sweep CSV as produced by the command line.
 """
 
@@ -28,7 +32,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from refguide.cli import main as cli_main
 from refguide.kernels import AttentionPolicy
 from refguide.linalg import PRECISION_DTYPES
-from refguide.oracle import DEFAULT_GRID, _draw_inputs, naive_concat_attention
+from refguide.oracle import DEFAULT_GRID, _draw_inputs, naive_concat_attention, run_equivalence_suite
 from refguide.pipeline import PipelineConfig, generate_batch, init_denoiser, trajectory_distance
 from refguide.rng import stream
 
@@ -42,6 +46,12 @@ SIDE32_RUNS = {  # key -> (policy, precision)
     "concat/f32": (AttentionPolicy.concat(), "f32"),
     "rfg-matrix/f32": (AttentionPolicy.rfg_matrix(), "f32"),
     "rfg035/f64": (AttentionPolicy.rfg(0.35), "f64"),
+}
+CHECK_TRIALS = dict(trials_per_cell=4, stress_trials_per_cell=1)
+CHECK_RUNS = {  # key -> run_equivalence_suite keywords beyond CHECK_TRIALS
+    "f32/seed0": dict(precision="f32", seed=0),
+    "f64/seed3": dict(precision="f64", seed=3),
+    "f32/seed0/corrupt1e-3": dict(precision="f32", seed=0, corrupt_coefficient=1e-3),
 }
 
 
@@ -71,6 +81,16 @@ def oracle_digests() -> dict:
     return digests
 
 
+def report_digest(report) -> str:
+    """sha256 of an equivalence report as sorted-key JSON."""
+    return hashlib.sha256(json.dumps(report.to_dict(), sort_keys=True).encode()).hexdigest()
+
+
+def check_report_digests() -> dict:
+    """``report_digest`` of each ``CHECK_RUNS`` suite run, keyed as ``CHECK_RUNS``."""
+    return {key: report_digest(run_equivalence_suite(**CHECK_TRIALS, **kwargs)) for key, kwargs in CHECK_RUNS.items()}
+
+
 def record_baselines() -> dict:
     default = PipelineConfig()
     weights_digest = init_denoiser(42, default).digest()
@@ -92,6 +112,7 @@ def record_baselines() -> dict:
         "distance_series_seed42_default": distance_series,
         "oracle_concat_digests_seed0": oracle_digests(),
         "final_digests_seeds42_7_side32": side32_digests(),
+        "check_report_digests": check_report_digests(),
     }
 
 

@@ -336,12 +336,18 @@ def build_rank1_coefficient(c_vec: np.ndarray, d_v: int) -> np.ndarray:
     return np.repeat(c_vec[:, None], d_v, axis=1)
 
 
-def rfg_matrix(q, k_ref, v_ref, k_self, v_self, coeff: np.ndarray) -> np.ndarray:
-    """Entrywise blend of the two branch outputs: C * A_ref + (1 - C) * A_self."""
+def _coefficient_branches(q, k_ref, v_ref, k_self, v_self, coeff) -> tuple:
+    """``reference_branches``' two outputs, once ``coeff`` matches their shape and dtype."""
     a_ref, a_self, _ = reference_branches(q, k_ref, v_ref, k_self, v_self)
     if coeff.shape != a_ref.shape:
         raise ShapeError(f"coefficient shape {coeff.shape} does not match output shape {a_ref.shape}")
-    return blend(coeff, a_ref, a_self)
+    _same_dtype(a_ref, coeff)
+    return a_ref, a_self
+
+
+def rfg_matrix(q, k_ref, v_ref, k_self, v_self, coeff: np.ndarray) -> np.ndarray:
+    """Entrywise blend of the two branch outputs: C * A_ref + (1 - C) * A_self."""
+    return blend(coeff, *_coefficient_branches(q, k_ref, v_ref, k_self, v_self, coeff))
 
 
 def guidance_form(q, k_ref, v_ref, k_self, v_self, coeff: np.ndarray) -> np.ndarray:
@@ -350,10 +356,7 @@ def guidance_form(q, k_ref, v_ref, k_self, v_self, coeff: np.ndarray) -> np.ndar
     A_self + C * (A_ref - A_self); the same blend as ``rfg_matrix`` written
     as a residual update.
     """
-    a_ref, a_self, _ = reference_branches(q, k_ref, v_ref, k_self, v_self)
-    if coeff.shape != a_ref.shape:
-        raise ShapeError(f"coefficient shape {coeff.shape} does not match output shape {a_ref.shape}")
-    return guidance(coeff, a_ref, a_self)
+    return guidance(coeff, *_coefficient_branches(q, k_ref, v_ref, k_self, v_self, coeff))
 
 
 def apply_policy(inputs: AttentionInputs, policy: AttentionPolicy, caches=(), layer: int = 0) -> np.ndarray:

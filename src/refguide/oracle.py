@@ -26,6 +26,12 @@ logits far from the origin; those are held to a proportionally looser bound
 and accounted separately, since the error of the exponential-ratio
 coefficient grows with logit magnitude.
 
+Trials are independent, each drawn from ``stream(seed, cell, trial)``. When
+the tile pool's rule holds (``kernels.POOL_WORKERS >= 2``) and ``os.fork``
+exists, they are dealt round-robin to that many processes, the caller and
+forked children; the records are folded in (cell, trial) order, so the
+report is byte-identical at any worker count.
+
 Per-trial errors are normalized by the largest magnitude among the compared
 outputs and the two branch attentions. Rounding error of every identity is
 bounded by a small multiple of machine epsilon times that branch scale,
@@ -36,11 +42,14 @@ correct kernels at random.
 """
 
 import math
+import os
+import pickle
 from dataclasses import asdict, dataclass, field
 from operator import mul
 
 import numpy as np
 
+from . import kernels
 from .kernels import (
     blend,
     build_rank1_coefficient,
@@ -178,6 +187,60 @@ def _draw_inputs(gen, length, d, d_v, dtype, scale):
     return tuple(a.astype(dtype) for a in (q, k_ref, v_ref, k_self, v_self))
 
 
+def _run_share(run_trial, keys) -> tuple:
+    """``(records, error)`` of ``run_trial(*key)`` over ``keys``; ``error`` is the first ``(key, exception)``, or None."""
+    records = []
+    for key in keys:
+        try:
+            records.append(run_trial(*key))
+        except Exception as exc:
+            return records, (key, exc)
+    return records, None
+
+
+def _run_trials(run_trial, keys) -> list:
+    """``[run_trial(*key) for key in keys]``, dealt round-robin to ``POOL_WORKERS`` processes.
+
+    The caller runs share 0, ``keys[0::workers]``; every other share runs in
+    a forked child that pickles its ``_run_share`` result back through a pipe
+    and always leaves through ``os._exit``. All children are reaped before
+    this returns or raises. The exception of the lowest key is raised, the
+    one a serial loop would raise; a child that exits without a result counts
+    as a ``ChildProcessError`` at its share's first key.
+    """
+    workers = min(kernels.POOL_WORKERS if hasattr(os, "fork") else 1, len(keys))
+    shares, children, reaped = [], [], []
+    try:
+        for w in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read_fd)
+                    payload = pickle.dumps(_run_share(run_trial, keys[w::workers]))
+                    with open(write_fd, "wb") as pipe:
+                        pipe.write(payload)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            children.append((pid, read_fd, keys[w]))
+        shares.append(_run_share(run_trial, keys[::workers]))
+    finally:
+        for pid, read_fd, first in children:
+            with open(read_fd, "rb") as pipe:
+                payload = pipe.read()
+            reaped.append((pid, first, payload, os.waitpid(pid, 0)[1]))
+    for pid, first, payload, status in reaped:  # a child exits 0 only after its whole payload is written
+        shares.append(pickle.loads(payload) if status == 0 else ([], (first, ChildProcessError(
+            f"suite worker {pid} exited without a result (wait status {status})"))))
+    errors = [error for _, error in shares if error is not None]
+    if errors:
+        raise min(errors, key=lambda error: error[0])[1]
+    return [shares[i % workers][0][i // workers] for i in range(len(keys))]
+
+
 def run_equivalence_suite(
     seed: int = 0,
     grid=DEFAULT_GRID,
@@ -221,77 +284,68 @@ def run_equivalence_suite(
         },
     )
 
+    def run_trial(cell_index, trial) -> tuple:
+        """One trial's ``(errors in IDENTITY_NAMES order, c_vec min, max, range violations, exact failures)``."""
+        length, d, d_v = grid[cell_index]
+        gen = stream(seed, cell_index, trial)
+        scale = stress_scale if trial >= trials_per_cell else 1.0
+        q, k_ref, v_ref, k_self, v_self = _draw_inputs(gen, length, d, d_v, dtype, scale)
+
+        # The rfg-matrix policy's own call: both branches and the
+        # coefficient from one pass over each partition.
+        ref_branch, self_branch, c_vec = reference_branches(q, k_ref, v_ref, k_self, v_self)
+        coeff = build_rank1_coefficient(c_vec, d_v)
+        if corrupt_coefficient:
+            coeff = coeff.copy()
+            coeff[0, 0] += dtype(corrupt_coefficient)
+
+        fast_concat = concat_attention(q, k_ref, v_ref, k_self, v_self)
+        blended = blend(coeff, ref_branch, self_branch)
+        guided = guidance(coeff, ref_branch, self_branch)
+        oracle = naive_concat_attention(q, k_ref, v_ref, k_self, v_self)
+
+        guard = max(*(float(np.max(np.abs(a))) for a in (ref_branch, self_branch, oracle)), 1e-12)
+
+        def deviation(a, b):
+            # A NaN would vanish from every max() below and pass the trial.
+            err = float(np.max(np.abs(np.asarray(a, np.float64) - np.asarray(b, np.float64)))) / guard
+            return err if math.isfinite(err) else math.inf
+
+        exact_failures = sum(not np.array_equal(a, b) for a, b in (
+            (rfg_attention(q, k_ref, v_ref, k_self, v_self, 0.0), self_branch),
+            (rfg_attention(q, k_ref, v_ref, k_self, v_self, 1.0), ref_branch),
+            (rfg_multi(q, [(0.35, k_ref, v_ref)], k_self, v_self), rfg_attention(q, k_ref, v_ref, k_self, v_self, 0.35)),
+        ))
+        errors = (deviation(blended, oracle), deviation(fast_concat, oracle),
+                  deviation(blended, fast_concat), deviation(guided, blended))
+        violations = int(np.count_nonzero(~((c_vec > 0.0) & (c_vec < 1.0))))
+        return errors, float(c_vec.min()), float(c_vec.max()), violations, exact_failures
+
+    keys = [(c, t) for c in range(len(grid)) for t in range(trials_per_cell + stress_trials_per_cell)]
     worst_ratio = -math.inf
-    for cell_index, (length, d, d_v) in enumerate(grid):
-        for trial in range(trials_per_cell + stress_trials_per_cell):
-            stressed = trial >= trials_per_cell
-            gen = stream(seed, cell_index, trial)
-            q, k_ref, v_ref, k_self, v_self = _draw_inputs(
-                gen, length, d, d_v, dtype, stress_scale if stressed else 1.0
-            )
-            report.total_trials += 1
-
-            # The rfg-matrix policy's own call: both branches and the
-            # coefficient from one pass over each partition.
-            ref_branch, self_branch, c_vec = reference_branches(q, k_ref, v_ref, k_self, v_self)
-            report.coefficient_min = min(report.coefficient_min, float(c_vec.min()))
-            report.coefficient_max = max(report.coefficient_max, float(c_vec.max()))
-            report.range_violations += int(np.count_nonzero(~((c_vec > 0.0) & (c_vec < 1.0))))
-
-            coeff = build_rank1_coefficient(c_vec, d_v)
-            if corrupt_coefficient:
-                coeff = coeff.copy()
-                coeff[0, 0] += dtype(corrupt_coefficient)
-
-            fast_concat = concat_attention(q, k_ref, v_ref, k_self, v_self)
-            blended = blend(coeff, ref_branch, self_branch)
-            guided = guidance(coeff, ref_branch, self_branch)
-            oracle = naive_concat_attention(q, k_ref, v_ref, k_self, v_self)
-
-            guard = max(
-                float(np.max(np.abs(ref_branch))),
-                float(np.max(np.abs(self_branch))),
-                float(np.max(np.abs(oracle))),
-                1e-12,
-            )
-
-            def deviation(a, b):
-                # A NaN would vanish from every max() below and pass the trial.
-                err = float(np.max(np.abs(np.asarray(a, np.float64) - np.asarray(b, np.float64)))) / guard
-                return err if math.isfinite(err) else math.inf
-
-            errors = {
-                "matrix_vs_oracle": deviation(blended, oracle),
-                "concat_vs_oracle": deviation(fast_concat, oracle),
-                "matrix_vs_concat": deviation(blended, fast_concat),
-                "guidance_vs_matrix": deviation(guided, blended),
-            }
-            bucket = "stress" if stressed else "standard"
-            limit = report.stress_threshold if stressed else report.threshold
-            for name, err in errors.items():
-                report.identity_errors[name][bucket] = max(report.identity_errors[name][bucket], err)
-                ratio = err / limit
-                if ratio > worst_ratio:
-                    worst_ratio = ratio
-                    report.worst = {
-                        "identity": name,
-                        "error": err,
-                        "cell": [length, d, d_v],
-                        "trial": trial,
-                        "stressed": stressed,
-                        "stream_key": [int(seed), cell_index, trial],
-                        "threshold": limit,
-                    }
-
-            exact_checks = (
-                np.array_equal(rfg_attention(q, k_ref, v_ref, k_self, v_self, 0.0), self_branch),
-                np.array_equal(rfg_attention(q, k_ref, v_ref, k_self, v_self, 1.0), ref_branch),
-                np.array_equal(
-                    rfg_multi(q, [(0.35, k_ref, v_ref)], k_self, v_self),
-                    rfg_attention(q, k_ref, v_ref, k_self, v_self, 0.35),
-                ),
-            )
-            report.exact_failures += sum(1 for ok in exact_checks if not ok)
+    for (cell_index, trial), (errors, c_min, c_max, violations, failures) in zip(keys, _run_trials(run_trial, keys)):
+        stressed = trial >= trials_per_cell
+        report.total_trials += 1
+        report.coefficient_min = min(report.coefficient_min, c_min)
+        report.coefficient_max = max(report.coefficient_max, c_max)
+        report.range_violations += violations
+        report.exact_failures += failures
+        bucket = "stress" if stressed else "standard"
+        limit = report.stress_threshold if stressed else report.threshold
+        for name, err in zip(IDENTITY_NAMES, errors):
+            report.identity_errors[name][bucket] = max(report.identity_errors[name][bucket], err)
+            ratio = err / limit
+            if ratio > worst_ratio:
+                worst_ratio = ratio
+                report.worst = {
+                    "identity": name,
+                    "error": err,
+                    "cell": list(grid[cell_index]),
+                    "trial": trial,
+                    "stressed": stressed,
+                    "stream_key": [int(seed), cell_index, trial],
+                    "threshold": limit,
+                }
 
     report.max_rel_error = max(
         report.identity_errors[name]["standard"] for name in IDENTITY_NAMES

@@ -312,6 +312,15 @@ class TestMixedDtypes:
             with pytest.raises(ValueError, match="mixed dtypes"):
                 kernel(*mixed)
 
+    # A coefficient of the other precision would upcast the blend's result.
+    @pytest.mark.parametrize("kernel", [rfg_matrix, guidance_form], ids=["rfg_matrix", "guidance_form"])
+    @pytest.mark.parametrize("dtype, other", [(np.float32, np.float64), (np.float64, np.float32)])
+    def test_coefficient_in_the_other_precision_is_rejected(self, kernel, dtype, other):
+        gen = stream(61)
+        operands = [gen.uniform(-1, 1, (6, 4)).astype(dtype) for _ in range(5)]
+        with pytest.raises(ValueError, match="mixed dtypes"):
+            kernel(*operands, np.full((6, 4), 0.5, dtype=other))
+
 
 class CountingPool(ThreadPoolExecutor):
     """A tile pool that counts the tiles submitted to it."""

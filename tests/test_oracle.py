@@ -2,7 +2,11 @@ import ast
 import hashlib
 import json
 import math
+import os
+import signal
+import threading
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +14,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import refguide.kernels
 import refguide.oracle
+from refguide.cli import main as cli_main
 from refguide.linalg import PRECISION_DTYPES, ShapeError
 from refguide.oracle import (
     DEFAULT_GRID,
@@ -25,9 +31,16 @@ from refguide.oracle import (
 from refguide.rng import stream
 
 SMALL_GRID = ((1, 1, 1), (2, 4, 2), (4, 4, 4))
-ORACLE_DIGESTS = json.loads((Path(__file__).parent / "data" / "baselines.json").read_text())[
-    "oracle_concat_digests_seed0"
-]
+BASELINES = json.loads((Path(__file__).parent / "data" / "baselines.json").read_text())
+ORACLE_DIGESTS = BASELINES["oracle_concat_digests_seed0"]
+CHECK_DIGESTS = BASELINES["check_report_digests"]
+# As scripts/record_baselines.py records them: the benchmark's check settings.
+CHECK_TRIALS = dict(trials_per_cell=4, stress_trials_per_cell=1)
+CHECK_RUNS = {
+    "f32/seed0": dict(precision="f32", seed=0),
+    "f64/seed3": dict(precision="f64", seed=3),
+    "f32/seed0/corrupt1e-3": dict(precision="f32", seed=0, corrupt_coefficient=1e-3),
+}
 # Draw name -> (suite trial, query scale), as scripts/record_baselines.py records them.
 ORACLE_DRAWS = {"standard": (0, 1.0), "stressed": (1, 100.0)}
 
@@ -267,3 +280,127 @@ class TestEquivalenceSuite:
         assert set(payload["identity_errors"]) == {
             "matrix_vs_oracle", "concat_vs_oracle", "matrix_vs_concat", "guidance_vs_matrix",
         }
+
+
+# Two cells of three trials each (two standard, one stressed): key index i is
+# (cell i // 3, trial i % 3). At two workers the caller runs keys 0, 2, 4 and
+# the child keys 1, 3, 5.
+SHARE_GRID = ((2, 2, 2), (4, 4, 4))
+SHARE_TRIALS = dict(trials_per_cell=2, stress_trials_per_cell=1)
+
+
+def _workers(count):
+    return mock.patch.object(refguide.kernels, "POOL_WORKERS", count)
+
+
+def _stream_failing_at(monkeypatch, action, keys):
+    """Make the suite's ``stream`` call ``action(key_index)`` at each of ``keys``."""
+    real = refguide.oracle.stream
+
+    def fake(seed, cell_index, trial):
+        index = cell_index * 3 + trial
+        if index in keys:
+            action(index)
+        return real(seed, cell_index, trial)
+
+    monkeypatch.setattr(refguide.oracle, "stream", fake)
+
+
+class TestSuiteProcesses:
+    """Trials dealt to forked workers give the serial suite's report and errors."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("key", sorted(CHECK_RUNS))
+    def test_report_digest_matches_recorded_at_any_worker_count(self, key, workers):
+        with _workers(workers):
+            report = run_equivalence_suite(**CHECK_TRIALS, **CHECK_RUNS[key])
+        payload = json.dumps(report.to_dict(), sort_keys=True).encode()
+        assert hashlib.sha256(payload).hexdigest() == CHECK_DIGESTS[key]
+
+    def test_one_worker_never_forks(self, monkeypatch):
+        def fork():
+            raise AssertionError("os.fork called at one worker")
+
+        monkeypatch.setattr(os, "fork", fork)
+        with _workers(1):
+            assert run_equivalence_suite(seed=5, grid=SHARE_GRID, **SHARE_TRIALS).passed
+
+    # (keys that raise, key whose error comes out): a child's key before the
+    # caller's, then the caller's before a child's.
+    @pytest.mark.parametrize("failing, first", [({1, 4}, 1), ({2, 5}, 2)])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_error_of_the_lowest_key_is_raised(self, monkeypatch, workers, failing, first):
+        def fail(index):
+            raise ValueError(f"key {index}")
+
+        _stream_failing_at(monkeypatch, fail, failing)
+        with _workers(workers), pytest.raises(ValueError, match=f"^key {first}$"):
+            run_equivalence_suite(seed=5, grid=SHARE_GRID, **SHARE_TRIALS)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_killed_child_raises_child_process_error_and_check_exits_3(self, monkeypatch, tmp_path, capsys):
+        parent = os.getpid()
+
+        def die(index):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        _stream_failing_at(monkeypatch, die, {1})
+        with _workers(2):
+            with pytest.raises(ChildProcessError, match="exited without a result"):
+                run_equivalence_suite(seed=5, grid=SHARE_GRID, **SHARE_TRIALS)
+            argv = ["check", "--grid", "2x2x2,4x4x4", "--trials", "2", "--stress-trials", "1", "--out", str(tmp_path)]
+            assert cli_main(argv) == 3
+        assert "i/o error" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_child_system_exit_never_returns_into_the_caller(self, monkeypatch, tmp_path):
+        parent, escaped = os.getpid(), tmp_path / "escaped"
+
+        def leave(index):
+            raise SystemExit(0)
+
+        _stream_failing_at(monkeypatch, leave, {1})
+        try:
+            with _workers(2), pytest.raises(ChildProcessError):
+                run_equivalence_suite(seed=5, grid=SHARE_GRID, **SHARE_TRIALS)
+        finally:
+            if os.getpid() != parent:  # a child got back here: report it, then leave at once
+                escaped.write_text("child returned into the test")
+                os._exit(0)
+        assert not escaped.exists()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_fork_with_live_tile_threads_gives_the_serial_report(self, monkeypatch):
+        gen = stream(9)
+        q, k, v = (gen.uniform(-1, 1, (1024, 8)).astype(np.float32) for _ in range(3))
+        with _workers(1):
+            expected = run_equivalence_suite(seed=5, grid=SHARE_GRID, **SHARE_TRIALS).to_dict()
+        pids, real_fork = [], os.fork
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        result = {}
+        with _workers(2):
+            refguide.kernels._partition(q, k, v)  # the caller's tile threads now exist
+            runner = threading.Thread(target=lambda: result.update(
+                report=run_equivalence_suite(seed=5, grid=SHARE_GRID, **SHARE_TRIALS).to_dict()))
+            runner.start()
+            runner.join(10)
+        if runner.is_alive():
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+            runner.join()
+            pytest.fail("a forked suite worker hung on the caller's tile threads")
+        assert pids and result["report"] == expected
