@@ -5,12 +5,12 @@ Core pieces:
 * :mod:`refguide.linalg` -- small dense-matrix helpers (matmul, a stable
   row softmax that works in place and returns each row's max and sum,
   norms, row stacking) and the precision-to-dtype table.
-* :mod:`refguide.kernels` -- one attention primitive over a key/value
-  partition, and the variants derived from it: plain self-attention,
-  concatenated attention over a reference's keys/values, the scalar- and
-  multi-reference guided blends, and the per-token coefficient -- merged
-  from the two partitions' softmax statistics -- that makes the blend
-  reproduce concatenated attention exactly.
+* :mod:`refguide.kernels` -- one primitive, attention over N key/value
+  partitions with each partition's softmax mass, and the variants derived
+  from it: plain self-attention, concatenated attention over a reference's
+  keys/values, the scalar- and multi-reference guided blends, and the
+  per-token coefficient -- the reference partition's mass -- that makes the
+  blend reproduce concatenated attention exactly.
 * :mod:`refguide.oracle` -- slow, loop-based 64-bit reference kernels and the
   randomized suite that certifies the fast path against them.
 * :mod:`refguide.pipeline` -- a deterministic toy batch-denoising loop where

@@ -12,6 +12,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .artifacts import write_json, write_pgm, write_raw, write_sweep_csv
 from .bench import run_bench
 from .config import PRESETS, ConfigError, parse_config
@@ -135,9 +137,12 @@ def _generate(pipeline_cfg, key: str, value):
     """``generate_batch``, with a ValueError re-raised as a ConfigError naming ``key``.
 
     A finite strength can still overflow the logits; ``key`` set the strength.
+    The finiteness check names that failure, so numpy's overflow warning is
+    kept out of the output.
     """
     try:
-        return generate_batch(pipeline_cfg)
+        with np.errstate(over="ignore"):
+            return generate_batch(pipeline_cfg)
     except ValueError as exc:
         raise ConfigError(f"key {key!r} value {value!r}: {exc}") from exc
 

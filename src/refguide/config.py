@@ -8,6 +8,7 @@ points; anything else goes through preset "custom".
 
 import json
 import math
+import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import get_args
@@ -37,6 +38,9 @@ PRESET_STRENGTHS = {
     "temporal": TEMPORAL_STRENGTH,
 }
 PRESETS = ("consistent", "diverse", "temporal", "blend", "custom")
+
+# Largest share of physical memory one attention call's L x S logits may take.
+MEMORY_FRACTION = 0.5
 
 # Keys that contradict a non-custom preset (the preset fixes the policy).
 _POLICY_KEYS = ("policy_kind", "strength", "strengths")
@@ -154,6 +158,8 @@ class RunConfig:
             value = getattr(self, key)
             if value is not None and value <= 0:
                 raise ConfigError(f"{key} must be positive, got {value}")
+        if not self.check_grid:
+            raise ConfigError("grid must name at least one (L, d, d_v) cell")
         # Suite inputs are uniform in [-1, 1] and stressed queries are scaled
         # by stress_scale, so |q k^T| <= stress_scale * d in every check cell.
         logit_bound = self.stress_scale * max(cell[1] for cell in self.check_grid)
@@ -177,6 +183,23 @@ class RunConfig:
         for cell in self.bench_grid:
             if cell[3] < 2:
                 raise ConfigError(f"bench_grid batch must be at least 2, got cell {'x'.join(map(str, cell))}")
+        # One attention call allocates its L x S logits, S = 2L where concat
+        # attention runs: the "concat" policy, every check trial, every bench
+        # cell. Cells compare by L first, so ``max`` of a grid has its largest L.
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        concat = self.preset == "custom" and self.policy_kind == "concat"
+        shapes = [("side", self.side, self.side ** 2, 2 if concat else 1)]
+        shapes += [(key, "x".join(map(str, cell)), cell[0], 2)
+                   for key, cell in (("grid", max(self.check_grid)), ("bench_grid", max(self.bench_grid)))]
+        itemsize = np.dtype(PRECISION_DTYPES[self.precision]).itemsize
+        for key, value, length, factor in shapes:
+            need = length * factor * length * itemsize
+            if need > MEMORY_FRACTION * physical:
+                raise ConfigError(
+                    f"key {key!r} value {value}: the {length}x{factor * length} {self.precision} attention "
+                    f"logits need {need / 2**30:.3g} GiB, more than {MEMORY_FRACTION:.0%} of the "
+                    f"{physical / 2**30:.3g} GiB of physical memory"
+                )
 
     def resolved_policy(self) -> AttentionPolicy:
         """The attention policy this config's preset (or custom fields) names."""

@@ -3,30 +3,31 @@
 All kernels share one working dtype per call (float32 or float64) and never
 upcast internally; callers pick the precision by casting their inputs.
 
-Every route is built on one primitive, attention over a single key/value
-partition, which also returns each query row's softmax statistics: the
-logit maximum ``m`` and the sum ``s`` of ``exp(logit - m)``. The logits
-buffer it allocates is scaled by ``1 / sqrt(d)``, ``d`` the query width,
-then shifted, exponentiated and normalised in place. ``attention`` is that
-primitive's output. Three routes to reference conditioning derive from it:
+Every route is built on one primitive, ``partitions``: one query's
+attention over each of several key/value partitions, plus each partition's
+softmax mass, merged from each row's logit maximum ``m`` and sum ``s`` of
+``exp(logit - m)``. Concatenated attention over the partitions is their
+outputs blended by these masses, for one reference or several. A logits
+buffer is scaled by ``1 / sqrt(d)``, ``d`` the query width, then shifted,
+exponentiated and normalised in place. ``attention`` is the one-partition
+case; the routes to reference conditioning:
 
 * ``concat_attention`` appends the reference keys/values to the sample's own,
   so reference tokens compete with self tokens inside one softmax.
-* ``rfg_attention`` runs two separate attentions and mixes the outputs with a
-  scalar strength ``c``; negative ``c`` pushes away from the reference.
+* ``rfg_attention`` (``rfg_multi``: several references) mixes the branch
+  outputs with scalar strengths; negative ones push away from a reference.
 * ``rfg_matrix`` mixes the two outputs entrywise with a coefficient matrix.
-  With the per-row coefficient that concatenated attention implies -- the
-  reference partition's softmax mass, a log-sum-exp merge of the two
-  partitions' ``(m, s)`` -- it reproduces ``concat_attention`` up to
-  rounding, which is what the equivalence oracle certifies.
-  ``reference_branches`` returns both branches and that coefficient from
-  one pass over each partition; the "rfg-matrix" policy, the oracle's
-  suite, ``rfg_matrix`` and ``guidance_form`` all run it.
+  With the reference partition's mass as the per-row coefficient it
+  reproduces ``concat_attention`` up to rounding, which is what the
+  equivalence oracle certifies. ``reference_branches`` returns both
+  branches and that mass; the "rfg-matrix" policy, the oracle's suite,
+  ``rfg_matrix`` and ``guidance_form`` all run it.
 
-A partition checks once that its operands share a dtype, then runs as one
-``_tile`` of query rows; a large one runs ``TILE_ROWS``-row tiles on a thread
-pool (one thread per usable CPU, when BLAS runs one thread) with the same
-bytes. ``_partition`` has the rule; the pool starts with its first use.
+A call checks once that its operands share a dtype, then runs each
+partition as one ``_tile`` of query rows, or a large one as ``TILE_ROWS``-row
+tiles on a thread pool (one thread per usable CPU, when BLAS runs one
+thread) with the same bytes. It submits every partition's tiles before it
+awaits any, so a query waits once. The pool starts with its first use.
 
 ``apply_policy`` dispatches on a declarative ``AttentionPolicy`` so pipeline
 code never branches on kernel names itself.
@@ -49,7 +50,7 @@ from .linalg import matmul, row_softmax  # noqa: F401
 POLICY_KINDS = ("plain", "concat", "cross-frame", "rfg", "rfg-multi", "rfg-matrix")
 
 # Rows per pooled query tile and the least L * S worth the pool (see
-# ``_partition``). The pool gets one thread per usable CPU when OpenBLAS runs
+# ``partitions``). The pool gets one thread per usable CPU when OpenBLAS runs
 # one thread (its first nonempty thread variable is "1"), else no pool runs.
 TILE_ROWS = 256
 POOL_MIN_WORK = 1 << 19
@@ -190,71 +191,70 @@ def _tile(q, k, v, scale) -> tuple:
     return p @ v, m, s
 
 
-def _partition(q, k, v) -> tuple:
-    """Attention over one key/value partition, with its softmax row statistics.
+def partitions(q, kvs) -> tuple:
+    """One query's attention over each ``(k, v)`` partition, and each partition's softmax mass.
 
-    Returns ``(out, m, s)``: the normalised output ``row_softmax(q k^T /
-    sqrt(d)) v``, each row's logit maximum ``m``, and the row sum ``s`` of
-    ``exp(logits - m)``. Every policy derives from this call: the outputs of
-    several partitions combine through ``(m, s)`` alone. Mixed dtypes and a
-    zero-width query raise here, before any tile runs.
+    Returns ``(outs, masses)`` in partition order: each output is
+    ``row_softmax(q k^T / sqrt(d)) v``, and each mass is the weight
+    concatenated attention over all the partitions gives it per row,
+    ``w_j / sum(w)`` with ``w_j = s_j * exp(m_j - M)`` under the common row
+    maximum ``M``, summed left to right. A lone partition's mass is 1.
+    Otherwise the exact mass lies strictly inside (0, 1); at extreme logit
+    gaps the quotient rounds to 0.0 or 1.0, and a clip at the working
+    dtype's resolution restores the invariant without moving any other
+    value. A pair of identical partitions gets exactly 0.5. Mixed dtypes and
+    a zero-width query raise before any tile runs.
 
-    The partition is one ``_tile``, except with ``POOL_WORKERS >= 2``, L a
-    multiple of ``TILE_ROWS`` (two tiles at least), S a multiple of 64 and
-    ``L * S >= POOL_MIN_WORK``: then ``TILE_ROWS``-row tiles run on the thread
-    pool, each in a copy of the caller's context (so ``np.errstate`` reaches
-    it). Each row's softmax is its own, and on these shapes the tiles are
-    bitwise the single tile. The call returns, or raises the first tile's
-    error, once every tile is done.
+    With ``POOL_WORKERS >= 2``, L a multiple of ``TILE_ROWS`` (two tiles at
+    least), S a multiple of 64 and ``L * S >= POOL_MIN_WORK``, a partition
+    runs as ``TILE_ROWS``-row tiles on the thread pool, each in a copy of the
+    caller's context (so ``np.errstate`` reaches it); row softmaxes are
+    independent, so the tiles are bitwise the single tile. Every tile is
+    submitted before any is awaited; the call returns, or raises the first
+    tile's error, once every tile is done.
     """
-    _same_dtype(q, k, v)
+    _same_dtype(q, *(a for kv in kvs for a in kv))
     if q.shape[1] == 0:
         raise ValueError("attention needs queries of positive width, got 0")
-    length, keys = q.shape[0], k.shape[0]
+    length = q.shape[0]
     scale = 1.0 / float(np.sqrt(q.shape[1]))
-    if (POOL_WORKERS < 2 or length % TILE_ROWS or length < 2 * TILE_ROWS
-            or keys % 64 or length * keys < POOL_MIN_WORK):
-        return _tile(q, k, v, scale)
-    pool = _tile_pool(POOL_WORKERS, os.getpid())
-    tiles = [pool.submit(contextvars.copy_context().run, _tile, q[lo:lo + TILE_ROWS], k, v, scale)
-             for lo in range(0, length, TILE_ROWS)]
-    for error in [done.exception() for done in tiles]:
-        if error is not None:
-            raise error
-    return tuple(np.concatenate(parts) for parts in zip(*(done.result() for done in tiles)))
+    tiled = POOL_WORKERS >= 2 and not length % TILE_ROWS and length >= 2 * TILE_ROWS
+    rows = [TILE_ROWS if tiled and not k.shape[0] % 64 and length * k.shape[0] >= POOL_MIN_WORK else length
+            for k, _ in kvs]
+    if not tiled or TILE_ROWS not in rows:
+        parts = [_tile(q, k, v, scale) for k, v in kvs]
+    else:
+        pool = _tile_pool(POOL_WORKERS, os.getpid())
+        tiles = [[pool.submit(contextvars.copy_context().run, _tile, q[lo:lo + step], k, v, scale)
+                  for lo in range(0, length, step)] for (k, v), step in zip(kvs, rows)]
+        for error in [done.exception() for run in tiles for done in run]:
+            if error is not None:
+                raise error
+        parts = [[np.concatenate(a) for a in zip(*(done.result() for done in run))] for run in tiles]
+    outs = [out for out, _, _ in parts]
+    if len(parts) == 1:
+        return outs, [np.ones_like(parts[0][2])]
+    top = functools.reduce(np.maximum, [m for _, m, _ in parts])
+    weights = [s * np.exp(m - top) for _, m, s in parts]
+    total = sum(weights[1:], weights[0])
+    info = np.finfo(total.dtype)
+    return outs, list(np.minimum(np.maximum(np.divide(weights, total), info.tiny), 1 - info.epsneg))
 
 
-def _reference_mass(m_ref, s_ref, m_self, s_self) -> np.ndarray:
-    """Reference partition's share of each row's softmax mass, a / (a + b).
-
-    The log-sum-exp merge: ``a = s_ref * exp(m_ref - M)`` and ``b = s_self *
-    exp(m_self - M)`` under the common row maximum ``M``. Values are clipped
-    into the open interval (0, 1) at the working dtype's resolution: the
-    exact ratio is strictly inside (0, 1), but at extreme logit gaps the
-    quotient rounds to 0.0 or 1.0 and the clip restores the invariant without
-    moving any non-degenerate value. Identical partitions give exactly 0.5
-    (``a == b``, and ``a / (a + a)`` is exact).
-    """
-    top = np.maximum(m_ref, m_self)
-    a = s_ref * np.exp(m_ref - top)
-    b = s_self * np.exp(m_self - top)
-    c = a / (a + b)
-    dt = c.dtype.type
-    return np.clip(c, np.finfo(dt).tiny, np.nextafter(dt(1.0), dt(0.0)))
+def _partition(q, k, v) -> tuple:
+    """``(out, mass)`` of ``partitions`` over the single partition ``(k, v)``."""
+    (out,), (mass,) = partitions(q, [(k, v)])
+    return out, mass
 
 
 def reference_branches(q, k_ref, v_ref, k_self, v_self) -> tuple:
-    """Both branch attentions and the reference's softmax mass, in one pass.
+    """``(a_ref, a_self, c_vec)``: both branch attentions and the reference partition's mass.
 
-    Returns ``(a_ref, a_self, c_vec)``. Each branch is bitwise
-    ``attention`` over its partition, and ``c_vec[l]`` is the weight
-    concatenated attention would give the reference partition in row ``l``,
-    as ``concat_coefficient_vector`` returns it. The branches' logits are
-    computed once; the coefficient comes from their row statistics.
+    Each branch is bitwise ``attention`` over its partition; ``c_vec`` is
+    ``concat_coefficient_vector``.
     """
-    a_ref, m_ref, s_ref = _partition(q, k_ref, v_ref)
-    a_self, m_self, s_self = _partition(q, k_self, v_self)
-    return a_ref, a_self, _reference_mass(m_ref, s_ref, m_self, s_self)
+    (a_ref, a_self), (c_vec, _) = partitions(q, [(k_ref, v_ref), (k_self, v_self)])
+    return a_ref, a_self, c_vec
 
 
 def blend(coeff, a_ref, a_self) -> np.ndarray:
@@ -273,7 +273,7 @@ def guidance(coeff, a_ref, a_self) -> np.ndarray:
 
 def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Scaled dot-product attention: row_softmax(q k^T / sqrt(d)) v, d the width of q."""
-    return _partition(q, k, v)[0]
+    return partitions(q, [(k, v)])[0][0]
 
 
 def concat_attention(q, k_ref, v_ref, k_self, v_self) -> np.ndarray:
@@ -294,7 +294,7 @@ def rfg_attention(q, k_ref, v_ref, k_self, v_self, c: float) -> np.ndarray:
         return attention(q, k_self, v_self)
     if c == 1.0:
         return attention(q, k_ref, v_ref)
-    return blend(c, attention(q, k_ref, v_ref), attention(q, k_self, v_self))
+    return blend(c, *partitions(q, [(k_ref, v_ref), (k_self, v_self)])[0])
 
 
 def rfg_multi(q, refs, k_self, v_self) -> np.ndarray:
@@ -310,9 +310,10 @@ def rfg_multi(q, refs, k_self, v_self) -> np.ndarray:
         c, k_ref, v_ref = refs[0]
         return rfg_attention(q, k_ref, v_ref, k_self, v_self, c)
     total = float(sum(float(c) for c, _, _ in refs))
-    out = (1.0 - total) * attention(q, k_self, v_self)
-    for c, k_ref, v_ref in refs:
-        out += float(c) * attention(q, k_ref, v_ref)
+    *a_refs, a_self = partitions(q, [*((k, v) for _, k, v in refs), (k_self, v_self)])[0]
+    out = (1.0 - total) * a_self
+    for (c, _, _), a_ref in zip(refs, a_refs):
+        out += float(c) * a_ref
     return out
 
 
@@ -320,10 +321,10 @@ def concat_coefficient_vector(q, k_ref, k_self) -> np.ndarray:
     """Per-row weight of the reference partition inside concatenated attention.
 
     Row l gets sum_ref exp(logit) / sum_all exp(logit), merged from each
-    partition's row maximum and row sum: ``reference_branches`` over
-    zero-width values, so no output product runs.
+    partition's row maximum and row sum: ``partitions`` over zero-width
+    values, so no output product runs.
     """
-    return reference_branches(q, k_ref, k_ref[:, :0], k_self, k_self[:, :0])[2]
+    return partitions(q, [(k_ref, k_ref[:, :0]), (k_self, k_self[:, :0])])[1][0]
 
 
 def build_rank1_coefficient(c_vec: np.ndarray, d_v: int) -> np.ndarray:
@@ -376,11 +377,7 @@ def apply_policy(inputs: AttentionInputs, policy: AttentionPolicy, caches=(), la
         )
 
     if policy.kind == "rfg-multi":
-        refs = []
-        for c, ref in zip(policy.strengths, caches):
-            k_ref, v_ref = ref.layer(layer)
-            refs.append((c, k_ref, v_ref))
-        return rfg_multi(q, refs, k, v)
+        return rfg_multi(q, [(c, *ref.layer(layer)) for c, ref in zip(policy.strengths, caches)], k, v)
 
     k_ref, v_ref = caches[0].layer(layer)
     if policy.kind == "concat":

@@ -257,8 +257,8 @@ class TestErrorPaths:
 
     def test_sweep_overflow_names_the_strength(self, tmp_path, capsys):
         path = small_config_file(tmp_path, steps=3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        with pytest.warns(UserWarning, match="strength"):
+            warnings.simplefilter("error", RuntimeWarning)
             code, _, err = run(capsys, "sweep", "--config", path, "--strengths=0.35,1e30", "--out", str(tmp_path))
         assert code == 2
         assert "config error: key 'sweep_strengths' value 1e+30: row_softmax requires finite logits" in err
@@ -266,14 +266,15 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("extra, key", [
         ({"strength": 1e30}, "strength"),
+        ({"strength": 1e30, "side": 32}, "strength"),  # pooled tiles
         ({"policy_kind": "rfg-multi", "strengths": [1e30, 0.1]}, "strengths"),
         ({"blocks": 4, "layer_strengths": [0.3, 1e30, 0.3, 0.3]}, "layer_strengths"),
     ])
     def test_generate_overflow_names_the_strength(self, tmp_path, capsys, extra, key):
         path = small_config_file(tmp_path, steps=3, **extra)
         out = tmp_path / "out"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        with pytest.warns(UserWarning, match="strength"):
+            warnings.simplefilter("error", RuntimeWarning)
             code, _, err = run(capsys, "generate", "--config", path, "--out", str(out))
         assert code == 2
         assert f"config error: key {key!r} value " in err

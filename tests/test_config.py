@@ -1,5 +1,7 @@
 import argparse
 import json
+import os
+import tracemalloc
 from dataclasses import fields
 from typing import get_args, get_origin
 
@@ -92,6 +94,44 @@ class TestParseConfig:
             with pytest.raises(ConfigError, match="stress_scale"):
                 parse_config(overrides=overrides)
 
+    @pytest.mark.parametrize("overrides, key", [
+        ({"side": 2000}, "side"),  # 4e6 x 4e6 f32 logits, 64 TB
+        ({"grid": [[64, 4, 4], [10**7, 1, 1]]}, "grid"),
+        ({"bench_grid": [[10**7, 1, 1, 2]]}, "bench_grid"),
+    ])
+    def test_shape_too_large_for_memory_is_named(self, overrides, key):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=f"key {key!r} value .* attention logits need .* physical memory"):
+                parse_config(overrides=overrides)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    # With 128 MiB of physical memory, one call's logits may take 64 MiB:
+    # 4096 x 4096 at f32, or 2896 x 5792 under concat attention.
+    @pytest.mark.parametrize("overrides, key", [
+        ({"side": 64}, None),
+        ({"side": 65}, "side"),
+        ({"side": 64, "precision": "f64"}, "side"),
+        ({"side": 53, "policy_kind": "concat"}, None),
+        ({"side": 54, "policy_kind": "concat"}, "side"),
+        ({"side": 64, "preset": "consistent"}, None),
+        ({"grid": [[2896, 1, 1]]}, None),
+        ({"grid": [[2897, 1, 1]]}, "grid"),
+        ({"bench_grid": [[2896, 1, 1, 2]]}, None),
+        ({"bench_grid": [[2897, 1, 1, 2]]}, "bench_grid"),
+    ])
+    def test_logits_may_take_half_of_physical_memory(self, monkeypatch, overrides, key):
+        memory = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (128 << 20) // 4096}
+        monkeypatch.setattr(os, "sysconf", memory.__getitem__)
+        if key is None:
+            parse_config(overrides=overrides)
+        else:
+            with pytest.raises(ConfigError, match=f"key {key!r} .* more than 50% of the 0.125 GiB"):
+                parse_config(overrides=overrides)
+
     def test_file_values_applied(self, tmp_path):
         path = write_config(tmp_path, {"steps": 8, "batch": 3, "precision": "f64"})
         cfg = parse_config(path)
@@ -147,6 +187,10 @@ class TestParseConfig:
         path = write_config(tmp_path, {"grid": [[2, 3]]})
         with pytest.raises(ConfigError, match="grid"):
             parse_config(path)
+
+    def test_empty_grid_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="grid must name at least one"):
+            parse_config(write_config(tmp_path, {"grid": []}))
 
     def test_bench_grid_requires_four_dims(self):
         with pytest.raises(ConfigError, match="bench_grid"):

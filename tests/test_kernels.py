@@ -4,6 +4,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -39,6 +40,7 @@ from refguide.oracle import (
     max_rel_error,
     naive_attention,
     naive_coefficient_vector,
+    naive_concat_attention,
 )
 from refguide.rng import stream
 
@@ -281,6 +283,61 @@ class TestReferenceBranches:
         assert np.array_equal(guidance_form(q, k_ref, v_ref, k_self, v_self, public), guidance(coeff, a_ref, a_self))
 
 
+@st.composite
+def reference_partitions(draw, dtype):
+    """q, then 2 to 4 reference partitions and the self partition last, of independent sizes."""
+    length, d, d_v = draw(st.integers(1, 64)), draw(st.sampled_from([1, 4, 32])), draw(st.sampled_from([1, 4, 32]))
+    sizes = [draw(st.integers(1, 64)) for _ in range(draw(st.integers(2, 4)) + 1)]
+    gen = stream(draw(st.integers(0, 2**16)))
+    q = gen.uniform(-1, 1, (length, d)).astype(dtype)
+    return q, [(gen.uniform(-1, 1, (n, d)).astype(dtype), gen.uniform(-1, 1, (n, d_v)).astype(dtype)) for n in sizes]
+
+
+class TestPartitions:
+    """The N-reference identity: concatenated attention is the mass-weighted blend of the partitions."""
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    def test_mass_blend_matches_the_concat_oracle(self, precision):
+        @given(reference_partitions(np.float32 if precision == "f32" else np.float64))
+        def check(case):
+            q, kvs = case
+            outs, masses = kernels.partitions(q, kvs)
+            blended = sum(mass[:, None] * out for mass, out in zip(masses, outs))
+            refs, (k_self, v_self) = kvs[:-1], kvs[-1]
+            oracle = naive_concat_attention(
+                q, np.concatenate([k for k, _ in refs]), np.concatenate([v for _, v in refs]), k_self, v_self
+            )
+            # Normalised as the suite normalises: by the largest branch or oracle entry.
+            guard = max(*(float(np.max(np.abs(a))) for a in (*outs, oracle)), 1e-12)
+            assert blended.dtype == q.dtype
+            assert float(np.max(np.abs(blended.astype(np.float64) - oracle))) / guard <= PRECISION_THRESHOLDS[precision]
+
+        check()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_masses_are_an_associative_partition_of_one(self, dtype):
+        @given(reference_partitions(dtype), st.randoms(use_true_random=False))
+        def check(case, random):
+            q, kvs = case
+            ulp = float(np.finfo(dtype).eps)
+            masses = kernels.partitions(q, kvs)[1]
+            assert all(mass.dtype == dtype for mass in masses)
+            masses = np.array(masses, dtype=np.float64)
+            assert (masses > 0.0).all() and (masses < 1.0).all()
+            assert np.all(np.abs(masses.sum(axis=0) - 1.0) <= len(kvs) * ulp)
+            # Another order: the same masses, permuted.
+            order = random.sample(range(len(kvs)), len(kvs))
+            permuted = kernels.partitions(q, [kvs[i] for i in order])[1]
+            assert np.all(np.abs(np.array(permuted, dtype=np.float64) - masses[order]) <= 4 * ulp)
+            # Another grouping: the first two partitions merged into one.
+            (k0, v0), (k1, v1) = kvs[:2]
+            grouped = kernels.partitions(q, [(np.concatenate([k0, k1]), np.concatenate([v0, v1])), *kvs[2:]])[1]
+            assert np.all(np.abs(grouped[0] - (masses[0] + masses[1])) <= 4 * ulp)
+            assert np.all(np.abs(np.array(grouped[1:], dtype=np.float64) - masses[2:]) <= 4 * ulp)
+
+        check()
+
+
 def _matrix_coefficient(q, v_ref):
     return np.full((q.shape[0], v_ref.shape[1]), 0.5, dtype=q.dtype)
 
@@ -334,10 +391,32 @@ class CountingPool(ThreadPoolExecutor):
         return super().submit(*args, **kwargs)
 
 
+class GatedPool(CountingPool):
+    """A counting pool whose first tile waits, up to 10 s, until ``expected`` tiles are submitted."""
+
+    def __init__(self, workers, expected):
+        super().__init__(workers)
+        self.expected = expected
+        self.all_submitted = threading.Event()
+        self.first_saw_all = None
+
+    def submit(self, fn, *args):
+        if self.submitted == 0:
+            fn, args = self._first, (fn, *args)
+        future = super().submit(fn, *args)
+        if self.submitted == self.expected:
+            self.all_submitted.set()
+        return future
+
+    def _first(self, fn, *args):
+        self.first_saw_all = self.all_submitted.wait(timeout=10)
+        return fn(*args)
+
+
 @contextmanager
-def tile_pool(workers):
-    """Run ``_partition`` with ``POOL_WORKERS`` set to ``workers`` on a fresh counting pool."""
-    pool = CountingPool(workers)
+def tile_pool(workers, pool=None):
+    """Run ``partitions`` with ``POOL_WORKERS`` set to ``workers`` on ``pool``, by default a fresh counting pool."""
+    pool = pool or CountingPool(workers)
     try:
         with mock.patch.object(kernels, "POOL_WORKERS", workers), \
                 mock.patch.object(kernels, "_tile_pool", lambda workers, pid: pool):
@@ -368,15 +447,17 @@ class TestPooledPartition:
         st.sampled_from([1, 8, 32]), st.sampled_from([np.float32, np.float64]), st.integers(0, 2**16),
     )
     def test_pooled_is_bitwise_untiled(self, length, key_factor, d, d_v, dtype, seed):
+        # Two partitions, so the masses also pin each tile's row statistics.
         q, k, v = partition_inputs(seed, length, key_factor * length, d, d_v, dtype)
+        kvs = [(k, v), tuple(partition_inputs(seed + 1, length, length, d, d_v, dtype)[1:])]
         with tile_pool(1) as pool:
-            untiled = kernels._partition(q, k, v)
+            untiled = kernels.partitions(q, kvs)
         assert pool.submitted == 0
         # Every shape here runs pooled, 512 x 512 included.
         with tile_pool(2) as pool, mock.patch.object(kernels, "POOL_MIN_WORK", 0):
-            pooled = kernels._partition(q, k, v)
-        assert pool.submitted == length // kernels.TILE_ROWS
-        for a, b in zip(untiled, pooled):
+            pooled = kernels.partitions(q, kvs)
+        assert pool.submitted == 2 * length // kernels.TILE_ROWS
+        for a, b in zip([*untiled[0], *untiled[1]], [*pooled[0], *pooled[1]]):
             assert a.dtype == b.dtype == dtype
             assert np.array_equal(a, b)
 
@@ -389,7 +470,7 @@ class TestPooledPartition:
     def test_shapes_outside_the_rule_never_submit(self, length, keys, dtype):
         q, k, v = partition_inputs(3, length, keys, 8, 8, dtype)
         with tile_pool(2) as pool:
-            out, _, _ = kernels._partition(q, k, v)
+            out, _ = kernels._partition(q, k, v)
         assert pool.submitted == 0
         assert np.array_equal(out, attention(q, k, v))
 
@@ -487,6 +568,62 @@ class TestPooledPartition:
         ).stdout.split()
         workers = len(os.sched_getaffinity(0)) if pooled else 1
         assert out == [str(workers), "1", "False"]
+
+
+# Kernels that run several partitions of one query: (name, partition count, call on (q, kvs)).
+MULTI_PARTITION_KERNELS = (
+    ("reference_branches", 2, lambda q, kvs: reference_branches(q, *kvs[0], *kvs[1])),
+    ("rfg_attention", 2, lambda q, kvs: rfg_attention(q, *kvs[0], *kvs[1], 0.35)),
+    ("rfg_multi", 3, lambda q, kvs: rfg_multi(q, [(0.3, *kvs[0]), (0.2, *kvs[1])], *kvs[2])),
+)
+
+
+def query_partitions(count):
+    """An f32 query and ``count`` 1024-key partitions, four pooled tiles each."""
+    q, k, v = partition_inputs(11, 1024, 1024, 8, 8, np.float32)
+    return q, [(k, v), *(tuple(partition_inputs(12 + i, 1024, 1024, 8, 8, np.float32)[1:]) for i in range(count - 1))]
+
+
+def result_bytes(result) -> bytes:
+    return b"".join(a.tobytes() for a in ([result] if isinstance(result, np.ndarray) else result))
+
+
+class TestPooledQuery:
+    """A query's partitions share the pool: every tile is submitted before any is awaited."""
+
+    @pytest.mark.parametrize("name, count, kernel", MULTI_PARTITION_KERNELS, ids=[c[0] for c in MULTI_PARTITION_KERNELS])
+    def test_every_tile_is_submitted_before_any_is_awaited(self, name, count, kernel):
+        q, kvs = query_partitions(count)
+        tiles = count * 1024 // kernels.TILE_ROWS
+        with tile_pool(2, GatedPool(2, tiles)) as pool:
+            pooled = kernel(q, kvs)
+        assert pool.first_saw_all and pool.submitted == tiles
+        with tile_pool(1) as pool:
+            assert result_bytes(kernel(q, kvs)) == result_bytes(pooled)
+        assert pool.submitted == 0
+
+    def test_overflowing_tile_of_the_second_partition_raises_after_every_tile_finished(self, monkeypatch):
+        running, finished = [], []
+        real = kernels.row_softmax_inplace
+
+        def slow_softmax(a):
+            running.append(1)
+            try:
+                if np.isfinite(a).all():
+                    time.sleep(0.05)  # keep the finite tiles in flight while the second partition fails
+                return real(a)
+            finally:
+                finished.append(1)
+                running.pop()
+
+        monkeypatch.setattr(kernels, "row_softmax_inplace", slow_softmax)
+        q, kvs = query_partitions(2)
+        kvs[1][0][:] = np.float32(3e38)  # finite, but q k^T overflows in every tile of the self partition
+        with tile_pool(2) as pool, np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="row_softmax requires finite logits"):
+                reference_branches(q, *kvs[0], *kvs[1])
+            assert not running
+            assert len(finished) == pool.submitted == 8
 
 
 class TestOneCodePath:
