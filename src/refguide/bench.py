@@ -1,13 +1,16 @@
 """Microbenchmark for the attention kernels under each batch policy.
 
-One iteration processes a full batch at one (L, d, d_v, B) cell: the
-reference sample runs plain attention (publishing its K/V), each remaining
-sample runs the policy under test. Iterations are timed individually after a
-warmup and the median is reported, so a stray scheduler hiccup does not move
-the number. Throughput is attention calls per second (B calls per
-iteration). The cache accounting counts the reference K/V bytes each guided
-sample reads instead of recomputing: (B - 1) times the per-sample reference
-K/V size for the reference-conditioned policies, zero for plain.
+One iteration processes a full batch at one (L, d, d_v, B) cell through
+``apply_policy``, as the denoiser calls it: the reference sample runs the
+plain policy, and each remaining sample runs the policy under test against
+a one-layer ``ReferenceKV`` of the reference's K/V. Each sample's
+``AttentionInputs`` is built once per cell, outside the timed loop.
+Iterations are timed individually after a warmup and the median is
+reported, so a stray scheduler hiccup does not move the number. Throughput
+is attention calls per second (B calls per iteration). The cache accounting
+counts the reference K/V bytes each guided sample reads instead of
+recomputing: (B - 1) times the per-sample reference K/V size for the
+reference-conditioned policies, zero for plain.
 """
 
 import platform
@@ -17,13 +20,12 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .kernels import attention, concat_attention, rfg_attention
+from .kernels import AttentionInputs, AttentionPolicy, ReferenceKV, apply_policy
 from .linalg import PRECISION_DTYPES
-from .rng import stream
+from .rng import stream, uniform_matrix
 
 DEFAULT_BENCH_GRID = ((64, 64, 64, 8), (256, 64, 64, 8))
-BENCH_POLICIES = ("plain", "concat", "rfg")
-_BENCH_STRENGTH = 0.35
+BENCH_POLICIES = (AttentionPolicy.plain(), AttentionPolicy.concat(), AttentionPolicy.rfg(0.35))
 
 
 @dataclass
@@ -40,26 +42,10 @@ class BenchReport:
         return asdict(self)
 
 
-def _draw_batch(gen, length, d, d_v, batch, dtype):
-    samples = []
-    for _ in range(batch):
-        q = gen.uniform(-1.0, 1.0, (length, d)).astype(dtype)
-        k = gen.uniform(-1.0, 1.0, (length, d)).astype(dtype)
-        v = gen.uniform(-1.0, 1.0, (length, d_v)).astype(dtype)
-        samples.append((q, k, v))
-    return samples
-
-
-def _run_iteration(policy: str, samples) -> None:
-    q0, k0, v0 = samples[0]
-    attention(q0, k0, v0)
-    for q, k, v in samples[1:]:
-        if policy == "plain":
-            attention(q, k, v)
-        elif policy == "concat":
-            concat_attention(q, k0, v0, k, v)
-        else:
-            rfg_attention(q, k0, v0, k, v, _BENCH_STRENGTH)
+def _run_iteration(policy: AttentionPolicy, samples, cache: ReferenceKV) -> None:
+    apply_policy(samples[0], AttentionPolicy.plain())
+    for inputs in samples[1:]:
+        apply_policy(inputs, policy, (cache,))
 
 
 def run_bench(
@@ -84,31 +70,33 @@ def run_bench(
     )
 
     for cell_index, (length, d, d_v, batch) in enumerate(grid):
-        samples = _draw_batch(stream(seed, cell_index), length, d, d_v, batch, dtype)
-        k0, v0 = samples[0][1], samples[0][2]
-        per_sample_cache = k0.nbytes + v0.nbytes
+        gen = stream(seed, cell_index)
+        samples = [AttentionInputs(*(uniform_matrix(gen, length, width, dtype=dtype) for width in (d, d, d_v)))
+                   for _ in range(batch)]
+        cache = ReferenceKV([(samples[0].k, samples[0].v)])
+        per_sample_cache = samples[0].k.nbytes + samples[0].v.nbytes
         throughput = {}
         for policy in BENCH_POLICIES:
             for _ in range(warmup):
-                _run_iteration(policy, samples)
+                _run_iteration(policy, samples, cache)
             times = []
             for _ in range(iterations):
                 start = time.perf_counter()
-                _run_iteration(policy, samples)
+                _run_iteration(policy, samples, cache)
                 times.append(time.perf_counter() - start)
             median = statistics.median(times)
             calls_per_second = batch / median if median > 0 else float("inf")
-            throughput[policy] = calls_per_second
+            throughput[policy.kind] = calls_per_second
             report.cells.append(
                 {
-                    "policy": policy,
+                    "policy": policy.kind,
                     "length": length,
                     "d": d,
                     "d_v": d_v,
                     "batch": batch,
                     "median_seconds": median,
                     "calls_per_second": calls_per_second,
-                    "cache_reused_bytes": 0 if policy == "plain" else (batch - 1) * per_sample_cache,
+                    "cache_reused_bytes": 0 if policy.kind == "plain" else (batch - 1) * per_sample_cache,
                 }
             )
         if throughput["plain"] < throughput["concat"]:

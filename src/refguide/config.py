@@ -39,7 +39,8 @@ PRESET_STRENGTHS = {
 }
 PRESETS = ("consistent", "diverse", "temporal", "blend", "custom")
 
-# Largest share of physical memory one attention call's L x S logits may take.
+# Largest share of physical memory that one attention call's L x S logits,
+# or one trajectory of latents, may take.
 MEMORY_FRACTION = 0.5
 
 # Keys that contradict a non-custom preset (the preset fixes the policy).
@@ -105,7 +106,8 @@ class RunConfig:
     The field annotations are the config schema: every value is checked
     against its field's type when the config is built (``X | None`` marks the
     keys that may be null), then against the range invariants below, so no
-    command re-checks what it reads from here.
+    command re-checks what it reads from here. The keys that configure the
+    denoiser take their defaults from ``PipelineConfig``.
     """
 
     preset: str = "custom"
@@ -113,19 +115,19 @@ class RunConfig:
     strength: float = CONSISTENT_STRENGTH
     strengths: tuple[float, ...] | None = None
     references: int = 2
-    side: int = 16
-    blocks: int = 4
-    d_model: int = 32
-    d: int = 32
-    d_v: int = 32
-    steps: int = 20
-    batch: int = 4
-    layer_strengths: tuple[float, ...] | None = None
-    duplicate_noise: bool = False
-    weights_seed: int = 42
-    noise_seed: int = 7
+    side: int = PipelineConfig.side
+    blocks: int = PipelineConfig.blocks
+    d_model: int = PipelineConfig.d_model
+    d: int = PipelineConfig.d
+    d_v: int = PipelineConfig.d_v
+    steps: int = PipelineConfig.steps
+    batch: int = PipelineConfig.batch
+    layer_strengths: tuple[float, ...] | None = PipelineConfig.layer_strengths
+    duplicate_noise: bool = PipelineConfig.duplicate_noise
+    weights_seed: int = PipelineConfig.weights_seed
+    noise_seed: int = PipelineConfig.noise_seed
     seed: int | None = None
-    precision: str = "f32"
+    precision: str = PipelineConfig.precision
     out_dir: str = "out"
     trials: int = 20
     grid: tuple[tuple[int, int, int], ...] | None = None
@@ -186,19 +188,22 @@ class RunConfig:
         # One attention call allocates its L x S logits, S = 2L where concat
         # attention runs: the "concat" policy, every check trial, every bench
         # cell. Cells compare by L first, so ``max`` of a grid has its largest L.
+        # ``generate`` and each ``sweep`` strength hold one whole trajectory.
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         concat = self.preset == "custom" and self.policy_kind == "concat"
-        shapes = [("side", self.side, self.side ** 2, 2 if concat else 1)]
-        shapes += [(key, "x".join(map(str, cell)), cell[0], 2)
+        tokens = self.side ** 2
+        shapes = [(f"key 'side' value {self.side}", "attention logits", (tokens, (2 if concat else 1) * tokens))]
+        shapes += [(f"key {key!r} value {'x'.join(map(str, cell))}", "attention logits", (cell[0], 2 * cell[0]))
                    for key, cell in (("grid", max(self.check_grid)), ("bench_grid", max(self.bench_grid)))]
+        shapes.append((f"keys 'steps' and 'batch' values {self.steps} and {self.batch}", "trajectory latents",
+                       (self.steps + 1, self.batch, self.side, self.side)))
         itemsize = np.dtype(PRECISION_DTYPES[self.precision]).itemsize
-        for key, value, length, factor in shapes:
-            need = length * factor * length * itemsize
+        for label, what, dims in shapes:
+            need = math.prod(dims) * itemsize
             if need > MEMORY_FRACTION * physical:
                 raise ConfigError(
-                    f"key {key!r} value {value}: the {length}x{factor * length} {self.precision} attention "
-                    f"logits need {need / 2**30:.3g} GiB, more than {MEMORY_FRACTION:.0%} of the "
-                    f"{physical / 2**30:.3g} GiB of physical memory"
+                    f"{label}: the {'x'.join(map(str, dims))} {self.precision} {what} need {need / 2**30:.3g} GiB, "
+                    f"more than {MEMORY_FRACTION:.0%} of the {physical / 2**30:.3g} GiB of physical memory"
                 )
 
     def resolved_policy(self) -> AttentionPolicy:

@@ -14,8 +14,8 @@ case; the routes to reference conditioning:
 
 * ``concat_attention`` appends the reference keys/values to the sample's own,
   so reference tokens compete with self tokens inside one softmax.
-* ``rfg_attention`` (``rfg_multi``: several references) mixes the branch
-  outputs with scalar strengths; negative ones push away from a reference.
+* ``rfg_multi`` (``rfg_attention``: one reference) mixes the branch outputs
+  with scalar strengths, without the masses; negative ones push away.
 * ``rfg_matrix`` mixes the two outputs entrywise with a coefficient matrix.
   With the reference partition's mass as the per-row coefficient it
   reproduces ``concat_attention`` up to rounding, which is what the
@@ -191,21 +191,11 @@ def _tile(q, k, v, scale) -> tuple:
     return p @ v, m, s
 
 
-def partitions(q, kvs) -> tuple:
-    """One query's attention over each ``(k, v)`` partition, and each partition's softmax mass.
+def _branches(q, kvs) -> list:
+    """``(out, m, s)`` of ``_tile`` over each ``(k, v)`` partition of one query, in partition order.
 
-    Returns ``(outs, masses)`` in partition order: each output is
-    ``row_softmax(q k^T / sqrt(d)) v``, and each mass is the weight
-    concatenated attention over all the partitions gives it per row,
-    ``w_j / sum(w)`` with ``w_j = s_j * exp(m_j - M)`` under the common row
-    maximum ``M``, summed left to right. A lone partition's mass is 1.
-    Otherwise the exact mass lies strictly inside (0, 1); at extreme logit
-    gaps the quotient rounds to 0.0 or 1.0, and a clip at the working
-    dtype's resolution restores the invariant without moving any other
-    value. A pair of identical partitions gets exactly 0.5. Mixed dtypes and
-    a zero-width query raise before any tile runs.
-
-    With ``POOL_WORKERS >= 2``, L a multiple of ``TILE_ROWS`` (two tiles at
+    Mixed dtypes and a zero-width query raise before any tile runs. With
+    ``POOL_WORKERS >= 2``, L a multiple of ``TILE_ROWS`` (two tiles at
     least), S a multiple of 64 and ``L * S >= POOL_MIN_WORK``, a partition
     runs as ``TILE_ROWS``-row tiles on the thread pool, each in a copy of the
     caller's context (so ``np.errstate`` reaches it); row softmaxes are
@@ -222,15 +212,30 @@ def partitions(q, kvs) -> tuple:
     rows = [TILE_ROWS if tiled and not k.shape[0] % 64 and length * k.shape[0] >= POOL_MIN_WORK else length
             for k, _ in kvs]
     if not tiled or TILE_ROWS not in rows:
-        parts = [_tile(q, k, v, scale) for k, v in kvs]
-    else:
-        pool = _tile_pool(POOL_WORKERS, os.getpid())
-        tiles = [[pool.submit(contextvars.copy_context().run, _tile, q[lo:lo + step], k, v, scale)
-                  for lo in range(0, length, step)] for (k, v), step in zip(kvs, rows)]
-        for error in [done.exception() for run in tiles for done in run]:
-            if error is not None:
-                raise error
-        parts = [[np.concatenate(a) for a in zip(*(done.result() for done in run))] for run in tiles]
+        return [_tile(q, k, v, scale) for k, v in kvs]
+    pool = _tile_pool(POOL_WORKERS, os.getpid())
+    tiles = [[pool.submit(contextvars.copy_context().run, _tile, q[lo:lo + step], k, v, scale)
+              for lo in range(0, length, step)] for (k, v), step in zip(kvs, rows)]
+    for error in [done.exception() for run in tiles for done in run]:
+        if error is not None:
+            raise error
+    return [[np.concatenate(a) for a in zip(*(done.result() for done in run))] for run in tiles]
+
+
+def partitions(q, kvs) -> tuple:
+    """One query's attention over each ``(k, v)`` partition, and each partition's softmax mass.
+
+    Returns ``(outs, masses)`` in partition order: each output is
+    ``row_softmax(q k^T / sqrt(d)) v``, and each mass is the weight
+    concatenated attention over all the partitions gives it per row,
+    ``w_j / sum(w)`` with ``w_j = s_j * exp(m_j - M)`` under the common row
+    maximum ``M``, summed left to right. A lone partition's mass is 1.
+    Otherwise the exact mass lies strictly inside (0, 1); at extreme logit
+    gaps the quotient rounds to 0.0 or 1.0, and a clip at the working
+    dtype's resolution restores the invariant without moving any other
+    value. A pair of identical partitions gets exactly 0.5; ``_branches`` runs the tiles.
+    """
+    parts = _branches(q, kvs)
     outs = [out for out, _, _ in parts]
     if len(parts) == 1:
         return outs, [np.ones_like(parts[0][2])]
@@ -283,37 +288,28 @@ def concat_attention(q, k_ref, v_ref, k_self, v_self) -> np.ndarray:
 
 
 def rfg_attention(q, k_ref, v_ref, k_self, v_self, c: float) -> np.ndarray:
-    """Blend of reference and self attention: c * A_ref + (1 - c) * A_self.
-
-    c == 0 and c == 1 return the self or reference branch exactly (no
-    arithmetic on the other branch), so those settings are bitwise equal to
-    plain and cross-frame attention.
-    """
-    c = float(c)
-    if c == 0.0:
-        return attention(q, k_self, v_self)
-    if c == 1.0:
-        return attention(q, k_ref, v_ref)
-    return blend(c, *partitions(q, [(k_ref, v_ref), (k_self, v_self)])[0])
+    """Blend of reference and self attention: ``rfg_multi`` with the one reference ``(c, k_ref, v_ref)``."""
+    return rfg_multi(q, [(c, k_ref, v_ref)], k_self, v_self)
 
 
 def rfg_multi(q, refs, k_self, v_self) -> np.ndarray:
     """Multi-reference blend: sum_j c_j * A_j + (1 - sum_j c_j) * A_self.
 
-    ``refs`` is a sequence of (c_j, k_j, v_j) triples. With a single
-    reference this is bitwise identical to ``rfg_attention``.
+    ``refs`` is a sequence of (c_j, k_j, v_j) triples. A lone reference at
+    c == 0 or c == 1 returns the self or reference branch exactly (no
+    arithmetic on the other branch), so those settings are bitwise equal to
+    plain and cross-frame attention.
     """
-    refs = list(refs)
+    refs = [(float(c), k, v) for c, k, v in refs]
     if not refs:
         raise ValueError("rfg_multi needs at least one reference")
-    if len(refs) == 1:
+    if len(refs) == 1 and refs[0][0] in (0.0, 1.0):
         c, k_ref, v_ref = refs[0]
-        return rfg_attention(q, k_ref, v_ref, k_self, v_self, c)
-    total = float(sum(float(c) for c, _, _ in refs))
-    *a_refs, a_self = partitions(q, [*((k, v) for _, k, v in refs), (k_self, v_self)])[0]
-    out = (1.0 - total) * a_self
+        return attention(q, k_ref, v_ref) if c == 1.0 else attention(q, k_self, v_self)
+    *a_refs, a_self = [out for out, _, _ in _branches(q, [*((k, v) for _, k, v in refs), (k_self, v_self)])]
+    out = (1.0 - sum(c for c, _, _ in refs)) * a_self
     for (c, _, _), a_ref in zip(refs, a_refs):
-        out += float(c) * a_ref
+        out += c * a_ref
     return out
 
 

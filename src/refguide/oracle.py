@@ -64,7 +64,7 @@ from .kernels import (
 # wraps these names in ``refguide.oracle`` too, so they stay importable.
 from .kernels import attention, concat_coefficient_vector, guidance_form, rfg_matrix  # noqa: F401
 from .linalg import PRECISION_DTYPES, ShapeError
-from .rng import stream
+from .rng import stream, uniform_matrix
 
 DEFAULT_GRID = tuple(
     (length, d, d_v)
@@ -177,30 +177,25 @@ class EquivalenceReport:
 
 
 def _draw_inputs(gen, length, d, d_v, dtype, scale):
-    q = gen.uniform(-1.0, 1.0, (length, d))
-    if scale != 1.0:
-        q = q * scale
-    k_ref = gen.uniform(-1.0, 1.0, (length, d))
-    v_ref = gen.uniform(-1.0, 1.0, (length, d_v))
-    k_self = gen.uniform(-1.0, 1.0, (length, d))
-    v_self = gen.uniform(-1.0, 1.0, (length, d_v))
-    return tuple(a.astype(dtype) for a in (q, k_ref, v_ref, k_self, v_self))
+    return tuple(uniform_matrix(gen, length, width, scale=s, dtype=dtype)
+                 for width, s in ((d, scale), (d, 1.0), (d_v, 1.0), (d, 1.0), (d_v, 1.0)))
 
 
 def _run_share(run_trial, keys) -> tuple:
-    """``(records, error)`` of ``run_trial(*key)`` over ``keys``; ``error`` is the first ``(key, exception)``, or None."""
+    """``(records, error)`` of ``run_trial(key)`` over ``keys``; ``error`` is the first ``(key, exception)``, or None."""
     records = []
     for key in keys:
         try:
-            records.append(run_trial(*key))
+            records.append(run_trial(key))
         except Exception as exc:
             return records, (key, exc)
     return records, None
 
 
 def _run_trials(run_trial, keys) -> list:
-    """``[run_trial(*key) for key in keys]``, dealt round-robin to ``POOL_WORKERS`` processes.
+    """``[run_trial(key) for key in keys]``, dealt round-robin to ``POOL_WORKERS`` processes.
 
+    ``keys`` is only sliced, indexed and measured, so a ``range`` stays lazy.
     The caller runs share 0, ``keys[0::workers]``; every other share runs in
     a forked child that pickles its ``_run_share`` result back through a pipe
     and always leaves through ``os._exit``. All children are reaped before
@@ -269,6 +264,7 @@ def run_equivalence_suite(
     dtype = PRECISION_DTYPES[precision]
     if threshold is None:
         threshold = PRECISION_THRESHOLDS[precision]
+    per_cell = trials_per_cell + stress_trials_per_cell
 
     report = EquivalenceReport(
         precision=precision,
@@ -284,8 +280,9 @@ def run_equivalence_suite(
         },
     )
 
-    def run_trial(cell_index, trial) -> tuple:
-        """One trial's ``(errors in IDENTITY_NAMES order, c_vec min, max, range violations, exact failures)``."""
+    def run_trial(index) -> tuple:
+        """Trial ``index``'s ``(errors in IDENTITY_NAMES order, c_vec min, max, range violations, exact failures)``."""
+        cell_index, trial = divmod(index, per_cell)
         length, d, d_v = grid[cell_index]
         gen = stream(seed, cell_index, trial)
         scale = stress_scale if trial >= trials_per_cell else 1.0
@@ -321,9 +318,10 @@ def run_equivalence_suite(
         violations = int(np.count_nonzero(~((c_vec > 0.0) & (c_vec < 1.0))))
         return errors, float(c_vec.min()), float(c_vec.max()), violations, exact_failures
 
-    keys = [(c, t) for c in range(len(grid)) for t in range(trials_per_cell + stress_trials_per_cell)]
+    keys = range(len(grid) * per_cell)
     worst_ratio = -math.inf
-    for (cell_index, trial), (errors, c_min, c_max, violations, failures) in zip(keys, _run_trials(run_trial, keys)):
+    for index, (errors, c_min, c_max, violations, failures) in zip(keys, _run_trials(run_trial, keys)):
+        cell_index, trial = divmod(index, per_cell)
         stressed = trial >= trials_per_cell
         report.total_trials += 1
         report.coefficient_min = min(report.coefficient_min, c_min)

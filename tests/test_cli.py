@@ -5,7 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import refguide.bench
 from refguide.artifacts import load_raw
+from refguide.bench import BENCH_POLICIES, run_bench
 from refguide.cli import main
 from refguide.kernels import AttentionPolicy
 from refguide.pipeline import PipelineConfig, generate_batch, trajectory_distance
@@ -186,12 +188,41 @@ class TestBenchCommand:
             expected = 0 if cell["policy"] == "plain" else (cell["batch"] - 1) * per_sample
             assert cell["cache_reused_bytes"] == expected
 
+    def test_each_iteration_runs_apply_policy_once_per_sample(self, monkeypatch):
+        calls = []
+        real = refguide.bench.apply_policy
+
+        def counting(inputs, policy, caches=()):
+            calls.append((inputs, policy))
+            return real(inputs, policy, caches)
+
+        monkeypatch.setattr(refguide.bench, "apply_policy", counting)
+        batch, warmup, iterations = 3, 1, 2
+        report = run_bench(grid=((8, 8, 8, batch),), iterations=iterations, warmup=warmup)
+        # The reference sample runs plain attention, the others the policy under test.
+        assert [policy for _, policy in calls] == [
+            p for policy in BENCH_POLICIES for _ in range(warmup + iterations)
+            for p in (AttentionPolicy.plain(), *(policy,) * (batch - 1))
+        ]
+        samples = [inputs for inputs, _ in calls[:batch]]
+        assert len({id(inputs) for inputs in samples}) == batch
+        assert all(inputs is samples[i % batch] for i, (inputs, _) in enumerate(calls))
+        assert [cell["policy"] for cell in report.cells] == ["plain", "concat", "rfg"]
+
 
 class TestErrorPaths:
     def test_missing_config_file(self, capsys):
         code, _, err = run(capsys, "generate", "--config", "missing.json")
         assert code == 2
         assert "config error" in err
+
+    def test_trajectory_too_large_for_memory_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"steps": 1000000000, "side": 16}))
+        code, _, err = run(capsys, "generate", "--config", str(path), "--out", str(tmp_path))
+        assert code == 2
+        assert "config error: keys 'steps' and 'batch'" in err
+        assert not (tmp_path / "sample_0.raw").exists()
 
     def test_unknown_config_key(self, tmp_path, capsys):
         path = tmp_path / "config.json"

@@ -21,6 +21,7 @@ from refguide.config import (
     parse_config,
 )
 from refguide.oracle import DEFAULT_GRID
+from refguide.pipeline import PipelineConfig
 
 
 def write_config(tmp_path, payload):
@@ -78,6 +79,7 @@ class TestParseConfig:
         assert cfg == RunConfig()
         pipeline = cfg.pipeline_config()
         assert (pipeline.side, pipeline.blocks, pipeline.steps, pipeline.batch) == (16, 4, 20, 4)
+        assert pipeline == PipelineConfig()
 
     @pytest.mark.parametrize("overrides, ok", [
         ({"stress_scale": 99_999.0}, True),
@@ -131,6 +133,45 @@ class TestParseConfig:
         else:
             with pytest.raises(ConfigError, match=f"key {key!r} .* more than 50% of the 0.125 GiB"):
                 parse_config(overrides=overrides)
+
+    def test_trajectory_too_large_for_memory_is_named(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="keys 'steps' and 'batch' values .* trajectory latents need .* physical memory"):
+                parse_config(overrides={"steps": 10**9, "side": 16})  # 3.7 TiB of f32 latents
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    # With 128 MiB of physical memory, a trajectory may take 64 MiB: 65536
+    # side-16 f32 latents, (steps + 1) * batch of them.
+    @pytest.mark.parametrize("overrides, ok", [
+        ({"steps": 16383}, True),
+        ({"steps": 16384}, False),
+        ({"steps": 32767, "batch": 2}, True),
+        ({"steps": 32767, "batch": 3}, False),
+        ({"steps": 16383, "precision": "f64"}, False),
+    ])
+    def test_trajectory_may_take_half_of_physical_memory(self, monkeypatch, overrides, ok):
+        memory = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (128 << 20) // 4096}
+        monkeypatch.setattr(os, "sysconf", memory.__getitem__)
+        if ok:
+            parse_config(overrides=overrides)
+        else:
+            with pytest.raises(ConfigError, match="keys 'steps' and 'batch' .* more than 50% of the 0.125 GiB"):
+                parse_config(overrides=overrides)
+
+    # The default run, each preset, and the benchmark's generate and check configs.
+    @pytest.mark.parametrize("overrides", [
+        {},
+        *({"preset": preset} for preset in ("consistent", "diverse", "temporal", "blend")),
+        {"side": 32, "blocks": 4, "d": 32, "d_v": 32, "batch": 4, "steps": 3, "policy_kind": "concat"},
+        {"side": 8, "blocks": 8, "batch": 8, "steps": 50, "sweep_strengths": [-0.3, 0.2, 0.35]},
+        {"trials": 4, "stress_trials": 1, "precision": "f64"},
+    ])
+    def test_shipped_configs_fit_in_memory(self, overrides):
+        parse_config(overrides=overrides)
 
     def test_file_values_applied(self, tmp_path):
         path = write_config(tmp_path, {"steps": 8, "batch": 3, "precision": "f64"})

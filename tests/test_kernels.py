@@ -147,11 +147,22 @@ class TestRfgAttention:
 
 
 class TestRfgMulti:
-    def test_single_reference_delegates_bitwise(self):
-        q, k_ref, v_ref, k_self, v_self = draw_set(40, dtype=np.float32)
-        multi = rfg_multi(q, [(0.3, k_ref, v_ref)], k_self, v_self)
-        single = rfg_attention(q, k_ref, v_ref, k_self, v_self, 0.3)
-        assert np.array_equal(multi, single)
+    @pytest.mark.parametrize("c", [0.0, -0.0, 1.0, 0.35, -0.3, 1.5])
+    @pytest.mark.parametrize("length, workers", [(16, 1), (1024, 2)], ids=["16x4", "pooled-1024x1024"])
+    def test_single_reference_delegates_bitwise(self, c, length, workers):
+        q, k_ref, v_ref = partition_inputs(40, length, length, 4, 4, np.float32)
+        k_self, v_self = partition_inputs(41, length, length, 4, 4, np.float32)[1:]
+        with tile_pool(workers) as pool:
+            single = rfg_attention(q, k_ref, v_ref, k_self, v_self, c)
+            multi = rfg_multi(q, [(c, k_ref, v_ref)], k_self, v_self)
+            # The scalar blend as rfg_attention once wrote it itself: a lone
+            # branch at c == 0 or c == 1, else ``blend`` of both branches.
+            if c in (0.0, 1.0):
+                formula = attention(q, k_ref, v_ref) if c == 1.0 else attention(q, k_self, v_self)
+            else:
+                formula = blend(c, *kernels.partitions(q, [(k_ref, v_ref), (k_self, v_self)])[0])
+        assert (pool.submitted > 0) == (workers > 1)
+        assert result_bytes(single) == result_bytes(multi) == result_bytes(formula)
 
     def test_two_references_match_manual_blend(self):
         q, k1, v1, k2, v2 = draw_set(41)

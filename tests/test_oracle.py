@@ -22,6 +22,7 @@ from refguide.oracle import (
     DEFAULT_GRID,
     EquivalenceReport,
     _draw_inputs,
+    _run_trials,
     max_rel_error,
     naive_attention,
     naive_coefficient_vector,
@@ -342,6 +343,15 @@ class TestSuiteProcesses:
         _stream_failing_at(monkeypatch, fail, failing)
         with _workers(workers), pytest.raises(ValueError, match=f"^key {first}$"):
             run_equivalence_suite(seed=5, grid=SHARE_GRID, **SHARE_TRIALS)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_keys_stay_lazy(self, workers):
+        # A list of 10**15 keys would not fit in memory; the range is only sliced.
+        def fail(key):
+            raise ValueError(f"key {key}")
+
+        with _workers(workers), pytest.raises(ValueError, match="^key 0$"):
+            _run_trials(fail, range(10**15))
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_killed_child_raises_child_process_error_and_check_exits_3(self, monkeypatch, tmp_path, capsys):
