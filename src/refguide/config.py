@@ -3,7 +3,8 @@
 One flat key set covers every subcommand; a JSON config file supplies any
 subset, command-line flags override it, and unknown keys are rejected by
 name. Presets bind the reference strength to the recommended operating
-points; anything else goes through preset "custom".
+points; anything else goes through preset "custom". A config gives only the
+policy keys its way of naming the policy reads, so none is ignored.
 """
 
 import json
@@ -40,11 +41,12 @@ PRESET_STRENGTHS = {
 PRESETS = ("consistent", "diverse", "temporal", "blend", "custom")
 
 # Largest share of physical memory that one attention call's L x S logits,
-# or one trajectory of latents, may take.
+# one trajectory of latents, or the denoiser's weights may take.
 MEMORY_FRACTION = 0.5
 
-# Keys that contradict a non-custom preset (the preset fixes the policy).
-_POLICY_KEYS = ("policy_kind", "strength", "strengths")
+# Keys that name the policy; a config may give only those its way of naming
+# the policy reads (``_policy_keys``).
+_POLICY_KEYS = ("policy_kind", "strength", "strengths", "references")
 
 
 class ConfigError(ValueError):
@@ -188,21 +190,24 @@ class RunConfig:
         # One attention call allocates its L x S logits, S = 2L where concat
         # attention runs: the "concat" policy, every check trial, every bench
         # cell. Cells compare by L first, so ``max`` of a grid has its largest L.
-        # ``generate`` and each ``sweep`` strength hold one whole trajectory.
+        # ``generate`` and each ``sweep`` strength hold one whole trajectory,
+        # and ``init_denoiser`` draws every weight in f64 before the cast.
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         concat = self.preset == "custom" and self.policy_kind == "concat"
-        tokens = self.side ** 2
-        shapes = [(f"key 'side' value {self.side}", "attention logits", (tokens, (2 if concat else 1) * tokens))]
-        shapes += [(f"key {key!r} value {'x'.join(map(str, cell))}", "attention logits", (cell[0], 2 * cell[0]))
+        tokens, p = self.side ** 2, self.precision
+        shapes = [(f"key 'side' value {self.side}", p, "attention logits", (tokens, (2 if concat else 1) * tokens))]
+        shapes += [(f"key {key!r} value {'x'.join(map(str, cell))}", p, "attention logits", (cell[0], 2 * cell[0]))
                    for key, cell in (("grid", max(self.check_grid)), ("bench_grid", max(self.bench_grid)))]
-        shapes.append((f"keys 'steps' and 'batch' values {self.steps} and {self.batch}", "trajectory latents",
+        shapes.append((f"keys 'steps' and 'batch' values {self.steps} and {self.batch}", p, "trajectory latents",
                        (self.steps + 1, self.batch, self.side, self.side)))
-        itemsize = np.dtype(PRECISION_DTYPES[self.precision]).itemsize
-        for label, what, dims in shapes:
-            need = math.prod(dims) * itemsize
+        shapes.append((f"keys 'blocks', 'd_model', 'd' and 'd_v' values {self.blocks}, {self.d_model}, {self.d} "
+                       f"and {self.d_v}", "f64", "denoiser weights",
+                       (self.blocks * self.d_model * (2 * self.d + 2 * self.d_v) + (tokens + 2) * self.d_model,)))
+        for label, precision, what, dims in shapes:
+            need = math.prod(dims) * np.dtype(PRECISION_DTYPES[precision]).itemsize
             if need > MEMORY_FRACTION * physical:
                 raise ConfigError(
-                    f"{label}: the {'x'.join(map(str, dims))} {self.precision} {what} need {need / 2**30:.3g} GiB, "
+                    f"{label}: the {'x'.join(map(str, dims))} {precision} {what} need {need / 2**30:.3g} GiB, "
                     f"more than {MEMORY_FRACTION:.0%} of the {physical / 2**30:.3g} GiB of physical memory"
                 )
 
@@ -219,7 +224,7 @@ class RunConfig:
             if not self.strengths:
                 raise ConfigError("policy_kind 'rfg-multi' requires a nonempty strengths list")
             return AttentionPolicy.rfg_multi(self.strengths)
-        return AttentionPolicy(kind)
+        return AttentionPolicy.cross_frame() if kind == "cross-frame" else AttentionPolicy(kind)
 
     def resolved_seeds(self) -> tuple:
         """(weights_seed, noise_seed); a top-level seed overrides both."""
@@ -286,6 +291,13 @@ class RunConfig:
 _FIELD_NAMES = frozenset(f.name for f in fields(RunConfig))
 
 
+def _policy_keys(preset: str, kind: str) -> tuple:
+    """The keys of ``_POLICY_KEYS`` read when the policy is named by ``preset`` (and ``kind`` under "custom")."""
+    if preset != "custom":
+        return ("references",) if preset == "blend" else ()
+    return ("policy_kind", *{"rfg": ("strength",), "rfg-multi": ("strengths",)}.get(kind, ()))
+
+
 def parse_config(path=None, overrides=None) -> RunConfig:
     """Build a RunConfig from an optional JSON file plus flag overrides.
 
@@ -311,14 +323,12 @@ def parse_config(path=None, overrides=None) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown config key {unknown[0]!r}" + (f" (and {len(unknown) - 1} more)" if len(unknown) > 1 else ""))
 
-    preset = data.get("preset", "custom")
-    if preset in PRESETS and preset != "custom":
-        clashing = [k for k in _POLICY_KEYS if k in data]
-        if clashing:
-            raise ConfigError(
-                f"preset {preset!r} fixes the policy; key {clashing[0]!r} is only valid with preset 'custom'"
-            )
-
     cfg = RunConfig(**data)
+    read = _policy_keys(cfg.preset, cfg.policy_kind)
+    unread = [key for key in _POLICY_KEYS if key in data and key not in read]
+    if unread:
+        named = f"preset {cfg.preset!r}" if cfg.preset != "custom" else f"policy_kind {cfg.policy_kind!r}"
+        reads = " and ".join(map(repr, read)) or "no policy key"
+        raise ConfigError(f"key {unread[0]!r} does not apply: {named} reads {reads}")
     cfg.pipeline_config()
     return cfg

@@ -29,15 +29,16 @@ tiles on a thread pool (one thread per usable CPU, when BLAS runs one
 thread) with the same bytes. It submits every partition's tiles before it
 awaits any, so a query waits once. The pool starts with its first use.
 
-``apply_policy`` dispatches on a declarative ``AttentionPolicy`` so pipeline
-code never branches on kernel names itself.
+``apply_policy`` runs an ``AttentionPolicy``, a kind plus one strength per
+reference the scalar blend reads, so pipeline code never branches on kernel
+names itself; every policy with strengths is one ``rfg_multi`` call.
 """
 
 import contextvars
 import functools
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,29 +104,33 @@ class AttentionInputs:
 
 @dataclass(frozen=True)
 class AttentionPolicy:
-    """Declarative choice of attention kernel plus its strengths.
+    """A kind of attention plus one strength per reference its scalar blend reads.
 
-    ``strength`` is meaningful for kind "rfg"; ``strengths`` (one entry per
-    reference) for kind "rfg-multi". Strength magnitudes above 1, or a
-    multi-reference total above 1, are allowed but warned about: the self
-    branch then gets a negative weight and outputs leave the convex hull of
-    the branch outputs.
+    ``strengths`` holds one entry for "rfg", one or more for "rfg-multi",
+    ``(1.0,)`` for "cross-frame" (the blend at c = 1) and none otherwise;
+    any other combination raises. A total magnitude above 1 is allowed but
+    warned about: outputs then leave the convex hull of the branch outputs.
     """
 
     kind: str
-    strength: float = 0.0
-    strengths: tuple = field(default_factory=tuple)
+    strengths: tuple = ()
 
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
             raise ValueError(f"unknown policy kind {self.kind!r}, expected one of {POLICY_KINDS}")
-        if self.kind == "rfg-multi":
-            if not self.strengths:
-                raise ValueError("rfg-multi policy needs at least one reference strength")
-            if sum(abs(float(c)) for c in self.strengths) > 1.0:
-                warnings.warn("total reference strength exceeds 1; self branch weight is negative")
-        elif self.kind == "rfg" and abs(self.strength) > 1.0:
-            warnings.warn(f"reference strength {self.strength} lies outside [-1, 1]")
+        strengths = tuple(float(c) for c in self.strengths)
+        object.__setattr__(self, "strengths", strengths)
+        ok, want = {
+            "rfg": (len(strengths) == 1, "exactly one strength"),
+            "rfg-multi": (len(strengths) >= 1, "at least one strength"),
+            "cross-frame": (strengths == (1.0,), "the one strength 1.0"),
+        }.get(self.kind, (not strengths, "no strength"))
+        if not ok:
+            raise ValueError(f"policy kind {self.kind!r} takes {want}, got {strengths}")
+        total = sum(abs(c) for c in strengths)
+        if total > 1.0:
+            warnings.warn(f"total reference strength magnitude {total} exceeds 1; outputs leave the convex hull "
+                          "of the branch outputs")
 
     @classmethod
     def plain(cls) -> "AttentionPolicy":
@@ -137,27 +142,28 @@ class AttentionPolicy:
 
     @classmethod
     def cross_frame(cls) -> "AttentionPolicy":
-        return cls("cross-frame")
+        return cls("cross-frame", (1.0,))
 
     @classmethod
     def rfg(cls, strength: float) -> "AttentionPolicy":
-        return cls("rfg", strength=float(strength))
+        return cls("rfg", (strength,))
 
     @classmethod
     def rfg_multi(cls, strengths) -> "AttentionPolicy":
-        return cls("rfg-multi", strengths=tuple(float(c) for c in strengths))
+        return cls("rfg-multi", strengths)
 
     @classmethod
     def rfg_matrix(cls) -> "AttentionPolicy":
         return cls("rfg-matrix")
 
     @property
+    def strength(self) -> float:
+        """The "rfg" policy's one strength; 0.0 for every other kind."""
+        return self.strengths[0] if self.kind == "rfg" else 0.0
+
+    @property
     def reference_count(self) -> int:
-        if self.kind == "plain":
-            return 0
-        if self.kind == "rfg-multi":
-            return len(self.strengths)
-        return 1
+        return 1 if self.kind in ("concat", "rfg-matrix") else len(self.strengths)
 
 
 class ReferenceKV:
@@ -229,27 +235,19 @@ def partitions(q, kvs) -> tuple:
     ``row_softmax(q k^T / sqrt(d)) v``, and each mass is the weight
     concatenated attention over all the partitions gives it per row,
     ``w_j / sum(w)`` with ``w_j = s_j * exp(m_j - M)`` under the common row
-    maximum ``M``, summed left to right. A lone partition's mass is 1.
-    Otherwise the exact mass lies strictly inside (0, 1); at extreme logit
+    maximum ``M``, summed left to right. With two partitions or more, the
+    exact mass lies strictly inside (0, 1); at extreme logit
     gaps the quotient rounds to 0.0 or 1.0, and a clip at the working
     dtype's resolution restores the invariant without moving any other
     value. A pair of identical partitions gets exactly 0.5; ``_branches`` runs the tiles.
     """
     parts = _branches(q, kvs)
     outs = [out for out, _, _ in parts]
-    if len(parts) == 1:
-        return outs, [np.ones_like(parts[0][2])]
     top = functools.reduce(np.maximum, [m for _, m, _ in parts])
     weights = [s * np.exp(m - top) for _, m, s in parts]
     total = sum(weights[1:], weights[0])
     info = np.finfo(total.dtype)
     return outs, list(np.minimum(np.maximum(np.divide(weights, total), info.tiny), 1 - info.epsneg))
-
-
-def _partition(q, k, v) -> tuple:
-    """``(out, mass)`` of ``partitions`` over the single partition ``(k, v)``."""
-    (out,), (mass,) = partitions(q, [(k, v)])
-    return out, mass
 
 
 def reference_branches(q, k_ref, v_ref, k_self, v_self) -> tuple:
@@ -278,7 +276,7 @@ def guidance(coeff, a_ref, a_self) -> np.ndarray:
 
 def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Scaled dot-product attention: row_softmax(q k^T / sqrt(d)) v, d the width of q."""
-    return partitions(q, [(k, v)])[0][0]
+    return _branches(q, [(k, v)])[0][0]
 
 
 def concat_attention(q, k_ref, v_ref, k_self, v_self) -> np.ndarray:
@@ -359,10 +357,10 @@ def guidance_form(q, k_ref, v_ref, k_self, v_self, coeff: np.ndarray) -> np.ndar
 def apply_policy(inputs: AttentionInputs, policy: AttentionPolicy, caches=(), layer: int = 0) -> np.ndarray:
     """Run one attention block under ``policy``.
 
-    ``caches`` holds one ReferenceKV per reference the policy reads (for
-    "rfg-multi", one per strength, in order; "plain" reads none).
-    Reference-conditioned kinds raise ValueError when the count does not
-    match the policy.
+    ``caches`` holds one ReferenceKV per reference the policy reads (one per
+    strength, in order; "plain" reads none). Every policy with strengths is
+    the scalar blend ``rfg_multi``. Reference-conditioned kinds raise
+    ValueError when the count does not match the policy.
     """
     q, k, v = inputs.q, inputs.k, inputs.v
     if policy.kind == "plain":
@@ -371,18 +369,10 @@ def apply_policy(inputs: AttentionInputs, policy: AttentionPolicy, caches=(), la
         raise ValueError(
             f"policy {policy.kind!r} needs {policy.reference_count} reference cache(s), got {len(caches)}"
         )
-
-    if policy.kind == "rfg-multi":
+    if policy.strengths:
         return rfg_multi(q, [(c, *ref.layer(layer)) for c, ref in zip(policy.strengths, caches)], k, v)
-
     k_ref, v_ref = caches[0].layer(layer)
     if policy.kind == "concat":
         return concat_attention(q, k_ref, v_ref, k, v)
-    if policy.kind == "cross-frame":
-        return rfg_attention(q, k_ref, v_ref, k, v, 1.0)
-    if policy.kind == "rfg":
-        return rfg_attention(q, k_ref, v_ref, k, v, policy.strength)
-    if policy.kind == "rfg-matrix":
-        a_ref, a_self, c_vec = reference_branches(q, k_ref, v_ref, k, v)
-        return blend(c_vec[:, None], a_ref, a_self)
-    raise ValueError(f"unknown policy kind {policy.kind!r}")
+    a_ref, a_self, c_vec = reference_branches(q, k_ref, v_ref, k, v)
+    return blend(c_vec[:, None], a_ref, a_self)

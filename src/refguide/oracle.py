@@ -17,8 +17,9 @@ matrix blend and the guidance form from it, and checks:
 * fast concatenated attention vs the brute-force oracle,
 * matrix blend vs fast concatenated attention,
 * guidance (residual) form vs the matrix blend,
-* bitwise boundary identities (strength 0, strength 1, single-reference
-  multi blend),
+* bitwise identities of the scalar blend: strength 0 and strength 1 give
+  the self and reference branch, and strength 0.35 is the scalar blend vs
+  ``blend`` of the trial's branches,
 * coefficient entries strictly inside (0, 1).
 
 Each cell also runs trials with queries scaled by ``stress_scale`` to push
@@ -50,19 +51,11 @@ from operator import mul
 import numpy as np
 
 from . import kernels
-from .kernels import (
-    blend,
-    build_rank1_coefficient,
-    concat_attention,
-    guidance,
-    reference_branches,
-    rfg_attention,
-    rfg_multi,
-)
+from .kernels import blend, build_rank1_coefficient, concat_attention, guidance, reference_branches, rfg_attention
 
 # Not called here any more; the benchmark's span recorder (perfbench/spans.py)
 # wraps these names in ``refguide.oracle`` too, so they stay importable.
-from .kernels import attention, concat_coefficient_vector, guidance_form, rfg_matrix  # noqa: F401
+from .kernels import attention, concat_coefficient_vector, guidance_form, rfg_matrix, rfg_multi  # noqa: F401
 from .linalg import PRECISION_DTYPES, ShapeError
 from .rng import stream, uniform_matrix
 
@@ -311,7 +304,7 @@ def run_equivalence_suite(
         exact_failures = sum(not np.array_equal(a, b) for a, b in (
             (rfg_attention(q, k_ref, v_ref, k_self, v_self, 0.0), self_branch),
             (rfg_attention(q, k_ref, v_ref, k_self, v_self, 1.0), ref_branch),
-            (rfg_multi(q, [(0.35, k_ref, v_ref)], k_self, v_self), rfg_attention(q, k_ref, v_ref, k_self, v_self, 0.35)),
+            (rfg_attention(q, k_ref, v_ref, k_self, v_self, 0.35), blend(0.35, ref_branch, self_branch)),
         ))
         errors = (deviation(blended, oracle), deviation(fast_concat, oracle),
                   deviation(blended, fast_concat), deviation(guided, blended))

@@ -224,6 +224,27 @@ class TestErrorPaths:
         assert "config error: keys 'steps' and 'batch'" in err
         assert not (tmp_path / "sample_0.raw").exists()
 
+    def test_weights_too_large_for_memory_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"d": 10000000000, "steps": 1}))
+        code, _, err = run(capsys, "generate", "--config", str(path), "--out", str(tmp_path))
+        assert code == 2
+        assert "config error: keys 'blocks', 'd_model', 'd' and 'd_v'" in err
+        assert not (tmp_path / "sample_0.raw").exists()
+
+    @pytest.mark.parametrize("payload, key", [
+        ({"policy_kind": "rfg", "strengths": [0.1, 0.2]}, "strengths"),
+        ({"policy_kind": "concat", "strength": 0.9}, "strength"),
+        ({"references": 5}, "references"),
+    ])
+    def test_policy_key_the_policy_does_not_read_exits_2(self, tmp_path, capsys, payload, key):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**payload, "steps": 1}))
+        code, _, err = run(capsys, "generate", "--config", str(path), "--out", str(tmp_path))
+        assert code == 2
+        assert f"config error: key {key!r} does not apply" in err
+        assert not (tmp_path / "sample_0.raw").exists()
+
     def test_unknown_config_key(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"coefficinet": 0.3}))

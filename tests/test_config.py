@@ -162,6 +162,64 @@ class TestParseConfig:
             with pytest.raises(ConfigError, match="keys 'steps' and 'batch' .* more than 50% of the 0.125 GiB"):
                 parse_config(overrides=overrides)
 
+    def test_weights_too_large_for_memory_are_named(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="keys 'blocks', 'd_model', 'd' and 'd_v' values 4, 32, 10000000000 "
+                                                  "and 32: .* f64 denoiser weights need .* physical memory"):
+                parse_config(overrides={"d": 10**10, "steps": 1})  # 19 TiB of weights
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    # With 128 MiB of physical memory, the weights may take 64 MiB: 2^23 values
+    # counted at f64 whatever the precision, 256 d + 256 d_v + 8256 of them
+    # with the default blocks, d_model and side.
+    @pytest.mark.parametrize("overrides, ok", [
+        ({"d": 32703}, True),
+        ({"d": 32704}, False),
+        ({"d": 32703, "precision": "f64"}, True),
+        ({"d_v": 32703}, True),
+        ({"d_v": 32704}, False),
+        ({"d": 32703, "blocks": 5}, False),
+    ])
+    def test_weights_may_take_half_of_physical_memory(self, monkeypatch, overrides, ok):
+        memory = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (128 << 20) // 4096}
+        monkeypatch.setattr(os, "sysconf", memory.__getitem__)
+        if ok:
+            parse_config(overrides=overrides)
+        else:
+            with pytest.raises(ConfigError, match="keys 'blocks', 'd_model', 'd' and 'd_v' .* 50% of the 0.125 GiB"):
+                parse_config(overrides=overrides)
+
+    # Each way of naming a policy reads only some of its keys; any other given key is named.
+    @pytest.mark.parametrize("overrides, key", [
+        ({"policy_kind": "rfg", "strengths": [0.1, 0.2]}, "strengths"),
+        ({"strengths": [0.1]}, "strengths"),
+        ({"policy_kind": "concat", "strength": 0.9}, "strength"),
+        ({"policy_kind": "cross-frame", "strengths": [1.0]}, "strengths"),
+        ({"policy_kind": "rfg-multi", "strengths": [0.2], "strength": 0.3}, "strength"),
+        ({"references": 5}, "references"),
+        ({"policy_kind": "rfg-multi", "strengths": [0.2], "references": 1}, "references"),
+        ({"preset": "consistent", "references": 2}, "references"),
+        ({"preset": "diverse", "policy_kind": "rfg"}, "policy_kind"),
+        ({"preset": "blend", "strengths": [0.3, 0.3]}, "strengths"),
+    ])
+    def test_policy_keys_the_policy_does_not_read_are_named(self, overrides, key):
+        with pytest.raises(ConfigError, match=f"key {key!r} does not apply"):
+            parse_config(overrides=overrides)
+
+    @pytest.mark.parametrize("overrides", [
+        {"preset": "blend", "references": 3, "batch": 4},
+        {"preset": "custom", "policy_kind": "rfg", "strength": 0.2},
+        {"strength": 0.2},
+        {"policy_kind": "rfg-multi", "strengths": [0.2, 0.1]},
+        *({"policy_kind": kind} for kind in ("plain", "concat", "cross-frame", "rfg-matrix")),
+    ])
+    def test_policy_keys_the_policy_reads_are_accepted(self, overrides):
+        parse_config(overrides={"batch": 4, **overrides})
+
     # The default run, each preset, and the benchmark's generate and check configs.
     @pytest.mark.parametrize("overrides", [
         {},

@@ -481,13 +481,13 @@ class TestPooledPartition:
     def test_shapes_outside_the_rule_never_submit(self, length, keys, dtype):
         q, k, v = partition_inputs(3, length, keys, 8, 8, dtype)
         with tile_pool(2) as pool:
-            out, _ = kernels._partition(q, k, v)
+            (out, _, _), = kernels._branches(q, [(k, v)])
         assert pool.submitted == 0
         assert np.array_equal(out, attention(q, k, v))
 
     def test_zero_width_query_raises_before_any_tile(self):
         with tile_pool(2) as pool, pytest.raises(ValueError, match="width"):
-            kernels._partition(np.ones((1024, 0)), np.ones((1024, 0)), np.ones((1024, 2)))
+            attention(np.ones((1024, 0)), np.ones((1024, 0)), np.ones((1024, 2)))
         assert pool.submitted == 0
 
     @pytest.mark.parametrize("operand", [0, 1, 2])
@@ -495,7 +495,7 @@ class TestPooledPartition:
         parts = partition_inputs(4, 1024, 1024, 8, 8, np.float32)
         parts[operand] = parts[operand].astype(np.float64)
         with tile_pool(2) as pool, pytest.raises(ValueError, match="mixed dtypes"):
-            kernels._partition(*parts)
+            attention(*parts)
         assert pool.submitted == 0
 
     def test_worker_counts_give_the_same_bytes(self):
@@ -507,7 +507,7 @@ class TestPooledPartition:
         try:
             for workers in (1, 2, 4):
                 with tile_pool(workers):
-                    results.append(b"".join(a.tobytes() for a in kernels._partition(q, k, v)))
+                    results.append(b"".join(a.tobytes() for a in kernels._branches(q, [(k, v)])[0]))
         finally:
             sys.setswitchinterval(interval)
         assert results[0] == results[1] == results[2]
@@ -516,10 +516,10 @@ class TestPooledPartition:
     def test_forked_child_starts_its_own_pool(self):
         q, k, v = partition_inputs(9, 1024, 1024, 8, 8, np.float32)
         with mock.patch.object(kernels, "POOL_WORKERS", 2):
-            expected = kernels._partition(q, k, v)[0]  # the parent's pool threads now exist
+            expected = attention(q, k, v)  # the parent's pool threads now exist
             pid = os.fork()
             if pid == 0:
-                os._exit(0 if np.array_equal(kernels._partition(q, k, v)[0], expected) else 1)
+                os._exit(0 if np.array_equal(attention(q, k, v), expected) else 1)
         deadline = time.monotonic() + 10
         while not (done := os.waitpid(pid, os.WNOHANG))[0]:
             if time.monotonic() > deadline:
@@ -547,19 +547,19 @@ class TestPooledPartition:
         q, k, v = overflowing_tile_inputs(0)
         with tile_pool(2) as pool, np.errstate(over="ignore"):
             with pytest.raises(ValueError, match="row_softmax requires finite logits"):
-                kernels._partition(q, k, v)
+                attention(q, k, v)
             assert not running
             assert len(finished) == pool.submitted == 4
         with tile_pool(1), np.errstate(over="ignore"):
             with pytest.raises(ValueError, match="row_softmax requires finite logits"):
-                kernels._partition(q, k, v)
+                attention(q, k, v)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_caller_errstate_reaches_the_tiles(self, workers):
         q, k, v = overflowing_tile_inputs(2)
         with tile_pool(workers), np.errstate(over="raise"):
             with pytest.raises(FloatingPointError, match="overflow"):
-                kernels._partition(q, k, v)
+                attention(q, k, v)
 
     @pytest.mark.parametrize("env, pooled", [
         ({}, False),
@@ -664,11 +664,11 @@ class TestOneCodePath:
         q, k, v = partition_inputs(8, 1024, 1024, 8, 8, np.float32)
         with mock.patch.object(kernels, "_tile", counting):
             with tile_pool(1):
-                kernels._partition(q, k, v)
+                attention(q, k, v)
             assert calls == [1024]
             calls.clear()
             with tile_pool(2):
-                kernels._partition(q, k, v)
+                attention(q, k, v)
         assert calls == [kernels.TILE_ROWS] * (1024 // kernels.TILE_ROWS)
 
 
@@ -739,11 +739,36 @@ class TestAttentionPolicy:
         with pytest.raises(ValueError, match="strength"):
             AttentionPolicy("rfg-multi")
 
+    @pytest.mark.parametrize("kind, strengths", [
+        ("rfg", ()),
+        ("rfg", (0.2, 0.3)),
+        ("rfg-multi", ()),
+        ("plain", (0.5,)),
+        ("concat", (0.5,)),
+        ("rfg-matrix", (0.5,)),
+        ("rfg-matrix", (0.2, 0.3)),
+        ("cross-frame", ()),
+        ("cross-frame", (0.5,)),
+        ("cross-frame", (1.0, 1.0)),
+    ])
+    def test_strengths_the_kind_does_not_read_are_rejected(self, kind, strengths):
+        with pytest.raises(ValueError, match=f"policy kind {kind!r} takes"):
+            AttentionPolicy(kind, strengths)
+
     def test_excessive_strength_warns(self):
-        with pytest.warns(UserWarning):
-            AttentionPolicy.rfg(1.5)
-        with pytest.warns(UserWarning):
-            AttentionPolicy.rfg_multi((0.6, 0.6))
+        # One rule for every scalar blend, on magnitudes: negative strengths
+        # give the self branch a weight above 1, so the message names no sign.
+        for kind, strengths in (("rfg", (1.5,)), ("rfg-multi", (0.6, 0.6)), ("rfg-multi", (-0.6, -0.6))):
+            with pytest.warns(UserWarning, match="total reference strength magnitude .* exceeds 1") as caught:
+                AttentionPolicy(kind, strengths)
+            assert len(caught) == 1 and "negative" not in str(caught[0].message)
+
+    @pytest.mark.parametrize("policy", [
+        AttentionPolicy.cross_frame(), AttentionPolicy.rfg(-1.0), AttentionPolicy.rfg_multi((0.5, -0.5)),
+    ])
+    def test_total_magnitude_of_one_does_not_warn(self, policy, recwarn):
+        AttentionPolicy(policy.kind, policy.strengths)
+        assert not recwarn
 
     def test_needs_reference(self):
         assert AttentionPolicy.plain().reference_count == 0
@@ -753,6 +778,25 @@ class TestAttentionPolicy:
         assert AttentionPolicy.plain().reference_count == 0
         assert AttentionPolicy.concat().reference_count == 1
         assert AttentionPolicy.rfg_multi((0.2, 0.3, 0.1)).reference_count == 3
+
+    @pytest.mark.parametrize("policy, strengths, strength, count", [
+        (AttentionPolicy.plain(), (), 0.0, 0),
+        (AttentionPolicy.concat(), (), 0.0, 1),
+        (AttentionPolicy.cross_frame(), (1.0,), 0.0, 1),
+        (AttentionPolicy.rfg(0.35), (0.35,), 0.35, 1),
+        (AttentionPolicy.rfg_multi((0.2, 0.3, 0.1)), (0.2, 0.3, 0.1), 0.0, 3),
+        (AttentionPolicy.rfg_matrix(), (), 0.0, 1),
+    ], ids=lambda x: x.kind if isinstance(x, AttentionPolicy) else None)
+    def test_strength_and_reference_count(self, policy, strengths, strength, count):
+        assert policy.strengths == strengths
+        assert policy.strength == strength
+        assert policy.reference_count == count
+
+    def test_constructor_and_factory_agree(self):
+        assert AttentionPolicy("rfg", (np.float32(0.5),)) == AttentionPolicy.rfg(0.5)
+        assert AttentionPolicy("rfg-multi", [0.2, 0.3]) == AttentionPolicy.rfg_multi((0.2, 0.3))
+        assert AttentionPolicy("cross-frame", (1,)) == AttentionPolicy.cross_frame()
+        assert AttentionPolicy("rfg", (0.5,)).strength == 0.5
 
 
 class TestReferenceKV:
@@ -808,6 +852,26 @@ class TestApplyPolicy:
         inputs, cache, (q, k_ref, v_ref, k_self, v_self) = self.make()
         out = apply_policy(inputs, AttentionPolicy.rfg_multi((0.4,)), [cache])
         assert np.array_equal(out, rfg_attention(q, k_ref, v_ref, k_self, v_self, 0.4))
+
+    @pytest.mark.parametrize("policy, refs", [
+        (AttentionPolicy.cross_frame(), 1),
+        (AttentionPolicy.rfg(0.35), 1),
+        (AttentionPolicy.rfg(0.0), 1),
+        (AttentionPolicy.rfg_multi((0.3, 0.2)), 2),
+    ], ids=["cross-frame", "rfg", "rfg-zero", "rfg-multi"])
+    def test_every_scalar_blend_is_one_rfg_multi_call(self, policy, refs):
+        inputs, cache, _ = self.make()
+        calls = []
+        real = kernels.rfg_multi
+
+        def counting(q, refs, k_self, v_self):
+            calls.append([c for c, _, _ in refs])
+            return real(q, refs, k_self, v_self)
+
+        with mock.patch.object(kernels, "rfg_multi", counting):
+            for layer in range(2):
+                apply_policy(inputs, policy, [ReferenceKV([cache.layer(0)] * 2)] * refs, layer=layer)
+        assert calls == [list(policy.strengths)] * 2
 
     def test_missing_cache_rejected(self):
         inputs, _, _ = self.make()

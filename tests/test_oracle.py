@@ -233,6 +233,21 @@ class TestEquivalenceSuite:
             assert report.worst["stream_key"][0] == 5
             assert report.worst["identity"] in ("matrix_vs_oracle", "matrix_vs_concat", "guidance_vs_matrix")
 
+    def test_scalar_blend_one_ulp_off_fails_the_exact_identities(self, monkeypatch):
+        # The scalar blend one ulp off strictly inside (0, 1), at every name the
+        # suite can reach it by: it must be compared with something else.
+        real = refguide.kernels.rfg_multi
+
+        def off(q, refs, k_self, v_self):
+            out = real(q, refs, k_self, v_self)
+            return np.nextafter(out, np.inf) if all(0.0 < c < 1.0 for c, _, _ in refs) else out
+
+        for module in (refguide.kernels, refguide.oracle):
+            monkeypatch.setattr(module, "rfg_multi", off)
+        report = run_equivalence_suite(seed=5, grid=SMALL_GRID, trials_per_cell=2, stress_trials_per_cell=1)
+        assert report.exact_failures == report.total_trials
+        assert report.passed is False
+
     def test_stress_cells_accounted_separately(self):
         report = run_equivalence_suite(
             seed=6, grid=((8, 4, 4),), trials_per_cell=3, stress_trials_per_cell=2
@@ -403,7 +418,7 @@ class TestSuiteProcesses:
         monkeypatch.setattr(os, "fork", fork)
         result = {}
         with _workers(2):
-            refguide.kernels._partition(q, k, v)  # the caller's tile threads now exist
+            refguide.kernels.attention(q, k, v)  # the caller's tile threads now exist
             runner = threading.Thread(target=lambda: result.update(
                 report=run_equivalence_suite(seed=5, grid=SHARE_GRID, **SHARE_TRIALS).to_dict()))
             runner.start()
