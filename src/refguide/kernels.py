@@ -25,9 +25,11 @@ case; the routes to reference conditioning:
 
 A call checks once that its operands share a dtype, then runs each
 partition as one ``_tile`` of query rows, or a large one as ``TILE_ROWS``-row
-tiles on a thread pool (one thread per usable CPU, when BLAS runs one
-thread) with the same bytes. It submits every partition's tiles before it
-awaits any, so a query waits once. The pool starts with its first use.
+tiles with the same bytes, inline or on a thread pool (one thread per usable
+CPU, when BLAS runs one thread). A tile keeps its logits in its thread's one
+reused scratch and writes its output rows in place; a Cauchy-Schwarz bound
+on the logits stands in for their finiteness scan. Every partition's tiles
+are submitted before any is awaited. The pool starts with its first use.
 
 ``apply_policy`` runs an ``AttentionPolicy``, a kind plus one strength per
 reference the scalar blend reads, so pipeline code never branches on kernel
@@ -37,6 +39,7 @@ names itself; every policy with strengths is one ``rfg_multi`` call.
 import contextvars
 import functools
 import os
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -50,14 +53,15 @@ from .linalg import matmul, row_softmax  # noqa: F401
 
 POLICY_KINDS = ("plain", "concat", "cross-frame", "rfg", "rfg-multi", "rfg-matrix")
 
-# Rows per pooled query tile and the least L * S worth the pool (see
-# ``partitions``). The pool gets one thread per usable CPU when OpenBLAS runs
-# one thread (its first nonempty thread variable is "1"), else no pool runs.
+# Rows per query tile and the least L * S worth tiling (see ``_branches``).
+# The pool gets one thread per usable CPU when OpenBLAS runs one thread (its
+# first nonempty thread variable is "1"), else tiles run inline.
 TILE_ROWS = 256
 POOL_MIN_WORK = 1 << 19
 _BLAS_THREADS = next((os.environ[v] for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
                       if os.environ.get(v)), None)
 POOL_WORKERS = len(os.sched_getaffinity(0)) if _BLAS_THREADS == "1" and hasattr(os, "sched_getaffinity") else 1
+_scratch = threading.local()  # per thread and dtype, one tile logits buffer grown to the largest tile
 
 
 @functools.cache
@@ -82,7 +86,7 @@ def _same_dtype(*arrays: np.ndarray) -> np.dtype:
 class AttentionInputs:
     """Projected query/key/value matrices for one attention call.
 
-    q is (L, d), k is (S, d), v is (S, d_v); all finite, same dtype.
+    q is (L, d), k is (S, d), v is (S, d_v) with S >= 1; all finite, same dtype.
     """
 
     q: np.ndarray
@@ -97,8 +101,8 @@ class AttentionInputs:
                 raise ValueError(f"{name} has non-finite entries")
         if self.q.shape[1] != self.k.shape[1]:
             raise ShapeError(f"q and k widths differ: {self.q.shape} vs {self.k.shape}")
-        if self.k.shape[0] != self.v.shape[0]:
-            raise ShapeError(f"k and v row counts differ: {self.k.shape} vs {self.v.shape}")
+        if self.k.shape[0] != self.v.shape[0] or self.k.shape[0] == 0:
+            raise ShapeError(f"k needs one or more rows, as many as v: {self.k.shape} vs {self.v.shape}")
         _same_dtype(self.q, self.k, self.v)
 
 
@@ -185,47 +189,63 @@ class ReferenceKV:
         return self._layers[index]
 
 
-def _tile(q, k, v, scale) -> tuple:
+def _tile(q, k, v, scale, out=None, scan=True) -> tuple:
     """``(out, m, s)`` of attention for one tile of query rows, logits scaled by ``scale``.
 
-    Pool threads run it, so it calls numpy and ``row_softmax_inplace`` only:
-    the span recorder that wraps the other module names is single-threaded.
+    Given ``out``, its rows of the partition's output, the logits go to this
+    thread's scratch. Pool threads run it, so it calls numpy and
+    ``row_softmax_inplace`` only: the span recorder is single-threaded.
     """
-    p = q @ k.T
+    size = q.shape[0] * k.shape[0]
+    if out is not None and getattr(_scratch, q.dtype.name, np.empty(0)).size < size:
+        setattr(_scratch, q.dtype.name, np.empty(size, q.dtype))
+    logits = None if out is None else getattr(_scratch, q.dtype.name)[:size].reshape(q.shape[0], k.shape[0])
+    p = np.matmul(q, k.T, out=logits)
     p *= scale
-    m, s = row_softmax_inplace(p)
-    return p @ v, m, s
+    m, s = row_softmax_inplace(p, scan)
+    return np.matmul(p, v, out=out), m, s
 
 
 def _branches(q, kvs) -> list:
     """``(out, m, s)`` of ``_tile`` over each ``(k, v)`` partition of one query, in partition order.
 
-    Mixed dtypes and a zero-width query raise before any tile runs. With
-    ``POOL_WORKERS >= 2``, L a multiple of ``TILE_ROWS`` (two tiles at
-    least), S a multiple of 64 and ``L * S >= POOL_MIN_WORK``, a partition
-    runs as ``TILE_ROWS``-row tiles on the thread pool, each in a copy of the
-    caller's context (so ``np.errstate`` reaches it); row softmaxes are
-    independent, so the tiles are bitwise the single tile. Every tile is
-    submitted before any is awaited; the call returns, or raises the first
-    tile's error, once every tile is done.
+    Mixed dtypes, a zero-width query or a keyless partition raise before
+    any tile runs. With L a multiple of ``TILE_ROWS`` (two tiles at least), S
+    a multiple of 64 and ``L * S >= POOL_MIN_WORK``, a partition runs as
+    ``TILE_ROWS``-row tiles into its output, bitwise the single tile: on the
+    thread pool if ``POOL_WORKERS >= 2``, each in a copy of the caller's
+    context (so ``np.errstate`` reaches it), else inline. Their finiteness
+    scan runs only if ``d * max|q| * max|k|``, which bounds every unscaled
+    logit (Cauchy-Schwarz), is not below half the dtype's maximum. The call
+    returns, or raises the first tile's error, once every tile is done.
     """
     _same_dtype(q, *(a for kv in kvs for a in kv))
     if q.shape[1] == 0:
         raise ValueError("attention needs queries of positive width, got 0")
+    if empty := [i for i, (k, _) in enumerate(kvs) if k.shape[0] == 0]:
+        raise ShapeError(f"partition {empty[0]} has no keys: its k has shape {kvs[empty[0]][0].shape}")
     length = q.shape[0]
     scale = 1.0 / float(np.sqrt(q.shape[1]))
-    tiled = POOL_WORKERS >= 2 and not length % TILE_ROWS and length >= 2 * TILE_ROWS
+    tiled = not length % TILE_ROWS and length >= 2 * TILE_ROWS
     rows = [TILE_ROWS if tiled and not k.shape[0] % 64 and length * k.shape[0] >= POOL_MIN_WORK else length
             for k, _ in kvs]
     if not tiled or TILE_ROWS not in rows:
         return [_tile(q, k, v, scale) for k, v in kvs]
-    pool = _tile_pool(POOL_WORKERS, os.getpid())
-    tiles = [[pool.submit(contextvars.copy_context().run, _tile, q[lo:lo + step], k, v, scale)
-              for lo in range(0, length, step)] for (k, v), step in zip(kvs, rows)]
-    for error in [done.exception() for run in tiles for done in run]:
-        if error is not None:
-            raise error
-    return [[np.concatenate(a) for a in zip(*(done.result() for done in run))] for run in tiles]
+    tops = [float(max(a.max(), -a.min())) for a in [q, *(k for k, _ in kvs)]]  # NaN stays NaN
+    scans = [not q.shape[1] * tops[0] * top < np.finfo(q.dtype).max / 2 for top in tops[1:]]
+    outs = [None if step == length else np.empty((length, v.shape[1]), q.dtype) for (_, v), step in zip(kvs, rows)]
+    runs = [[(q[lo:lo + step], k, v, scale) + (() if out is None else (out[lo:lo + step], scan))
+             for lo in range(0, length, step)] for (k, v), step, out, scan in zip(kvs, rows, outs, scans)]
+    if POOL_WORKERS >= 2:
+        from concurrent.futures import wait
+        pool = _tile_pool(POOL_WORKERS, os.getpid())
+        runs = [[pool.submit(contextvars.copy_context().run, _tile, *args) for args in run] for run in runs]
+        wait([done for run in runs for done in run])  # no error is raised while a tile still runs
+        runs = [[done.result() for done in run] for run in runs]
+    else:
+        runs = [[_tile(*args) for args in run] for run in runs]
+    return [(run[0][0] if out is None else out, *(np.concatenate(a) for a in list(zip(*run))[1:]))
+            for out, run in zip(outs, runs)]
 
 
 def partitions(q, kvs) -> tuple:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
@@ -436,6 +437,20 @@ def tile_pool(workers, pool=None):
         pool.shutdown()
 
 
+@contextmanager
+def single_tile():
+    """Run every partition as one ``_tile`` call over all query rows, the untiled reference."""
+    rows = []
+    real = kernels._tile
+
+    def whole(q, *args):
+        rows.append(q.shape[0])
+        return real(q, *args)
+
+    with mock.patch.object(kernels, "POOL_MIN_WORK", math.inf), mock.patch.object(kernels, "_tile", whole):
+        yield rows
+
+
 def partition_inputs(seed, length, keys, d, d_v, dtype):
     gen = stream(seed)
     shapes = ((length, d), (keys, d), (keys, d_v))
@@ -461,16 +476,20 @@ class TestPooledPartition:
         # Two partitions, so the masses also pin each tile's row statistics.
         q, k, v = partition_inputs(seed, length, key_factor * length, d, d_v, dtype)
         kvs = [(k, v), tuple(partition_inputs(seed + 1, length, length, d, d_v, dtype)[1:])]
-        with tile_pool(1) as pool:
+        with single_tile() as rows:
             untiled = kernels.partitions(q, kvs)
+        assert rows == [length, length]
+        # Every shape here runs as tiles, 512 x 512 included: inline at one worker, pooled at two.
+        with tile_pool(1) as pool, mock.patch.object(kernels, "POOL_MIN_WORK", 0):
+            inline = kernels.partitions(q, kvs)
         assert pool.submitted == 0
-        # Every shape here runs pooled, 512 x 512 included.
         with tile_pool(2) as pool, mock.patch.object(kernels, "POOL_MIN_WORK", 0):
             pooled = kernels.partitions(q, kvs)
         assert pool.submitted == 2 * length // kernels.TILE_ROWS
-        for a, b in zip([*untiled[0], *untiled[1]], [*pooled[0], *pooled[1]]):
-            assert a.dtype == b.dtype == dtype
-            assert np.array_equal(a, b)
+        for tiled in (inline, pooled):
+            for a, b in zip([*untiled[0], *untiled[1]], [*tiled[0], *tiled[1]]):
+                assert a.dtype == b.dtype == dtype
+                assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("length, keys, dtype", [
         (576, 1024, np.float32),  # L not a multiple of the tile height
@@ -501,6 +520,9 @@ class TestPooledPartition:
     def test_worker_counts_give_the_same_bytes(self):
         # 16 tiles on up to 4 threads, more than the cores, switching threads often.
         q, k, v = partition_inputs(5, 4096, 512, 8, 8, np.float32)
+        with single_tile() as rows:
+            untiled = b"".join(a.tobytes() for a in kernels._branches(q, [(k, v)])[0])
+        assert rows == [4096]
         results = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -510,7 +532,7 @@ class TestPooledPartition:
                     results.append(b"".join(a.tobytes() for a in kernels._branches(q, [(k, v)])[0]))
         finally:
             sys.setswitchinterval(interval)
-        assert results[0] == results[1] == results[2]
+        assert untiled == results[0] == results[1] == results[2]
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_starts_its_own_pool(self):
@@ -533,12 +555,12 @@ class TestPooledPartition:
         running, finished = [], []
         real = kernels.row_softmax_inplace
 
-        def slow_softmax(a):
+        def slow_softmax(a, scan):
             running.append(1)
             try:
                 if np.isfinite(a).all():
                     time.sleep(0.05)  # keep the finite tiles in flight while tile 0 fails
-                return real(a)
+                return real(a, scan)
             finally:
                 finished.append(1)
                 running.pop()
@@ -609,6 +631,9 @@ class TestPooledQuery:
         with tile_pool(2, GatedPool(2, tiles)) as pool:
             pooled = kernel(q, kvs)
         assert pool.first_saw_all and pool.submitted == tiles
+        with single_tile() as rows:
+            assert result_bytes(kernel(q, kvs)) == result_bytes(pooled)
+        assert rows == [1024] * count
         with tile_pool(1) as pool:
             assert result_bytes(kernel(q, kvs)) == result_bytes(pooled)
         assert pool.submitted == 0
@@ -617,12 +642,12 @@ class TestPooledQuery:
         running, finished = [], []
         real = kernels.row_softmax_inplace
 
-        def slow_softmax(a):
+        def slow_softmax(a, scan):
             running.append(1)
             try:
                 if np.isfinite(a).all():
                     time.sleep(0.05)  # keep the finite tiles in flight while the second partition fails
-                return real(a)
+                return real(a, scan)
             finally:
                 finished.append(1)
                 running.pop()
@@ -665,11 +690,133 @@ class TestOneCodePath:
         with mock.patch.object(kernels, "_tile", counting):
             with tile_pool(1):
                 attention(q, k, v)
-            assert calls == [1024]
+            assert calls == [kernels.TILE_ROWS] * (1024 // kernels.TILE_ROWS)
             calls.clear()
             with tile_pool(2):
                 attention(q, k, v)
         assert calls == [kernels.TILE_ROWS] * (1024 // kernels.TILE_ROWS)
+
+
+class BarrierPool(CountingPool):
+    """A counting pool whose first ``workers`` tiles wait for each other (up to 10 s), so every thread runs one."""
+
+    def __init__(self, workers):
+        super().__init__(workers)
+        self.barrier = threading.Barrier(workers, timeout=10)
+
+    def submit(self, fn, *args):
+        if self.submitted < self.barrier.parties:
+            fn, args = self._meet, (fn, *args)
+        return super().submit(fn, *args)
+
+    def _meet(self, fn, *args):
+        self.barrier.wait()
+        return fn(*args)
+
+
+def held_scratch(pool, workers):
+    """The scratch buffers of the calling thread and of each of ``pool``'s ``workers`` threads."""
+    barrier = threading.Barrier(workers, timeout=10)
+
+    def held():
+        barrier.wait()
+        return list(vars(kernels._scratch).values())
+
+    futures = [ThreadPoolExecutor.submit(pool, held) for _ in range(workers)]
+    return [*vars(kernels._scratch).values(), *(a for done in futures for a in done.result(timeout=10))]
+
+
+class TestTileMemory:
+    """A tiled partition holds one reused logits tile per worker and bounds its logits instead of scanning them."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_warm_call_allocates_less_than_one_tile_plus_its_output(self, workers):
+        length = keys = 2048
+        q, k, v = partition_inputs(20, length, keys, 32, 32, np.float32)
+        with tile_pool(workers, BarrierPool(workers)) as pool:
+            warm = attention(q, k, v)  # every worker now holds its scratch
+            tracemalloc.start()
+            try:
+                out = attention(q, k, v)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert pool.submitted == (2 * length // kernels.TILE_ROWS if workers > 1 else 0)
+        assert np.array_equal(out, warm)
+        assert peak < kernels.TILE_ROWS * keys * 4 + out.nbytes, peak
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_results_share_no_memory_with_the_scratch(self, workers):
+        q, k, v = partition_inputs(21, 1024, 1024, 8, 8, np.float32)
+        q_next = partition_inputs(22, 1024, 1024, 8, 8, np.float32)[0]
+        kvs = [(k, v), (k[::-1].copy(), v[::-1].copy())]
+        with tile_pool(workers, BarrierPool(workers)) as pool:
+            first = kernels._branches(q, kvs)
+            kept = result_bytes([a for part in first for a in part])
+            second = kernels._branches(q_next, kvs)
+            scratch = held_scratch(pool, workers)
+        assert len(scratch) >= workers
+        assert result_bytes([a for part in first for a in part]) == kept
+        assert not np.array_equal(first[0][0], second[0][0])
+        assert not any(np.shares_memory(a, b) for part in first + second for a in part for b in scratch)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_moderate_tiled_call_runs_no_finiteness_scan(self, workers):
+        q, kvs = query_partitions(2)
+        with single_tile():
+            untiled = kernels._branches(q, kvs)
+        with tile_pool(workers), mock.patch.object(np, "isfinite", wraps=np.isfinite) as isfinite:
+            tiled = kernels._branches(q, kvs)
+        assert isfinite.call_count == 0
+        assert result_bytes([a for part in tiled for a in part]) == result_bytes([a for part in untiled for a in part])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("operand, value", [
+        ("q", np.nan), ("q", np.inf), ("k", np.nan), ("k", -np.inf), ("q", 3e38),
+    ])
+    def test_non_finite_or_overflowing_logits_still_raise(self, workers, operand, value):
+        q, k, v = partition_inputs(23, 1024, 1024, 8, 8, np.float32)
+        # One entry in tile 1 of q, or one key; 3e38 fills a whole row of q, so q k^T overflows.
+        if operand == "q" and value == 3e38:
+            q[300] = np.float32(value)
+        else:
+            (q if operand == "q" else k)[300, 5] = value
+        with tile_pool(workers), np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="row_softmax requires finite logits"):
+                attention(q, k, v)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_overflow_before_the_scale_still_raises(self, workers):
+        # A bound on the scaled logits, max||q_i|| * max||k_j|| / sqrt(d) = 9.1e37, is below half the
+        # f32 maximum, but the unscaled q k^T is 5.1e38 and overflows before the 1 / sqrt(d) scale applies.
+        q = np.full((1024, 32), 4e18, np.float32)
+        with tile_pool(workers), np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="row_softmax requires finite logits"):
+                attention(q, q.copy(), np.ones((1024, 8), np.float32))
+
+
+class TestKeylessPartitions:
+    def test_attention_inputs_name_k(self):
+        with pytest.raises(ShapeError, match="k needs one or more rows"):
+            AttentionInputs(np.ones((2, 3)), np.ones((0, 3)), np.ones((0, 2)))
+
+    def test_attention_names_the_partition(self):
+        q, k, v = draw_set(50)[:3]
+        with pytest.raises(ShapeError, match="partition 0 has no keys"):
+            attention(q, k[:0], v[:0])
+
+    @pytest.mark.parametrize("empty", [0, 1])
+    def test_keyless_partition_raises_before_any_tile(self, empty):
+        q, kvs = query_partitions(2)
+        kvs[empty] = (kvs[empty][0][:0], kvs[empty][1][:0])
+        with tile_pool(2) as pool, pytest.raises(ShapeError, match=f"partition {empty} has no keys"):
+            reference_branches(q, *kvs[0], *kvs[1])
+        assert pool.submitted == 0
+
+    def test_concat_with_an_empty_reference_is_self_attention(self):
+        q, k_ref, v_ref, k_self, v_self = draw_set(51)
+        out = concat_attention(q, k_ref[:0], v_ref[:0], k_self, v_self)
+        assert np.array_equal(out, attention(q, k_self, v_self))
 
 
 class TestRank1Coefficient:

@@ -11,6 +11,7 @@ from refguide.linalg import (
     frobenius_norm,
     matmul,
     row_softmax,
+    row_softmax_inplace,
     stack_rows,
 )
 
@@ -56,6 +57,12 @@ class TestRowSoftmax:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             row_softmax(np.array([[np.inf, 0.0]]))
+
+    def test_scan_off_skips_the_finiteness_check(self):
+        a = np.array([[np.inf, 0.0], [1.0, 2.0]])
+        with np.errstate(invalid="ignore"):
+            row_softmax_inplace(a, scan=False)
+        assert np.isnan(a[0]).all() and np.array_equal(a[1], row_softmax(np.array([[1.0, 2.0]]))[0])
 
     @given(finite_matrices)
     def test_rows_sum_to_one_and_entries_positive(self, a):

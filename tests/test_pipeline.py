@@ -262,10 +262,12 @@ class TestGenerateBatch:
         (AttentionPolicy.rfg_matrix(), "f32", "rfg-matrix/f32"),
         (AttentionPolicy.rfg(0.35), "f64", "rfg035/f64"),
     ])
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", ["untiled", 1, 2])
     def test_recorded_side32_digests(self, monkeypatch, workers, policy, precision, key):
-        # L = 1024: with 2 workers every partition runs as pooled query tiles.
-        monkeypatch.setattr(kernels, "POOL_WORKERS", workers)
+        # L = 1024: every partition runs as query tiles, inline at 1 worker and pooled at 2.
+        monkeypatch.setattr(kernels, "POOL_WORKERS", 1 if workers == "untiled" else workers)
+        if workers == "untiled":
+            monkeypatch.setattr(kernels, "POOL_MIN_WORK", float("inf"))  # each partition is one tile
         cfg = PipelineConfig(side=32, blocks=2, steps=2, batch=3, policy=policy, precision=precision)
         assert generate_batch(cfg).final_digest() == BASELINES["final_digests_seeds42_7_side32"][key]
 
