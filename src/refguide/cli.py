@@ -163,10 +163,7 @@ def _cmd_sweep(cfg) -> int:
 
 def _cmd_generate(cfg) -> int:
     pipeline_cfg = cfg.pipeline_config()
-    if cfg.layer_strengths is not None:
-        key = "layer_strengths"
-    else:
-        key = "strengths" if cfg.policy_kind == "rfg-multi" else "strength"
+    key = "layer_strengths" if cfg.layer_strengths is not None else cfg.named_policy()[1][-1]
     traj = _generate(pipeline_cfg, key, getattr(cfg, key))
     out = _out_dir(cfg)
     for i in range(pipeline_cfg.batch):

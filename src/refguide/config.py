@@ -3,8 +3,8 @@
 One flat key set covers every subcommand; a JSON config file supplies any
 subset, command-line flags override it, and unknown keys are rejected by
 name. Presets bind the reference strength to the recommended operating
-points; anything else goes through preset "custom". A config gives only the
-policy keys its way of naming the policy reads, so none is ignored.
+points; anything else goes through preset "custom". ``RunConfig.named_policy``
+resolves the policy and the keys naming it; a config gives no other policy key.
 """
 
 import json
@@ -16,6 +16,7 @@ from typing import get_args
 
 import numpy as np
 
+from . import kernels
 from .bench import DEFAULT_BENCH_GRID
 from .kernels import POLICY_KINDS, AttentionPolicy
 from .linalg import PRECISION_DTYPES
@@ -40,12 +41,11 @@ PRESET_STRENGTHS = {
 }
 PRESETS = ("consistent", "diverse", "temporal", "blend", "custom")
 
-# Largest share of physical memory that one attention call's L x S logits,
-# one trajectory of latents, or the denoiser's weights may take.
+# Largest share of physical memory that one attention call's logits, one
+# trajectory of latents, or the denoiser's weights may take.
 MEMORY_FRACTION = 0.5
 
-# Keys that name the policy; a config may give only those its way of naming
-# the policy reads (``_policy_keys``).
+# Keys that name the policy; a config may give only those ``named_policy`` reads.
 _POLICY_KEYS = ("policy_kind", "strength", "strengths", "references")
 
 
@@ -187,17 +187,18 @@ class RunConfig:
         for cell in self.bench_grid:
             if cell[3] < 2:
                 raise ConfigError(f"bench_grid batch must be at least 2, got cell {'x'.join(map(str, cell))}")
-        # One attention call allocates its L x S logits, S = 2L where concat
-        # attention runs: the "concat" policy, every check trial, every bench
-        # cell. Cells compare by L first, so ``max`` of a grid has its largest L.
-        # ``generate`` and each ``sweep`` strength hold one whole trajectory,
-        # and ``init_denoiser`` draws every weight in f64 before the cast.
+        # A call holds L x S logits, or a tile per worker where ``kernels.tile_rows``
+        # tiles it, so every cell is checked; S = 2L where concat attention runs (the
+        # "concat" policy, every check trial and bench cell). ``generate`` and ``sweep``
+        # hold a whole trajectory, and ``init_denoiser`` draws every weight in f64 first.
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        concat = self.preset == "custom" and self.policy_kind == "concat"
+        concat = self.named_policy()[0].kind == "concat"
         tokens, p = self.side ** 2, self.precision
-        shapes = [(f"key 'side' value {self.side}", p, "attention logits", (tokens, (2 if concat else 1) * tokens))]
-        shapes += [(f"key {key!r} value {'x'.join(map(str, cell))}", p, "attention logits", (cell[0], 2 * cell[0]))
-                   for key, cell in (("grid", max(self.check_grid)), ("bench_grid", max(self.bench_grid)))]
+        logits = [(f"key 'side' value {self.side}", tokens, (2 if concat else 1) * tokens)]
+        logits += [(f"key {key!r} value {'x'.join(map(str, cell))}", cell[0], 2 * cell[0])
+                   for key, cells in (("grid", self.check_grid), ("bench_grid", self.bench_grid)) for cell in cells]
+        shapes = [(label, p, "attention logits", (min(n, kernels.tile_rows(n, s) * kernels.POOL_WORKERS), s))
+                  for label, n, s in logits]
         shapes.append((f"keys 'steps' and 'batch' values {self.steps} and {self.batch}", p, "trajectory latents",
                        (self.steps + 1, self.batch, self.side, self.side)))
         shapes.append((f"keys 'blocks', 'd_model', 'd' and 'd_v' values {self.blocks}, {self.d_model}, {self.d} "
@@ -211,20 +212,28 @@ class RunConfig:
                     f"more than {MEMORY_FRACTION:.0%} of the {physical / 2**30:.3g} GiB of physical memory"
                 )
 
-    def resolved_policy(self) -> AttentionPolicy:
-        """The attention policy this config's preset (or custom fields) names."""
+    def named_policy(self) -> tuple:
+        """``(policy, keys)``: the attention policy this config names, and the keys naming it.
+
+        The kind's key comes first and the strengths' key last: ``("preset",)``,
+        ``("preset", "references")``, ``("policy_kind", "strength")``.
+        """
         if self.preset in PRESET_STRENGTHS:
-            return AttentionPolicy.rfg(PRESET_STRENGTHS[self.preset])
+            return AttentionPolicy.rfg(PRESET_STRENGTHS[self.preset]), ("preset",)
         if self.preset == "blend":
-            return AttentionPolicy.rfg_multi((BLEND_STRENGTH,) * self.references)
+            return AttentionPolicy.rfg_multi((BLEND_STRENGTH,) * self.references), ("preset", "references")
         kind = self.policy_kind
         if kind == "rfg":
-            return AttentionPolicy.rfg(self.strength)
+            return AttentionPolicy.rfg(self.strength), ("policy_kind", "strength")
         if kind == "rfg-multi":
             if not self.strengths:
                 raise ConfigError("policy_kind 'rfg-multi' requires a nonempty strengths list")
-            return AttentionPolicy.rfg_multi(self.strengths)
-        return AttentionPolicy.cross_frame() if kind == "cross-frame" else AttentionPolicy(kind)
+            return AttentionPolicy.rfg_multi(self.strengths), ("policy_kind", "strengths")
+        return AttentionPolicy.cross_frame() if kind == "cross-frame" else AttentionPolicy(kind), ("policy_kind",)
+
+    def resolved_policy(self) -> AttentionPolicy:
+        """The attention policy this config's preset (or custom fields) names."""
+        return self.named_policy()[0]
 
     def resolved_seeds(self) -> tuple:
         """(weights_seed, noise_seed); a top-level seed overrides both."""
@@ -246,15 +255,13 @@ class RunConfig:
         The override only replaces the strength of an ``rfg`` policy: any
         other policy, or per-block ``layer_strengths``, is rejected by key.
         """
-        policy = self.resolved_policy()
+        policy, keys = self.named_policy()
         if strength_override is not None:
             if self.layer_strengths is not None:
                 raise ConfigError("key 'layer_strengths' sets every block's strength, so sweep cannot override it")
             if policy.kind != "rfg":
-                key = "policy_kind" if self.preset == "custom" else "preset"
-                raise ConfigError(
-                    f"key {key!r} selects policy {policy.kind!r}, but sweep varies the strength of an 'rfg' policy"
-                )
+                raise ConfigError(f"key {keys[0]!r} selects policy {policy.kind!r}, "
+                                  "but sweep varies the strength of an 'rfg' policy")
             policy = AttentionPolicy.rfg(float(strength_override))
         shared = {f.name: getattr(self, f.name) for f in fields(PipelineConfig) if f.name in _FIELD_NAMES}
         shared["weights_seed"], shared["noise_seed"] = self.resolved_seeds()
@@ -291,13 +298,6 @@ class RunConfig:
 _FIELD_NAMES = frozenset(f.name for f in fields(RunConfig))
 
 
-def _policy_keys(preset: str, kind: str) -> tuple:
-    """The keys of ``_POLICY_KEYS`` read when the policy is named by ``preset`` (and ``kind`` under "custom")."""
-    if preset != "custom":
-        return ("references",) if preset == "blend" else ()
-    return ("policy_kind", *{"rfg": ("strength",), "rfg-multi": ("strengths",)}.get(kind, ()))
-
-
 def parse_config(path=None, overrides=None) -> RunConfig:
     """Build a RunConfig from an optional JSON file plus flag overrides.
 
@@ -324,11 +324,10 @@ def parse_config(path=None, overrides=None) -> RunConfig:
         raise ConfigError(f"unknown config key {unknown[0]!r}" + (f" (and {len(unknown) - 1} more)" if len(unknown) > 1 else ""))
 
     cfg = RunConfig(**data)
-    read = _policy_keys(cfg.preset, cfg.policy_kind)
-    unread = [key for key in _POLICY_KEYS if key in data and key not in read]
+    keys = cfg.named_policy()[1]
+    unread = [key for key in _POLICY_KEYS if key in data and key not in keys]
     if unread:
-        named = f"preset {cfg.preset!r}" if cfg.preset != "custom" else f"policy_kind {cfg.policy_kind!r}"
-        reads = " and ".join(map(repr, read)) or "no policy key"
-        raise ConfigError(f"key {unread[0]!r} does not apply: {named} reads {reads}")
+        reads = " and ".join(repr(key) for key in keys if key in _POLICY_KEYS) or "no policy key"
+        raise ConfigError(f"key {unread[0]!r} does not apply: {keys[0]} {getattr(cfg, keys[0])!r} reads {reads}")
     cfg.pipeline_config()
     return cfg

@@ -24,12 +24,12 @@ case; the routes to reference conditioning:
   ``rfg_matrix`` and ``guidance_form`` all run it.
 
 A call checks once that its operands share a dtype, then runs each
-partition as one ``_tile`` of query rows, or a large one as ``TILE_ROWS``-row
-tiles with the same bytes, inline or on a thread pool (one thread per usable
-CPU, when BLAS runs one thread). A tile keeps its logits in its thread's one
-reused scratch and writes its output rows in place; a Cauchy-Schwarz bound
-on the logits stands in for their finiteness scan. Every partition's tiles
-are submitted before any is awaited. The pool starts with its first use.
+partition as one ``_tile``, or, if all meet ``tile_rows``' rule, as
+``TILE_ROWS``-row tiles with the same bytes, inline or on a thread pool (one
+thread per usable CPU, when BLAS runs one thread), each thread reusing one
+logits scratch: ``min(L, TILE_ROWS * POOL_WORKERS) x S`` logits per call.
+Every partition's tiles are submitted before any is awaited; the pool starts
+with its first use.
 
 ``apply_policy`` runs an ``AttentionPolicy``, a kind plus one strength per
 reference the scalar blend reads, so pipeline code never branches on kernel
@@ -53,7 +53,7 @@ from .linalg import matmul, row_softmax  # noqa: F401
 
 POLICY_KINDS = ("plain", "concat", "cross-frame", "rfg", "rfg-multi", "rfg-matrix")
 
-# Rows per query tile and the least L * S worth tiling (see ``_branches``).
+# Rows per query tile and the least L * S worth tiling (see ``tile_rows``).
 # The pool gets one thread per usable CPU when OpenBLAS runs one thread (its
 # first nonempty thread variable is "1"), else tiles run inline.
 TILE_ROWS = 256
@@ -206,18 +206,26 @@ def _tile(q, k, v, scale, out=None, scan=True) -> tuple:
     return np.matmul(p, v, out=out), m, s
 
 
+def tile_rows(length: int, keys: int) -> int:
+    """Query rows per tile of an L x S partition: ``TILE_ROWS``, or all ``length`` rows untiled.
+
+    It tiles if L is a multiple of ``TILE_ROWS`` (two tiles at least), S of 64 and
+    ``L * S >= POOL_MIN_WORK``: then tiles are bitwise the single tile, and worth it.
+    """
+    tiles = not length % TILE_ROWS and length >= 2 * TILE_ROWS and not keys % 64 and length * keys >= POOL_MIN_WORK
+    return TILE_ROWS if tiles else length
+
+
 def _branches(q, kvs) -> list:
     """``(out, m, s)`` of ``_tile`` over each ``(k, v)`` partition of one query, in partition order.
 
-    Mixed dtypes, a zero-width query or a keyless partition raise before
-    any tile runs. With L a multiple of ``TILE_ROWS`` (two tiles at least), S
-    a multiple of 64 and ``L * S >= POOL_MIN_WORK``, a partition runs as
-    ``TILE_ROWS``-row tiles into its output, bitwise the single tile: on the
-    thread pool if ``POOL_WORKERS >= 2``, each in a copy of the caller's
-    context (so ``np.errstate`` reaches it), else inline. Their finiteness
-    scan runs only if ``d * max|q| * max|k|``, which bounds every unscaled
-    logit (Cauchy-Schwarz), is not below half the dtype's maximum. The call
-    returns, or raises the first tile's error, once every tile is done.
+    Mixed dtypes, a zero-width query or a keyless partition raise before any
+    tile runs. If every partition meets ``tile_rows``' rule, each runs as tiles
+    into its output, bitwise the single tile: on the pool if ``POOL_WORKERS >= 2``,
+    each in a copy of the caller's context (so ``np.errstate`` reaches it), else
+    inline. Their finiteness scan runs only if ``d * max|q| * max|k|``, which
+    bounds every unscaled logit (Cauchy-Schwarz), is not below half the dtype's
+    maximum. The call returns, or raises the first tile's error, once all are done.
     """
     _same_dtype(q, *(a for kv in kvs for a in kv))
     if q.shape[1] == 0:
@@ -226,16 +234,13 @@ def _branches(q, kvs) -> list:
         raise ShapeError(f"partition {empty[0]} has no keys: its k has shape {kvs[empty[0]][0].shape}")
     length = q.shape[0]
     scale = 1.0 / float(np.sqrt(q.shape[1]))
-    tiled = not length % TILE_ROWS and length >= 2 * TILE_ROWS
-    rows = [TILE_ROWS if tiled and not k.shape[0] % 64 and length * k.shape[0] >= POOL_MIN_WORK else length
-            for k, _ in kvs]
-    if not tiled or TILE_ROWS not in rows:
+    if max(tile_rows(length, k.shape[0]) for k, _ in kvs) == length:
         return [_tile(q, k, v, scale) for k, v in kvs]
     tops = [float(max(a.max(), -a.min())) for a in [q, *(k for k, _ in kvs)]]  # NaN stays NaN
     scans = [not q.shape[1] * tops[0] * top < np.finfo(q.dtype).max / 2 for top in tops[1:]]
-    outs = [None if step == length else np.empty((length, v.shape[1]), q.dtype) for (_, v), step in zip(kvs, rows)]
-    runs = [[(q[lo:lo + step], k, v, scale) + (() if out is None else (out[lo:lo + step], scan))
-             for lo in range(0, length, step)] for (k, v), step, out, scan in zip(kvs, rows, outs, scans)]
+    outs = [np.empty((length, v.shape[1]), q.dtype) for _, v in kvs]
+    runs = [[(q[lo:lo + TILE_ROWS], k, v, scale, out[lo:lo + TILE_ROWS], scan) for lo in range(0, length, TILE_ROWS)]
+            for (k, v), out, scan in zip(kvs, outs, scans)]
     if POOL_WORKERS >= 2:
         from concurrent.futures import wait
         pool = _tile_pool(POOL_WORKERS, os.getpid())
@@ -244,8 +249,7 @@ def _branches(q, kvs) -> list:
         runs = [[done.result() for done in run] for run in runs]
     else:
         runs = [[_tile(*args) for args in run] for run in runs]
-    return [(run[0][0] if out is None else out, *(np.concatenate(a) for a in list(zip(*run))[1:]))
-            for out, run in zip(outs, runs)]
+    return [(out, *(np.concatenate(a) for a in list(zip(*run))[1:])) for out, run in zip(outs, runs)]
 
 
 def partitions(q, kvs) -> tuple:

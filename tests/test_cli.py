@@ -333,6 +333,18 @@ class TestErrorPaths:
         assert "1e+30" in err
         assert not list(out.glob("sample_*.raw"))
 
+    def test_generate_overflow_under_a_preset_names_the_preset(self, tmp_path, capsys):
+        # "diverse" runs at -0.3 and rejects the key 'strength', so the preset is what set the strength.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"blocks": 3000, "steps": 1, "side": 4, "batch": 2}))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, _, err = run(capsys, "generate", "--preset", "diverse", "--config", str(path), "--out", str(out))
+        assert code == 2
+        assert "config error: key 'preset' value 'diverse': row_softmax requires finite logits" in err
+        assert not list(out.glob("sample_*.raw"))
+
     @pytest.mark.parametrize("argv", [
         ("generate", "--seed", "-1"),
         ("bench", "--grid", "8x8x8x1"),

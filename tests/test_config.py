@@ -8,6 +8,7 @@ from typing import get_args, get_origin
 import numpy as np
 import pytest
 
+from refguide import kernels
 from refguide.cli import _build_parser
 from refguide.config import (
     BLEND_RANGE,
@@ -111,27 +112,34 @@ class TestParseConfig:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    # With 128 MiB of physical memory, one call's logits may take 64 MiB:
-    # 4096 x 4096 at f32, or 2896 x 5792 under concat attention.
-    @pytest.mark.parametrize("overrides, key", [
-        ({"side": 64}, None),
-        ({"side": 65}, "side"),
-        ({"side": 64, "precision": "f64"}, "side"),
-        ({"side": 53, "policy_kind": "concat"}, None),
-        ({"side": 54, "policy_kind": "concat"}, "side"),
-        ({"side": 64, "preset": "consistent"}, None),
-        ({"grid": [[2896, 1, 1]]}, None),
-        ({"grid": [[2897, 1, 1]]}, "grid"),
-        ({"bench_grid": [[2896, 1, 1, 2]]}, None),
-        ({"bench_grid": [[2897, 1, 1, 2]]}, "bench_grid"),
+    # With 128 MiB of physical memory, one call's logits may take 64 MiB: an
+    # untiled 4096 x 4096 at f32, or 2896 x 5792 under concat attention. A
+    # tiled call holds one 256-row tile per worker: side 64 at f64 takes
+    # 2 x 256 x 4096 x 8 B = 16 MiB at 2 workers, 128 MiB at 16.
+    @pytest.mark.parametrize("overrides, key, workers", [
+        ({"side": 64}, None, 2),
+        ({"side": 65}, "side", 2),
+        ({"side": 63, "precision": "f64"}, "side", 2),  # untiled, 3969^2 x 8 B = 126 MB
+        ({"side": 64, "precision": "f64"}, None, 2),
+        ({"side": 64, "precision": "f64"}, "side", 16),
+        ({"side": 53, "policy_kind": "concat"}, None, 2),
+        ({"side": 54, "policy_kind": "concat"}, "side", 2),
+        ({"side": 64, "preset": "consistent"}, None, 2),
+        ({"grid": [[2896, 1, 1]]}, None, 2),
+        ({"grid": [[2897, 1, 1]]}, "grid", 2),
+        ({"grid": [[4096, 1, 1], [2897, 1, 1]]}, "grid", 2),  # the tiled max cell fits; 2897 does not
+        ({"bench_grid": [[2896, 1, 1, 2]]}, None, 2),
+        ({"bench_grid": [[2897, 1, 1, 2]]}, "bench_grid", 2),
     ])
-    def test_logits_may_take_half_of_physical_memory(self, monkeypatch, overrides, key):
+    def test_logits_may_take_half_of_physical_memory(self, monkeypatch, overrides, key, workers):
         memory = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (128 << 20) // 4096}
         monkeypatch.setattr(os, "sysconf", memory.__getitem__)
+        monkeypatch.setattr(kernels, "POOL_WORKERS", workers)
         if key is None:
             parse_config(overrides=overrides)
         else:
-            with pytest.raises(ConfigError, match=f"key {key!r} .* more than 50% of the 0.125 GiB"):
+            cell = "x".join(map(str, overrides[key][-1])) if key.endswith("grid") else overrides[key]
+            with pytest.raises(ConfigError, match=f"key {key!r} value {cell}: .* more than 50% of the 0.125 GiB"):
                 parse_config(overrides=overrides)
 
     def test_trajectory_too_large_for_memory_is_named(self):

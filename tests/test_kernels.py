@@ -504,6 +504,18 @@ class TestPooledPartition:
         assert pool.submitted == 0
         assert np.array_equal(out, attention(q, k, v))
 
+    def test_one_partition_outside_the_rule_runs_the_whole_call_untiled(self):
+        # 1024 x 1024 meets the rule, 1024 x 1000 does not: one tile height per call, so nothing tiles.
+        q, k, v = partition_inputs(6, 1024, 1024, 8, 8, np.float32)
+        kvs = [(k, v), tuple(partition_inputs(7, 1024, 1000, 8, 8, np.float32)[1:])]
+        with single_tile() as rows:
+            untiled = kernels.partitions(q, kvs)
+        assert rows == [1024, 1024]
+        with tile_pool(2) as pool:
+            planned = kernels.partitions(q, kvs)
+        assert pool.submitted == 0
+        assert result_bytes([*untiled[0], *untiled[1]]) == result_bytes([*planned[0], *planned[1]])
+
     def test_zero_width_query_raises_before_any_tile(self):
         with tile_pool(2) as pool, pytest.raises(ValueError, match="width"):
             attention(np.ones((1024, 0)), np.ones((1024, 0)), np.ones((1024, 2)))
@@ -695,6 +707,26 @@ class TestOneCodePath:
             with tile_pool(2):
                 attention(q, k, v)
         assert calls == [kernels.TILE_ROWS] * (1024 // kernels.TILE_ROWS)
+
+
+class TestOneTileRule:
+    """The tile rule is stated once, in ``kernels.tile_rows``; other code asks it."""
+
+    @staticmethod
+    def names(path):
+        """``(enclosing top-level name, name, node)`` of every name, attribute and import in ``path``."""
+        return [(getattr(top, "name", "<module>"), getattr(node, "id", None) or getattr(node, "attr", None) or node.name, node)
+                for top in ast.parse(Path(path).read_text()).body
+                for node in ast.walk(top) if isinstance(node, (ast.Name, ast.Attribute, ast.alias))]
+
+    def test_only_the_rule_function_reads_the_work_cut(self):
+        readers = {top for top, name, node in self.names(kernels.__file__)
+                   if name == "POOL_MIN_WORK" and not isinstance(getattr(node, "ctx", None), ast.Store)}
+        assert readers == {"tile_rows"}
+
+    def test_config_names_no_tile_constant(self):
+        named = {name for _, name, _ in self.names(Path(kernels.__file__).with_name("config.py"))}
+        assert not named & {"POOL_MIN_WORK", "TILE_ROWS"}
 
 
 class BarrierPool(CountingPool):
