@@ -101,6 +101,14 @@ def _coerce(key: str, value, hint):
     return tuple(tuple(cell) for cell in value)
 
 
+def _named(keys, values) -> str:
+    """``key 'side' value 16``, or ``keys 'steps' and 'batch' values 20 and 4``; a cell reads ``64x4x4``."""
+    values = ["x".join(map(str, v)) if isinstance(v, tuple) else str(v) for v in values]
+    if len(keys) == 1:
+        return f"key {keys[0]!r} value {values[0]}"
+    return f"keys {', '.join(map(repr, keys[:-1]))} and {keys[-1]!r} values {', '.join(values[:-1])} and {values[-1]}"
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a subcommand needs, resolved from defaults, file, and flags.
@@ -155,7 +163,7 @@ class RunConfig:
             value = getattr(self, key)
             if value is not None and value < 0:
                 raise ConfigError(f"{key} must be nonnegative, got {value}")
-        for key in ("references", "trials", "iterations"):
+        for key in ("side", "blocks", "d_model", "d", "d_v", "steps", "batch", "references", "trials", "iterations"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be at least 1, got {getattr(self, key)}")
         for key in ("threshold", "stress_scale"):
@@ -189,27 +197,36 @@ class RunConfig:
                 raise ConfigError(f"bench_grid batch must be at least 2, got cell {'x'.join(map(str, cell))}")
         # A call holds L x S logits, or a tile per worker where ``kernels.tile_rows``
         # tiles it, so every cell is checked; S = 2L where concat attention runs (the
-        # "concat" policy, every check trial and bench cell). ``generate`` and ``sweep``
-        # hold a whole trajectory, and ``init_denoiser`` draws every weight in f64 first.
+        # "concat" policy, every check trial and bench cell). A cell draws L x d and L x d_v
+        # operands in f64, a block projects side² x d and side² x d_v ones, ``generate`` and
+        # ``sweep`` hold a whole trajectory, and ``init_denoiser`` draws every weight in f64
+        # first. Entries are (keys, values, precision, what, dims); only a rejected one is named.
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         concat = self.named_policy()[0].kind == "concat"
         tokens, p = self.side ** 2, self.precision
-        logits = [(f"key 'side' value {self.side}", tokens, (2 if concat else 1) * tokens)]
-        logits += [(f"key {key!r} value {'x'.join(map(str, cell))}", cell[0], 2 * cell[0])
-                   for key, cells in (("grid", self.check_grid), ("bench_grid", self.bench_grid)) for cell in cells]
-        shapes = [(label, p, "attention logits", (min(n, kernels.tile_rows(n, s) * kernels.POOL_WORKERS), s))
-                  for label, n, s in logits]
-        shapes.append((f"keys 'steps' and 'batch' values {self.steps} and {self.batch}", p, "trajectory latents",
+
+        def held(n, s):
+            return min(n, kernels.tile_rows(n, s) * kernels.POOL_WORKERS), s
+
+        shapes = [(("side",), (self.side,), p, "attention logits", held(tokens, (2 if concat else 1) * tokens))]
+        for key, cells in (("grid", self.check_grid), ("bench_grid", self.bench_grid)):
+            for cell in cells:
+                shapes.append(((key,), (cell,), p, "attention logits", held(cell[0], 2 * cell[0])))
+                shapes.append(((key,), (cell,), "f64", "drawn operands", (cell[0], max(cell[1], cell[2]))))
+        shapes.append((("steps", "batch"), (self.steps, self.batch), p, "trajectory latents",
                        (self.steps + 1, self.batch, self.side, self.side)))
-        shapes.append((f"keys 'blocks', 'd_model', 'd' and 'd_v' values {self.blocks}, {self.d_model}, {self.d} "
-                       f"and {self.d_v}", "f64", "denoiser weights",
+        shapes.append((("blocks", "d_model", "d", "d_v"), (self.blocks, self.d_model, self.d, self.d_v), "f64",
+                       "denoiser weights",
                        (self.blocks * self.d_model * (2 * self.d + 2 * self.d_v) + (tokens + 2) * self.d_model,)))
-        for label, precision, what, dims in shapes:
+        shapes.append((("side", "d", "d_v"), (self.side, self.d, self.d_v), p, "per-block projections",
+                       (tokens, max(self.d, self.d_v))))
+        for keys, values, precision, what, dims in shapes:
             need = math.prod(dims) * np.dtype(PRECISION_DTYPES[precision]).itemsize
             if need > MEMORY_FRACTION * physical:
                 raise ConfigError(
-                    f"{label}: the {'x'.join(map(str, dims))} {precision} {what} need {need / 2**30:.3g} GiB, "
-                    f"more than {MEMORY_FRACTION:.0%} of the {physical / 2**30:.3g} GiB of physical memory"
+                    f"{_named(keys, values)}: the {'x'.join(map(str, dims))} {precision} {what} need "
+                    f"{need / 2**30:.3g} GiB, more than {MEMORY_FRACTION:.0%} of the {physical / 2**30:.3g} GiB "
+                    "of physical memory"
                 )
 
     def named_policy(self) -> tuple:

@@ -9,7 +9,8 @@ softmax mass, merged from each row's logit maximum ``m`` and sum ``s`` of
 ``exp(logit - m)``. Concatenated attention over the partitions is their
 outputs blended by these masses, for one reference or several. A logits
 buffer is scaled by ``1 / sqrt(d)``, ``d`` the query width, then shifted,
-exponentiated and normalised in place. ``attention`` is the one-partition
+exponentiated and normalised in place; a row whose maximum logit is not
+finite raises (``row_softmax_inplace``). ``attention`` is the one-partition
 case; the routes to reference conditioning:
 
 * ``concat_attention`` appends the reference keys/values to the sample's own,
@@ -189,7 +190,7 @@ class ReferenceKV:
         return self._layers[index]
 
 
-def _tile(q, k, v, scale, out=None, scan=True) -> tuple:
+def _tile(q, k, v, scale, out=None) -> tuple:
     """``(out, m, s)`` of attention for one tile of query rows, logits scaled by ``scale``.
 
     Given ``out``, its rows of the partition's output, the logits go to this
@@ -202,7 +203,7 @@ def _tile(q, k, v, scale, out=None, scan=True) -> tuple:
     logits = None if out is None else getattr(_scratch, q.dtype.name)[:size].reshape(q.shape[0], k.shape[0])
     p = np.matmul(q, k.T, out=logits)
     p *= scale
-    m, s = row_softmax_inplace(p, scan)
+    m, s = row_softmax_inplace(p)
     return np.matmul(p, v, out=out), m, s
 
 
@@ -223,9 +224,8 @@ def _branches(q, kvs) -> list:
     tile runs. If every partition meets ``tile_rows``' rule, each runs as tiles
     into its output, bitwise the single tile: on the pool if ``POOL_WORKERS >= 2``,
     each in a copy of the caller's context (so ``np.errstate`` reaches it), else
-    inline. Their finiteness scan runs only if ``d * max|q| * max|k|``, which
-    bounds every unscaled logit (Cauchy-Schwarz), is not below half the dtype's
-    maximum. The call returns, or raises the first tile's error, once all are done.
+    inline. Every tile's softmax checks its rows' maxima, the one finiteness rule.
+    The call returns, or raises the first tile's error, once all are done.
     """
     _same_dtype(q, *(a for kv in kvs for a in kv))
     if q.shape[1] == 0:
@@ -236,11 +236,9 @@ def _branches(q, kvs) -> list:
     scale = 1.0 / float(np.sqrt(q.shape[1]))
     if max(tile_rows(length, k.shape[0]) for k, _ in kvs) == length:
         return [_tile(q, k, v, scale) for k, v in kvs]
-    tops = [float(max(a.max(), -a.min())) for a in [q, *(k for k, _ in kvs)]]  # NaN stays NaN
-    scans = [not q.shape[1] * tops[0] * top < np.finfo(q.dtype).max / 2 for top in tops[1:]]
     outs = [np.empty((length, v.shape[1]), q.dtype) for _, v in kvs]
-    runs = [[(q[lo:lo + TILE_ROWS], k, v, scale, out[lo:lo + TILE_ROWS], scan) for lo in range(0, length, TILE_ROWS)]
-            for (k, v), out, scan in zip(kvs, outs, scans)]
+    runs = [[(q[lo:lo + TILE_ROWS], k, v, scale, out[lo:lo + TILE_ROWS]) for lo in range(0, length, TILE_ROWS)]
+            for (k, v), out in zip(kvs, outs)]
     if POOL_WORKERS >= 2:
         from concurrent.futures import wait
         pool = _tile_pool(POOL_WORKERS, os.getpid())

@@ -7,8 +7,8 @@ they enter (the run config and ``AttentionInputs``), so these operations do
 not re-check their operands; numpy itself raises on mismatched shapes.
 The row softmax is written once, in ``row_softmax_inplace``, which works in
 its argument's buffer and returns the per-row statistics that let partial
-softmaxes merge; ``row_softmax`` is its copying form. Its finiteness check
-(finite inputs can overflow) is skipped only for logits ``kernels`` bounded.
+softmaxes merge; ``row_softmax`` is its copying form. It checks each row's
+maximum, the one finiteness rule for logits (finite inputs can overflow).
 Arithmetic is numpy's, which is deterministic run-to-run on a fixed build --
 the property the reproducibility tests pin down. ``matmul`` serves
 ``pipeline``; ``kernels`` imports it only for the benchmark's span recorder.
@@ -28,21 +28,22 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
-def row_softmax_inplace(a: np.ndarray, scan: bool = True) -> tuple:
+def row_softmax_inplace(a: np.ndarray) -> tuple:
     """Overwrite ``a`` with its row softmax; return the row statistics.
 
     Each row is shifted by its maximum ``m``, exponentiated and divided by
     its sum ``s`` of ``exp(a - m)``, all in ``a``'s own buffer, so no
     temporary of ``a``'s size is made. The shift keeps ``exp`` bounded by 1
     regardless of logit magnitude and cancels exactly in the normalization.
-    Every row then sums to 1 and every entry lies in (0, 1]. Returns ``(m,
+    Every row then sums to 1 and every entry lies in [0, 1]. Returns ``(m,
     s)`` as 1-D arrays of ``a``'s dtype: two partitions' softmax masses merge
     through them alone (``s * exp(m - M)`` under a common maximum ``M``).
-    ``scan=False`` skips the finiteness check.
+    A row whose ``m`` is NaN or infinite raises before ``a`` changes; any
+    other -inf logit (finite inputs can overflow) gets weight 0.
     """
-    if scan and not np.isfinite(a).all():
-        raise ValueError("row_softmax requires finite logits")
     m = a.max(axis=1, keepdims=True)
+    if not np.isfinite(m).all():
+        raise ValueError("row_softmax requires finite logits")
     a -= m
     np.exp(a, out=a)
     s = a.sum(axis=1, keepdims=True)

@@ -233,6 +233,20 @@ class TestErrorPaths:
         assert not (tmp_path / "sample_0.raw").exists()
 
     @pytest.mark.parametrize("payload, key", [
+        *(({"steps": 1, key: value}, key) for key in ("side", "blocks", "d_model", "d", "d_v", "steps", "batch")
+          for value in (0, -1)),
+        ({"side": -4000}, "side"),
+        ({"d": -10000000000, "blocks": -1, "steps": 1}, "blocks"),
+    ])
+    def test_architecture_value_below_one_exits_2(self, tmp_path, capsys, payload, key):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        code, _, err = run(capsys, "generate", "--config", str(path), "--out", str(tmp_path))
+        assert code == 2
+        assert f"config error: {key} must be at least 1, got {payload[key]}" in err
+        assert not (tmp_path / "sample_0.raw").exists()
+
+    @pytest.mark.parametrize("payload, key", [
         ({"policy_kind": "rfg", "strengths": [0.1, 0.2]}, "strengths"),
         ({"policy_kind": "concat", "strength": 0.9}, "strength"),
         ({"references": 5}, "references"),

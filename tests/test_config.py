@@ -270,6 +270,53 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="coefficinet"):
             parse_config(path)
 
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("key", ["side", "blocks", "d_model", "d", "d_v", "steps", "batch"])
+    def test_architecture_value_below_one_is_named(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key} must be at least 1, got {value}$"):
+            RunConfig(**{key: value})
+
+    @pytest.mark.parametrize("overrides, label", [
+        ({"grid": [[1, 2000000000, 1]]}, "key 'grid' value 1x2000000000x1: the 1x2000000000 f64 drawn operands"),
+        ({"bench_grid": [[2, 2000000000, 1, 2]]},
+         "key 'bench_grid' value 2x2000000000x1x2: the 2x2000000000 f64 drawn operands"),
+        ({"d": 100000000, "d_model": 1, "blocks": 1},
+         "keys 'side', 'd' and 'd_v' values 16, 100000000 and 32: the 256x100000000 f32 per-block projections"),
+    ])
+    def test_operands_too_large_for_memory_are_named(self, overrides, label):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=f"^{label} need .* physical memory$"):
+                parse_config(overrides=overrides)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    # With 128 MiB of physical memory, one operand may take 64 MiB: 2^23 values
+    # of a cell drawn at f64, or 2^24 f32 values of a side-16 block's queries,
+    # keys or values (blocks and d_model at 1 keep the weights small).
+    @pytest.mark.parametrize("overrides, key", [
+        ({"grid": [[1, 8388608, 1]]}, None),
+        ({"grid": [[2, 4194304, 1]]}, None),
+        ({"grid": [[1, 8388609, 1]]}, "grid"),
+        ({"grid": [[2, 1, 4194305]]}, "grid"),
+        ({"bench_grid": [[1, 1, 8388609, 2]]}, "bench_grid"),
+        ({"d": 65536, "blocks": 1, "d_model": 1}, None),
+        ({"d": 65537, "blocks": 1, "d_model": 1}, "d"),
+        ({"d_v": 65537, "blocks": 1, "d_model": 1}, "d_v"),
+        ({"d": 32768, "blocks": 1, "d_model": 1, "precision": "f64"}, None),
+        ({"d": 32769, "blocks": 1, "d_model": 1, "precision": "f64"}, "d"),
+    ])
+    def test_operands_may_take_half_of_physical_memory(self, monkeypatch, overrides, key):
+        memory = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (128 << 20) // 4096}
+        monkeypatch.setattr(os, "sysconf", memory.__getitem__)
+        if key is None:
+            parse_config(overrides=overrides)
+        else:
+            with pytest.raises(ConfigError, match=f"{key!r}.* more than 50% of the 0.125 GiB"):
+                parse_config(overrides=overrides)
+
     def test_invariant_violation_surfaces(self):
         with pytest.raises(ConfigError, match="batch"):
             parse_config(overrides={"batch": 1})

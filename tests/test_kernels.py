@@ -567,12 +567,12 @@ class TestPooledPartition:
         running, finished = [], []
         real = kernels.row_softmax_inplace
 
-        def slow_softmax(a, scan):
+        def slow_softmax(a):
             running.append(1)
             try:
                 if np.isfinite(a).all():
                     time.sleep(0.05)  # keep the finite tiles in flight while tile 0 fails
-                return real(a, scan)
+                return real(a)
             finally:
                 finished.append(1)
                 running.pop()
@@ -604,6 +604,9 @@ class TestPooledPartition:
     def test_pool_needs_one_blas_thread_and_import_starts_no_pool(self, env, pooled):
         blas_vars = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
         clean = {key: value for key, value in os.environ.items() if key not in blas_vars}
+        # The child imports refguide from where this process did, PYTHONPATH set or not.
+        src = str(Path(kernels.__file__).parents[1])
+        clean["PYTHONPATH"] = os.pathsep.join(filter(None, (src, clean.get("PYTHONPATH"))))
         code = (
             "import sys, threading, refguide.cli, refguide.kernels as k; "
             "print(k.POOL_WORKERS, threading.active_count(), 'concurrent.futures' in sys.modules)"
@@ -654,12 +657,12 @@ class TestPooledQuery:
         running, finished = [], []
         real = kernels.row_softmax_inplace
 
-        def slow_softmax(a, scan):
+        def slow_softmax(a):
             running.append(1)
             try:
                 if np.isfinite(a).all():
                     time.sleep(0.05)  # keep the finite tiles in flight while the second partition fails
-                return real(a, scan)
+                return real(a)
             finally:
                 finished.append(1)
                 running.pop()
@@ -759,7 +762,7 @@ def held_scratch(pool, workers):
 
 
 class TestTileMemory:
-    """A tiled partition holds one reused logits tile per worker and bounds its logits instead of scanning them."""
+    """A tiled partition holds one reused logits tile per worker."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_warm_call_allocates_less_than_one_tile_plus_its_output(self, workers):
@@ -793,16 +796,6 @@ class TestTileMemory:
         assert not any(np.shares_memory(a, b) for part in first + second for a in part for b in scratch)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_moderate_tiled_call_runs_no_finiteness_scan(self, workers):
-        q, kvs = query_partitions(2)
-        with single_tile():
-            untiled = kernels._branches(q, kvs)
-        with tile_pool(workers), mock.patch.object(np, "isfinite", wraps=np.isfinite) as isfinite:
-            tiled = kernels._branches(q, kvs)
-        assert isfinite.call_count == 0
-        assert result_bytes([a for part in tiled for a in part]) == result_bytes([a for part in untiled for a in part])
-
-    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("operand, value", [
         ("q", np.nan), ("q", np.inf), ("k", np.nan), ("k", -np.inf), ("q", 3e38),
     ])
@@ -825,6 +818,34 @@ class TestTileMemory:
         with tile_pool(workers), np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="row_softmax requires finite logits"):
                 attention(q, q.copy(), np.ones((1024, 8), np.float32))
+
+
+class TestFinitenessRule:
+    """Each softmax checks its rows' maxima only: a row raises unless its maximum logit is finite."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("length", [64, 1024], ids=["untiled", "tiled"])
+    def test_finiteness_check_reads_at_most_one_value_per_row(self, length, workers):
+        q, k, v = partition_inputs(24, length, length, 8, 8, np.float32)
+        with tile_pool(workers), mock.patch.object(np, "isfinite", wraps=np.isfinite) as isfinite:
+            attention(q, k, v)
+        sizes = [np.size(call.args[0]) for call in isfinite.call_args_list]
+        assert sizes and max(sizes) <= length, sizes
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("length, keys", [(1, 3), (1024, 512)], ids=["untiled", "tiled"])
+    def test_finite_inputs_overflowing_to_minus_inf_only_give_weight_zero(self, length, keys, workers):
+        # Key 0 meets every query at -4e38, below the f32 minimum; the other logits lie in [-2, 2].
+        q = np.full((length, 1), 2e19, np.float32)
+        k = np.concatenate([[[-2e19]], stream(25).uniform(-1e-19, 1e-19, (keys - 1, 1))]).astype(np.float32)
+        v = np.eye(keys, dtype=np.float32)  # each output row is its row of softmax weights
+        with tile_pool(workers) as pool, np.errstate(over="ignore"):
+            out = attention(q, k, v)
+        assert pool.submitted == (length // kernels.TILE_ROWS if workers > 1 and length > 1 else 0)
+        assert np.isfinite(out).all() and not out[:, 0].any()
+        logits = q.astype(np.float64) @ k[1:].T.astype(np.float64)
+        weights = np.exp(logits - logits.max(axis=1, keepdims=True))
+        assert np.allclose(out[:, 1:], weights / weights.sum(axis=1, keepdims=True), rtol=1e-5, atol=0)
 
 
 class TestKeylessPartitions:

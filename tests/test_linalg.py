@@ -58,11 +58,25 @@ class TestRowSoftmax:
         with pytest.raises(ValueError):
             row_softmax(np.array([[np.inf, 0.0]]))
 
-    def test_scan_off_skips_the_finiteness_check(self):
-        a = np.array([[np.inf, 0.0], [1.0, 2.0]])
-        with np.errstate(invalid="ignore"):
-            row_softmax_inplace(a, scan=False)
-        assert np.isnan(a[0]).all() and np.array_equal(a[1], row_softmax(np.array([[1.0, 2.0]]))[0])
+    @pytest.mark.parametrize("row", [
+        [1.0, np.nan, 2.0], [np.nan, -np.inf, 0.0], [0.0, np.inf, 1.0], [-np.inf, np.inf], [-np.inf, -np.inf],
+    ])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_row_with_a_non_finite_maximum_raises_before_any_write(self, row, dtype):
+        a = np.array([[0.5, 1.5, -2.0][:len(row)], row], dtype)
+        before = a.copy()
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="row_softmax requires finite logits"):
+            row_softmax_inplace(a)
+        assert np.array_equal(a, before, equal_nan=True)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_minus_inf_beside_a_finite_logit_gets_weight_zero(self, dtype):
+        a = np.array([[-np.inf, 1.0, 0.5, -np.inf], [0.25, -np.inf, -np.inf, -np.inf]], dtype)
+        with np.errstate(all="raise"):
+            m, s = row_softmax_inplace(a)
+        assert np.array_equal(a[0, [0, 3]], [0, 0]) and np.array_equal(a[1], [1, 0, 0, 0])
+        assert np.array_equal(a[0, 1:3], row_softmax(np.array([[1.0, 0.5]], dtype))[0])
+        assert np.array_equal(m, np.array([1.0, 0.25], dtype)) and np.isfinite(s).all()
 
     @given(finite_matrices)
     def test_rows_sum_to_one_and_entries_positive(self, a):
