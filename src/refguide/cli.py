@@ -67,9 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument("--trials", type=int, metavar="N", help="trials per grid cell (default: 20)")
     check.add_argument("--grid", type=_grid3, metavar="LxDxV,...", help="shape cells to test")
-    check.add_argument("--threshold", type=float, metavar="X", help="max relative error bound")
-    check.add_argument("--stress-scale", dest="stress_scale", type=float, metavar="X",
-                       help="query scale for the large-logit trials (default: 100)")
     check.add_argument("--stress-trials", dest="stress_trials", type=int, metavar="N",
                        help="large-logit trials per cell (default: 5)")
     check.add_argument("--corrupt-kernel", dest="corrupt_kernel", type=float, metavar="DELTA",
@@ -109,9 +106,7 @@ def _cmd_check(cfg) -> int:
         seed=cfg.check_seed,
         grid=cfg.check_grid,
         trials_per_cell=cfg.trials,
-        threshold=cfg.threshold,
         precision=cfg.precision,
-        stress_scale=cfg.stress_scale,
         stress_trials_per_cell=cfg.stress_trials,
         corrupt_coefficient=cfg.corrupt_kernel,
     )

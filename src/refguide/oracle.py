@@ -22,10 +22,11 @@ matrix blend and the guidance form from it, and checks:
   ``blend`` of the trial's branches,
 * coefficient entries strictly inside (0, 1).
 
-Each cell also runs trials with queries scaled by ``stress_scale`` to push
+Each cell also runs trials with queries scaled by ``STRESS_SCALE`` to push
 logits far from the origin; those are held to a proportionally looser bound
 and accounted separately, since the error of the exponential-ratio
-coefficient grows with logit magnitude.
+coefficient grows with logit magnitude. The bounds are
+``PRECISION_THRESHOLDS[precision]`` and ``STRESS_SCALE`` times it.
 
 Trials are independent, each drawn from ``stream(seed, cell, trial)``. When
 the tile pool's rule holds (``kernels.POOL_WORKERS >= 2``) and ``os.fork``
@@ -67,6 +68,7 @@ DEFAULT_GRID = tuple(
 )
 
 PRECISION_THRESHOLDS = {"f32": 1e-5, "f64": 1e-10}
+STRESS_SCALE = 100.0
 
 
 def _as_rows(a) -> list:
@@ -233,9 +235,7 @@ def run_equivalence_suite(
     seed: int = 0,
     grid=DEFAULT_GRID,
     trials_per_cell: int = 20,
-    threshold: float | None = None,
     precision: str = "f32",
-    stress_scale: float = 100.0,
     stress_trials_per_cell: int = 5,
     corrupt_coefficient: float = 0.0,
 ) -> EquivalenceReport:
@@ -255,8 +255,7 @@ def run_equivalence_suite(
     if not grid:
         raise ValueError("grid must contain at least one (L, d, d_v) cell")
     dtype = PRECISION_DTYPES[precision]
-    if threshold is None:
-        threshold = PRECISION_THRESHOLDS[precision]
+    threshold = PRECISION_THRESHOLDS[precision]
     per_cell = trials_per_cell + stress_trials_per_cell
 
     report = EquivalenceReport(
@@ -265,9 +264,9 @@ def run_equivalence_suite(
         grid=grid,
         trials_per_cell=int(trials_per_cell),
         stress_trials_per_cell=int(stress_trials_per_cell),
-        stress_scale=float(stress_scale),
-        threshold=float(threshold),
-        stress_threshold=float(threshold) * float(stress_scale),
+        stress_scale=STRESS_SCALE,
+        threshold=threshold,
+        stress_threshold=threshold * STRESS_SCALE,
         identity_errors={
             name: {"standard": 0.0, "stress": 0.0} for name in IDENTITY_NAMES
         },
@@ -278,7 +277,7 @@ def run_equivalence_suite(
         cell_index, trial = divmod(index, per_cell)
         length, d, d_v = grid[cell_index]
         gen = stream(seed, cell_index, trial)
-        scale = stress_scale if trial >= trials_per_cell else 1.0
+        scale = STRESS_SCALE if trial >= trials_per_cell else 1.0
         q, k_ref, v_ref, k_self, v_self = _draw_inputs(gen, length, d, d_v, dtype, scale)
 
         # The rfg-matrix policy's own call: both branches and the

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import warnings
 from pathlib import Path
@@ -297,29 +298,21 @@ class TestErrorPaths:
         assert f"key {key!r}" in err
         assert not (tmp_path / "sweep.csv").exists()
 
-    @pytest.mark.parametrize("argv, precision", [
-        (("check", "--stress-scale", "1e300"), "f32"),
-        (("check", "--stress-scale", "1e307", "--precision", "f64"), "f64"),
-        (("check", "--stress-scale", "1e38", "--grid", "2x4x4"), "f32"),
-    ])
-    def test_overflowing_stress_scale_is_named(self, tmp_path, capsys, argv, precision):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, _, err = run(capsys, *argv, "--out", str(tmp_path))
-        assert code == 2
-        assert "config error: stress_scale" in err
-        assert precision in err
-
-    @pytest.mark.parametrize("argv", [
-        ("check", "--precision", "f64", "--stress-scale", "1e300"),
-        ("check", "--stress-scale", "1e5"),
-        ("check", "--threshold", "0.5"),
-    ])
-    def test_vacuous_stress_bound_is_named(self, tmp_path, capsys, argv):
+    @pytest.mark.parametrize("argv", [("check", "--threshold", "0.5"), ("check", "--stress-scale", "1e5")])
+    def test_certification_bounds_are_not_flags(self, tmp_path, capsys, argv):
         code, out, err = run(capsys, *argv, "--out", str(tmp_path))
         assert code == 2
-        assert "config error: stress_scale" in err
+        assert "unrecognized arguments" in err
         assert out == ""
+
+    @pytest.mark.parametrize("key, value", [("threshold", 0.009), ("stress_scale", 99999.0)])
+    def test_certification_bounds_are_not_config_keys(self, tmp_path, capsys, key, value):
+        path = small_config_file(tmp_path, **{key: value})
+        code, out, err = run(capsys, "check", "--config", path, "--out", str(tmp_path))
+        assert code == 2
+        assert f"config error: unknown config key {key!r}" in err
+        assert out == ""
+        assert not (tmp_path / "check_report.json").exists()
 
     def test_sweep_overflow_names_the_strength(self, tmp_path, capsys):
         path = small_config_file(tmp_path, steps=3)
@@ -364,11 +357,14 @@ class TestErrorPaths:
         ("bench", "--grid", "8x8x8x1"),
         ("sweep", "--strengths=nan"),
         ("sweep", "--strengths=1e30"),
-        ("check", "--stress-scale", "1e300"),
-        ("check", "--threshold", "-1"),
+        ("check", "--trials", "0"),
+        ("check", "--stress-trials", "-1"),
         ("check", "--corrupt-kernel", "nan"),
     ])
     def test_bad_value_is_usage_error(self, tmp_path, capsys, argv):
-        code, _, err = run(capsys, *argv, "--out", str(tmp_path))
+        # A strength of 1e30 leaves the convex hull, which warns before the logits overflow.
+        hull = "--strengths=1e30" in argv
+        with pytest.warns(UserWarning, match="convex hull") if hull else contextlib.nullcontext():
+            code, _, err = run(capsys, *argv, "--out", str(tmp_path))
         assert code == 2
         assert "error: " in err

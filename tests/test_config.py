@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import tracemalloc
 from dataclasses import fields
 from typing import get_args, get_origin
@@ -81,21 +82,6 @@ class TestParseConfig:
         pipeline = cfg.pipeline_config()
         assert (pipeline.side, pipeline.blocks, pipeline.steps, pipeline.batch) == (16, 4, 20, 4)
         assert pipeline == PipelineConfig()
-
-    @pytest.mark.parametrize("overrides, ok", [
-        ({"stress_scale": 99_999.0}, True),
-        ({"stress_scale": 1e5}, False),
-        ({"precision": "f64", "stress_scale": 9.9e9}, True),
-        ({"precision": "f64", "stress_scale": 1e10}, False),
-        ({"threshold": 0.01, "stress_scale": 99.0}, True),
-        ({"threshold": 0.01}, False),
-    ])
-    def test_stress_bound_stays_below_one(self, overrides, ok):
-        if ok:
-            assert parse_config(overrides=overrides).stress_scale == overrides.get("stress_scale", 100.0)
-        else:
-            with pytest.raises(ConfigError, match="stress_scale"):
-                parse_config(overrides=overrides)
 
     @pytest.mark.parametrize("overrides, key", [
         ({"side": 2000}, "side"),  # 4e6 x 4e6 f32 logits, 64 TB
@@ -317,6 +303,36 @@ class TestParseConfig:
             with pytest.raises(ConfigError, match=f"{key!r}.* more than 50% of the 0.125 GiB"):
                 parse_config(overrides=overrides)
 
+    def test_bench_batch_too_large_for_memory_is_named(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="^key 'bench_grid' value 1024x1024x1024x100000: the "
+                                                  "100000x1024x3072 f32 batch operands need .* physical memory$"):
+                parse_config(overrides={"bench_grid": [[1024, 1024, 1024, 100000]]})  # 1.2 TB of samples
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    # With 128 MiB of physical memory, a bench cell's samples may take 64 MiB:
+    # 2^24 f32 values, B x L x (2d + d_v) of them.
+    @pytest.mark.parametrize("overrides, ok", [
+        ({"bench_grid": [[1, 1, 2, 4194304]]}, True),
+        ({"bench_grid": [[1, 1, 2, 4194305]]}, False),
+        ({"bench_grid": [[64, 64, 64, 8], [16, 1, 2, 262144]]}, True),
+        ({"bench_grid": [[64, 64, 64, 8], [16, 1, 2, 262145]]}, False),
+        ({"bench_grid": [[1, 1, 2, 4194304]], "precision": "f64"}, False),
+    ])
+    def test_bench_batch_may_take_half_of_physical_memory(self, monkeypatch, overrides, ok):
+        memory = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (128 << 20) // 4096}
+        monkeypatch.setattr(os, "sysconf", memory.__getitem__)
+        if ok:
+            parse_config(overrides=overrides)
+        else:
+            cell = "x".join(map(str, overrides["bench_grid"][-1]))
+            with pytest.raises(ConfigError, match=f"key 'bench_grid' value {cell}: .* batch operands .* 50% of the 0.125 GiB"):
+                parse_config(overrides=overrides)
+
     def test_invariant_violation_surfaces(self):
         with pytest.raises(ConfigError, match="batch"):
             parse_config(overrides={"batch": 1})
@@ -409,6 +425,21 @@ class TestSchema:
             if not isinstance(action, argparse._HelpAction)
         }
         assert dests - {"command", "config"} <= {f.name for f in fields(RunConfig)}
+
+    def test_help_defaults_are_the_schema_defaults(self):
+        # Each "(default: X)" in a subcommand's help, read through the flag's own type.
+        parser = _build_parser()
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        defaults = {f.name: f.default for f in fields(RunConfig)}
+        stated = set()
+        for sub in subparsers.choices.values():
+            for action in sub._actions:
+                match = re.search(r"\(default: ([^)]*)\)", action.help or "")
+                if match:
+                    assert (action.type or str)(match.group(1)) == defaults[action.dest], action.option_strings
+                    stated.add(action.dest)
+        assert stated == {"trials", "stress_trials", "sweep_strengths", "bench_grid", "iterations", "warmup",
+                          "out_dir", "precision"}
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("field", FLOAT_FIELDS, ids=lambda f: f.name)

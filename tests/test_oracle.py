@@ -20,6 +20,8 @@ from refguide.cli import main as cli_main
 from refguide.linalg import PRECISION_DTYPES, ShapeError
 from refguide.oracle import (
     DEFAULT_GRID,
+    PRECISION_THRESHOLDS,
+    STRESS_SCALE,
     EquivalenceReport,
     _draw_inputs,
     _run_trials,
@@ -260,11 +262,13 @@ class TestEquivalenceSuite:
         report = run_equivalence_suite(seed=7, grid=SMALL_GRID, trials_per_cell=5)
         assert 0.0 < report.coefficient_min <= report.coefficient_max < 1.0
 
-    def test_threshold_override(self):
-        report = run_equivalence_suite(
-            seed=5, grid=((2, 2, 2),), trials_per_cell=2, threshold=1e-20
-        )
-        assert not report.passed
+    @pytest.mark.parametrize("precision", sorted(PRECISION_THRESHOLDS))
+    def test_report_states_the_fixed_bounds(self, precision):
+        report = run_equivalence_suite(seed=5, grid=((2, 2, 2),), trials_per_cell=1, stress_trials_per_cell=1,
+                                       precision=precision)
+        assert report.threshold == PRECISION_THRESHOLDS[precision]
+        assert report.stress_scale == STRESS_SCALE == 100.0
+        assert report.stress_threshold == PRECISION_THRESHOLDS[precision] * STRESS_SCALE
 
     def test_invalid_precision_rejected(self):
         with pytest.raises(ValueError, match="precision"):
