@@ -65,6 +65,16 @@ class TestCheckCommand:
         assert report["precision"] == "f64"
         assert report["threshold"] == 1e-10
 
+    @pytest.mark.parametrize("precision, threshold", [("f32", 1e-5), ("f64", 1e-10)])
+    def test_report_states_the_fixed_bounds(self, tmp_path, capsys, precision, threshold):
+        code, out, err = run(capsys, "check", "--grid", "2x2x2", "--trials", "1", "--stress-trials", "1",
+                             "--precision", precision, "--out", str(tmp_path))
+        assert code == 0
+        report = json.loads((tmp_path / "check_report.json").read_text())
+        assert (report["threshold"], report["stress_scale"]) == (threshold, 100.0)
+        assert report["stress_threshold"] == threshold * 100.0
+        assert f"(threshold {threshold:.1e})" in err
+
     def test_seed_flag_feeds_suite(self, tmp_path, capsys):
         _, out_a, _ = run(capsys, "check", "--grid", "2x2x2", "--trials", "2",
                           "--seed", "9", "--out", str(tmp_path / "a"))
@@ -91,6 +101,13 @@ class TestGenerateCommand:
         resolved = json.loads((out_dir / "config.json").read_text())
         assert resolved["side"] == 6
         assert resolved["resolved_policy"]["kind"] == "rfg"
+
+    def test_resolved_config_names_no_certification_bound(self, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        assert run(capsys, "generate", "--config", small_config_file(tmp_path), "--out", str(out_dir))[0] == 0
+        resolved = json.loads((out_dir / "config.json").read_text())
+        assert "threshold" not in resolved and "stress_scale" not in resolved
+        assert (resolved["trials"], resolved["stress_trials"]) == (20, 5)
 
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
         cfg = small_config_file(tmp_path)

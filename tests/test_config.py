@@ -256,6 +256,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="coefficinet"):
             parse_config(path)
 
+    @pytest.mark.parametrize("key, value", [("threshold", 0.009), ("stress_scale", 99999.0)])
+    def test_certification_bounds_are_not_config_keys(self, key, value):
+        with pytest.raises(ConfigError, match=f"^unknown config key {key!r}$"):
+            parse_config(overrides={key: value})
+
     @pytest.mark.parametrize("value", [0, -1])
     @pytest.mark.parametrize("key", ["side", "blocks", "d_model", "d", "d_v", "steps", "batch"])
     def test_architecture_value_below_one_is_named(self, key, value):

@@ -270,6 +270,16 @@ class TestEquivalenceSuite:
         assert report.stress_scale == STRESS_SCALE == 100.0
         assert report.stress_threshold == PRECISION_THRESHOLDS[precision] * STRESS_SCALE
 
+    @pytest.mark.parametrize("precision", sorted(PRECISION_THRESHOLDS))
+    def test_stressed_trials_pass_at_the_widest_default_cell(self, precision):
+        # The fixed stress bound is below one, and 100x queries keep the widest cell's logits finite.
+        cell = max(DEFAULT_GRID, key=lambda c: c[0] * c[1])
+        report = run_equivalence_suite(seed=4, grid=(cell,), trials_per_cell=1, stress_trials_per_cell=3,
+                                       precision=precision)
+        assert report.passed is True
+        assert report.stress_max_rel_error <= report.stress_threshold < 1.0
+        assert 0.0 < report.coefficient_min <= report.coefficient_max < 1.0
+
     def test_invalid_precision_rejected(self):
         with pytest.raises(ValueError, match="precision"):
             run_equivalence_suite(precision="f16")
