@@ -29,22 +29,11 @@ def _floats(text: str):
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
 
 
-def _cells(text: str, width: int, shape_word: str):
-    cells = []
-    for part in text.split(","):
-        dims = part.lower().split("x")
-        if len(dims) != width or not all(p.isdigit() for p in dims):
-            raise argparse.ArgumentTypeError(f"expected {shape_word} cells like 64x32x32, got {part!r}")
-        cells.append(tuple(int(p) for p in dims))
-    return tuple(cells)
-
-
-def _grid3(text: str):
-    return _cells(text, 3, "LxDxV")
-
-
-def _grid4(text: str):
-    return _cells(text, 4, "LxDxVxB")
+def _cells(text: str):
+    try:
+        return tuple(tuple(int(dim) for dim in part.lower().split("x")) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected cells like 64x32x32, got {text!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -66,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="certify the blend kernels against the brute-force attention oracle",
     )
     check.add_argument("--trials", type=int, metavar="N", help="trials per grid cell (default: 20)")
-    check.add_argument("--grid", type=_grid3, metavar="LxDxV,...", help="shape cells to test")
+    check.add_argument("--grid", type=_cells, metavar="LxDxV,...", help="shape cells to test")
     check.add_argument("--stress-trials", dest="stress_trials", type=int, metavar="N",
                        help="large-logit trials per cell (default: 5)")
     check.add_argument("--corrupt-kernel", dest="corrupt_kernel", type=float, metavar="DELTA",
@@ -87,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", parents=[common],
                            help="time plain, concat, and rfg attention over a shape grid")
-    bench.add_argument("--grid", dest="bench_grid", type=_grid4, metavar="LxDxVxB,...",
+    bench.add_argument("--grid", dest="bench_grid", type=_cells, metavar="LxDxVxB,...",
                        help="bench cells (default: 64x64x64x8,256x64x64x8)")
     bench.add_argument("--iterations", type=int, metavar="N", help="timed iterations per cell (default: 100)")
     bench.add_argument("--warmup", type=int, metavar="N", help="untimed iterations per cell (default: 10)")

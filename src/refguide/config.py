@@ -12,7 +12,7 @@ import math
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import get_args
+from typing import Literal, get_args, get_origin
 
 import numpy as np
 
@@ -57,7 +57,8 @@ def _coerce(key: str, value, hint):
     """Check ``value`` against the field annotation ``hint``; return it normalised.
 
     Handles the annotation forms RunConfig uses: ``str``, ``bool``, ``int``,
-    ``float`` (finite), ``tuple[float, ...]``, and grids of positive integers
+    ``float`` (finite), ``Literal[...]`` (one of its values), nonempty
+    ``tuple[float, ...]``, and nonempty grids of positive integers
     ``tuple[tuple[int, ...], ...]`` whose inner tuple type fixes the cell
     width; each may be written ``X | None``.
     """
@@ -85,19 +86,23 @@ def _coerce(key: str, value, hint):
         if not math.isfinite(value):
             raise ConfigError(f"key {key!r} must be finite, got {value!r}")
         return float(value)
+    if get_origin(hint) is Literal:
+        if value not in args:
+            raise ConfigError(f"key {key!r} must be one of {args}, got {value!r}")
+        return value
     if args[0] is float:
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"key {key!r} must be a list of numbers, got {value!r}")
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ConfigError(f"key {key!r} must be a nonempty list of numbers, got {value!r}")
         return tuple(_coerce(key, v, float) for v in value)
     width = len(get_args(args[0]))
-    ok = isinstance(value, (list, tuple)) and all(
+    ok = isinstance(value, (list, tuple)) and value and all(
         isinstance(cell, (list, tuple))
         and len(cell) == width
         and all(isinstance(v, int) and not isinstance(v, bool) and v > 0 for v in cell)
         for cell in value
     )
     if not ok:
-        raise ConfigError(f"key {key!r} must be a list of {width}-integer cells, got {value!r}")
+        raise ConfigError(f"key {key!r} must be a nonempty list of {width}-integer cells, got {value!r}")
     return tuple(tuple(cell) for cell in value)
 
 
@@ -120,8 +125,8 @@ class RunConfig:
     denoiser take their defaults from ``PipelineConfig``.
     """
 
-    preset: str = "custom"
-    policy_kind: str = "rfg"
+    preset: Literal[PRESETS] = "custom"
+    policy_kind: Literal[POLICY_KINDS] = "rfg"
     strength: float = CONSISTENT_STRENGTH
     strengths: tuple[float, ...] | None = None
     references: int = 2
@@ -137,7 +142,7 @@ class RunConfig:
     weights_seed: int = PipelineConfig.weights_seed
     noise_seed: int = PipelineConfig.noise_seed
     seed: int | None = None
-    precision: str = PipelineConfig.precision
+    precision: Literal[tuple(PRECISION_DTYPES)] = PipelineConfig.precision
     out_dir: str = "out"
     trials: int = 20
     grid: tuple[tuple[int, int, int], ...] | None = None
@@ -151,12 +156,6 @@ class RunConfig:
     def __post_init__(self):
         for f in fields(self):
             object.__setattr__(self, f.name, _coerce(f.name, getattr(self, f.name), f.type))
-        if self.preset not in PRESETS:
-            raise ConfigError(f"unknown preset {self.preset!r}, expected one of {PRESETS}")
-        if self.policy_kind not in POLICY_KINDS:
-            raise ConfigError(f"unknown policy_kind {self.policy_kind!r}, expected one of {POLICY_KINDS}")
-        if self.precision not in PRECISION_DTYPES:
-            raise ConfigError(f"precision must be one of {tuple(PRECISION_DTYPES)}, got {self.precision!r}")
         for key in ("weights_seed", "noise_seed", "seed", "stress_trials", "warmup"):
             value = getattr(self, key)
             if value is not None and value < 0:
@@ -164,34 +163,32 @@ class RunConfig:
         for key in ("side", "blocks", "d_model", "d", "d_v", "steps", "batch", "references", "trials", "iterations"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be at least 1, got {getattr(self, key)}")
-        if not self.check_grid:
-            raise ConfigError("grid must name at least one (L, d, d_v) cell")
-        if not self.sweep_strengths:
-            raise ConfigError("sweep_strengths must name at least one coefficient")
-        if not self.bench_grid:
-            raise ConfigError("bench_grid must name at least one (L, d, d_v, B) cell")
         for cell in self.bench_grid:
             if cell[3] < 2:
                 raise ConfigError(f"bench_grid batch must be at least 2, got cell {'x'.join(map(str, cell))}")
         # A call holds L x S logits, or a tile per worker where ``kernels.tile_rows``
         # tiles it, so every cell is checked; S = 2L where concat attention runs (the
-        # "concat" policy, every check trial and bench cell). A cell draws L x d and L x d_v
-        # operands in f64, a bench cell holds B samples of L x (2d + d_v) ones, a block
-        # projects side² x d and side² x d_v ones, ``generate`` and ``sweep`` hold a whole
-        # trajectory, and ``init_denoiser`` draws every weight in f64 first. Entries are
-        # (keys, values, precision, what, dims); only a rejected one is named.
+        # "concat" policy, every check trial and bench cell). A check cell draws L x d and
+        # L x d_v operands in f64, a bench cell holds B samples of L x (2d + d_v) ones, a
+        # block projects side² x d and side² x d_v ones, ``generate`` and ``sweep`` hold a
+        # whole trajectory and, each step, every reference's K and V of every block, and
+        # ``init_denoiser`` draws every weight in f64 first. Entries are (keys, values,
+        # precision, what, dims); only a rejected one is named.
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        concat = self.named_policy()[0].kind == "concat"
+        policy, named = self.named_policy()
+        # R is set by the reference count or strengths list where one is given, else by the kind.
+        r, r_key = policy.reference_count, named[-1] if named[-1] in ("references", "strengths") else named[0]
         tokens, p = self.side ** 2, self.precision
 
         def held(n, s):
             return min(n, kernels.tile_rows(n, s) * kernels.POOL_WORKERS), s
 
-        shapes = [(("side",), (self.side,), p, "attention logits", held(tokens, (2 if concat else 1) * tokens))]
+        shapes = [(("side",), (self.side,), p, "attention logits",
+                   held(tokens, (2 if policy.kind == "concat" else 1) * tokens))]
         for key, cells in (("grid", self.check_grid), ("bench_grid", self.bench_grid)):
-            for cell in cells:
-                shapes.append(((key,), (cell,), p, "attention logits", held(cell[0], 2 * cell[0])))
-                shapes.append(((key,), (cell,), "f64", "drawn operands", (cell[0], max(cell[1], cell[2]))))
+            shapes += [((key,), (cell,), p, "attention logits", held(cell[0], 2 * cell[0])) for cell in cells]
+        shapes += [(("grid",), (cell,), "f64", "drawn operands", (cell[0], max(cell[1], cell[2])))
+                   for cell in self.check_grid]
         shapes += [(("bench_grid",), (cell,), p, "batch operands", (cell[3], cell[0], 2 * cell[1] + cell[2]))
                    for cell in self.bench_grid]
         shapes.append((("steps", "batch"), (self.steps, self.batch), p, "trajectory latents",
@@ -201,6 +198,8 @@ class RunConfig:
                        (self.blocks * self.d_model * (2 * self.d + 2 * self.d_v) + (tokens + 2) * self.d_model,)))
         shapes.append((("side", "d", "d_v"), (self.side, self.d, self.d_v), p, "per-block projections",
                        (tokens, max(self.d, self.d_v))))
+        shapes.append(((r_key, "blocks"), (r if r_key == "strengths" else getattr(self, r_key), self.blocks), p,
+                       "reference caches", (r, self.blocks, tokens, self.d + self.d_v)))
         for keys, values, precision, what, dims in shapes:
             need = math.prod(dims) * np.dtype(PRECISION_DTYPES[precision]).itemsize
             if need > MEMORY_FRACTION * physical:
@@ -309,7 +308,7 @@ def parse_config(path=None, overrides=None) -> RunConfig:
             raise ConfigError(f"config file not found: {path}")
         try:
             raw = json.loads(p.read_text())
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"config root must be a JSON object, got {type(raw).__name__}")

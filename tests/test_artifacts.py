@@ -49,6 +49,12 @@ class TestRawRoundTrip:
         with pytest.raises(ValueError, match="format"):
             load_raw(path)
 
+    def test_bad_sidecar_shape_detected(self, tmp_path):
+        path = write_raw(tmp_path / "latent.raw", np.zeros((2, 2), np.float32))
+        sidecar_path(path).write_text(json.dumps({"dtype": "f32", "shape": [4], "byte_order": "little"}))
+        with pytest.raises(ValueError, match="sidecar shape must be two positive integers, got \\[4\\]"):
+            load_raw(path)
+
 
 class TestPgm:
     def test_header_and_size(self, tmp_path):
@@ -70,6 +76,11 @@ class TestPgm:
     def test_non_square_header_order_is_width_height(self, tmp_path):
         path = write_pgm(tmp_path / "img.pgm", np.zeros((4, 9)))
         assert path.read_bytes().startswith(b"P5\n9 4\n255\n")
+
+    def test_non_2d_image_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="PGM image must be 2-D"):
+            write_pgm(tmp_path / "img.pgm", np.zeros((2, 2, 2)))
+        assert not (tmp_path / "img.pgm").exists()
 
 
 class TestSweepCsv:

@@ -87,6 +87,17 @@ class TestCheckCommand:
         code, _, _ = run(capsys, "check", "--grid", "2x2", "--out", str(tmp_path))
         assert code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (("check", "--grid", "2x2"), "key 'grid' must be a nonempty list of 3-integer cells, got ((2, 2),)"),
+        (("check", "--grid", "2x2x2,2x2x2x2"), "key 'grid' must be a nonempty list of 3-integer cells"),
+        (("bench", "--grid", "8x8x8"), "key 'bench_grid' must be a nonempty list of 4-integer cells, got ((8, 8, 8),)"),
+    ])
+    def test_grid_cell_of_wrong_width_names_the_key(self, tmp_path, capsys, argv, message):
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path))
+        assert code == 2
+        assert f"config error: {message}" in err
+        assert out == ""
+
 
 class TestGenerateCommand:
     def test_writes_all_artifacts(self, tmp_path, capsys):
@@ -226,6 +237,14 @@ class TestBenchCommand:
         assert len({id(inputs) for inputs in samples}) == batch
         assert all(inputs is samples[i % batch] for i, (inputs, _) in enumerate(calls))
         assert [cell["policy"] for cell in report.cells] == ["plain", "concat", "rfg"]
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"precision": "f16"}, "precision must be one of"),
+        ({"iterations": 0}, "iterations must be at least 1"),
+    ])
+    def test_run_bench_rejects_bad_arguments(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            run_bench(grid=((8, 8, 8, 2),), **kwargs)
 
 
 class TestErrorPaths:
@@ -372,7 +391,10 @@ class TestErrorPaths:
     @pytest.mark.parametrize("argv", [
         ("generate", "--seed", "-1"),
         ("bench", "--grid", "8x8x8x1"),
+        ("bench", "--grid", "8x8x8x4,"),
+        ("check", "--grid", "2xtwox2"),
         ("sweep", "--strengths=nan"),
+        ("sweep", "--strengths=abc"),
         ("sweep", "--strengths=1e30"),
         ("check", "--trials", "0"),
         ("check", "--stress-trials", "-1"),

@@ -1,10 +1,11 @@
 import argparse
+import contextlib
 import json
 import os
 import re
 import tracemalloc
 from dataclasses import fields
-from typing import get_args, get_origin
+from typing import Literal, get_args, get_origin
 
 import numpy as np
 import pytest
@@ -169,7 +170,8 @@ class TestParseConfig:
 
     # With 128 MiB of physical memory, the weights may take 64 MiB: 2^23 values
     # counted at f64 whatever the precision, 256 d + 256 d_v + 8256 of them
-    # with the default blocks, d_model and side.
+    # with the default blocks, d_model and side. The plain policy holds no
+    # reference caches, which would otherwise be the larger need.
     @pytest.mark.parametrize("overrides, ok", [
         ({"d": 32703}, True),
         ({"d": 32704}, False),
@@ -181,6 +183,7 @@ class TestParseConfig:
     def test_weights_may_take_half_of_physical_memory(self, monkeypatch, overrides, ok):
         memory = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (128 << 20) // 4096}
         monkeypatch.setattr(os, "sysconf", memory.__getitem__)
+        overrides = {"policy_kind": "plain", **overrides}
         if ok:
             parse_config(overrides=overrides)
         else:
@@ -239,10 +242,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="no_such_config.json"):
             parse_config("no_such_config.json")
 
-    def test_malformed_json_named(self, tmp_path):
+    @pytest.mark.parametrize("content", [b"{not json", b'\xff\xfe{"steps": 3}'])
+    def test_malformed_json_named(self, tmp_path, content):
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        with pytest.raises(ConfigError, match="malformed JSON"):
+        path.write_bytes(content)
+        with pytest.raises(ConfigError, match=f"malformed JSON in {re.escape(str(path))}"):
             parse_config(str(path))
 
     def test_non_object_root_rejected(self, tmp_path):
@@ -270,7 +274,7 @@ class TestParseConfig:
     @pytest.mark.parametrize("overrides, label", [
         ({"grid": [[1, 2000000000, 1]]}, "key 'grid' value 1x2000000000x1: the 1x2000000000 f64 drawn operands"),
         ({"bench_grid": [[2, 2000000000, 1, 2]]},
-         "key 'bench_grid' value 2x2000000000x1x2: the 2x2000000000 f64 drawn operands"),
+         "key 'bench_grid' value 2x2000000000x1x2: the 2x2x4000000001 f32 batch operands"),
         ({"d": 100000000, "d_model": 1, "blocks": 1},
          "keys 'side', 'd' and 'd_v' values 16, 100000000 and 32: the 256x100000000 f32 per-block projections"),
     ])
@@ -286,7 +290,8 @@ class TestParseConfig:
 
     # With 128 MiB of physical memory, one operand may take 64 MiB: 2^23 values
     # of a cell drawn at f64, or 2^24 f32 values of a side-16 block's queries,
-    # keys or values (blocks and d_model at 1 keep the weights small).
+    # keys or values (blocks and d_model at 1 keep the weights small, and the
+    # plain policy holds no reference caches).
     @pytest.mark.parametrize("overrides, key", [
         ({"grid": [[1, 8388608, 1]]}, None),
         ({"grid": [[2, 4194304, 1]]}, None),
@@ -302,6 +307,7 @@ class TestParseConfig:
     def test_operands_may_take_half_of_physical_memory(self, monkeypatch, overrides, key):
         memory = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (128 << 20) // 4096}
         monkeypatch.setattr(os, "sysconf", memory.__getitem__)
+        overrides = {"policy_kind": "plain", **overrides}
         if key is None:
             parse_config(overrides=overrides)
         else:
@@ -338,6 +344,36 @@ class TestParseConfig:
             with pytest.raises(ConfigError, match=f"key 'bench_grid' value {cell}: .* batch operands .* 50% of the 0.125 GiB"):
                 parse_config(overrides=overrides)
 
+    # With 128 MiB of physical memory, one step's reference caches may take
+    # 64 MiB: 2^24 f32 values, R x blocks x side² x (d + d_v) of them. The
+    # blend preset's 0.3 per reference leaves the convex hull, which warns.
+    @pytest.mark.parametrize("overrides, label", [
+        ({"policy_kind": "rfg-multi", "strengths": [1e-4] * 256, "batch": 257}, None),
+        ({"policy_kind": "rfg-multi", "strengths": [1e-4] * 257, "batch": 258},
+         "keys 'strengths' and 'blocks' values 257 and 4: the 257x4x256x64 f32"),
+        ({"preset": "blend", "references": 256, "batch": 257}, None),
+        ({"preset": "blend", "references": 257, "batch": 258},
+         "keys 'references' and 'blocks' values 257 and 4: the 257x4x256x64 f32"),
+        ({"policy_kind": "rfg-multi", "strengths": [1e-4] * 128, "batch": 129, "precision": "f64"}, None),
+        ({"policy_kind": "rfg-multi", "strengths": [1e-4] * 129, "batch": 130, "precision": "f64"},
+         "keys 'strengths' and 'blocks' values 129 and 4: the 129x4x256x64 f64"),
+        ({"blocks": 1024}, None),
+        ({"blocks": 1025}, "keys 'policy_kind' and 'blocks' values rfg and 1025: the 1x1025x256x64 f32"),
+        ({"blocks": 1025, "preset": "consistent"},
+         "keys 'preset' and 'blocks' values consistent and 1025: the 1x1025x256x64 f32"),
+        ({"blocks": 2000, "policy_kind": "plain"}, None),
+    ])
+    def test_reference_caches_may_take_half_of_physical_memory(self, monkeypatch, overrides, label):
+        memory = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (128 << 20) // 4096}
+        monkeypatch.setattr(os, "sysconf", memory.__getitem__)
+        blend = overrides.get("preset") == "blend"
+        with pytest.warns(UserWarning, match="convex hull") if blend else contextlib.nullcontext():
+            if label is None:
+                parse_config(overrides=overrides)
+            else:
+                with pytest.raises(ConfigError, match=f"^{label} reference caches need .* 50% of the 0.125 GiB"):
+                    parse_config(overrides=overrides)
+
     def test_invariant_violation_surfaces(self):
         with pytest.raises(ConfigError, match="batch"):
             parse_config(overrides={"batch": 1})
@@ -364,7 +400,7 @@ class TestParseConfig:
             parse_config(path)
 
     def test_empty_grid_rejected(self, tmp_path):
-        with pytest.raises(ConfigError, match="grid must name at least one"):
+        with pytest.raises(ConfigError, match="key 'grid' must be a nonempty list"):
             parse_config(write_config(tmp_path, {"grid": []}))
 
     def test_bench_grid_requires_four_dims(self):
@@ -445,6 +481,30 @@ class TestSchema:
                     stated.add(action.dest)
         assert stated == {"trials", "stress_trials", "sweep_strengths", "bench_grid", "iterations", "warmup",
                           "out_dir", "precision"}
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"preset": "vivid"}, "key 'preset' must be one of ('consistent', 'diverse', 'temporal', 'blend', 'custom'), "
+                              "got 'vivid'"),
+        ({"policy_kind": "flash"}, "key 'policy_kind' must be one of ('plain', 'concat', 'cross-frame', 'rfg', "
+                                   "'rfg-multi', 'rfg-matrix'), got 'flash'"),
+        ({"precision": "f16"}, "key 'precision' must be one of ('f32', 'f64'), got 'f16'"),
+        ({"bench_grid": []}, "key 'bench_grid' must be a nonempty list of 4-integer cells, got []"),
+        ({"sweep_strengths": []}, "key 'sweep_strengths' must be a nonempty list of numbers, got []"),
+        ({"sweep_strengths": 0.3}, "key 'sweep_strengths' must be a nonempty list of numbers, got 0.3"),
+        ({"out_dir": 5}, "key 'out_dir' must be a string, got 5"),
+    ])
+    def test_schema_rejects_by_key(self, overrides, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(overrides=overrides)
+
+    @pytest.mark.parametrize("flag", ["--preset", "--precision"])
+    def test_choices_are_the_literal_values(self, flag):
+        parser = _build_parser()
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        action = next(a for a in subparsers.choices["generate"]._actions if flag in a.option_strings)
+        hint = next(f.type for f in fields(RunConfig) if f.name == action.dest)
+        assert get_origin(hint) is Literal
+        assert tuple(action.choices) == get_args(hint)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("field", FLOAT_FIELDS, ids=lambda f: f.name)

@@ -1103,3 +1103,7 @@ class TestAttentionInputs:
         bad[0, 0] = np.nan
         with pytest.raises(ValueError):
             AttentionInputs(bad, np.ones((2, 2)), np.ones((2, 2)))
+
+    def test_non_2d_operand_rejected(self):
+        with pytest.raises(ShapeError, match="k must be 2-D, got shape"):
+            AttentionInputs(np.ones((2, 2)), np.ones((1, 2, 2)), np.ones((2, 2)))

@@ -288,6 +288,10 @@ class TestEquivalenceSuite:
         with pytest.raises(ValueError, match="trials"):
             run_equivalence_suite(trials_per_cell=0)
 
+    def test_negative_stress_trials_rejected(self):
+        with pytest.raises(ValueError, match="stress_trials_per_cell must be nonnegative"):
+            run_equivalence_suite(stress_trials_per_cell=-1)
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="grid"):
             run_equivalence_suite(grid=())
