@@ -22,7 +22,6 @@ Core pieces:
 from .kernels import (
     AttentionInputs,
     AttentionPolicy,
-    ReferenceKV,
     apply_policy,
     attention,
     concat_attention,
@@ -48,7 +47,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AttentionInputs",
     "AttentionPolicy",
-    "ReferenceKV",
     "apply_policy",
     "attention",
     "concat_attention",

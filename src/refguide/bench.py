@@ -3,14 +3,13 @@
 One iteration processes a full batch at one (L, d, d_v, B) cell through
 ``apply_policy``, as the denoiser calls it: the reference sample runs the
 plain policy, and each remaining sample runs the policy under test against
-a one-layer ``ReferenceKV`` of the reference's K/V. Each sample's
-``AttentionInputs`` is built once per cell, outside the timed loop.
-Iterations are timed individually after a warmup and the median is
-reported, so a stray scheduler hiccup does not move the number. Throughput
-is attention calls per second (B calls per iteration). The cache accounting
-counts the reference K/V bytes each guided sample reads instead of
-recomputing: (B - 1) times the per-sample reference K/V size for the
-reference-conditioned policies, zero for plain.
+the reference's ``(k, v)`` pair. Each sample's ``AttentionInputs`` is built
+once per cell, outside the timed loop. Iterations are timed individually
+after a warmup and the median is reported, so a stray scheduler hiccup does
+not move the number. Throughput is attention calls per second (B calls per
+iteration). The cache accounting counts the reference K/V bytes each guided
+sample reads instead of recomputing: (B - 1) times the per-sample reference
+K/V size for the reference-conditioned policies, zero for plain.
 """
 
 import platform
@@ -20,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .kernels import AttentionInputs, AttentionPolicy, ReferenceKV, apply_policy
+from .kernels import AttentionInputs, AttentionPolicy, apply_policy
 from .linalg import PRECISION_DTYPES
 from .rng import stream, uniform_matrix
 
@@ -42,10 +41,10 @@ class BenchReport:
         return asdict(self)
 
 
-def _run_iteration(policy: AttentionPolicy, samples, cache: ReferenceKV) -> None:
+def _run_iteration(policy: AttentionPolicy, samples, ref: tuple) -> None:
     apply_policy(samples[0], AttentionPolicy.plain())
     for inputs in samples[1:]:
-        apply_policy(inputs, policy, (cache,))
+        apply_policy(inputs, policy, (ref,))
 
 
 def run_bench(
@@ -73,16 +72,16 @@ def run_bench(
         gen = stream(seed, cell_index)
         samples = [AttentionInputs(*(uniform_matrix(gen, length, width, dtype=dtype) for width in (d, d, d_v)))
                    for _ in range(batch)]
-        cache = ReferenceKV([(samples[0].k, samples[0].v)])
+        ref = (samples[0].k, samples[0].v)
         per_sample_cache = samples[0].k.nbytes + samples[0].v.nbytes
         throughput = {}
         for policy in BENCH_POLICIES:
             for _ in range(warmup):
-                _run_iteration(policy, samples, cache)
+                _run_iteration(policy, samples, ref)
             times = []
             for _ in range(iterations):
                 start = time.perf_counter()
-                _run_iteration(policy, samples, cache)
+                _run_iteration(policy, samples, ref)
                 times.append(time.perf_counter() - start)
             median = statistics.median(times)
             calls_per_second = batch / median if median > 0 else float("inf")

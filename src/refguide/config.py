@@ -102,7 +102,7 @@ def _coerce(key: str, value, hint):
         for cell in value
     )
     if not ok:
-        raise ConfigError(f"key {key!r} must be a nonempty list of {width}-integer cells, got {value!r}")
+        raise ConfigError(f"key {key!r} must be a nonempty list of cells of {width} positive integers, got {value!r}")
     return tuple(tuple(cell) for cell in value)
 
 

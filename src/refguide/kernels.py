@@ -24,7 +24,8 @@ case; the routes to reference conditioning:
   branches and that mass; the "rfg-matrix" policy, the oracle's suite,
   ``rfg_matrix`` and ``guidance_form`` all run it.
 
-A call checks once that its operands share a dtype, then runs each
+A call checks once that its operands share a dtype and that each
+partition's ``k`` and ``v`` are 2-D with equal rows, then runs each
 partition as one ``_tile``, or, if all meet ``tile_rows``' rule, as
 ``TILE_ROWS``-row tiles with the same bytes, inline or on a thread pool (one
 thread per usable CPU, when BLAS runs one thread), each thread reusing one
@@ -33,8 +34,9 @@ Every partition's tiles are submitted before any is awaited; the pool starts
 with its first use.
 
 ``apply_policy`` runs an ``AttentionPolicy``, a kind plus one strength per
-reference the scalar blend reads, so pipeline code never branches on kernel
-names itself; every policy with strengths is one ``rfg_multi`` call.
+reference the scalar blend reads, over each reference's ``(k, v)``, so
+pipeline code never branches on kernel names itself; every policy with
+strengths is one ``rfg_multi`` call.
 """
 
 import contextvars
@@ -171,25 +173,6 @@ class AttentionPolicy:
         return 1 if self.kind in ("concat", "rfg-matrix") else len(self.strengths)
 
 
-class ReferenceKV:
-    """Per-layer (K, V) pairs captured from a reference forward pass."""
-
-    def __init__(self, layers):
-        self._layers = [(k, v) for k, v in layers]
-        for i, (k, v) in enumerate(self._layers):
-            if k.ndim != 2 or v.ndim != 2 or k.shape[0] != v.shape[0]:
-                raise ShapeError(f"layer {i} cache has mismatched shapes {k.shape} and {v.shape}")
-
-    def __len__(self) -> int:
-        return len(self._layers)
-
-    def layer(self, index: int):
-        """(K, V) for block ``index``; LookupError if the block was never cached."""
-        if not 0 <= index < len(self._layers):
-            raise LookupError(f"no cached keys/values for layer {index}; cache holds {len(self._layers)} layers")
-        return self._layers[index]
-
-
 def _tile(q, k, v, scale, out=None) -> tuple:
     """``(out, m, s)`` of attention for one tile of query rows, logits scaled by ``scale``.
 
@@ -220,8 +203,10 @@ def tile_rows(length: int, keys: int) -> int:
 def _branches(q, kvs) -> list:
     """``(out, m, s)`` of ``_tile`` over each ``(k, v)`` partition of one query, in partition order.
 
-    Mixed dtypes, a zero-width query or a keyless partition raise before any
-    tile runs. If every partition meets ``tile_rows``' rule, each runs as tiles
+    Before any tile runs, mixed dtypes, a zero-width query or a partition
+    whose ``k`` and ``v`` are not 2-D with the same one or more rows raise;
+    a partition's error names its index. This is every public kernel's one
+    check of ``k`` and ``v``. If every partition meets ``tile_rows``' rule, each runs as tiles
     into its output, bitwise the single tile: on the pool if ``POOL_WORKERS >= 2``,
     each in a copy of the caller's context (so ``np.errstate`` reaches it), else
     inline. Every tile's softmax checks its rows' maxima, the one finiteness rule.
@@ -230,8 +215,11 @@ def _branches(q, kvs) -> list:
     _same_dtype(q, *(a for kv in kvs for a in kv))
     if q.shape[1] == 0:
         raise ValueError("attention needs queries of positive width, got 0")
-    if empty := [i for i, (k, _) in enumerate(kvs) if k.shape[0] == 0]:
-        raise ShapeError(f"partition {empty[0]} has no keys: its k has shape {kvs[empty[0]][0].shape}")
+    for i, (k, v) in enumerate(kvs):
+        if k.ndim != 2 or v.ndim != 2 or k.shape[0] != v.shape[0]:
+            raise ShapeError(f"partition {i} needs 2-D k and v with equal row counts, got {k.shape} and {v.shape}")
+        if k.shape[0] == 0:
+            raise ShapeError(f"partition {i} has no keys: its k has shape {k.shape}")
     length = q.shape[0]
     scale = 1.0 / float(np.sqrt(q.shape[1]))
     if max(tile_rows(length, k.shape[0]) for k, _ in kvs) == length:
@@ -376,24 +364,24 @@ def guidance_form(q, k_ref, v_ref, k_self, v_self, coeff: np.ndarray) -> np.ndar
     return guidance(coeff, *_coefficient_branches(q, k_ref, v_ref, k_self, v_self, coeff))
 
 
-def apply_policy(inputs: AttentionInputs, policy: AttentionPolicy, caches=(), layer: int = 0) -> np.ndarray:
+def apply_policy(inputs: AttentionInputs, policy: AttentionPolicy, refs=()) -> np.ndarray:
     """Run one attention block under ``policy``.
 
-    ``caches`` holds one ReferenceKV per reference the policy reads (one per
-    strength, in order; "plain" reads none). Every policy with strengths is
-    the scalar blend ``rfg_multi``. Reference-conditioned kinds raise
-    ValueError when the count does not match the policy.
+    ``refs`` holds this block's ``(k, v)`` for each reference the policy
+    reads (one per strength, in order; "plain" reads none). Every policy
+    with strengths is the scalar blend ``rfg_multi``. Reference-conditioned
+    kinds raise ValueError when the count does not match the policy.
     """
     q, k, v = inputs.q, inputs.k, inputs.v
     if policy.kind == "plain":
         return attention(q, k, v)
-    if len(caches) != policy.reference_count:
+    if len(refs) != policy.reference_count:
         raise ValueError(
-            f"policy {policy.kind!r} needs {policy.reference_count} reference cache(s), got {len(caches)}"
+            f"policy {policy.kind!r} needs {policy.reference_count} reference cache(s), got {len(refs)}"
         )
     if policy.strengths:
-        return rfg_multi(q, [(c, *ref.layer(layer)) for c, ref in zip(policy.strengths, caches)], k, v)
-    k_ref, v_ref = caches[0].layer(layer)
+        return rfg_multi(q, [(c, *ref) for c, ref in zip(policy.strengths, refs)], k, v)
+    k_ref, v_ref = refs[0]
     if policy.kind == "concat":
         return concat_attention(q, k_ref, v_ref, k, v)
     a_ref, a_self, c_vec = reference_branches(q, k_ref, v_ref, k, v)

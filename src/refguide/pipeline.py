@@ -8,11 +8,11 @@ layer at desk scale, not to produce images worth looking at.
 
 Batch convention: with a reference-conditioned policy the first sample (the
 first N samples for an N-reference blend) is the reference. References run
-plain self-attention; their per-layer keys/values are captured into a
-ReferenceKV cache, rebuilt every step from the reference's current latent,
-and every guided sample reads that cache. The reference therefore never sees
-the guided samples, so its trajectory is bitwise identical across policies
-and batch sizes for fixed seeds.
+plain self-attention; their keys/values are captured as one ``(k, v)`` pair
+per block, rebuilt every step from the reference's current latent, and each
+guided block reads its own block's pair from every reference. The reference
+therefore never sees the guided samples, so its trajectory is bitwise
+identical across policies and batch sizes for fixed seeds.
 
 ``denoise_step`` takes one policy per block (``PipelineConfig.layer_policies``);
 its guided samples read only the caches that same step rebuilt.
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import AttentionInputs, AttentionPolicy, ReferenceKV, apply_policy
+from .kernels import AttentionInputs, AttentionPolicy, apply_policy
 from .linalg import PRECISION_DTYPES, frobenius_norm, matmul
 from .rng import stream, uniform_matrix
 
@@ -154,8 +154,9 @@ def init_denoiser(seed: int, config: PipelineConfig) -> DenoiserWeights:
 def _forward(latent, weights, policies, caches, collect_cache=False):
     """One denoiser pass over a (side, side) latent.
 
-    Returns (prediction, ReferenceKV or None). ``policies`` holds one policy
-    per block; ``caches`` is the ReferenceKV sequence handed to apply_policy.
+    Returns (prediction, this pass's ``[(k, v), ...]`` per block, or None).
+    ``policies`` holds one policy per block; ``caches`` holds one such list
+    per reference, and block ``i`` hands apply_policy each list's entry ``i``.
     """
     side = latent.shape[0]
     x = latent.reshape(side * side, 1)
@@ -167,14 +168,14 @@ def _forward(latent, weights, policies, caches, collect_cache=False):
         v = matmul(h, blk.w_v)
         if collect_cache:
             captured.append((k, v))
-        a = apply_policy(AttentionInputs(q, k, v), policies[i], caches, layer=i)
+        a = apply_policy(AttentionInputs(q, k, v), policies[i], [cache[i] for cache in caches])
         h = h + MIX_SCALE * matmul(a, blk.w_mix)
     pred = np.tanh(matmul(h, weights.w_out))
-    return pred.reshape(side, side), ReferenceKV(captured) if collect_cache else None
+    return pred.reshape(side, side), captured if collect_cache else None
 
 
 def reference_pass(latent, weights):
-    """Plain self-attention pass that also captures the per-layer K/V cache."""
+    """Plain self-attention pass that also captures each block's ``(k, v)``."""
     plain = (AttentionPolicy.plain(),) * len(weights.blocks)
     return _forward(latent, weights, plain, caches=(), collect_cache=True)
 

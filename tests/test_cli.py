@@ -88,9 +88,13 @@ class TestCheckCommand:
         assert code == 2
 
     @pytest.mark.parametrize("argv, message", [
-        (("check", "--grid", "2x2"), "key 'grid' must be a nonempty list of 3-integer cells, got ((2, 2),)"),
-        (("check", "--grid", "2x2x2,2x2x2x2"), "key 'grid' must be a nonempty list of 3-integer cells"),
-        (("bench", "--grid", "8x8x8"), "key 'bench_grid' must be a nonempty list of 4-integer cells, got ((8, 8, 8),)"),
+        (("check", "--grid", "2x2"), "key 'grid' must be a nonempty list of cells of 3 positive integers, "
+                                      "got ((2, 2),)"),
+        (("check", "--grid", "2x2x2,2x2x2x2"), "key 'grid' must be a nonempty list of cells of 3 positive integers"),
+        (("check", "--grid", "0x4x4"), "key 'grid' must be a nonempty list of cells of 3 positive integers, "
+                                       "got ((0, 4, 4),)"),
+        (("bench", "--grid", "8x8x8"), "key 'bench_grid' must be a nonempty list of cells of 4 positive integers, "
+                                       "got ((8, 8, 8),)"),
     ])
     def test_grid_cell_of_wrong_width_names_the_key(self, tmp_path, capsys, argv, message):
         code, out, err = run(capsys, *argv, "--out", str(tmp_path))

@@ -488,7 +488,7 @@ class TestSchema:
         ({"policy_kind": "flash"}, "key 'policy_kind' must be one of ('plain', 'concat', 'cross-frame', 'rfg', "
                                    "'rfg-multi', 'rfg-matrix'), got 'flash'"),
         ({"precision": "f16"}, "key 'precision' must be one of ('f32', 'f64'), got 'f16'"),
-        ({"bench_grid": []}, "key 'bench_grid' must be a nonempty list of 4-integer cells, got []"),
+        ({"bench_grid": []}, "key 'bench_grid' must be a nonempty list of cells of 4 positive integers, got []"),
         ({"sweep_strengths": []}, "key 'sweep_strengths' must be a nonempty list of numbers, got []"),
         ({"sweep_strengths": 0.3}, "key 'sweep_strengths' must be a nonempty list of numbers, got 0.3"),
         ({"out_dir": 5}, "key 'out_dir' must be a string, got 5"),

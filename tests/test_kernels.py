@@ -1,6 +1,7 @@
 import ast
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -21,7 +22,6 @@ import refguide.kernels as kernels
 from refguide.kernels import (
     AttentionInputs,
     AttentionPolicy,
-    ReferenceKV,
     apply_policy,
     attention,
     blend,
@@ -872,6 +872,38 @@ class TestKeylessPartitions:
         assert np.array_equal(out, attention(q, k_self, v_self))
 
 
+class TestPartitionShapes:
+    """``_branches`` checks every partition's ``k`` and ``v`` once, before any tile runs."""
+
+    BAD_PAIRS = {
+        "rows-3-vs-4": lambda k, v: (k[:3], v[:4]),
+        "rows-64-vs-65": lambda k, v: (k, np.concatenate([v, v[:1]])),
+        "1d-k": lambda k, v: (k[:, 0], v),
+        "1d-v": lambda k, v: (k, v[:, 0]),
+    }
+    CALLS = {
+        "attention": (0, lambda q, kv, bad: attention(q, *bad)),
+        "rfg_multi": (1, lambda q, kv, bad: rfg_multi(q, [(0.3, *kv), (0.2, *bad)], *kv)),
+        "partitions": (1, lambda q, kv, bad: kernels.partitions(q, [kv, bad])),
+        "apply_policy": (0, lambda q, kv, bad: apply_policy(AttentionInputs(q, *kv), AttentionPolicy.rfg_matrix(),
+                                                            [bad])),
+    }
+
+    @pytest.mark.parametrize("bad", BAD_PAIRS)
+    @pytest.mark.parametrize("call", CALLS)
+    def test_bad_partition_is_named_before_any_tile(self, call, bad):
+        # 512 queries over 64 keys tile once POOL_MIN_WORK is 0, so a late check would submit tiles.
+        q, k, v = partition_inputs(52, 512, 64, 8, 8, np.float32)
+        index, run = self.CALLS[call]
+        k_bad, v_bad = self.BAD_PAIRS[bad](k, v)
+        message = re.escape(f"partition {index} needs 2-D k and v with equal row counts, "
+                            f"got {k_bad.shape} and {v_bad.shape}")
+        with tile_pool(2) as pool, mock.patch.object(kernels, "POOL_MIN_WORK", 0), \
+                pytest.raises(ShapeError, match=message):
+            run(q, (k, v), (k_bad, v_bad))
+        assert pool.submitted == 0
+
+
 class TestRank1Coefficient:
     def test_columns_are_copies_of_the_vector(self):
         c = np.array([0.25, 0.75])
@@ -999,29 +1031,11 @@ class TestAttentionPolicy:
         assert AttentionPolicy("rfg", (0.5,)).strength == 0.5
 
 
-class TestReferenceKV:
-    def test_layer_lookup(self):
-        k, v = np.ones((2, 3)), np.ones((2, 4))
-        cache = ReferenceKV([(k, v)])
-        got_k, got_v = cache.layer(0)
-        assert got_k is k and got_v is v
-
-    def test_missing_layer_raises(self):
-        cache = ReferenceKV([(np.ones((2, 2)), np.ones((2, 2)))])
-        with pytest.raises(LookupError, match="layer 3"):
-            cache.layer(3)
-
-    def test_mismatched_rows_rejected(self):
-        with pytest.raises(ShapeError):
-            ReferenceKV([(np.ones((2, 2)), np.ones((3, 2)))])
-
-
 class TestApplyPolicy:
     def make(self, seed=80):
         q, k_ref, v_ref, k_self, v_self = draw_set(seed)
         inputs = AttentionInputs(q, k_self, v_self)
-        cache = ReferenceKV([(k_ref, v_ref)])
-        return inputs, cache, (q, k_ref, v_ref, k_self, v_self)
+        return inputs, (k_ref, v_ref), (q, k_ref, v_ref, k_self, v_self)
 
     def test_plain_ignores_cache(self):
         inputs, cache, (q, _, _, k_self, v_self) = self.make()
@@ -1069,8 +1083,8 @@ class TestApplyPolicy:
             return real(q, refs, k_self, v_self)
 
         with mock.patch.object(kernels, "rfg_multi", counting):
-            for layer in range(2):
-                apply_policy(inputs, policy, [ReferenceKV([cache.layer(0)] * 2)] * refs, layer=layer)
+            for _ in range(2):
+                apply_policy(inputs, policy, [cache] * refs)
         assert calls == [list(policy.strengths)] * 2
 
     def test_missing_cache_rejected(self):
@@ -1082,11 +1096,6 @@ class TestApplyPolicy:
         inputs, cache, _ = self.make()
         with pytest.raises(ValueError, match="cache"):
             apply_policy(inputs, AttentionPolicy.rfg_multi((0.2, 0.2)), [cache])
-
-    def test_wrong_layer_index_raises(self):
-        inputs, cache, _ = self.make()
-        with pytest.raises(LookupError):
-            apply_policy(inputs, AttentionPolicy.concat(), [cache], layer=2)
 
 
 class TestAttentionInputs:

@@ -108,7 +108,7 @@ class TestReferencePass:
         pred, cache = reference_pass(latent, w)
         assert pred.shape == (cfg.side, cfg.side)
         assert len(cache) == cfg.blocks
-        k, v = cache.layer(0)
+        k, v = cache[0]
         assert k.shape == (cfg.tokens, cfg.d)
         assert v.shape == (cfg.tokens, cfg.d_v)
 
