@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .kernels import AttentionInputs, AttentionPolicy, apply_policy
+from .kernels import AttentionInputs, AttentionPolicy, apply_policy, held_logits
 from .linalg import PRECISION_DTYPES
 from .rng import stream, uniform_matrix
 
@@ -39,6 +39,13 @@ class BenchReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def bench_nbytes(grid, precision: str) -> list:
+    """Bytes ``run_bench`` holds at each cell of ``grid``: B samples' q, k and v, and concat's logits over 2L keys."""
+    itemsize = np.dtype(PRECISION_DTYPES[precision]).itemsize
+    return [(batch * length * (2 * d + d_v) + held_logits(length, 2 * length)) * itemsize
+            for length, d, d_v, batch in grid]
 
 
 def _run_iteration(policy: AttentionPolicy, samples, ref: tuple) -> None:

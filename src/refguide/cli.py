@@ -195,7 +195,7 @@ def main(argv=None) -> int:
     overrides = vars(args)
     command, config_path = overrides.pop("command"), overrides.pop("config")
     try:
-        return _COMMANDS[command](parse_config(config_path, overrides))
+        return _COMMANDS[command](parse_config(config_path, overrides, command))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

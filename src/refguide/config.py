@@ -14,13 +14,10 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Literal, get_args, get_origin
 
-import numpy as np
-
-from . import kernels
-from .bench import DEFAULT_BENCH_GRID
+from .bench import DEFAULT_BENCH_GRID, bench_nbytes
 from .kernels import POLICY_KINDS, AttentionPolicy
 from .linalg import PRECISION_DTYPES
-from .oracle import DEFAULT_GRID
+from .oracle import DEFAULT_GRID, suite_nbytes
 from .pipeline import PipelineConfig
 
 # Recommended operating points. "consistent" strengthens subject consistency
@@ -41,8 +38,8 @@ PRESET_STRENGTHS = {
 }
 PRESETS = ("consistent", "diverse", "temporal", "blend", "custom")
 
-# Largest share of physical memory that one attention call's logits, one
-# trajectory of latents, or the denoiser's weights may take.
+# Largest share of physical memory (read with ``os.sysconf``) that a command may
+# hold at its peak: its arrays summed, each sized by the module that allocates it.
 MEMORY_FRACTION = 0.5
 
 # Keys that name the policy; a config may give only those ``named_policy`` reads.
@@ -106,14 +103,6 @@ def _coerce(key: str, value, hint):
     return tuple(tuple(cell) for cell in value)
 
 
-def _named(keys, values) -> str:
-    """``key 'side' value 16``, or ``keys 'steps' and 'batch' values 20 and 4``; a cell reads ``64x4x4``."""
-    values = ["x".join(map(str, v)) if isinstance(v, tuple) else str(v) for v in values]
-    if len(keys) == 1:
-        return f"key {keys[0]!r} value {values[0]}"
-    return f"keys {', '.join(map(repr, keys[:-1]))} and {keys[-1]!r} values {', '.join(values[:-1])} and {values[-1]}"
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a subcommand needs, resolved from defaults, file, and flags.
@@ -121,8 +110,8 @@ class RunConfig:
     The field annotations are the config schema: every value is checked
     against its field's type when the config is built (``X | None`` marks the
     keys that may be null), then against the range invariants below, so no
-    command re-checks what it reads from here. The keys that configure the
-    denoiser take their defaults from ``PipelineConfig``.
+    command re-checks what it reads from here; memory depends on the command,
+    so ``parse_config`` checks it. The denoiser's keys default to ``PipelineConfig``.
     """
 
     preset: Literal[PRESETS] = "custom"
@@ -166,48 +155,9 @@ class RunConfig:
         for cell in self.bench_grid:
             if cell[3] < 2:
                 raise ConfigError(f"bench_grid batch must be at least 2, got cell {'x'.join(map(str, cell))}")
-        # A call holds L x S logits, or a tile per worker where ``kernels.tile_rows``
-        # tiles it, so every cell is checked; S = 2L where concat attention runs (the
-        # "concat" policy, every check trial and bench cell). A check cell draws L x d and
-        # L x d_v operands in f64, a bench cell holds B samples of L x (2d + d_v) ones, a
-        # block projects side² x d and side² x d_v ones, ``generate`` and ``sweep`` hold a
-        # whole trajectory and, each step, every reference's K and V of every block, and
-        # ``init_denoiser`` draws every weight in f64 first. Entries are (keys, values,
-        # precision, what, dims); only a rejected one is named.
-        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        policy, named = self.named_policy()
-        # R is set by the reference count or strengths list where one is given, else by the kind.
-        r, r_key = policy.reference_count, named[-1] if named[-1] in ("references", "strengths") else named[0]
-        tokens, p = self.side ** 2, self.precision
-
-        def held(n, s):
-            return min(n, kernels.tile_rows(n, s) * kernels.POOL_WORKERS), s
-
-        shapes = [(("side",), (self.side,), p, "attention logits",
-                   held(tokens, (2 if policy.kind == "concat" else 1) * tokens))]
-        for key, cells in (("grid", self.check_grid), ("bench_grid", self.bench_grid)):
-            shapes += [((key,), (cell,), p, "attention logits", held(cell[0], 2 * cell[0])) for cell in cells]
-        shapes += [(("grid",), (cell,), "f64", "drawn operands", (cell[0], max(cell[1], cell[2])))
-                   for cell in self.check_grid]
-        shapes += [(("bench_grid",), (cell,), p, "batch operands", (cell[3], cell[0], 2 * cell[1] + cell[2]))
-                   for cell in self.bench_grid]
-        shapes.append((("steps", "batch"), (self.steps, self.batch), p, "trajectory latents",
-                       (self.steps + 1, self.batch, self.side, self.side)))
-        shapes.append((("blocks", "d_model", "d", "d_v"), (self.blocks, self.d_model, self.d, self.d_v), "f64",
-                       "denoiser weights",
-                       (self.blocks * self.d_model * (2 * self.d + 2 * self.d_v) + (tokens + 2) * self.d_model,)))
-        shapes.append((("side", "d", "d_v"), (self.side, self.d, self.d_v), p, "per-block projections",
-                       (tokens, max(self.d, self.d_v))))
-        shapes.append(((r_key, "blocks"), (r if r_key == "strengths" else getattr(self, r_key), self.blocks), p,
-                       "reference caches", (r, self.blocks, tokens, self.d + self.d_v)))
-        for keys, values, precision, what, dims in shapes:
-            need = math.prod(dims) * np.dtype(PRECISION_DTYPES[precision]).itemsize
-            if need > MEMORY_FRACTION * physical:
-                raise ConfigError(
-                    f"{_named(keys, values)}: the {'x'.join(map(str, dims))} {precision} {what} need "
-                    f"{need / 2**30:.3g} GiB, more than {MEMORY_FRACTION:.0%} of the {physical / 2**30:.3g} GiB "
-                    "of physical memory"
-                )
+        if self.preset == "blend" and self.references * BLEND_STRENGTH > 1:
+            raise ConfigError(f"key 'references' value {self.references}: at {BLEND_STRENGTH} each, more than "
+                              f"{int(1 / BLEND_STRENGTH)} references take the blend out of the convex hull")
 
     def named_policy(self) -> tuple:
         """``(policy, keys)``: the attention policy this config names, and the keys naming it.
@@ -295,11 +245,12 @@ class RunConfig:
 _FIELD_NAMES = frozenset(f.name for f in fields(RunConfig))
 
 
-def parse_config(path=None, overrides=None) -> RunConfig:
+def parse_config(path=None, overrides=None, command=None) -> RunConfig:
     """Build a RunConfig from an optional JSON file plus flag overrides.
 
     Flags win over the file; both win over defaults. Every violation raises
-    ConfigError with a message naming the offending key or file.
+    ConfigError with a message naming the offending key or file. Given a CLI
+    ``command``, what it holds at its peak must fit in ``MEMORY_FRACTION`` of physical memory.
     """
     data = {}
     if path is not None:
@@ -326,5 +277,24 @@ def parse_config(path=None, overrides=None) -> RunConfig:
     if unread:
         reads = " and ".join(repr(key) for key in keys if key in _POLICY_KEYS) or "no policy key"
         raise ConfigError(f"key {unread[0]!r} does not apply: {keys[0]} {getattr(cfg, keys[0])!r} reads {reads}")
-    cfg.pipeline_config()
-    return cfg
+    pipeline = cfg.pipeline_config()
+    if command is None:
+        return cfg
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if command in ("generate", "sweep"):  # named by the keys of the largest part
+        parts = pipeline.working_set()
+        if (need := sum(part[2] for part in parts)) <= MEMORY_FRACTION * physical:
+            return cfg
+        what, names, largest = max(parts, key=lambda part: part[2])
+        # "policy" is named by the key that sets the reference count.
+        names = [(keys[-1] if keys[-1] != "strength" else keys[0]) if name == "policy" else name for name in names]
+        named = f"key{'s' * (len(names) > 1)} {', '.join(map(repr, names))} ({largest / 2**30:.3g} GiB of {what})"
+    else:
+        key, cells = ("grid", cfg.check_grid) if command == "check" else ("bench_grid", cfg.bench_grid)
+        sizes = (suite_nbytes(cells, cfg.precision, cfg.trials + cfg.stress_trials) if command == "check"
+                 else bench_nbytes(cells, cfg.precision))
+        if (need := max(sizes)) <= MEMORY_FRACTION * physical:
+            return cfg
+        named = f"key {key!r} value {'x'.join(map(str, cells[sizes.index(need)]))}"
+    raise ConfigError(f"{named}: {command} would hold {need / 2**30:.3g} GiB at its peak, more than "
+                      f"{MEMORY_FRACTION:.0%} of the {physical / 2**30:.3g} GiB of physical memory")

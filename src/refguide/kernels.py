@@ -24,14 +24,14 @@ case; the routes to reference conditioning:
   branches and that mass; the "rfg-matrix" policy, the oracle's suite,
   ``rfg_matrix`` and ``guidance_form`` all run it.
 
-A call checks once that its operands share a dtype and that each
-partition's ``k`` and ``v`` are 2-D with equal rows, then runs each
-partition as one ``_tile``, or, if all meet ``tile_rows``' rule, as
-``TILE_ROWS``-row tiles with the same bytes, inline or on a thread pool (one
-thread per usable CPU, when BLAS runs one thread), each thread reusing one
-logits scratch: ``min(L, TILE_ROWS * POOL_WORKERS) x S`` logits per call.
-Every partition's tiles are submitted before any is awaited; the pool starts
-with its first use.
+A call checks once that its operands share a dtype, that the query is 2-D
+and as wide as each partition's ``k``, and that each partition's ``k`` and
+``v`` are 2-D with equal rows, then runs each partition as one ``_tile``, or,
+if all meet ``tile_rows``' rule, as ``TILE_ROWS``-row tiles with the same
+bytes, inline or on a thread pool (one thread per usable CPU, when BLAS runs
+one thread), each thread reusing one logits scratch (``held_logits``). Every
+partition's tiles are submitted before any is awaited; the pool starts with
+its first use.
 
 ``apply_policy`` runs an ``AttentionPolicy``, a kind plus one strength per
 reference the scalar blend reads, over each reference's ``(k, v)``, so
@@ -200,26 +200,34 @@ def tile_rows(length: int, keys: int) -> int:
     return TILE_ROWS if tiles else length
 
 
+def held_logits(length: int, keys: int) -> int:
+    """Logits a call over partitions of at most S = ``keys`` keys holds: L x S, or a tile per thread if tiled."""
+    return min(length, tile_rows(length, keys) * POOL_WORKERS) * keys
+
+
 def _branches(q, kvs) -> list:
     """``(out, m, s)`` of ``_tile`` over each ``(k, v)`` partition of one query, in partition order.
 
-    Before any tile runs, mixed dtypes, a zero-width query or a partition
-    whose ``k`` and ``v`` are not 2-D with the same one or more rows raise;
-    a partition's error names its index. This is every public kernel's one
-    check of ``k`` and ``v``. If every partition meets ``tile_rows``' rule, each runs as tiles
+    Before any tile runs, mixed dtypes, a query that is not 2-D with one or
+    more columns, or a partition whose ``k`` and ``v`` are not 2-D with the
+    same one or more rows, or whose ``k`` is not as wide as ``q``, raise; a
+    partition's error names its index. This is every public kernel's one
+    check of ``q``, ``k`` and ``v``. If every partition meets ``tile_rows``' rule, each runs as tiles
     into its output, bitwise the single tile: on the pool if ``POOL_WORKERS >= 2``,
     each in a copy of the caller's context (so ``np.errstate`` reaches it), else
     inline. Every tile's softmax checks its rows' maxima, the one finiteness rule.
     The call returns, or raises the first tile's error, once all are done.
     """
     _same_dtype(q, *(a for kv in kvs for a in kv))
-    if q.shape[1] == 0:
-        raise ValueError("attention needs queries of positive width, got 0")
+    if q.ndim != 2 or q.shape[1] == 0:
+        raise ShapeError(f"q must be 2-D and of positive width, got shape {q.shape}")
     for i, (k, v) in enumerate(kvs):
         if k.ndim != 2 or v.ndim != 2 or k.shape[0] != v.shape[0]:
             raise ShapeError(f"partition {i} needs 2-D k and v with equal row counts, got {k.shape} and {v.shape}")
         if k.shape[0] == 0:
             raise ShapeError(f"partition {i} has no keys: its k has shape {k.shape}")
+        if k.shape[1] != q.shape[1]:
+            raise ShapeError(f"q of shape {q.shape} and partition {i}'s k of shape {k.shape} differ in width")
     length = q.shape[0]
     scale = 1.0 / float(np.sqrt(q.shape[1]))
     if max(tile_rows(length, k.shape[0]) for k, _ in kvs) == length:

@@ -176,6 +176,22 @@ def _draw_inputs(gen, length, d, d_v, dtype, scale):
                  for width, s in ((d, scale), (d, 1.0), (d_v, 1.0), (d, 1.0), (d_v, 1.0)))
 
 
+def _processes(trials: int) -> int:
+    """Processes ``_run_trials`` deals ``trials`` trials to: the caller and its forked children."""
+    return min(kernels.POOL_WORKERS if hasattr(os, "fork") else 1, trials)
+
+
+def suite_nbytes(grid, precision: str, per_cell: int) -> list:
+    """Bytes held while trials run at each cell of ``grid``: one trial in each process ``_run_trials`` uses.
+
+    A trial: concat's logits over 2L keys, 48 B per drawn value (array, f64 draw, naive Python float) and
+    160 per L x d_v output entry (some sixteen arrays at up to 8 B, and a naive Python float).
+    """
+    itemsize, processes = np.dtype(PRECISION_DTYPES[precision]).itemsize, _processes(len(grid) * per_cell)
+    return [(kernels.held_logits(length, 2 * length) * itemsize + length * (48 * (3 * d + 2 * d_v) + 160 * d_v))
+            * processes for length, d, d_v in grid]
+
+
 def _run_share(run_trial, keys) -> tuple:
     """``(records, error)`` of ``run_trial(key)`` over ``keys``; ``error`` is the first ``(key, exception)``, or None."""
     records = []
@@ -198,7 +214,7 @@ def _run_trials(run_trial, keys) -> list:
     one a serial loop would raise; a child that exits without a result counts
     as a ``ChildProcessError`` at its share's first key.
     """
-    workers = min(kernels.POOL_WORKERS if hasattr(os, "fork") else 1, len(keys))
+    workers = _processes(len(keys))
     shares, children, reaped = [], [], []
     try:
         for w in range(1, workers):

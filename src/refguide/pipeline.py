@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import AttentionInputs, AttentionPolicy, apply_policy
+from .kernels import AttentionInputs, AttentionPolicy, apply_policy, held_logits
 from .linalg import PRECISION_DTYPES, frobenius_norm, matmul
 from .rng import stream, uniform_matrix
 
@@ -79,6 +79,18 @@ class PipelineConfig:
     @property
     def dtype(self):
         return PRECISION_DTYPES[self.precision]
+
+    def working_set(self) -> tuple:
+        """``(what, keys, nbytes)`` per array ``generate_batch`` holds at its peak; "policy" sets R references."""
+        tokens, size, d, d_v = self.tokens, np.dtype(self.dtype).itemsize, self.d, self.d_v
+        logits = held_logits(tokens, 2 * tokens if self.policy.kind == "concat" else tokens)
+        weights = self.blocks * self.d_model * (2 * d + 2 * d_v) + (tokens + 2) * self.d_model  # drawn in f64
+        return (("attention logits", ("side",), logits * size),
+                ("trajectory latents", ("steps", "batch"), (self.steps + 1) * self.batch * tokens * size),
+                ("denoiser weights", ("blocks", "d_model", "d", "d_v"), weights * 8),
+                ("per-block projections", ("side", "d", "d_v"), tokens * (2 * d + d_v) * size),
+                ("reference caches", ("policy", "blocks"),
+                 self.policy.reference_count * self.blocks * tokens * (d + d_v) * size))
 
     def layer_policies(self) -> tuple:
         """Policy applied at each block: the configured one, or per-layer rfg overrides."""

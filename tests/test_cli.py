@@ -1,5 +1,6 @@
 import contextlib
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -251,6 +252,56 @@ class TestBenchCommand:
             run_bench(grid=((8, 8, 8, 2),), **kwargs)
 
 
+class TestMemoryPerCommand:
+    """Each command checks the memory of its own job only: exit 2 naming the key or cell, else it runs."""
+
+    JOBS = {"check": "grid", "sweep": "denoiser", "generate": "denoiser", "bench": "bench_grid"}
+    FLAGS = {
+        "check": ["--trials", "1", "--stress-trials", "0"],
+        "sweep": ["--strengths=0.35"],
+        "generate": [],
+        "bench": ["--iterations", "1", "--warmup", "0"],
+    }
+    # Far beyond any machine's memory: 800 TB of check logits or bench samples, 2.7e8 TB of latents.
+    HUGE = {
+        "grid": ({"grid": [[10**8, 1, 1]]}, "key 'grid' value 100000000x1x1"),
+        "bench_grid": ({"bench_grid": [[10**8, 1, 1, 2]]}, "key 'bench_grid' value 100000000x1x1x2"),
+        "denoiser": ({"side": 4096, "steps": 10**12}, "keys 'steps', 'batch' ("),
+    }
+
+    @pytest.mark.parametrize("command", JOBS)
+    def test_own_job_too_large_exits_2(self, tmp_path, capsys, command):
+        huge, named = self.HUGE[self.JOBS[command]]
+        path = small_config_file(tmp_path, **{"steps": 1, **huge})
+        code, out, err = run(capsys, command, "--config", path, *self.FLAGS[command], "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert err.startswith(f"config error: {named}")
+        assert re.search(f"{command} would hold [0-9.e+]+ GiB at its peak, more than 50% of the [0-9.]+ GiB "
+                         "of physical memory", err)
+        assert "Traceback" not in err and out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", JOBS)
+    def test_other_jobs_keys_do_not_stop_a_tiny_run(self, tmp_path, capsys, command):
+        others = {key: value for job, (huge, _) in self.HUGE.items() if job != self.JOBS[command]
+                  for key, value in huge.items()}
+        path = small_config_file(tmp_path, **{"steps": 1, **others})
+        grid = {"check": ["--grid", "4x4x4"], "bench": ["--grid", "8x8x8x2"]}.get(command, [])
+        code, _, err = run(capsys, command, "--config", path, *self.FLAGS[command], *grid, "--out", str(tmp_path))
+        assert code == 0, err
+
+
+class TestBlendPreset:
+    @pytest.mark.parametrize("references, batch, code", [(4, 5, 2), (3, 4, 0)])
+    def test_blend_stays_in_the_convex_hull(self, tmp_path, capsys, references, batch, code):
+        path = small_config_file(tmp_path, references=references, batch=batch, steps=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, _, err = run(capsys, "generate", "--preset", "blend", "--config", path, "--out", str(tmp_path))
+        assert got == code
+        assert ("config error: key 'references' value 4:" in err) == (code == 2)
+
+
 class TestErrorPaths:
     def test_missing_config_file(self, capsys):
         code, _, err = run(capsys, "generate", "--config", "missing.json")
@@ -262,15 +313,16 @@ class TestErrorPaths:
         path.write_text(json.dumps({"steps": 1000000000, "side": 16}))
         code, _, err = run(capsys, "generate", "--config", str(path), "--out", str(tmp_path))
         assert code == 2
-        assert "config error: keys 'steps' and 'batch'" in err
+        assert "config error: keys 'steps', 'batch' (" in err
         assert not (tmp_path / "sample_0.raw").exists()
 
     def test_weights_too_large_for_memory_exit_2(self, tmp_path, capsys):
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({"d": 10000000000, "steps": 1}))
+        # Under plain no reference caches are held, which would be the largest part.
+        path.write_text(json.dumps({"d": 10000000000, "steps": 1, "policy_kind": "plain"}))
         code, _, err = run(capsys, "generate", "--config", str(path), "--out", str(tmp_path))
         assert code == 2
-        assert "config error: keys 'blocks', 'd_model', 'd' and 'd_v'" in err
+        assert "config error: keys 'blocks', 'd_model', 'd', 'd_v' (" in err
         assert not (tmp_path / "sample_0.raw").exists()
 
     @pytest.mark.parametrize("payload, key", [

@@ -1,15 +1,18 @@
 import argparse
-import contextlib
+import ast
 import json
 import os
 import re
 import tracemalloc
+import warnings
 from dataclasses import fields
+from pathlib import Path
 from typing import Literal, get_args, get_origin
 
 import numpy as np
 import pytest
 
+import refguide.config
 from refguide import kernels
 from refguide.cli import _build_parser
 from refguide.config import (
@@ -84,112 +87,6 @@ class TestParseConfig:
         assert (pipeline.side, pipeline.blocks, pipeline.steps, pipeline.batch) == (16, 4, 20, 4)
         assert pipeline == PipelineConfig()
 
-    @pytest.mark.parametrize("overrides, key", [
-        ({"side": 2000}, "side"),  # 4e6 x 4e6 f32 logits, 64 TB
-        ({"grid": [[64, 4, 4], [10**7, 1, 1]]}, "grid"),
-        ({"bench_grid": [[10**7, 1, 1, 2]]}, "bench_grid"),
-    ])
-    def test_shape_too_large_for_memory_is_named(self, overrides, key):
-        tracemalloc.start()
-        try:
-            with pytest.raises(ConfigError, match=f"key {key!r} value .* attention logits need .* physical memory"):
-                parse_config(overrides=overrides)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
-
-    # With 128 MiB of physical memory, one call's logits may take 64 MiB: an
-    # untiled 4096 x 4096 at f32, or 2896 x 5792 under concat attention. A
-    # tiled call holds one 256-row tile per worker: side 64 at f64 takes
-    # 2 x 256 x 4096 x 8 B = 16 MiB at 2 workers, 128 MiB at 16.
-    @pytest.mark.parametrize("overrides, key, workers", [
-        ({"side": 64}, None, 2),
-        ({"side": 65}, "side", 2),
-        ({"side": 63, "precision": "f64"}, "side", 2),  # untiled, 3969^2 x 8 B = 126 MB
-        ({"side": 64, "precision": "f64"}, None, 2),
-        ({"side": 64, "precision": "f64"}, "side", 16),
-        ({"side": 53, "policy_kind": "concat"}, None, 2),
-        ({"side": 54, "policy_kind": "concat"}, "side", 2),
-        ({"side": 64, "preset": "consistent"}, None, 2),
-        ({"grid": [[2896, 1, 1]]}, None, 2),
-        ({"grid": [[2897, 1, 1]]}, "grid", 2),
-        ({"grid": [[4096, 1, 1], [2897, 1, 1]]}, "grid", 2),  # the tiled max cell fits; 2897 does not
-        ({"bench_grid": [[2896, 1, 1, 2]]}, None, 2),
-        ({"bench_grid": [[2897, 1, 1, 2]]}, "bench_grid", 2),
-    ])
-    def test_logits_may_take_half_of_physical_memory(self, monkeypatch, overrides, key, workers):
-        memory = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (128 << 20) // 4096}
-        monkeypatch.setattr(os, "sysconf", memory.__getitem__)
-        monkeypatch.setattr(kernels, "POOL_WORKERS", workers)
-        if key is None:
-            parse_config(overrides=overrides)
-        else:
-            cell = "x".join(map(str, overrides[key][-1])) if key.endswith("grid") else overrides[key]
-            with pytest.raises(ConfigError, match=f"key {key!r} value {cell}: .* more than 50% of the 0.125 GiB"):
-                parse_config(overrides=overrides)
-
-    def test_trajectory_too_large_for_memory_is_named(self):
-        tracemalloc.start()
-        try:
-            with pytest.raises(ConfigError, match="keys 'steps' and 'batch' values .* trajectory latents need .* physical memory"):
-                parse_config(overrides={"steps": 10**9, "side": 16})  # 3.7 TiB of f32 latents
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
-
-    # With 128 MiB of physical memory, a trajectory may take 64 MiB: 65536
-    # side-16 f32 latents, (steps + 1) * batch of them.
-    @pytest.mark.parametrize("overrides, ok", [
-        ({"steps": 16383}, True),
-        ({"steps": 16384}, False),
-        ({"steps": 32767, "batch": 2}, True),
-        ({"steps": 32767, "batch": 3}, False),
-        ({"steps": 16383, "precision": "f64"}, False),
-    ])
-    def test_trajectory_may_take_half_of_physical_memory(self, monkeypatch, overrides, ok):
-        memory = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (128 << 20) // 4096}
-        monkeypatch.setattr(os, "sysconf", memory.__getitem__)
-        if ok:
-            parse_config(overrides=overrides)
-        else:
-            with pytest.raises(ConfigError, match="keys 'steps' and 'batch' .* more than 50% of the 0.125 GiB"):
-                parse_config(overrides=overrides)
-
-    def test_weights_too_large_for_memory_are_named(self):
-        tracemalloc.start()
-        try:
-            with pytest.raises(ConfigError, match="keys 'blocks', 'd_model', 'd' and 'd_v' values 4, 32, 10000000000 "
-                                                  "and 32: .* f64 denoiser weights need .* physical memory"):
-                parse_config(overrides={"d": 10**10, "steps": 1})  # 19 TiB of weights
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
-
-    # With 128 MiB of physical memory, the weights may take 64 MiB: 2^23 values
-    # counted at f64 whatever the precision, 256 d + 256 d_v + 8256 of them
-    # with the default blocks, d_model and side. The plain policy holds no
-    # reference caches, which would otherwise be the larger need.
-    @pytest.mark.parametrize("overrides, ok", [
-        ({"d": 32703}, True),
-        ({"d": 32704}, False),
-        ({"d": 32703, "precision": "f64"}, True),
-        ({"d_v": 32703}, True),
-        ({"d_v": 32704}, False),
-        ({"d": 32703, "blocks": 5}, False),
-    ])
-    def test_weights_may_take_half_of_physical_memory(self, monkeypatch, overrides, ok):
-        memory = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (128 << 20) // 4096}
-        monkeypatch.setattr(os, "sysconf", memory.__getitem__)
-        overrides = {"policy_kind": "plain", **overrides}
-        if ok:
-            parse_config(overrides=overrides)
-        else:
-            with pytest.raises(ConfigError, match="keys 'blocks', 'd_model', 'd' and 'd_v' .* 50% of the 0.125 GiB"):
-                parse_config(overrides=overrides)
-
     # Each way of naming a policy reads only some of its keys; any other given key is named.
     @pytest.mark.parametrize("overrides, key", [
         ({"policy_kind": "rfg", "strengths": [0.1, 0.2]}, "strengths"),
@@ -216,17 +113,6 @@ class TestParseConfig:
     ])
     def test_policy_keys_the_policy_reads_are_accepted(self, overrides):
         parse_config(overrides={"batch": 4, **overrides})
-
-    # The default run, each preset, and the benchmark's generate and check configs.
-    @pytest.mark.parametrize("overrides", [
-        {},
-        *({"preset": preset} for preset in ("consistent", "diverse", "temporal", "blend")),
-        {"side": 32, "blocks": 4, "d": 32, "d_v": 32, "batch": 4, "steps": 3, "policy_kind": "concat"},
-        {"side": 8, "blocks": 8, "batch": 8, "steps": 50, "sweep_strengths": [-0.3, 0.2, 0.35]},
-        {"trials": 4, "stress_trials": 1, "precision": "f64"},
-    ])
-    def test_shipped_configs_fit_in_memory(self, overrides):
-        parse_config(overrides=overrides)
 
     def test_file_values_applied(self, tmp_path):
         path = write_config(tmp_path, {"steps": 8, "batch": 3, "precision": "f64"})
@@ -271,109 +157,6 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"^{key} must be at least 1, got {value}$"):
             RunConfig(**{key: value})
 
-    @pytest.mark.parametrize("overrides, label", [
-        ({"grid": [[1, 2000000000, 1]]}, "key 'grid' value 1x2000000000x1: the 1x2000000000 f64 drawn operands"),
-        ({"bench_grid": [[2, 2000000000, 1, 2]]},
-         "key 'bench_grid' value 2x2000000000x1x2: the 2x2x4000000001 f32 batch operands"),
-        ({"d": 100000000, "d_model": 1, "blocks": 1},
-         "keys 'side', 'd' and 'd_v' values 16, 100000000 and 32: the 256x100000000 f32 per-block projections"),
-    ])
-    def test_operands_too_large_for_memory_are_named(self, overrides, label):
-        tracemalloc.start()
-        try:
-            with pytest.raises(ConfigError, match=f"^{label} need .* physical memory$"):
-                parse_config(overrides=overrides)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
-
-    # With 128 MiB of physical memory, one operand may take 64 MiB: 2^23 values
-    # of a cell drawn at f64, or 2^24 f32 values of a side-16 block's queries,
-    # keys or values (blocks and d_model at 1 keep the weights small, and the
-    # plain policy holds no reference caches).
-    @pytest.mark.parametrize("overrides, key", [
-        ({"grid": [[1, 8388608, 1]]}, None),
-        ({"grid": [[2, 4194304, 1]]}, None),
-        ({"grid": [[1, 8388609, 1]]}, "grid"),
-        ({"grid": [[2, 1, 4194305]]}, "grid"),
-        ({"bench_grid": [[1, 1, 8388609, 2]]}, "bench_grid"),
-        ({"d": 65536, "blocks": 1, "d_model": 1}, None),
-        ({"d": 65537, "blocks": 1, "d_model": 1}, "d"),
-        ({"d_v": 65537, "blocks": 1, "d_model": 1}, "d_v"),
-        ({"d": 32768, "blocks": 1, "d_model": 1, "precision": "f64"}, None),
-        ({"d": 32769, "blocks": 1, "d_model": 1, "precision": "f64"}, "d"),
-    ])
-    def test_operands_may_take_half_of_physical_memory(self, monkeypatch, overrides, key):
-        memory = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (128 << 20) // 4096}
-        monkeypatch.setattr(os, "sysconf", memory.__getitem__)
-        overrides = {"policy_kind": "plain", **overrides}
-        if key is None:
-            parse_config(overrides=overrides)
-        else:
-            with pytest.raises(ConfigError, match=f"{key!r}.* more than 50% of the 0.125 GiB"):
-                parse_config(overrides=overrides)
-
-    def test_bench_batch_too_large_for_memory_is_named(self):
-        tracemalloc.start()
-        try:
-            with pytest.raises(ConfigError, match="^key 'bench_grid' value 1024x1024x1024x100000: the "
-                                                  "100000x1024x3072 f32 batch operands need .* physical memory$"):
-                parse_config(overrides={"bench_grid": [[1024, 1024, 1024, 100000]]})  # 1.2 TB of samples
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
-
-    # With 128 MiB of physical memory, a bench cell's samples may take 64 MiB:
-    # 2^24 f32 values, B x L x (2d + d_v) of them.
-    @pytest.mark.parametrize("overrides, ok", [
-        ({"bench_grid": [[1, 1, 2, 4194304]]}, True),
-        ({"bench_grid": [[1, 1, 2, 4194305]]}, False),
-        ({"bench_grid": [[64, 64, 64, 8], [16, 1, 2, 262144]]}, True),
-        ({"bench_grid": [[64, 64, 64, 8], [16, 1, 2, 262145]]}, False),
-        ({"bench_grid": [[1, 1, 2, 4194304]], "precision": "f64"}, False),
-    ])
-    def test_bench_batch_may_take_half_of_physical_memory(self, monkeypatch, overrides, ok):
-        memory = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (128 << 20) // 4096}
-        monkeypatch.setattr(os, "sysconf", memory.__getitem__)
-        if ok:
-            parse_config(overrides=overrides)
-        else:
-            cell = "x".join(map(str, overrides["bench_grid"][-1]))
-            with pytest.raises(ConfigError, match=f"key 'bench_grid' value {cell}: .* batch operands .* 50% of the 0.125 GiB"):
-                parse_config(overrides=overrides)
-
-    # With 128 MiB of physical memory, one step's reference caches may take
-    # 64 MiB: 2^24 f32 values, R x blocks x side² x (d + d_v) of them. The
-    # blend preset's 0.3 per reference leaves the convex hull, which warns.
-    @pytest.mark.parametrize("overrides, label", [
-        ({"policy_kind": "rfg-multi", "strengths": [1e-4] * 256, "batch": 257}, None),
-        ({"policy_kind": "rfg-multi", "strengths": [1e-4] * 257, "batch": 258},
-         "keys 'strengths' and 'blocks' values 257 and 4: the 257x4x256x64 f32"),
-        ({"preset": "blend", "references": 256, "batch": 257}, None),
-        ({"preset": "blend", "references": 257, "batch": 258},
-         "keys 'references' and 'blocks' values 257 and 4: the 257x4x256x64 f32"),
-        ({"policy_kind": "rfg-multi", "strengths": [1e-4] * 128, "batch": 129, "precision": "f64"}, None),
-        ({"policy_kind": "rfg-multi", "strengths": [1e-4] * 129, "batch": 130, "precision": "f64"},
-         "keys 'strengths' and 'blocks' values 129 and 4: the 129x4x256x64 f64"),
-        ({"blocks": 1024}, None),
-        ({"blocks": 1025}, "keys 'policy_kind' and 'blocks' values rfg and 1025: the 1x1025x256x64 f32"),
-        ({"blocks": 1025, "preset": "consistent"},
-         "keys 'preset' and 'blocks' values consistent and 1025: the 1x1025x256x64 f32"),
-        ({"blocks": 2000, "policy_kind": "plain"}, None),
-    ])
-    def test_reference_caches_may_take_half_of_physical_memory(self, monkeypatch, overrides, label):
-        memory = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (128 << 20) // 4096}
-        monkeypatch.setattr(os, "sysconf", memory.__getitem__)
-        blend = overrides.get("preset") == "blend"
-        with pytest.warns(UserWarning, match="convex hull") if blend else contextlib.nullcontext():
-            if label is None:
-                parse_config(overrides=overrides)
-            else:
-                with pytest.raises(ConfigError, match=f"^{label} reference caches need .* 50% of the 0.125 GiB"):
-                    parse_config(overrides=overrides)
-
     def test_invariant_violation_surfaces(self):
         with pytest.raises(ConfigError, match="batch"):
             parse_config(overrides={"batch": 1})
@@ -411,6 +194,212 @@ class TestParseConfig:
         path = write_config(tmp_path, {"layer_strengths": [0.1, 0.2, 0.3, 0.4]})
         cfg = parse_config(path)
         assert cfg.pipeline_config().layer_strengths == (0.1, 0.2, 0.3, 0.4)
+
+
+@pytest.fixture
+def memory_128mib(monkeypatch):
+    """A machine with 128 MiB of physical memory, so a command may hold 64 MiB = 67108864 B.
+
+    Returns a setter for ``kernels.POOL_WORKERS`` (1 unless set), the thread
+    count of the tile rule and the process count of the check suite.
+    """
+    memory = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (128 << 20) // 4096}
+    monkeypatch.setattr(os, "sysconf", memory.__getitem__)
+    monkeypatch.setattr(kernels, "POOL_WORKERS", 1)
+    return lambda workers: monkeypatch.setattr(kernels, "POOL_WORKERS", workers)
+
+
+def _limit_message(named, command):
+    """The whole rejection: the key or cell, the command's total and the limit."""
+    return (f"^{re.escape(named)}: {command} would hold [0-9.]+ GiB at its peak, "
+            "more than 50% of the 0.125 GiB of physical memory$")
+
+
+class TestMemory:
+    """Each command sums what it holds at its peak, as the module that allocates it states, and checks it once."""
+
+    # The denoiser job, ``PipelineConfig.working_set``. The defaults give side 16,
+    # T = 256 tokens, blocks 4, d_model 32, d = d_v = 32, steps 20, batch 4, rfg
+    # (R = 1 reference), f32 (4 B); the parts are
+    #   logits       held_logits(T, S) * 4: T x S, T = 256 being below the tile rule's
+    #                512 rows; S = 2T under concat, else T      = 262144 by default
+    #   trajectory   (steps + 1) * batch * T * 4 = 4096 (steps + 1)        = 86016
+    #   weights      (blocks d_model (2d + 2d_v) + (T + 2) d_model) * 8     = 197120
+    #   projections  T (2d + d_v) * 4                                       = 98304
+    #   caches       R * blocks * T * (d + d_v) * 4 = 262144 R              = 262144
+    @pytest.mark.parametrize("overrides, named", [
+        # 4096 (steps + 1) + 819712 <= 67108864 while steps + 1 <= 16183.9.
+        ({"steps": 16182}, None),
+        ({"steps": 16183}, "keys 'steps', 'batch' (0.0617 GiB of trajectory latents)"),
+        # 21504 batch + 819712 <= 67108864 while batch <= 3082.6.
+        ({"batch": 3082}, None),
+        ({"batch": 3083}, "keys 'steps', 'batch' (0.0617 GiB of trajectory latents)"),
+        # f64 doubles every part but the weights: 8192 (steps + 1) + 1442304, steps + 1 <= 8015.9.
+        ({"steps": 8014, "precision": "f64"}, None),
+        ({"steps": 8015, "precision": "f64"}, "keys 'steps', 'batch' (0.0612 GiB of trajectory latents)"),
+        # plain, R = 0: weights 2048 d + 131584, projections 2048 d + 32768; sum 4096 d + 512512.
+        ({"policy_kind": "plain", "d": 16258}, None),
+        ({"policy_kind": "plain", "d": 16259}, "keys 'blocks', 'd_model', 'd', 'd_v' (0.0311 GiB of denoiser weights)"),
+        # plain: weights 2048 d_v + 131584, projections 1024 d_v + 65536; sum 3072 d_v + 545280.
+        ({"policy_kind": "plain", "d_v": 21667}, None),
+        ({"policy_kind": "plain", "d_v": 21668}, "keys 'blocks', 'd_model', 'd', 'd_v' (0.0415 GiB of denoiser weights)"),
+        # R references need batch R + 1: trajectory 21504 (R + 1), caches 262144 R; sum 283648 R + 579072.
+        ({"policy_kind": "rfg-multi", "strengths": [1e-4] * 234, "batch": 235}, None),
+        ({"policy_kind": "rfg-multi", "strengths": [1e-4] * 235, "batch": 236},
+         "keys 'strengths', 'blocks' (0.0574 GiB of reference caches)"),
+        # weights 32768 blocks + 66048, caches 65536 blocks; sum 98304 blocks + 512512.
+        ({"blocks": 677}, None),
+        ({"blocks": 678}, "keys 'policy_kind', 'blocks' (0.0414 GiB of reference caches)"),
+        ({"blocks": 678, "preset": "consistent"}, "keys 'preset', 'blocks' (0.0414 GiB of reference caches)"),
+        ({"blocks": 2000, "policy_kind": "plain"}, None),  # 65602048 of weights, no caches: 66048512
+        # side 62 (T = 3844, untiled): 59105344 of logits, 66924928 in all; side 63: 63011844 and 71081428.
+        ({"side": 62}, None),
+        ({"side": 63}, "key 'side' (0.0587 GiB of attention logits)"),
+        # side 64 (T = 4096) tiles: one 256-row tile of 4096 logits, 4 MiB.
+        ({"side": 64}, None),
+        # concat, S = 2T: side 52 holds 58492928 of logits and 64032512 in all; side 53 63123848 alone.
+        ({"side": 52, "policy_kind": "concat"}, None),
+        ({"side": 53, "policy_kind": "concat"}, "key 'side' (0.0588 GiB of attention logits)"),
+    ])
+    @pytest.mark.parametrize("command", ["generate", "sweep"])
+    def test_denoiser_boundaries(self, memory_128mib, command, overrides, named):
+        if named is None:
+            parse_config(overrides=overrides, command=command)
+        else:
+            with pytest.raises(ConfigError, match=_limit_message(named, command)):
+                parse_config(overrides=overrides, command=command)
+
+    # side 64 at f64 tiles: 256 x workers rows of 4096 logits, 16 MiB at 2 workers
+    # (32244224 in all), 128 MiB at 16, where the tile covers all 4096 rows.
+    @pytest.mark.parametrize("workers, ok", [(2, True), (16, False)])
+    def test_tiled_logits_count_one_tile_per_worker(self, memory_128mib, workers, ok):
+        memory_128mib(workers)
+        overrides = {"side": 64, "precision": "f64"}
+        if ok:
+            parse_config(overrides=overrides, command="generate")
+        else:
+            named = "key 'side' (0.125 GiB of attention logits)"
+            with pytest.raises(ConfigError, match=_limit_message(named, "generate")):
+                parse_config(overrides=overrides, command="generate")
+
+    # A check cell, ``oracle.suite_nbytes``: one trial, in each of the
+    # min(workers, trials) processes the suite forks, holds
+    #   held_logits(L, 2L) * itemsize + L (48 (3d + 2d_v) + 160 d_v),
+    # 8 L² + 400 L at f32 for a (L, 1, 1) cell below the tile rule. The default
+    # 20 + 5 trials run in 2 processes at 2 workers, in 1 with one trial.
+    @pytest.mark.parametrize("overrides, workers, cell", [
+        ({"grid": [[2871, 1, 1]]}, 1, None),  # 67089528
+        ({"grid": [[2872, 1, 1]]}, 1, "2872x1x1"),  # 67135872
+        ({"grid": [[64, 4, 4], [2872, 1, 1]]}, 1, "2872x1x1"),
+        ({"grid": [[2023, 1, 1]]}, 2, None),  # 2 x 33549432
+        ({"grid": [[2024, 1, 1]]}, 2, "2024x1x1"),  # 2 x 33582208
+        # 4096 queries over 8192 keys tile: 512 rows of logits at 2 workers, 2 x 18415616 in all.
+        ({"grid": [[4096, 1, 1]]}, 2, None),
+        ({"grid": [[1, 466031, 1]]}, 1, None),  # 144 d + 264
+        ({"grid": [[1, 466032, 1]]}, 1, "1x466032x1"),
+        ({"grid": [[1, 466031, 1]]}, 2, "1x466031x1"),
+        ({"grid": [[1, 466031, 1]], "trials": 1, "stress_trials": 0}, 2, None),
+        ({"grid": [[1, 1, 262143]]}, 1, None),  # 256 d_v + 152
+        ({"grid": [[1, 1, 262144]]}, 1, "1x1x262144"),
+    ])
+    def test_check_cell_boundaries(self, memory_128mib, overrides, workers, cell):
+        memory_128mib(workers)
+        if cell is None:
+            parse_config(overrides=overrides, command="check")
+        else:
+            with pytest.raises(ConfigError, match=_limit_message(f"key 'grid' value {cell}", "check")):
+                parse_config(overrides=overrides, command="check")
+
+    # A bench cell, ``bench.bench_nbytes``: (B L (2d + d_v) + held_logits(L, 2L)) * itemsize,
+    # (4 B + 2) * 4 for a (1, 1, 2, B) cell and (2 L² + 6 L) * 4 for a (L, 1, 1, 2) one.
+    @pytest.mark.parametrize("overrides, cell", [
+        ({"bench_grid": [[1, 1, 2, 4194303]]}, None),
+        ({"bench_grid": [[1, 1, 2, 4194304]]}, "1x1x2x4194304"),
+        ({"bench_grid": [[1, 1, 2, 2097151]], "precision": "f64"}, None),
+        ({"bench_grid": [[1, 1, 2, 2097152]], "precision": "f64"}, "1x1x2x2097152"),
+        ({"bench_grid": [[2894, 1, 1, 2]]}, None),  # 67071344
+        ({"bench_grid": [[2895, 1, 1, 2]]}, "2895x1x1x2"),  # 67117680
+        ({"bench_grid": [[64, 64, 64, 8], [2895, 1, 1, 2]]}, "2895x1x1x2"),
+    ])
+    def test_bench_cell_boundaries(self, memory_128mib, overrides, cell):
+        if cell is None:
+            parse_config(overrides=overrides, command="bench")
+        else:
+            with pytest.raises(ConfigError, match=_limit_message(f"key 'bench_grid' value {cell}", "bench")):
+                parse_config(overrides=overrides, command="bench")
+
+    # Each part fits in 64 MiB alone, but not their sum: steps 10000 and blocks
+    # 400 hold 40964096 of trajectory, 26214400 of caches and 13173248 of
+    # weights; side 63 holds 63011844 of logits beside 8069584 of the rest.
+    @pytest.mark.parametrize("overrides", [{"steps": 10000, "blocks": 400}, {"side": 63}])
+    def test_parts_that_fit_alone_can_overflow_together(self, memory_128mib, overrides):
+        parts = parse_config(overrides=overrides).pipeline_config().working_set()
+        assert all(nbytes <= 64 << 20 for _, _, nbytes in parts)
+        assert sum(nbytes for _, _, nbytes in parts) > 64 << 20
+        with pytest.raises(ConfigError, match="generate would hold"):
+            parse_config(overrides=overrides, command="generate")
+
+    @pytest.mark.parametrize("command, overrides, named", [
+        ("generate", {"steps": 10**9}, "keys 'steps', 'batch'"),  # 3.7 TiB of f32 latents
+        ("check", {"grid": [[10**7, 1, 1]]}, "key 'grid' value 10000000x1x1"),  # 800 TB of logits
+        ("bench", {"bench_grid": [[1024, 1024, 1024, 100000]]}, "key 'bench_grid' value 1024x1024x1024x100000"),
+    ])
+    def test_rejection_allocates_nothing(self, command, overrides, named):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=f"^{re.escape(named)}.*: {command} would hold .* physical memory$"):
+                parse_config(overrides=overrides, command=command)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    # Oversized values of another job's keys; no command checks keys it never reads,
+    # and parsing for no command checks no memory.
+    @pytest.mark.parametrize("command, overrides", [
+        ("check", {"side": 4096, "steps": 10**9, "bench_grid": [[10**7, 1, 1, 2]]}),
+        ("bench", {"side": 4096, "steps": 10**9, "grid": [[10**7, 1, 1]]}),
+        ("generate", {"grid": [[10**7, 1, 1]], "bench_grid": [[10**7, 1, 1, 2]]}),
+        ("sweep", {"grid": [[10**7, 1, 1]], "bench_grid": [[10**7, 1, 1, 2]]}),
+        (None, {"side": 4096, "steps": 10**9, "grid": [[10**7, 1, 1]], "bench_grid": [[10**7, 1, 1, 2]]}),
+    ])
+    def test_other_jobs_keys_are_not_checked(self, command, overrides):
+        parse_config(overrides=overrides, command=command)
+
+    # The default run and each preset under every command, and the benchmark's configs.
+    @pytest.mark.parametrize("overrides, commands", [
+        *(({"preset": preset}, ("generate", "sweep", "check", "bench"))
+          for preset in ("custom", "consistent", "diverse", "temporal", "blend")),
+        ({"side": 32, "blocks": 4, "d": 32, "d_v": 32, "batch": 4, "steps": 3, "policy_kind": "concat"}, ("generate",)),
+        ({"side": 8, "blocks": 8, "batch": 8, "steps": 50, "sweep_strengths": [-0.3, 0.2, 0.35]}, ("sweep",)),
+        ({"trials": 4, "stress_trials": 1, "precision": "f64"}, ("check",)),
+    ])
+    def test_shipped_configs_fit_in_memory(self, overrides, commands):
+        for command in commands:
+            parse_config(overrides=overrides, command=command)
+
+    def test_config_states_no_array_shape(self):
+        # Each allocating module sizes its own arrays; config only sums and compares.
+        tree = ast.parse(Path(refguide.config.__file__).read_text())
+        named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        named |= {alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                  for alias in node.names}
+        assert named & {"tile_rows", "POOL_WORKERS", "itemsize"} == set()
+
+
+class TestBlendPreset:
+    """The blend preset gives each reference 0.3, so three keep it in the convex hull and four do not."""
+
+    def test_four_references_are_rejected_by_key(self):
+        with pytest.raises(ConfigError, match="^key 'references' value 4: .*convex hull"):
+            parse_config(overrides={"preset": "blend", "references": 4, "batch": 5})
+
+    def test_three_references_are_accepted_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            policy = parse_config(overrides={"preset": "blend", "references": 3, "batch": 4}).resolved_policy()
+        assert policy.strengths == (BLEND_STRENGTH,) * 3
 
 
 class TestSeeds:

@@ -904,6 +904,38 @@ class TestPartitionShapes:
         assert pool.submitted == 0
 
 
+class TestQueryShape:
+    """``_branches`` checks the query against every partition's ``k``, before any tile runs."""
+
+    CALLS = {
+        "attention": (0, lambda q, kv, bad: attention(q, *bad)),
+        "partitions": (1, lambda q, kv, bad: kernels.partitions(q, [kv, bad])),
+        "rfg_multi": (1, lambda q, kv, bad: rfg_multi(q, [(0.3, *kv), (0.2, *bad)], *kv)),
+    }
+
+    @pytest.mark.parametrize("call", CALLS)
+    def test_one_dimensional_query_is_named(self, call):
+        q, k, v = partition_inputs(53, 512, 64, 8, 8, np.float32)
+        with tile_pool(2) as pool, mock.patch.object(kernels, "POOL_MIN_WORK", 0), \
+                pytest.raises(ShapeError, match=re.escape("q must be 2-D and of positive width, got shape (512,)")):
+            self.CALLS[call][1](q[:, 0], (k, v), (k, v))
+        assert pool.submitted == 0
+
+    @pytest.mark.parametrize("q_width, k_width", [(2, 4), (8, 4), (4, 1)])
+    @pytest.mark.parametrize("call", CALLS)
+    def test_width_mismatch_names_q_and_the_partition(self, call, q_width, k_width):
+        # 512 queries over 64 keys tile once POOL_MIN_WORK is 0, so a late check would submit tiles.
+        q, k, v = partition_inputs(54, 512, 64, 8, 8, np.float32)
+        q = q[:, :q_width]
+        index, run = self.CALLS[call]
+        k_same, k_bad = k[:, :q_width], k[:, :k_width]
+        message = re.escape(f"q of shape {q.shape} and partition {index}'s k of shape {k_bad.shape} differ in width")
+        with tile_pool(2) as pool, mock.patch.object(kernels, "POOL_MIN_WORK", 0), \
+                pytest.raises(ShapeError, match=message):
+            run(q, (k_same, v), (k_bad, v))
+        assert pool.submitted == 0
+
+
 class TestRank1Coefficient:
     def test_columns_are_copies_of_the_vector(self):
         c = np.array([0.25, 0.75])
