@@ -3,7 +3,8 @@
 Raw latents are little-endian float32, C row-major, no header; the sidecar
 JSON records dtype, shape, and byte order so the pair round-trips bitwise.
 PGM output is the 8-bit binary (P5) flavor, normalized per image. The sweep
-CSV uses '.' decimals and LF line endings regardless of locale.
+CSV uses '.' decimals and LF line endings regardless of locale. JSON is
+strict RFC 8259: a NaN or infinity is written as null.
 """
 
 import csv
@@ -38,11 +39,7 @@ def load_raw(raw_path) -> np.ndarray:
     if meta.get("dtype") != "f32" or meta.get("byte_order") != "little":
         raise ValueError(f"unsupported raw format described by {sidecar_path(raw_path)}: {meta}")
     shape = meta.get("shape")
-    if (
-        not isinstance(shape, list)
-        or len(shape) != 2
-        or not all(isinstance(s, int) and s > 0 for s in shape)
-    ):
+    if not (isinstance(shape, list) and len(shape) == 2 and all(type(s) is int and s > 0 for s in shape)):
         raise ValueError(f"sidecar shape must be two positive integers, got {shape!r}")
     data = raw_path.read_bytes()
     expected = shape[0] * shape[1] * RAW_DTYPE.itemsize
@@ -89,8 +86,14 @@ def write_sweep_csv(path, rows) -> Path:
     return path
 
 
+def json_text(payload) -> str:
+    """``payload`` as an indented strict JSON document with a trailing newline; NaN and infinities become null."""
+    strict = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+    return json.dumps(strict, indent=2, allow_nan=False) + "\n"
+
+
 def write_json(path, payload) -> Path:
-    """Write a JSON document with a trailing newline."""
+    """Write ``json_text(payload)``."""
     path = Path(path)
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    path.write_text(json_text(payload))
     return path

@@ -2,19 +2,18 @@
 
 Exit codes are a stable contract: 0 success (and suite pass), 1 equivalence
 check failure, 2 usage or configuration error, 3 I/O error. ``check`` and
-``bench`` print their report as a single JSON document on stdout (and write
-it under --out); human-oriented status lines go to stderr so stdout stays
+``bench`` print their report as a single strict JSON document on stdout (and
+write it under --out); human-oriented status lines go to stderr so stdout stays
 machine-parseable.
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .artifacts import write_json, write_pgm, write_raw, write_sweep_csv
+from .artifacts import json_text, write_json, write_pgm, write_raw, write_sweep_csv
 from .bench import run_bench
 from .config import PRESETS, ConfigError, parse_config
 from .linalg import PRECISION_DTYPES
@@ -101,7 +100,7 @@ def _cmd_check(cfg) -> int:
     )
     payload = report.to_dict()
     write_json(_out_dir(cfg) / "check_report.json", payload)
-    print(json.dumps(payload, indent=2))
+    print(json_text(payload), end="")
     status = "PASS" if report.passed else "FAIL"
     print(
         f"check {status}: max_rel_error={report.max_rel_error:.3e} "
@@ -169,7 +168,7 @@ def _cmd_bench(cfg) -> int:
     )
     payload = report.to_dict()
     write_json(_out_dir(cfg) / "bench_report.json", payload)
-    print(json.dumps(payload, indent=2))
+    print(json_text(payload), end="")
     for note in report.expectation_violations:
         print(f"note: {note}", file=sys.stderr)
     return 0

@@ -24,14 +24,12 @@ case; the routes to reference conditioning:
   branches and that mass; the "rfg-matrix" policy, the oracle's suite,
   ``rfg_matrix`` and ``guidance_form`` all run it.
 
-A call checks once that its operands share a dtype, that the query is 2-D
-and as wide as each partition's ``k``, and that each partition's ``k`` and
-``v`` are 2-D with equal rows, then runs each partition as one ``_tile``, or,
-if all meet ``tile_rows``' rule, as ``TILE_ROWS``-row tiles with the same
-bytes, inline or on a thread pool (one thread per usable CPU, when BLAS runs
-one thread), each thread reusing one logits scratch (``held_logits``). Every
-partition's tiles are submitted before any is awaited; the pool starts with
-its first use.
+Every route checks its operands with one rule, ``_operands``, before any
+tile runs. A call runs each partition as one ``_tile``, or, if all meet
+``tile_rows``' rule, as ``TILE_ROWS``-row tiles with the same bytes, inline
+or on a thread pool (one thread per usable CPU, when BLAS runs one thread),
+each thread reusing one logits scratch (``held_logits``). Every partition's
+tiles are submitted before any is awaited; the pool starts with its first use.
 
 ``apply_policy`` runs an ``AttentionPolicy``, a kind plus one strength per
 reference the scalar blend reads, over each reference's ``(k, v)``, so
@@ -41,6 +39,7 @@ strengths is one ``rfg_multi`` call.
 
 import contextvars
 import functools
+import math
 import os
 import threading
 import warnings
@@ -77,19 +76,11 @@ def _tile_pool(workers: int, pid: int):
     return ThreadPoolExecutor(workers, thread_name_prefix="refguide-tile")
 
 
-def _same_dtype(*arrays: np.ndarray) -> np.dtype:
-    dt = arrays[0].dtype
-    for a in arrays[1:]:
-        if a.dtype != dt:
-            raise ValueError(f"mixed dtypes in one kernel call: {dt} vs {a.dtype}")
-    return dt
-
-
 @dataclass(frozen=True, eq=False)
 class AttentionInputs:
-    """Projected query/key/value matrices for one attention call.
+    """Projected query/key/value matrices for one attention call: q (L, d), k (S, d), v (S, d_v).
 
-    q is (L, d), k is (S, d), v is (S, d_v) with S >= 1; all finite, same dtype.
+    It checks only that every entry is finite; the kernels check shapes and dtypes (``_operands``).
     """
 
     q: np.ndarray
@@ -98,15 +89,8 @@ class AttentionInputs:
 
     def __post_init__(self):
         for name, a in (("q", self.q), ("k", self.k), ("v", self.v)):
-            if a.ndim != 2:
-                raise ShapeError(f"{name} must be 2-D, got shape {a.shape}")
             if not np.isfinite(a).all():
                 raise ValueError(f"{name} has non-finite entries")
-        if self.q.shape[1] != self.k.shape[1]:
-            raise ShapeError(f"q and k widths differ: {self.q.shape} vs {self.k.shape}")
-        if self.k.shape[0] != self.v.shape[0] or self.k.shape[0] == 0:
-            raise ShapeError(f"k needs one or more rows, as many as v: {self.k.shape} vs {self.v.shape}")
-        _same_dtype(self.q, self.k, self.v)
 
 
 @dataclass(frozen=True)
@@ -115,8 +99,9 @@ class AttentionPolicy:
 
     ``strengths`` holds one entry for "rfg", one or more for "rfg-multi",
     ``(1.0,)`` for "cross-frame" (the blend at c = 1) and none otherwise;
-    any other combination raises. A total magnitude above 1 is allowed but
-    warned about: outputs then leave the convex hull of the branch outputs.
+    any other combination, or a strength that is not finite, raises. A
+    total magnitude above 1 is allowed but warned about: outputs then leave
+    the convex hull of the branch outputs.
     """
 
     kind: str
@@ -134,6 +119,8 @@ class AttentionPolicy:
         }.get(self.kind, (not strengths, "no strength"))
         if not ok:
             raise ValueError(f"policy kind {self.kind!r} takes {want}, got {strengths}")
+        if not all(map(math.isfinite, strengths)):
+            raise ValueError(f"policy kind {self.kind!r} takes finite strengths, got {strengths}")
         total = sum(abs(c) for c in strengths)
         if total > 1.0:
             warnings.warn(f"total reference strength magnitude {total} exceeds 1; outputs leave the convex hull "
@@ -205,29 +192,38 @@ def held_logits(length: int, keys: int) -> int:
     return min(length, tile_rows(length, keys) * POOL_WORKERS) * keys
 
 
-def _branches(q, kvs) -> list:
-    """``(out, m, s)`` of ``_tile`` over each ``(k, v)`` partition of one query, in partition order.
+def _operands(q, kvs, keyless=()) -> None:
+    """Raise unless ``q`` and the ``(k, v)`` partitions obey every route's one operand rule.
 
-    Before any tile runs, mixed dtypes, a query that is not 2-D with one or
-    more columns, or a partition whose ``k`` and ``v`` are not 2-D with the
-    same one or more rows, or whose ``k`` is not as wide as ``q``, raise; a
-    partition's error names its index. This is every public kernel's one
-    check of ``q``, ``k`` and ``v``. If every partition meets ``tile_rows``' rule, each runs as tiles
-    into its output, bitwise the single tile: on the pool if ``POOL_WORKERS >= 2``,
-    each in a copy of the caller's context (so ``np.errstate`` reaches it), else
-    inline. Every tile's softmax checks its rows' maxima, the one finiteness rule.
-    The call returns, or raises the first tile's error, once all are done.
+    All share one dtype; ``q`` is 2-D of positive width; each partition's ``k`` and ``v`` are 2-D with
+    equal row counts, ``k`` as wide as ``q``, ``v`` as wide as partition 0's, and ``k`` has a key unless
+    the partition's index is in ``keyless`` (its own softmax needs one). An error names the partition.
     """
-    _same_dtype(q, *(a for kv in kvs for a in kv))
+    if other := {a.dtype for kv in kvs for a in kv} - {q.dtype}:
+        raise ValueError(f"mixed dtypes in one kernel call: {q.dtype} vs {other.pop()}")
     if q.ndim != 2 or q.shape[1] == 0:
         raise ShapeError(f"q must be 2-D and of positive width, got shape {q.shape}")
     for i, (k, v) in enumerate(kvs):
         if k.ndim != 2 or v.ndim != 2 or k.shape[0] != v.shape[0]:
             raise ShapeError(f"partition {i} needs 2-D k and v with equal row counts, got {k.shape} and {v.shape}")
-        if k.shape[0] == 0:
+        if k.shape[0] == 0 and i not in keyless:
             raise ShapeError(f"partition {i} has no keys: its k has shape {k.shape}")
         if k.shape[1] != q.shape[1]:
             raise ShapeError(f"q of shape {q.shape} and partition {i}'s k of shape {k.shape} differ in width")
+        if v.shape[1] != kvs[0][1].shape[1]:
+            raise ShapeError(f"partition {i}'s v of shape {v.shape} and partition 0's v of shape {kvs[0][1].shape} "
+                             "differ in width")
+
+
+def _branches(q, kvs) -> list:
+    """``(out, m, s)`` of ``_tile`` over each ``(k, v)`` partition of one query, in partition order.
+
+    ``_operands`` checks them before any tile runs. If every partition meets ``tile_rows``' rule, each runs
+    as tiles into its output, bitwise the single tile: on the pool if ``POOL_WORKERS >= 2``, each in a copy
+    of the caller's context (so ``np.errstate`` reaches it), else inline. Every tile's softmax checks its
+    rows' maxima, the one finiteness rule. The call returns, or raises the first tile's error, once all are done.
+    """
+    _operands(q, kvs)
     length = q.shape[0]
     scale = 1.0 / float(np.sqrt(q.shape[1]))
     if max(tile_rows(length, k.shape[0]) for k, _ in kvs) == length:
@@ -298,8 +294,8 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def concat_attention(q, k_ref, v_ref, k_self, v_self) -> np.ndarray:
-    """Attention over reference tokens stacked ahead of the sample's own."""
-    _same_dtype(q, k_ref, v_ref, k_self, v_self)
+    """Attention over the reference's tokens, if any, stacked ahead of the sample's own."""
+    _operands(q, [(k_ref, v_ref), (k_self, v_self)], keyless=(0,))
     return attention(q, stack_rows(k_ref, k_self), stack_rows(v_ref, v_self))
 
 
@@ -314,15 +310,18 @@ def rfg_multi(q, refs, k_self, v_self) -> np.ndarray:
     ``refs`` is a sequence of (c_j, k_j, v_j) triples. A lone reference at
     c == 0 or c == 1 returns the self or reference branch exactly (no
     arithmetic on the other branch), so those settings are bitwise equal to
-    plain and cross-frame attention.
+    plain and cross-frame attention. Every strength and partition is checked first.
     """
     refs = [(float(c), k, v) for c, k, v in refs]
     if not refs:
         raise ValueError("rfg_multi needs at least one reference")
+    if not all(math.isfinite(c) for c, _, _ in refs):
+        raise ValueError(f"rfg_multi takes finite strengths, got {[c for c, _, _ in refs]}")
+    kvs = [*((k, v) for _, k, v in refs), (k_self, v_self)]
     if len(refs) == 1 and refs[0][0] in (0.0, 1.0):
-        c, k_ref, v_ref = refs[0]
-        return attention(q, k_ref, v_ref) if c == 1.0 else attention(q, k_self, v_self)
-    *a_refs, a_self = [out for out, _, _ in _branches(q, [*((k, v) for _, k, v in refs), (k_self, v_self)])]
+        _operands(q, kvs)
+        return attention(q, *kvs[0 if refs[0][0] == 1.0 else 1])
+    *a_refs, a_self = [out for out, _, _ in _branches(q, kvs)]
     out = (1.0 - sum(c for c, _, _ in refs)) * a_self
     for (c, _, _), a_ref in zip(refs, a_refs):
         out += c * a_ref
@@ -354,7 +353,8 @@ def _coefficient_branches(q, k_ref, v_ref, k_self, v_self, coeff) -> tuple:
     a_ref, a_self, _ = reference_branches(q, k_ref, v_ref, k_self, v_self)
     if coeff.shape != a_ref.shape:
         raise ShapeError(f"coefficient shape {coeff.shape} does not match output shape {a_ref.shape}")
-    _same_dtype(a_ref, coeff)
+    if coeff.dtype != a_ref.dtype:
+        raise ValueError(f"mixed dtypes in one kernel call: {a_ref.dtype} vs {coeff.dtype}")
     return a_ref, a_self
 
 
@@ -384,13 +384,10 @@ def apply_policy(inputs: AttentionInputs, policy: AttentionPolicy, refs=()) -> n
     if policy.kind == "plain":
         return attention(q, k, v)
     if len(refs) != policy.reference_count:
-        raise ValueError(
-            f"policy {policy.kind!r} needs {policy.reference_count} reference cache(s), got {len(refs)}"
-        )
+        raise ValueError(f"policy {policy.kind!r} needs {policy.reference_count} reference cache(s), got {len(refs)}")
     if policy.strengths:
         return rfg_multi(q, [(c, *ref) for c, ref in zip(policy.strengths, refs)], k, v)
-    k_ref, v_ref = refs[0]
     if policy.kind == "concat":
-        return concat_attention(q, k_ref, v_ref, k, v)
-    a_ref, a_self, c_vec = reference_branches(q, k_ref, v_ref, k, v)
+        return concat_attention(q, *refs[0], k, v)
+    a_ref, a_self, c_vec = reference_branches(q, *refs[0], k, v)
     return blend(c_vec[:, None], a_ref, a_self)

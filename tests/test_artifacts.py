@@ -1,15 +1,27 @@
 import json
+import math
+import re
 
 import numpy as np
 import pytest
 
 from refguide.artifacts import (
+    json_text,
     load_raw,
     sidecar_path,
+    write_json,
     write_pgm,
     write_raw,
     write_sweep_csv,
 )
+
+
+def strict_loads(text):
+    """``json.loads`` that fails on the non-standard NaN, Infinity and -Infinity tokens."""
+    def reject(token):
+        raise AssertionError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 class TestRawRoundTrip:
@@ -53,6 +65,14 @@ class TestRawRoundTrip:
         path = write_raw(tmp_path / "latent.raw", np.zeros((2, 2), np.float32))
         sidecar_path(path).write_text(json.dumps({"dtype": "f32", "shape": [4], "byte_order": "little"}))
         with pytest.raises(ValueError, match="sidecar shape must be two positive integers, got \\[4\\]"):
+            load_raw(path)
+
+    @pytest.mark.parametrize("shape", [[True, 4], [1, True]])
+    def test_boolean_sidecar_dimension_detected(self, tmp_path, shape):
+        # True == 1, so the byte count alone would accept a 1 x 4 payload.
+        path = write_raw(tmp_path / "latent.raw", np.zeros((1, 4) if shape[0] is True else (1, 1), np.float32))
+        sidecar_path(path).write_text(json.dumps({"dtype": "f32", "shape": shape, "byte_order": "little"}))
+        with pytest.raises(ValueError, match=re.escape(f"sidecar shape must be two positive integers, got {shape!r}")):
             load_raw(path)
 
 
@@ -100,3 +120,15 @@ class TestSweepCsv:
         value = 1.2345678901234567
         path = write_sweep_csv(tmp_path / "sweep.csv", [(0.35, 3, 1, value)])
         assert float(path.read_text().split("\n")[1].split(",")[3]) == value
+
+
+class TestJson:
+    def test_non_finite_floats_are_written_as_null(self, tmp_path):
+        payload = {"error": math.inf, "nested": [{"low": -math.inf, "nan": math.nan}, (1.5, np.float64(math.inf))]}
+        path = write_json(tmp_path / "report.json", payload)
+        assert path.read_text() == json_text(payload)
+        assert strict_loads(path.read_text()) == {"error": None, "nested": [{"low": None, "nan": None}, [1.5, None]]}
+
+    def test_finite_document_is_unchanged(self):
+        payload = {"a": 1e-05, "b": [0.1, -0.0, 3, True, None], "c": {"d": "Infinity"}, "e": (2, 1.0)}
+        assert json_text(payload) == json.dumps(payload, indent=2) + "\n"

@@ -3,6 +3,7 @@ import json
 import re
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,6 +25,14 @@ def small_config_file(tmp_path, **extra):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def strict_loads(text):
+    """``json.loads`` that fails on the non-standard NaN, Infinity and -Infinity tokens."""
+    def reject(token):
+        raise AssertionError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def run(capsys, *argv):
@@ -55,6 +64,21 @@ class TestCheckCommand:
         assert report["passed"] is False
         assert report["worst"]["stream_key"] is not None
         assert "stream_key" in err
+
+    def test_infinite_error_is_reported_as_strict_json(self, tmp_path, capsys):
+        # A perturbation of 1e300 overflows the f32 coefficient, so three identity errors are infinite.
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = run(
+                capsys, "check", "--corrupt-kernel", "1e300", "--trials", "1", "--stress-trials", "0",
+                "--grid", "2x1x1", "--out", str(tmp_path),
+            )
+        assert code == 1
+        report = strict_loads(out)
+        assert report["passed"] is False
+        assert report["max_rel_error"] is None and report["worst"]["error"] is None
+        assert report["identity_errors"]["concat_vs_oracle"]["standard"] < report["threshold"]
+        assert (tmp_path / "check_report.json").read_text() == out
+        assert "max_rel_error=inf" in err
 
     def test_f64_precision(self, tmp_path, capsys):
         code, out, _ = run(
@@ -210,6 +234,17 @@ class TestBenchCommand:
         assert {cell["policy"] for cell in report["cells"]} == {"plain", "concat", "rfg"}
         assert all(cell["calls_per_second"] > 0 for cell in report["cells"])
         assert (tmp_path / "bench_report.json").exists()
+
+    def test_unmeasurable_rate_is_reported_as_strict_json(self, tmp_path, capsys, monkeypatch):
+        # A clock that never advances gives a zero median, so every rate falls back to infinity.
+        monkeypatch.setattr(refguide.bench, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+        code, out, _ = run(
+            capsys, "bench", "--grid", "8x8x8x2", "--iterations", "2", "--warmup", "0", "--out", str(tmp_path),
+        )
+        assert code == 0
+        report = strict_loads(out)
+        assert [cell["calls_per_second"] for cell in report["cells"]] == [None] * 3
+        assert (tmp_path / "bench_report.json").read_text() == out
 
     def test_cache_accounting_exact(self, tmp_path, capsys):
         _, out, _ = run(

@@ -196,6 +196,14 @@ class TestRfgMulti:
         with pytest.raises(ValueError, match="reference"):
             rfg_multi(q, [], k_self, v_self)
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_non_finite_strength_is_named(self, c):
+        q, k_ref, v_ref, k_self, v_self = draw_set(47)
+        with pytest.raises(ValueError, match=re.escape(f"rfg_multi takes finite strengths, got [0.2, {c}]")):
+            rfg_multi(q, [(0.2, k_ref, v_ref), (c, k_ref, v_ref)], k_self, v_self)
+        with pytest.raises(ValueError, match=re.escape(f"rfg_multi takes finite strengths, got [{c}]")):
+            rfg_attention(q, k_ref, v_ref, k_self, v_self, c)
+
 
 class TestCoefficientVector:
     def test_equal_keys_give_exact_half(self):
@@ -849,10 +857,6 @@ class TestFinitenessRule:
 
 
 class TestKeylessPartitions:
-    def test_attention_inputs_name_k(self):
-        with pytest.raises(ShapeError, match="k needs one or more rows"):
-            AttentionInputs(np.ones((2, 3)), np.ones((0, 3)), np.ones((0, 2)))
-
     def test_attention_names_the_partition(self):
         q, k, v = draw_set(50)[:3]
         with pytest.raises(ShapeError, match="partition 0 has no keys"):
@@ -870,6 +874,12 @@ class TestKeylessPartitions:
         q, k_ref, v_ref, k_self, v_self = draw_set(51)
         out = concat_attention(q, k_ref[:0], v_ref[:0], k_self, v_self)
         assert np.array_equal(out, attention(q, k_self, v_self))
+
+    def test_zero_strength_shortcut_checks_the_reference_it_skips(self):
+        q, kvs = query_partitions(2)
+        with tile_pool(2) as pool, pytest.raises(ShapeError, match="partition 0 has no keys"):
+            rfg_multi(q, [(0.0, kvs[0][0][:0], kvs[0][1][:0])], *kvs[1])
+        assert pool.submitted == 0
 
 
 class TestPartitionShapes:
@@ -934,6 +944,111 @@ class TestQueryShape:
                 pytest.raises(ShapeError, match=message):
             run(q, (k_same, v), (k_bad, v))
         assert pool.submitted == 0
+
+
+ALL_POLICIES = (AttentionPolicy.plain(), AttentionPolicy.concat(), AttentionPolicy.cross_frame(),
+                AttentionPolicy.rfg(0.35), AttentionPolicy.rfg_multi((0.3, 0.2)), AttentionPolicy.rfg_matrix())
+
+
+class TestApplyPolicyOperands:
+    """``apply_policy`` checks the block's own ``k`` and ``v`` under every policy, before any tile runs.
+
+    These are the shape cases ``AttentionInputs`` once checked. The block's own
+    partition follows the policy's references, so its index is ``reference_count``.
+    """
+
+    # 512 queries of width 8 over 64 keys; each fault replaces the block's own (k, v).
+    SELF_FAULTS = {
+        "k-wider-than-q": (lambda k, v: (np.concatenate([k, k[:, :1]], axis=1), v),
+                           "q of shape (512, 8) and partition {i}'s k of shape (64, 9) differ in width"),
+        "kv-row-mismatch": (lambda k, v: (k, np.concatenate([v, v[:1]])),
+                            "partition {i} needs 2-D k and v with equal row counts, got (64, 8) and (65, 8)"),
+        "3-d-k": (lambda k, v: (k[None], v),
+                  "partition {i} needs 2-D k and v with equal row counts, got (1, 64, 8) and (64, 8)"),
+        "keyless-k": (lambda k, v: (k[:0], v[:0]), "partition {i} has no keys: its k has shape (0, 8)"),
+    }
+
+    @pytest.mark.parametrize("fault", SELF_FAULTS)
+    @pytest.mark.parametrize("policy", ALL_POLICIES, ids=lambda policy: policy.kind)
+    def test_bad_own_partition_is_named_before_any_tile(self, policy, fault):
+        q, k, v = partition_inputs(55, 512, 64, 8, 8, np.float32)
+        own, message = self.SELF_FAULTS[fault]
+        inputs = AttentionInputs(q, *own(k, v))
+        with tile_pool(2) as pool, mock.patch.object(kernels, "POOL_MIN_WORK", 0), \
+                pytest.raises(ShapeError, match=re.escape(message.format(i=policy.reference_count))):
+            apply_policy(inputs, policy, [(k, v)] * policy.reference_count)
+        assert pool.submitted == 0
+
+
+def _operand_routes():
+    """Every route over one reference and the sample's own partition, as ``name -> run(q, ref, own)``."""
+    def coefficient(q, ref):
+        return np.full((q.shape[0], ref[1].shape[1]), 0.5, q.dtype)
+
+    routes = {
+        "partitions": lambda q, ref, own: kernels.partitions(q, [ref, own]),
+        "reference_branches": lambda q, ref, own: reference_branches(q, *ref, *own),
+        "concat_attention": lambda q, ref, own: concat_attention(q, *ref, *own),
+        "rfg_attention": lambda q, ref, own: rfg_attention(q, *ref, *own, 0.35),
+        **{f"rfg_multi-c{c}": lambda q, ref, own, c=c: rfg_multi(q, [(c, *ref)], *own) for c in (0.0, 0.3, 1.0)},
+        "rfg_matrix": lambda q, ref, own: rfg_matrix(q, *ref, *own, coefficient(q, ref)),
+        "guidance_form": lambda q, ref, own: guidance_form(q, *ref, *own, coefficient(q, ref)),
+    }
+    for policy in ALL_POLICIES[1:]:  # "plain" reads no reference
+        if policy.kind == "rfg-multi":
+            policy = AttentionPolicy.rfg_multi((0.3,))
+        routes[f"apply_policy-{policy.kind}"] = lambda q, ref, own, policy=policy: apply_policy(
+            AttentionInputs(q, *own), policy, [ref])
+    return routes
+
+
+class TestOneOperandRule:
+    """Every route applies ``_operands``' one rule to the reference (partition 0) and the sample's own (1)."""
+
+    ROUTES = _operand_routes()
+    # Each fault as (reference, own) from one 64-key (k, v) pair, and the message naming its partition.
+    FAULTS = {
+        # Row counts that differ per partition but agree once stacked, so stacking alone pairs keys with wrong values.
+        "rows-differ-in-both": (lambda k, v: ((k, v[:63]), (k, np.concatenate([v, v[:1]]))),
+                                "partition 0 needs 2-D k and v with equal row counts, got (64, 8) and (63, 8)"),
+        # A 1-wide reference v would broadcast against the sample's own output.
+        "one-wide-reference-v": (lambda k, v: ((k, v[:, :1]), (k, v)),
+                                 "partition 1's v of shape (64, 8) and partition 0's v of shape (64, 1) differ in width"),
+        "narrower-own-v": (lambda k, v: ((k, v), (k, v[:, :5])),
+                           "partition 1's v of shape (64, 5) and partition 0's v of shape (64, 8) differ in width"),
+        # The lone-reference shortcut at c = 1 runs the reference partition only.
+        "rows-differ-in-own": (lambda k, v: ((k, v), (k, np.concatenate([v, v[:1]]))),
+                               "partition 1 needs 2-D k and v with equal row counts, got (64, 8) and (65, 8)"),
+        "keyless-own": (lambda k, v: ((k, v), (k[:0], v[:0])), "partition 1 has no keys: its k has shape (0, 8)"),
+    }
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_fault_is_named_before_any_tile(self, route, fault):
+        # 512 queries over 64 keys tile once POOL_MIN_WORK is 0, so a late check would submit tiles.
+        q, k, v = partition_inputs(56, 512, 64, 8, 8, np.float32)
+        operands, message = self.FAULTS[fault]
+        with tile_pool(2) as pool, mock.patch.object(kernels, "POOL_MIN_WORK", 0), \
+                pytest.raises(ShapeError, match=re.escape(message)):
+            self.ROUTES[route](q, *operands(k, v))
+        assert pool.submitted == 0
+
+    # Three calls on an f32 4x8 query whose faults numpy alone does not catch: each would return a 4x5 result.
+    SILENT = {
+        "concat_attention": (lambda m: concat_attention(m(4, 8), m(3, 8), m(2, 5), m(2, 8), m(3, 5)),
+                             "partition 0 needs 2-D k and v"),
+        "rfg_attention": (lambda m: rfg_attention(m(4, 8), m(3, 8), m(3, 1), m(2, 8), m(2, 5), 0.35),
+                          "partition 1's v of shape (2, 5) and partition 0's v of shape (3, 1) differ in width"),
+        "rfg_multi": (lambda m: rfg_multi(m(4, 8), [(1.0, m(3, 8), m(3, 5))], m(2, 8), m(9, 5)),
+                      "partition 1 needs 2-D k and v with equal row counts, got (2, 8) and (9, 5)"),
+    }
+
+    @pytest.mark.parametrize("call", SILENT)
+    def test_faults_numpy_misses_raise(self, call):
+        gen = stream(57)
+        run, message = self.SILENT[call]
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            run(lambda rows, cols: gen.uniform(-1, 1, (rows, cols)).astype(np.float32))
 
 
 class TestRank1Coefficient:
@@ -1026,6 +1141,14 @@ class TestAttentionPolicy:
             with pytest.warns(UserWarning, match="total reference strength magnitude .* exceeds 1") as caught:
                 AttentionPolicy(kind, strengths)
             assert len(caught) == 1 and "negative" not in str(caught[0].message)
+
+    @pytest.mark.parametrize("kind, strengths", [
+        ("rfg", (math.nan,)), ("rfg", (math.inf,)), ("rfg-multi", (0.2, -math.inf)), ("rfg-multi", (math.nan, 0.2)),
+    ])
+    def test_non_finite_strength_is_named_before_any_warning(self, kind, strengths, recwarn):
+        with pytest.raises(ValueError, match=re.escape(f"policy kind {kind!r} takes finite strengths, got {strengths}")):
+            AttentionPolicy(kind, strengths)
+        assert not recwarn
 
     @pytest.mark.parametrize("policy", [
         AttentionPolicy.cross_frame(), AttentionPolicy.rfg(-1.0), AttentionPolicy.rfg_multi((0.5, -0.5)),
@@ -1131,20 +1254,10 @@ class TestApplyPolicy:
 
 
 class TestAttentionInputs:
-    def test_width_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            AttentionInputs(np.ones((2, 3)), np.ones((2, 4)), np.ones((2, 2)))
-
-    def test_kv_row_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            AttentionInputs(np.ones((2, 3)), np.ones((2, 3)), np.ones((3, 2)))
+    """``AttentionInputs`` checks finiteness only; its shape cases are ``TestApplyPolicyOperands``'."""
 
     def test_non_finite_rejected(self):
         bad = np.ones((2, 2))
         bad[0, 0] = np.nan
         with pytest.raises(ValueError):
             AttentionInputs(bad, np.ones((2, 2)), np.ones((2, 2)))
-
-    def test_non_2d_operand_rejected(self):
-        with pytest.raises(ShapeError, match="k must be 2-D, got shape"):
-            AttentionInputs(np.ones((2, 2)), np.ones((1, 2, 2)), np.ones((2, 2)))
