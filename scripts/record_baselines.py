@@ -17,7 +17,9 @@ diff before committing. The recorded values pin:
   - the sha256 of the equivalence suite's sorted-key JSON report at the
     benchmark's ``check`` settings (4 trials and 1 stress trial per cell):
     f32 seed 0, f64 seed 3, and a failing f32 seed 0 run with the
-    coefficient corrupted by 1e-3, and
+    coefficient corrupted by 1e-3,
+  - the sha256 of the ``config.json`` the default ``refguide generate``
+    writes, and
   - the byte-exact default sweep CSV as produced by the command line.
 """
 
@@ -113,15 +115,17 @@ def record_baselines() -> dict:
         "oracle_concat_digests_seed0": oracle_digests(),
         "final_digests_seeds42_7_side32": side32_digests(),
         "check_report_digests": check_report_digests(),
+        "config_json_digest_generate_default": hashlib.sha256(command_output("generate", "config.json")).hexdigest(),
     }
 
 
-def record_sweep_csv() -> bytes:
+def command_output(command: str, name: str) -> bytes:
+    """The bytes of ``name`` that the default ``refguide <command>`` writes."""
     with tempfile.TemporaryDirectory() as tmp:
-        code = cli_main(["sweep", "--out", tmp])
+        code = cli_main([command, "--out", tmp])
         if code != 0:
-            raise SystemExit(f"baseline sweep run failed with exit code {code}")
-        return (Path(tmp) / "sweep.csv").read_bytes()
+            raise SystemExit(f"baseline {command} run failed with exit code {code}")
+        return (Path(tmp) / name).read_bytes()
 
 
 def main() -> int:
@@ -133,7 +137,7 @@ def main() -> int:
     print(f"wrote {baseline_path}")
 
     sweep_path = DATA_DIR / "sweep_baseline.csv"
-    sweep_path.write_bytes(record_sweep_csv())
+    sweep_path.write_bytes(command_output("sweep", "sweep.csv"))
     print(f"wrote {sweep_path} ({len(sweep_path.read_bytes())} bytes)")
     return 0
 

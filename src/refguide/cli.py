@@ -120,12 +120,9 @@ def _generate(pipeline_cfg, key: str, value):
     """``generate_batch``, with a ValueError re-raised as a ConfigError naming ``key``.
 
     A finite strength can still overflow the logits; ``key`` set the strength.
-    The finiteness check names that failure, so numpy's overflow warning is
-    kept out of the output.
     """
     try:
-        with np.errstate(over="ignore"):
-            return generate_batch(pipeline_cfg)
+        return generate_batch(pipeline_cfg)
     except ValueError as exc:
         raise ConfigError(f"key {key!r} value {value!r}: {exc}") from exc
 
@@ -193,8 +190,11 @@ def main(argv=None) -> int:
     # flag that has none instead of dropping it.
     overrides = vars(args)
     command, config_path = overrides.pop("command"), overrides.pop("config")
+    # Overflow and invalid values are named by the finiteness rule (exit 2) or
+    # by the report's null error (exit 1), so numpy's warnings stay silent.
     try:
-        return _COMMANDS[command](parse_config(config_path, overrides, command))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _COMMANDS[command](parse_config(config_path, overrides, command))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

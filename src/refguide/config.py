@@ -224,20 +224,9 @@ class RunConfig:
         they contain, and keeping it out makes reruns into different
         directories produce byte-identical dumps.
         """
-        out = {}
-        for f in fields(self):
-            if f.name == "out_dir":
-                continue
-            value = getattr(self, f.name)
-            if isinstance(value, tuple):
-                value = [list(v) if isinstance(v, tuple) else v for v in value]
-            out[f.name] = value
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "out_dir"}
         policy = self.resolved_policy()
-        out["resolved_policy"] = {
-            "kind": policy.kind,
-            "strength": policy.strength,
-            "strengths": list(policy.strengths),
-        }
+        out["resolved_policy"] = {"kind": policy.kind, "strength": policy.strength, "strengths": policy.strengths}
         out["resolved_weights_seed"], out["resolved_noise_seed"] = self.resolved_seeds()
         return out
 

@@ -20,9 +20,9 @@ case; the routes to reference conditioning:
 * ``rfg_matrix`` mixes the two outputs entrywise with a coefficient matrix.
   With the reference partition's mass as the per-row coefficient it
   reproduces ``concat_attention`` up to rounding, which is what the
-  equivalence oracle certifies. ``reference_branches`` returns both
-  branches and that mass; the "rfg-matrix" policy, the oracle's suite,
-  ``rfg_matrix`` and ``guidance_form`` all run it.
+  equivalence oracle certifies. ``partitions`` over the reference and self
+  partitions returns both branches and that mass; the "rfg-matrix" policy,
+  the oracle's suite, ``rfg_matrix`` and ``guidance_form`` all call it.
 
 Every route checks its operands with one rule, ``_operands``, before any
 tile runs. A call runs each partition as one ``_tile``, or, if all meet
@@ -264,16 +264,6 @@ def partitions(q, kvs) -> tuple:
     return outs, list(np.minimum(np.maximum(np.divide(weights, total), info.tiny), 1 - info.epsneg))
 
 
-def reference_branches(q, k_ref, v_ref, k_self, v_self) -> tuple:
-    """``(a_ref, a_self, c_vec)``: both branch attentions and the reference partition's mass.
-
-    Each branch is bitwise ``attention`` over its partition; ``c_vec`` is
-    ``concat_coefficient_vector``.
-    """
-    (a_ref, a_self), (c_vec, _) = partitions(q, [(k_ref, v_ref), (k_self, v_self)])
-    return a_ref, a_self, c_vec
-
-
 def blend(coeff, a_ref, a_self) -> np.ndarray:
     """``coeff * a_ref + (1 - coeff) * a_self``.
 
@@ -348,14 +338,15 @@ def build_rank1_coefficient(c_vec: np.ndarray, d_v: int) -> np.ndarray:
     return np.repeat(c_vec[:, None], d_v, axis=1)
 
 
-def _coefficient_branches(q, k_ref, v_ref, k_self, v_self, coeff) -> tuple:
-    """``reference_branches``' two outputs, once ``coeff`` matches their shape and dtype."""
-    a_ref, a_self, _ = reference_branches(q, k_ref, v_ref, k_self, v_self)
-    if coeff.shape != a_ref.shape:
-        raise ShapeError(f"coefficient shape {coeff.shape} does not match output shape {a_ref.shape}")
-    if coeff.dtype != a_ref.dtype:
-        raise ValueError(f"mixed dtypes in one kernel call: {a_ref.dtype} vs {coeff.dtype}")
-    return a_ref, a_self
+def _coefficient_branches(q, k_ref, v_ref, k_self, v_self, coeff) -> list:
+    """``[a_ref, a_self]`` from ``partitions``, run once the operands and ``coeff``'s (L, d_v) shape and dtype pass."""
+    kvs = [(k_ref, v_ref), (k_self, v_self)]
+    _operands(q, kvs)
+    if coeff.shape != (shape := (q.shape[0], v_ref.shape[1])):
+        raise ShapeError(f"coefficient shape {coeff.shape} does not match output shape {shape}")
+    if coeff.dtype != q.dtype:
+        raise ValueError(f"mixed dtypes in one kernel call: {q.dtype} vs {coeff.dtype}")
+    return partitions(q, kvs)[0]
 
 
 def rfg_matrix(q, k_ref, v_ref, k_self, v_self, coeff: np.ndarray) -> np.ndarray:
@@ -389,5 +380,5 @@ def apply_policy(inputs: AttentionInputs, policy: AttentionPolicy, refs=()) -> n
         return rfg_multi(q, [(c, *ref) for c, ref in zip(policy.strengths, refs)], k, v)
     if policy.kind == "concat":
         return concat_attention(q, *refs[0], k, v)
-    a_ref, a_self, c_vec = reference_branches(q, *refs[0], k, v)
+    (a_ref, a_self), (c_vec, _) = partitions(q, [refs[0], (k, v)])
     return blend(c_vec[:, None], a_ref, a_self)

@@ -64,7 +64,5 @@ def frobenius_norm(a: np.ndarray) -> float:
 
 
 def stack_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Rows of ``a`` followed by rows of ``b``; column counts must match."""
-    if a.shape[1] != b.shape[1]:
-        raise ShapeError(f"cannot stack rows of {a.shape} on top of {b.shape}: column counts differ")
+    """Rows of ``a`` followed by rows of ``b``; the caller checks that their column counts match."""
     return np.concatenate([a, b], axis=0)

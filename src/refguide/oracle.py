@@ -8,9 +8,9 @@ no arithmetic code with the numpy kernels in :mod:`refguide.kernels`; that
 independence is the point, so keep numpy expressions out of the naive paths.
 
 ``run_equivalence_suite`` draws seeded random inputs over a grid of shapes.
-Per trial it makes the call the "rfg-matrix" policy makes,
-``reference_branches``, once, derives the coefficient, both branches, the
-matrix blend and the guidance form from it, and checks:
+Per trial it makes the call the "rfg-matrix" policy makes, ``partitions``
+over the reference and self partitions, once, derives the coefficient, both
+branches, the matrix blend and the guidance form from it, and checks:
 
 * rank-1 matrix blend vs brute-force concatenated attention (the headline
   equivalence, reported as ``max_rel_error``),
@@ -52,7 +52,7 @@ from operator import mul
 import numpy as np
 
 from . import kernels
-from .kernels import blend, build_rank1_coefficient, concat_attention, guidance, reference_branches, rfg_attention
+from .kernels import blend, build_rank1_coefficient, concat_attention, guidance, partitions, rfg_attention
 
 # Not called here any more; the benchmark's span recorder (perfbench/spans.py)
 # wraps these names in ``refguide.oracle`` too, so they stay importable.
@@ -298,7 +298,7 @@ def run_equivalence_suite(
 
         # The rfg-matrix policy's own call: both branches and the
         # coefficient from one pass over each partition.
-        ref_branch, self_branch, c_vec = reference_branches(q, k_ref, v_ref, k_self, v_self)
+        (ref_branch, self_branch), (c_vec, _) = partitions(q, [(k_ref, v_ref), (k_self, v_self)])
         coeff = build_rank1_coefficient(c_vec, d_v)
         if corrupt_coefficient:
             coeff = coeff.copy()

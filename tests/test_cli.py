@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import json
 import re
 import warnings
@@ -80,6 +81,15 @@ class TestCheckCommand:
         assert (tmp_path / "check_report.json").read_text() == out
         assert "max_rel_error=inf" in err
 
+    def test_overflowing_corruption_warns_nothing(self, tmp_path, capsys):
+        # No errstate here: tier-1 turns warnings into errors, so a raw numpy overflow or invalid-value
+        # warning from the cast of 1e300 or from the blend would raise out of main.
+        code, out, err = run(capsys, "check", "--corrupt-kernel", "1e300", "--trials", "1", "--stress-trials", "0",
+                             "--grid", "2x1x1", "--out", str(tmp_path))
+        assert code == 1
+        assert '"max_rel_error": null' in out
+        assert "RuntimeWarning" not in err
+
     def test_f64_precision(self, tmp_path, capsys):
         code, out, _ = run(
             capsys, "check", "--grid", "2x2x2", "--trials", "2",
@@ -148,6 +158,12 @@ class TestGenerateCommand:
         resolved = json.loads((out_dir / "config.json").read_text())
         assert "threshold" not in resolved and "stress_scale" not in resolved
         assert (resolved["trials"], resolved["stress_trials"]) == (20, 5)
+
+    def test_default_config_json_matches_recorded_baseline(self, tmp_path, capsys):
+        assert run(capsys, "generate", "--out", str(tmp_path))[0] == 0
+        recorded = json.loads((Path(__file__).parent / "data" / "baselines.json").read_text())
+        digest = hashlib.sha256((tmp_path / "config.json").read_bytes()).hexdigest()
+        assert digest == recorded["config_json_digest_generate_default"]
 
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
         cfg = small_config_file(tmp_path)

@@ -30,7 +30,6 @@ from refguide.kernels import (
     concat_coefficient_vector,
     guidance,
     guidance_form,
-    reference_branches,
     rfg_attention,
     rfg_matrix,
     rfg_multi,
@@ -256,36 +255,36 @@ class TestReferenceBranches:
     @given(partition_sets())
     def test_branches_are_bitwise_attention(self, case):
         _, _, (q, k_ref, v_ref, k_self, v_self) = case
-        a_ref, a_self, _ = reference_branches(q, k_ref, v_ref, k_self, v_self)
+        (a_ref, a_self), _ = kernels.partitions(q, [(k_ref, v_ref), (k_self, v_self)])
         assert np.array_equal(a_ref, attention(q, k_ref, v_ref))
         assert np.array_equal(a_self, attention(q, k_self, v_self))
 
     @given(partition_sets())
     def test_swapped_partitions_give_complement(self, case):
         _, _, (q, k_ref, v_ref, k_self, v_self) = case
-        c = reference_branches(q, k_ref, v_ref, k_self, v_self)[2]
-        swapped = reference_branches(q, k_self, v_self, k_ref, v_ref)[2]
+        c = kernels.partitions(q, [(k_ref, v_ref), (k_self, v_self)])[1][0]
+        swapped = kernels.partitions(q, [(k_self, v_self), (k_ref, v_ref)])[1][0]
         ulp = np.finfo(q.dtype).eps
         assert np.all(np.abs(c.astype(np.float64) + swapped - 1.0) <= 4 * ulp)
 
     @given(partition_sets())
     def test_identical_partitions_give_exact_half(self, case):
         _, _, (q, _, _, k_self, v_self) = case
-        c = reference_branches(q, k_self, v_self, k_self, v_self)[2]
+        c = kernels.partitions(q, [(k_self, v_self), (k_self, v_self)])[1][0]
         assert c.dtype == q.dtype
         assert np.array_equal(c, np.full(q.shape[0], 0.5, dtype=q.dtype))
 
     @given(partition_sets())
     def test_coefficient_strictly_inside_unit_interval(self, case):
         _, _, (q, k_ref, v_ref, k_self, v_self) = case
-        c = reference_branches(q, k_ref, v_ref, k_self, v_self)[2]
+        c = kernels.partitions(q, [(k_ref, v_ref), (k_self, v_self)])[1][0]
         assert (c > 0.0).all() and (c < 1.0).all()
 
     @given(partition_sets())
     def test_coefficient_matches_loop_oracle(self, case):
         # The suite's bound, scaled with the query like its stress trials.
         precision, q_scale, (q, k_ref, v_ref, k_self, v_self) = case
-        c = reference_branches(q, k_ref, v_ref, k_self, v_self)[2]
+        c = kernels.partitions(q, [(k_ref, v_ref), (k_self, v_self)])[1][0]
         slow = naive_coefficient_vector(q, k_ref, k_self)
         assert np.max(np.abs(c - slow)) <= PRECISION_THRESHOLDS[precision] * q_scale
         assert np.array_equal(c, concat_coefficient_vector(q, k_ref, k_self))
@@ -296,7 +295,7 @@ class TestReferenceBranches:
         # public route (concat_coefficient_vector, rfg_matrix, guidance_form)
         # must give the same bits.
         _, _, (q, k_ref, v_ref, k_self, v_self) = case
-        a_ref, a_self, c = reference_branches(q, k_ref, v_ref, k_self, v_self)
+        (a_ref, a_self), (c, _) = kernels.partitions(q, [(k_ref, v_ref), (k_self, v_self)])
         coeff = build_rank1_coefficient(c, v_ref.shape[1])
         public = build_rank1_coefficient(concat_coefficient_vector(q, k_ref, k_self), v_ref.shape[1])
         assert np.array_equal(rfg_matrix(q, k_ref, v_ref, k_self, v_self, public), blend(coeff, a_ref, a_self))
@@ -367,7 +366,7 @@ PUBLIC_KERNELS = (
     ("concat_attention", 5, concat_attention),
     ("rfg_attention", 5, lambda q, kr, vr, ks, vs: rfg_attention(q, kr, vr, ks, vs, 0.35)),
     ("rfg_multi", 7, lambda q, k1, v1, k2, v2, ks, vs: rfg_multi(q, [(0.3, k1, v1), (0.2, k2, v2)], ks, vs)),
-    ("reference_branches", 5, reference_branches),
+    ("partitions", 5, lambda q, kr, vr, ks, vs: kernels.partitions(q, [(kr, vr), (ks, vs)])),
     ("concat_coefficient_vector", 3, concat_coefficient_vector),
     ("rfg_matrix", 5, lambda q, kr, vr, ks, vs: rfg_matrix(q, kr, vr, ks, vs, _matrix_coefficient(q, vr))),
     ("guidance_form", 5, lambda q, kr, vr, ks, vs: guidance_form(q, kr, vr, ks, vs, _matrix_coefficient(q, vr))),
@@ -628,7 +627,7 @@ class TestPooledPartition:
 
 # Kernels that run several partitions of one query: (name, partition count, call on (q, kvs)).
 MULTI_PARTITION_KERNELS = (
-    ("reference_branches", 2, lambda q, kvs: reference_branches(q, *kvs[0], *kvs[1])),
+    ("partitions", 2, lambda q, kvs: sum(kernels.partitions(q, kvs), [])),  # outputs, then masses
     ("rfg_attention", 2, lambda q, kvs: rfg_attention(q, *kvs[0], *kvs[1], 0.35)),
     ("rfg_multi", 3, lambda q, kvs: rfg_multi(q, [(0.3, *kvs[0]), (0.2, *kvs[1])], *kvs[2])),
 )
@@ -680,7 +679,7 @@ class TestPooledQuery:
         kvs[1][0][:] = np.float32(3e38)  # finite, but q k^T overflows in every tile of the self partition
         with tile_pool(2) as pool, np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="row_softmax requires finite logits"):
-                reference_branches(q, *kvs[0], *kvs[1])
+                kernels.partitions(q, kvs)
             assert not running
             assert len(finished) == pool.submitted == 8
 
@@ -867,7 +866,7 @@ class TestKeylessPartitions:
         q, kvs = query_partitions(2)
         kvs[empty] = (kvs[empty][0][:0], kvs[empty][1][:0])
         with tile_pool(2) as pool, pytest.raises(ShapeError, match=f"partition {empty} has no keys"):
-            reference_branches(q, *kvs[0], *kvs[1])
+            kernels.partitions(q, kvs)
         assert pool.submitted == 0
 
     def test_concat_with_an_empty_reference_is_self_attention(self):
@@ -987,7 +986,6 @@ def _operand_routes():
 
     routes = {
         "partitions": lambda q, ref, own: kernels.partitions(q, [ref, own]),
-        "reference_branches": lambda q, ref, own: reference_branches(q, *ref, *own),
         "concat_attention": lambda q, ref, own: concat_attention(q, *ref, *own),
         "rfg_attention": lambda q, ref, own: rfg_attention(q, *ref, *own, 0.35),
         **{f"rfg_multi-c{c}": lambda q, ref, own, c=c: rfg_multi(q, [(c, *ref)], *own) for c in (0.0, 0.3, 1.0)},
@@ -1049,6 +1047,26 @@ class TestOneOperandRule:
         run, message = self.SILENT[call]
         with pytest.raises(ShapeError, match=re.escape(message)):
             run(lambda rows, cols: gen.uniform(-1, 1, (rows, cols)).astype(np.float32))
+
+
+class TestCoefficientCheck:
+    """``rfg_matrix`` and ``guidance_form`` reject a bad coefficient before any tile runs."""
+
+    FAULTS = {
+        "shape": (lambda c: c[:, :4], ShapeError, "coefficient shape (512, 4) does not match output shape (512, 8)"),
+        "dtype": (lambda c: c.astype(np.float64), ValueError, "mixed dtypes in one kernel call: float32 vs float64"),
+    }
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    @pytest.mark.parametrize("kernel", [rfg_matrix, guidance_form], ids=["rfg_matrix", "guidance_form"])
+    def test_bad_coefficient_is_rejected_before_any_tile(self, kernel, fault):
+        # 512 queries over 64 keys tile once POOL_MIN_WORK is 0, so a late check would submit tiles.
+        q, k, v = partition_inputs(58, 512, 64, 8, 8, np.float32)
+        bad, error, message = self.FAULTS[fault]
+        with tile_pool(2) as pool, mock.patch.object(kernels, "POOL_MIN_WORK", 0), \
+                pytest.raises(error, match=re.escape(message)):
+            kernel(q, k, v, k, v, bad(np.full((512, 8), 0.5, np.float32)))
+        assert pool.submitted == 0
 
 
 class TestRank1Coefficient:

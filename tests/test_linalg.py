@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from refguide.linalg import (
-    ShapeError,
     frobenius_norm,
     matmul,
     row_softmax,
@@ -131,7 +130,3 @@ class TestStackRows:
         assert out.shape == (3, 2)
         assert np.array_equal(out[0], top[0])
         assert np.array_equal(out[1:], bottom)
-
-    def test_column_mismatch_rejected(self):
-        with pytest.raises(ShapeError, match="column"):
-            stack_rows(np.zeros((1, 2)), np.zeros((1, 3)))

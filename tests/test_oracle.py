@@ -138,7 +138,7 @@ class TestOracleIndependence:
             if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in ("kernels", "linalg")
             for alias in node.names
         }
-        assert {"reference_branches", "ShapeError"} <= imported
+        assert {"partitions", "ShapeError"} <= imported
         functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
         assert set(self.NAIVE_FUNCTIONS) <= set(functions)
         offences = []
