@@ -275,8 +275,8 @@ def parse_config(path=None, overrides=None, command=None) -> RunConfig:
         if (need := sum(part[2] for part in parts)) <= MEMORY_FRACTION * physical:
             return cfg
         what, names, largest = max(parts, key=lambda part: part[2])
-        # "policy" is named by the key that sets the reference count.
-        names = [(keys[-1] if keys[-1] != "strength" else keys[0]) if name == "policy" else name for name in names]
+        # "policy" leads only with two references or more, so the key that sets their count comes last.
+        names = [keys[-1] if name == "policy" else name for name in names]
         named = f"key{'s' * (len(names) > 1)} {', '.join(map(repr, names))} ({largest / 2**30:.3g} GiB of {what})"
     else:
         key, cells = ("grid", cfg.check_grid) if command == "check" else ("bench_grid", cfg.bench_grid)

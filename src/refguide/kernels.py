@@ -339,14 +339,14 @@ def build_rank1_coefficient(c_vec: np.ndarray, d_v: int) -> np.ndarray:
 
 
 def _coefficient_branches(q, k_ref, v_ref, k_self, v_self, coeff) -> list:
-    """``[a_ref, a_self]`` from ``partitions``, run once the operands and ``coeff``'s (L, d_v) shape and dtype pass."""
+    """``[a_ref, a_self]`` from ``_branches``, run once the operands and ``coeff``'s (L, d_v) shape and dtype pass."""
     kvs = [(k_ref, v_ref), (k_self, v_self)]
     _operands(q, kvs)
     if coeff.shape != (shape := (q.shape[0], v_ref.shape[1])):
         raise ShapeError(f"coefficient shape {coeff.shape} does not match output shape {shape}")
     if coeff.dtype != q.dtype:
         raise ValueError(f"mixed dtypes in one kernel call: {q.dtype} vs {coeff.dtype}")
-    return partitions(q, kvs)[0]
+    return [out for out, _, _ in _branches(q, kvs)]
 
 
 def rfg_matrix(q, k_ref, v_ref, k_self, v_self, coeff: np.ndarray) -> np.ndarray:
@@ -375,7 +375,7 @@ def apply_policy(inputs: AttentionInputs, policy: AttentionPolicy, refs=()) -> n
     if policy.kind == "plain":
         return attention(q, k, v)
     if len(refs) != policy.reference_count:
-        raise ValueError(f"policy {policy.kind!r} needs {policy.reference_count} reference cache(s), got {len(refs)}")
+        raise ValueError(f"policy {policy.kind!r} needs {policy.reference_count} reference (k, v) pair(s), got {len(refs)}")
     if policy.strengths:
         return rfg_multi(q, [(c, *ref) for c, ref in zip(policy.strengths, refs)], k, v)
     if policy.kind == "concat":

@@ -7,15 +7,16 @@ prediction. It exists to exercise the attention policies per step and per
 layer at desk scale, not to produce images worth looking at.
 
 Batch convention: with a reference-conditioned policy the first sample (the
-first N samples for an N-reference blend) is the reference. References run
-plain self-attention; their keys/values are captured as one ``(k, v)`` pair
-per block, rebuilt every step from the reference's current latent, and each
-guided block reads its own block's pair from every reference. The reference
-therefore never sees the guided samples, so its trajectory is bitwise
-identical across policies and batch sizes for fixed seeds.
+first N samples for an N-reference blend) is the reference. One pass runs
+each block for the whole batch before the next block, so the batch's hidden
+states are held at once, under every policy. References run plain
+self-attention, and each guided sample reads the references' ``(k, v)`` of
+the same block in the same pass, rebuilt every step from their current
+latents. The reference therefore never sees the guided samples, so its
+trajectory is bitwise identical across policies and batch sizes for fixed
+seeds.
 
-``denoise_step`` takes one policy per block (``PipelineConfig.layer_policies``);
-its guided samples read only the caches that same step rebuilt.
+``denoise_step`` takes one policy per block (``PipelineConfig.layer_policies``).
 """
 
 import hashlib
@@ -89,8 +90,8 @@ class PipelineConfig:
                 ("trajectory latents", ("steps", "batch"), (self.steps + 1) * self.batch * tokens * size),
                 ("denoiser weights", ("blocks", "d_model", "d", "d_v"), weights * 8),
                 ("per-block projections", ("side", "d", "d_v"), tokens * (2 * d + d_v) * size),
-                ("reference caches", ("policy", "blocks"),
-                 self.policy.reference_count * self.blocks * tokens * (d + d_v) * size))
+                ("hidden states", ("batch", "side", "d_model"), self.batch * tokens * self.d_model * size),
+                ("reference k/v", ("policy",), self.policy.reference_count * tokens * (d + d_v) * size))
 
     def layer_policies(self) -> tuple:
         """Policy applied at each block: the configured one, or per-layer rfg overrides."""
@@ -163,42 +164,36 @@ def init_denoiser(seed: int, config: PipelineConfig) -> DenoiserWeights:
     return DenoiserWeights(w_in=w_in, pos=pos, blocks=blocks, w_out=w_out)
 
 
-def _forward(latent, weights, policies, caches, collect_cache=False):
-    """One denoiser pass over a (side, side) latent.
+def _forward(latents, weights, policies, n_refs):
+    """One denoiser pass over a (batch, side, side) stack; returns the (batch, side, side) predictions.
 
-    Returns (prediction, this pass's ``[(k, v), ...]`` per block, or None).
-    ``policies`` holds one policy per block; ``caches`` holds one such list
-    per reference, and block ``i`` hands apply_policy each list's entry ``i``.
+    Block ``b`` runs for every sample before block ``b + 1``. Samples
+    ``i < n_refs`` run plain attention and append their ``(k, v)`` to the
+    block's ``refs``; every later sample reads them under ``policies[b]``.
     """
-    side = latent.shape[0]
-    x = latent.reshape(side * side, 1)
-    h = matmul(x, weights.w_in) + weights.pos
-    captured = []
-    for i, blk in enumerate(weights.blocks):
-        q = matmul(h, blk.w_q)
-        k = matmul(h, blk.w_k)
-        v = matmul(h, blk.w_v)
-        if collect_cache:
-            captured.append((k, v))
-        a = apply_policy(AttentionInputs(q, k, v), policies[i], [cache[i] for cache in caches])
-        h = h + MIX_SCALE * matmul(a, blk.w_mix)
-    pred = np.tanh(matmul(h, weights.w_out))
-    return pred.reshape(side, side), captured if collect_cache else None
-
-
-def reference_pass(latent, weights):
-    """Plain self-attention pass that also captures each block's ``(k, v)``."""
-    plain = (AttentionPolicy.plain(),) * len(weights.blocks)
-    return _forward(latent, weights, plain, caches=(), collect_cache=True)
+    side = latents.shape[1]
+    hidden = [matmul(latent.reshape(side * side, 1), weights.w_in) + weights.pos for latent in latents]
+    for blk, policy in zip(weights.blocks, policies):
+        refs = []
+        for i, h in enumerate(hidden):
+            q = matmul(h, blk.w_q)
+            k = matmul(h, blk.w_k)
+            v = matmul(h, blk.w_v)
+            if i < n_refs:
+                a = apply_policy(AttentionInputs(q, k, v), AttentionPolicy.plain())
+                refs.append((k, v))
+            else:
+                a = apply_policy(AttentionInputs(q, k, v), policy, refs)
+            hidden[i] = h + MIX_SCALE * matmul(a, blk.w_mix)
+    return np.stack([np.tanh(matmul(h, weights.w_out)).reshape(side, side) for h in hidden])
 
 
 def denoise_step(latents, t: int, steps: int, weights, policies: tuple):
     """Advance every batch member one step: x + (prediction - x) / (steps - t).
 
-    ``policies`` holds one AttentionPolicy per block. Reference members (the
-    first ``reference_count`` samples; none under the plain policy) are
-    processed first with plain attention, publishing their K/V caches;
-    guided members then run each block under that block's policy.
+    ``policies`` holds one AttentionPolicy per block. The first
+    ``reference_count`` samples (none under the plain policy) are the
+    references; ``_forward`` runs them with plain attention.
     """
     if not 0 <= t < steps:
         raise ValueError(f"step index {t} outside [0, {steps})")
@@ -207,20 +202,7 @@ def denoise_step(latents, t: int, steps: int, weights, policies: tuple):
     n_refs = policies[0].reference_count
     if latents.shape[0] <= n_refs and n_refs > 0:
         raise ValueError(f"batch of {latents.shape[0]} cannot supply {n_refs} reference(s) and a guided sample")
-
-    out = np.empty_like(latents)
-    u = 1.0 / (steps - t)
-
-    caches = []
-    for i in range(n_refs):
-        pred, kv = reference_pass(latents[i], weights)
-        out[i] = latents[i] + (pred - latents[i]) * u
-        caches.append(kv)
-
-    for i in range(n_refs, latents.shape[0]):
-        pred, _ = _forward(latents[i], weights, policies, caches)
-        out[i] = latents[i] + (pred - latents[i]) * u
-    return out
+    return latents + (_forward(latents, weights, policies, n_refs) - latents) * (1.0 / (steps - t))
 
 
 @dataclass

@@ -277,9 +277,9 @@ class TestBenchCommand:
         calls = []
         real = refguide.bench.apply_policy
 
-        def counting(inputs, policy, caches=()):
+        def counting(inputs, policy, refs=()):
             calls.append((inputs, policy))
-            return real(inputs, policy, caches)
+            return real(inputs, policy, refs)
 
         monkeypatch.setattr(refguide.bench, "apply_policy", counting)
         batch, warmup, iterations = 3, 1, 2
@@ -369,7 +369,8 @@ class TestErrorPaths:
 
     def test_weights_too_large_for_memory_exit_2(self, tmp_path, capsys):
         path = tmp_path / "config.json"
-        # Under plain no reference caches are held, which would be the largest part.
+        # Per unit of d the f64 weights (blocks * d_model * 2 * 8 = 2048 B) match the f32 per-block
+        # projections (T * 2 * 4 = 2048 B); the weights' d_v and (T + 2) * d_model terms put them ahead.
         path.write_text(json.dumps({"d": 10000000000, "steps": 1, "policy_kind": "plain"}))
         code, _, err = run(capsys, "generate", "--config", str(path), "--out", str(tmp_path))
         assert code == 2

@@ -226,38 +226,45 @@ class TestMemory:
     #   trajectory   (steps + 1) * batch * T * 4 = 4096 (steps + 1)        = 86016
     #   weights      (blocks d_model (2d + 2d_v) + (T + 2) d_model) * 8     = 197120
     #   projections  T (2d + d_v) * 4                                       = 98304
-    #   caches       R * blocks * T * (d + d_v) * 4 = 262144 R              = 262144
+    #   hidden       batch * T * d_model * 4 = 32768 batch                  = 131072
+    #   reference    R * T * (d + d_v) * 4 = 65536 R                        = 65536
+    # The reference k/v is at most the projections when R = 1, so only R >= 2 names its key.
     @pytest.mark.parametrize("overrides, named", [
-        # 4096 (steps + 1) + 819712 <= 67108864 while steps + 1 <= 16183.9.
-        ({"steps": 16182}, None),
-        ({"steps": 16183}, "keys 'steps', 'batch' (0.0617 GiB of trajectory latents)"),
-        # 21504 batch + 819712 <= 67108864 while batch <= 3082.6.
-        ({"batch": 3082}, None),
-        ({"batch": 3083}, "keys 'steps', 'batch' (0.0617 GiB of trajectory latents)"),
-        # f64 doubles every part but the weights: 8192 (steps + 1) + 1442304, steps + 1 <= 8015.9.
-        ({"steps": 8014, "precision": "f64"}, None),
-        ({"steps": 8015, "precision": "f64"}, "keys 'steps', 'batch' (0.0612 GiB of trajectory latents)"),
-        # plain, R = 0: weights 2048 d + 131584, projections 2048 d + 32768; sum 4096 d + 512512.
-        ({"policy_kind": "plain", "d": 16258}, None),
-        ({"policy_kind": "plain", "d": 16259}, "keys 'blocks', 'd_model', 'd', 'd_v' (0.0311 GiB of denoiser weights)"),
-        # plain: weights 2048 d_v + 131584, projections 1024 d_v + 65536; sum 3072 d_v + 545280.
-        ({"policy_kind": "plain", "d_v": 21667}, None),
-        ({"policy_kind": "plain", "d_v": 21668}, "keys 'blocks', 'd_model', 'd', 'd_v' (0.0415 GiB of denoiser weights)"),
-        # R references need batch R + 1: trajectory 21504 (R + 1), caches 262144 R; sum 283648 R + 579072.
-        ({"policy_kind": "rfg-multi", "strengths": [1e-4] * 234, "batch": 235}, None),
-        ({"policy_kind": "rfg-multi", "strengths": [1e-4] * 235, "batch": 236},
-         "keys 'strengths', 'blocks' (0.0574 GiB of reference caches)"),
-        # weights 32768 blocks + 66048, caches 65536 blocks; sum 98304 blocks + 512512.
-        ({"blocks": 677}, None),
-        ({"blocks": 678}, "keys 'policy_kind', 'blocks' (0.0414 GiB of reference caches)"),
-        ({"blocks": 678, "preset": "consistent"}, "keys 'preset', 'blocks' (0.0414 GiB of reference caches)"),
-        ({"blocks": 2000, "policy_kind": "plain"}, None),  # 65602048 of weights, no caches: 66048512
-        # side 62 (T = 3844, untiled): 59105344 of logits, 66924928 in all; side 63: 63011844 and 71081428.
+        # 4096 (steps + 1) + 754176 <= 67108864 while steps + 1 <= 16199.9.
+        ({"steps": 16198}, None),
+        ({"steps": 16199}, "keys 'steps', 'batch' (0.0618 GiB of trajectory latents)"),
+        # trajectory 21504 batch, hidden 32768 batch; sum 54272 batch + 623104, batch <= 1225.0.
+        ({"batch": 1225}, None),
+        ({"batch": 1226}, "keys 'batch', 'side', 'd_model' (0.0374 GiB of hidden states)"),
+        # f64 doubles every part but the weights: 8192 (steps + 1) + 1311232, steps + 1 <= 8031.9.
+        ({"steps": 8030, "precision": "f64"}, None),
+        ({"steps": 8031, "precision": "f64"}, "keys 'steps', 'batch' (0.0613 GiB of trajectory latents)"),
+        # plain, R = 0: weights 2048 d + 131584, projections 2048 d + 32768; sum 4096 d + 643584.
+        ({"policy_kind": "plain", "d": 16226}, None),
+        ({"policy_kind": "plain", "d": 16227}, "keys 'blocks', 'd_model', 'd', 'd_v' (0.0311 GiB of denoiser weights)"),
+        # plain: weights 2048 d_v + 131584, projections 1024 d_v + 65536; sum 3072 d_v + 676352.
+        ({"policy_kind": "plain", "d_v": 21625}, None),
+        ({"policy_kind": "plain", "d_v": 21626}, "keys 'blocks', 'd_model', 'd', 'd_v' (0.0414 GiB of denoiser weights)"),
+        # R references need batch R + 1: trajectory 21504 (R + 1), hidden 32768 (R + 1),
+        # reference 65536 R; sum 119808 R + 611840, R <= 555.0.
+        ({"policy_kind": "rfg-multi", "strengths": [1e-4] * 555, "batch": 556}, None),
+        ({"policy_kind": "rfg-multi", "strengths": [1e-4] * 556, "batch": 557},
+         "key 'strengths' (0.0339 GiB of reference k/v)"),
+        # blend, R = 3: weights 2048 d_v + 131584, projections 1024 d_v + 65536, reference
+        # 3072 d_v + 98304; sum 6144 d_v + 774656, d_v <= 10796.6.
+        ({"preset": "blend", "references": 3, "d_v": 10796}, None),
+        ({"preset": "blend", "references": 3, "d_v": 10797}, "key 'references' (0.031 GiB of reference k/v)"),
+        # weights 32768 blocks + 66048 beside 577536 + 65536 R of the rest: blocks <= 2026.4, or 2028.4 under plain.
+        ({"blocks": 2026}, None),
+        ({"blocks": 2027}, "keys 'blocks', 'd_model', 'd', 'd_v' (0.0619 GiB of denoiser weights)"),
+        ({"blocks": 2028, "policy_kind": "plain"}, None),
+        ({"blocks": 2029, "policy_kind": "plain"}, "keys 'blocks', 'd_model', 'd', 'd_v' (0.062 GiB of denoiser weights)"),
+        # side 62 (T = 3844, untiled): 59105344 of logits, 65940864 in all; side 63: 63011844 and 70065364.
         ({"side": 62}, None),
         ({"side": 63}, "key 'side' (0.0587 GiB of attention logits)"),
         # side 64 (T = 4096) tiles: one 256-row tile of 4096 logits, 4 MiB.
         ({"side": 64}, None),
-        # concat, S = 2T: side 52 holds 58492928 of logits and 64032512 in all; side 53 63123848 alone.
+        # concat, S = 2T: side 52 holds 58492928 of logits and 63340288 in all; side 53 63123848 alone.
         ({"side": 52, "policy_kind": "concat"}, None),
         ({"side": 53, "policy_kind": "concat"}, "key 'side' (0.0588 GiB of attention logits)"),
     ])
@@ -270,7 +277,7 @@ class TestMemory:
                 parse_config(overrides=overrides, command=command)
 
     # side 64 at f64 tiles: 256 x workers rows of 4096 logits, 16 MiB at 2 workers
-    # (32244224 in all), 128 MiB at 16, where the tile covers all 4096 rows.
+    # (30147072 in all), 128 MiB at 16, where the tile covers all 4096 rows.
     @pytest.mark.parametrize("workers, ok", [(2, True), (16, False)])
     def test_tiled_logits_count_one_tile_per_worker(self, memory_128mib, workers, ok):
         memory_128mib(workers)
@@ -329,9 +336,9 @@ class TestMemory:
                 parse_config(overrides=overrides, command="bench")
 
     # Each part fits in 64 MiB alone, but not their sum: steps 10000 and blocks
-    # 400 hold 40964096 of trajectory, 26214400 of caches and 13173248 of
-    # weights; side 63 holds 63011844 of logits beside 8069584 of the rest.
-    @pytest.mark.parametrize("overrides", [{"steps": 10000, "blocks": 400}, {"side": 63}])
+    # 1000 hold 40964096 of trajectory and 32834048 of weights; side 63 holds
+    # 63011844 of logits beside 7053520 of the rest.
+    @pytest.mark.parametrize("overrides", [{"steps": 10000, "blocks": 1000}, {"side": 63}])
     def test_parts_that_fit_alone_can_overflow_together(self, memory_128mib, overrides):
         parts = parse_config(overrides=overrides).pipeline_config().working_set()
         assert all(nbytes <= 64 << 20 for _, _, nbytes in parts)

@@ -1262,12 +1262,12 @@ class TestApplyPolicy:
 
     def test_missing_cache_rejected(self):
         inputs, _, _ = self.make()
-        with pytest.raises(ValueError, match="cache"):
+        with pytest.raises(ValueError, match="reference"):
             apply_policy(inputs, AttentionPolicy.concat())
 
     def test_cache_count_mismatch_rejected(self):
         inputs, cache, _ = self.make()
-        with pytest.raises(ValueError, match="cache"):
+        with pytest.raises(ValueError, match="reference"):
             apply_policy(inputs, AttentionPolicy.rfg_multi((0.2, 0.2)), [cache])
 
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import refguide.kernels as kernels
+import refguide.pipeline as pipeline
 from refguide.kernels import AttentionPolicy
 from refguide.oracle import max_rel_error
 from refguide.pipeline import (
@@ -16,7 +18,6 @@ from refguide.pipeline import (
     generate_batch,
     init_denoiser,
     initial_noise,
-    reference_pass,
     trajectory_distance,
 )
 
@@ -100,24 +101,66 @@ class TestInitDenoiser:
         assert w.digest() == BASELINES["weights_digest_seed42_default"]
 
 
-class TestReferencePass:
-    def test_cache_has_one_entry_per_block(self):
-        cfg = small_config()
-        w = init_denoiser(7, cfg)
-        latent = initial_noise(small_config(batch=1, policy=AttentionPolicy.plain()))[0]
-        pred, cache = reference_pass(latent, w)
-        assert pred.shape == (cfg.side, cfg.side)
-        assert len(cache) == cfg.blocks
-        k, v = cache[0]
-        assert k.shape == (cfg.tokens, cfg.d)
-        assert v.shape == (cfg.tokens, cfg.d_v)
-
+class TestForward:
     def test_prediction_bounded_by_tanh(self):
-        cfg = small_config()
-        w = init_denoiser(7, cfg)
-        latent = initial_noise(small_config(batch=1, policy=AttentionPolicy.plain()))[0]
-        pred, _ = reference_pass(latent, w)
+        cfg = small_config(batch=1, policy=AttentionPolicy.plain())
+        pred = pipeline._forward(initial_noise(cfg), init_denoiser(7, cfg), cfg.layer_policies(), 0)
+        assert pred.shape == (1, cfg.side, cfg.side)
         assert np.abs(pred).max() <= 1.0
+
+    def test_blocks_run_in_lockstep_and_read_their_own_references(self, monkeypatch):
+        cfg = small_config(batch=4, policy=AttentionPolicy.rfg_multi((0.3, 0.3)))
+        w = init_denoiser(7, cfg)
+        # Each call is labelled with the block whose w_q made its q, the last one matmul saw.
+        block_of = {id(blk.w_q): b for b, blk in enumerate(w.blocks)}
+        blocks, calls = [], []
+        real_matmul, real_apply = pipeline.matmul, pipeline.apply_policy
+
+        def matmul(a, b):
+            if id(b) in block_of:
+                blocks.append(block_of[id(b)])
+            return real_matmul(a, b)
+
+        def apply_policy(inputs, policy, refs=()):
+            calls.append((blocks[-1], inputs, policy, list(refs)))
+            return real_apply(inputs, policy, refs)
+
+        monkeypatch.setattr(pipeline, "matmul", matmul)
+        monkeypatch.setattr(pipeline, "apply_policy", apply_policy)
+        denoise_step(initial_noise(cfg), 0, cfg.steps, w, cfg.layer_policies())
+        order = [b for b, _, _, _ in calls]
+        assert order == sorted(order), "a block ran before every sample finished the one before it"
+        for b in range(cfg.blocks):
+            block = [call[1:] for call in calls if call[0] == b]
+            assert [policy for _, policy, _ in block] == [AttentionPolicy.plain()] * 2 + [cfg.policy] * 2
+            references = [inputs for inputs, _, _ in block[:2]]
+            for inputs in references:
+                assert inputs.k.shape == (cfg.tokens, cfg.d)
+                assert inputs.v.shape == (cfg.tokens, cfg.d_v)
+            assert all(refs == [] for _, _, refs in block[:2])
+            for _, _, refs in block[2:]:
+                assert len(refs) == len(references)
+                for (k, v), ref in zip(refs, references):
+                    assert k is ref.k and v is ref.v
+
+    @pytest.mark.parametrize("policy", [
+        AttentionPolicy.rfg(0.35), AttentionPolicy.rfg_multi((0.3, 0.3)), AttentionPolicy.concat(),
+    ], ids=["rfg", "rfg-multi", "concat"])
+    def test_step_memory_does_not_grow_with_blocks(self, policy):
+        def step_peak(blocks):
+            cfg = PipelineConfig(blocks=blocks, policy=policy)
+            w, latents, policies = init_denoiser(cfg.weights_seed, cfg), initial_noise(cfg), cfg.layer_policies()
+            denoise_step(latents, 0, cfg.steps, w, policies)  # warm-up
+            tracemalloc.start()
+            try:
+                denoise_step(latents, 0, cfg.steps, w, policies)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        cfg = PipelineConfig()
+        one_block_reference = cfg.tokens * (cfg.d + cfg.d_v) * 4
+        assert abs(step_peak(8) - step_peak(2)) < one_block_reference
 
 
 class TestDenoiseStep:
@@ -126,8 +169,8 @@ class TestDenoiseStep:
         w = init_denoiser(8, cfg)
         latents = initial_noise(cfg)
         out = denoise_step(latents, cfg.steps - 1, cfg.steps, w, cfg.layer_policies())
-        pred, _ = reference_pass(latents[0], w)
-        assert np.allclose(out[0], pred, atol=1e-6)
+        pred = pipeline._forward(latents, w, (AttentionPolicy.plain(),) * cfg.blocks, 0)
+        assert np.allclose(out[0], pred[0], atol=1e-6)
 
     def test_step_index_validated(self):
         cfg = small_config(batch=2)
