@@ -2,14 +2,15 @@
 
 One iteration processes a full batch at one (L, d, d_v, B) cell through
 ``apply_policy``, as the denoiser calls it: the reference sample runs the
-plain policy, and each remaining sample runs the policy under test against
-the reference's ``(k, v)`` pair. Each sample's ``AttentionInputs`` is built
-once per cell, outside the timed loop. Iterations are timed individually
-after a warmup and the median is reported, so a stray scheduler hiccup does
-not move the number. Throughput is attention calls per second (B calls per
-iteration). The cache accounting counts the reference K/V bytes each guided
-sample reads instead of recomputing: (B - 1) times the per-sample reference
-K/V size for the reference-conditioned policies, zero for plain.
+plain policy, and each remaining sample runs the policy under test against the
+reference's ``(k, v)`` pair. Each sample's ``AttentionInputs`` is built once
+per cell, outside the timed loop; each timed ``apply_policy`` call runs the
+operand rule, finiteness scan included. Iterations are timed singly after a
+warmup and the median is reported, so a stray scheduler hiccup does not move
+the number. Throughput is attention calls per second (B calls per iteration).
+The cache accounting counts the reference K/V bytes each guided sample reads
+instead of recomputing: (B - 1) times the per-sample reference K/V size for
+the reference-conditioned policies, zero for plain.
 """
 
 import platform

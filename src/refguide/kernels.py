@@ -10,8 +10,8 @@ softmax mass, merged from each row's logit maximum ``m`` and sum ``s`` of
 outputs blended by these masses, for one reference or several. A logits
 buffer is scaled by ``1 / sqrt(d)``, ``d`` the query width, then shifted,
 exponentiated and normalised in place; a row whose maximum logit is not
-finite raises (``row_softmax_inplace``). ``attention`` is the one-partition
-case; the routes to reference conditioning:
+finite raises (``row_softmax_inplace``), as finite operands can overflow.
+``attention`` is the one-partition case; the routes to reference conditioning:
 
 * ``concat_attention`` appends the reference keys/values to the sample's own,
   so reference tokens compete with self tokens inside one softmax.
@@ -20,16 +20,17 @@ case; the routes to reference conditioning:
 * ``rfg_matrix`` mixes the two outputs entrywise with a coefficient matrix.
   With the reference partition's mass as the per-row coefficient it
   reproduces ``concat_attention`` up to rounding, which is what the
-  equivalence oracle certifies. ``partitions`` over the reference and self
-  partitions returns both branches and that mass; the "rfg-matrix" policy,
-  the oracle's suite, ``rfg_matrix`` and ``guidance_form`` all call it.
+  equivalence oracle certifies. The "rfg-matrix" policy and the oracle's
+  suite get both branches and that mass from ``partitions``; ``rfg_matrix``
+  and ``guidance_form`` run ``_branches`` via ``_coefficient_branches``.
 
 Every route checks its operands with one rule, ``_operands``, before any
-tile runs. A call runs each partition as one ``_tile``, or, if all meet
-``tile_rows``' rule, as ``TILE_ROWS``-row tiles with the same bytes, inline
-or on a thread pool (one thread per usable CPU, when BLAS runs one thread),
-each thread reusing one logits scratch (``held_logits``). Every partition's
-tiles are submitted before any is awaited; the pool starts with its first use.
+tile runs: dtypes, shapes, and every entry of ``q``, ``k`` and ``v`` finite.
+A call runs each partition as one ``_tile``, or, if all meet ``tile_rows``'
+rule, as ``TILE_ROWS``-row tiles with the same bytes, inline or on a thread
+pool (one thread per usable CPU, when BLAS runs one thread), each thread
+reusing one logits scratch (``held_logits``). Every partition's tiles are
+submitted before any is awaited; the pool starts with its first use.
 
 ``apply_policy`` runs an ``AttentionPolicy``, a kind plus one strength per
 reference the scalar blend reads, over each reference's ``(k, v)``, so
@@ -78,19 +79,11 @@ def _tile_pool(workers: int, pid: int):
 
 @dataclass(frozen=True, eq=False)
 class AttentionInputs:
-    """Projected query/key/value matrices for one attention call: q (L, d), k (S, d), v (S, d_v).
-
-    It checks only that every entry is finite; the kernels check shapes and dtypes (``_operands``).
-    """
+    """Projected q (L, d), k (S, d) and v (S, d_v) for one attention call; the kernels check them (``_operands``)."""
 
     q: np.ndarray
     k: np.ndarray
     v: np.ndarray
-
-    def __post_init__(self):
-        for name, a in (("q", self.q), ("k", self.k), ("v", self.v)):
-            if not np.isfinite(a).all():
-                raise ValueError(f"{name} has non-finite entries")
 
 
 @dataclass(frozen=True)
@@ -197,7 +190,8 @@ def _operands(q, kvs, keyless=()) -> None:
 
     All share one dtype; ``q`` is 2-D of positive width; each partition's ``k`` and ``v`` are 2-D with
     equal row counts, ``k`` as wide as ``q``, ``v`` as wide as partition 0's, and ``k`` has a key unless
-    the partition's index is in ``keyless`` (its own softmax needs one). An error names the partition.
+    the partition's index is in ``keyless`` (its own softmax needs one); every entry is finite. An error
+    names ``q`` or the partition.
     """
     if other := {a.dtype for kv in kvs for a in kv} - {q.dtype}:
         raise ValueError(f"mixed dtypes in one kernel call: {q.dtype} vs {other.pop()}")
@@ -213,6 +207,9 @@ def _operands(q, kvs, keyless=()) -> None:
         if v.shape[1] != kvs[0][1].shape[1]:
             raise ShapeError(f"partition {i}'s v of shape {v.shape} and partition 0's v of shape {kvs[0][1].shape} "
                              "differ in width")
+    for name, a in (("q", q), *((f"partition {i}'s {n}", a) for i, kv in enumerate(kvs) for n, a in zip("kv", kv))):
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} has non-finite entries")
 
 
 def _branches(q, kvs) -> list:
@@ -221,7 +218,7 @@ def _branches(q, kvs) -> list:
     ``_operands`` checks them before any tile runs. If every partition meets ``tile_rows``' rule, each runs
     as tiles into its output, bitwise the single tile: on the pool if ``POOL_WORKERS >= 2``, each in a copy
     of the caller's context (so ``np.errstate`` reaches it), else inline. Every tile's softmax checks its
-    rows' maxima, the one finiteness rule. The call returns, or raises the first tile's error, once all are done.
+    rows' maxima, the finiteness rule for logits. The call returns, or raises the first tile's error, once all are done.
     """
     _operands(q, kvs)
     length = q.shape[0]

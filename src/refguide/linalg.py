@@ -2,8 +2,8 @@
 
 Matrices are plain numpy arrays: 2-D, float32 or float64, all entries
 finite. ``PRECISION_DTYPES`` maps each precision name to its working dtype;
-it is the one such table the package reads. Values are validated once where
-they enter (the run config, ``AttentionInputs`` and the kernels' operand
+it is the one such table the package reads. Values, finiteness included,
+are validated once where they enter (the run config and the kernels' operand
 rule), so these operations do not re-check them; numpy raises on bad shapes.
 The row softmax is written once, in ``row_softmax_inplace``, which works in
 its argument's buffer and returns the per-row statistics that let partial

@@ -2,12 +2,15 @@
 
 ``perfbench/spans.py`` installs its timing wrappers with ``getattr`` on the
 ``refguide`` modules, so a refactor that drops or renames one of those
-attributes breaks the benchmark only when it runs. This test reads the
-recorder's own tables, unchanged, and resolves every name.
+attributes breaks the benchmark only when it runs. These tests read the
+recorder's own tables, unchanged, resolve every name, and check the one
+signature the recorder reads: it names each ``apply_policy`` span from its
+second positional argument's ``kind``.
 """
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -30,3 +33,12 @@ def test_every_wrap_point_resolves():
         if not hasattr(importlib.import_module(f"refguide.{module}"), attr)
     ]
     assert not missing, f"perfbench/spans.py wraps names the package lacks: {missing}"
+
+
+def test_apply_policy_takes_the_policy_second():
+    module, attr = _load_spans().POLICY_WRAP_POINT
+    apply_policy = getattr(importlib.import_module(f"refguide.{module}"), attr)
+    params = [p for p in inspect.signature(apply_policy).parameters.values()
+              if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+    policy = importlib.import_module("refguide.kernels").AttentionPolicy
+    assert len(params) >= 2 and (params[1].name, params[1].annotation) == ("policy", policy), params

@@ -808,14 +808,18 @@ class TestTileMemory:
     ])
     def test_non_finite_or_overflowing_logits_still_raise(self, workers, operand, value):
         q, k, v = partition_inputs(23, 1024, 1024, 8, 8, np.float32)
-        # One entry in tile 1 of q, or one key; 3e38 fills a whole row of q, so q k^T overflows.
+        # One entry in tile 1 of q, or one key, fails the operand rule before any tile runs; 3e38 fills a
+        # whole row of q, finite operands whose q k^T overflows, which the tile's softmax catches.
         if operand == "q" and value == 3e38:
             q[300] = np.float32(value)
+            message = "row_softmax requires finite logits"
         else:
             (q if operand == "q" else k)[300, 5] = value
-        with tile_pool(workers), np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match="row_softmax requires finite logits"):
+            message = ("q" if operand == "q" else "partition 0's k") + " has non-finite entries"
+        with tile_pool(workers) as pool, np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match=message):
                 attention(q, k, v)
+        assert pool.submitted == 0 or value == 3e38
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_overflow_before_the_scale_still_raises(self, workers):
@@ -828,16 +832,24 @@ class TestTileMemory:
 
 
 class TestFinitenessRule:
-    """Each softmax checks its rows' maxima only: a row raises unless its maximum logit is finite."""
+    """The operand rule reads each operand once; each softmax checks its rows' maxima only."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("length", [64, 1024], ids=["untiled", "tiled"])
     def test_finiteness_check_reads_at_most_one_value_per_row(self, length, workers):
         q, k, v = partition_inputs(24, length, length, 8, 8, np.float32)
-        with tile_pool(workers), mock.patch.object(np, "isfinite", wraps=np.isfinite) as isfinite:
+        calls, real = [], np.isfinite
+
+        def isfinite(a, *args, **kwargs):
+            calls.append((sys._getframe(1).f_code.co_name, np.size(a)))
+            return real(a, *args, **kwargs)
+
+        with tile_pool(workers), mock.patch.object(np, "isfinite", isfinite):
             attention(q, k, v)
-        sizes = [np.size(call.args[0]) for call in isfinite.call_args_list]
-        assert sizes and max(sizes) <= length, sizes
+        softmax = [size for caller, size in calls if caller == "row_softmax_inplace"]
+        assert softmax and max(softmax) <= length, calls
+        # No call scans the L x S logits, 8x (untiled) or 128x (tiled) the largest operand.
+        assert max(size for _, size in calls) <= max(q.size, k.size, v.size), calls
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("length, keys", [(1, 3), (1024, 512)], ids=["untiled", "tiled"])
@@ -1000,24 +1012,41 @@ def _operand_routes():
     return routes
 
 
+def _with(a, value):
+    """A copy of ``a`` with ``value`` at entry (5, 3)."""
+    a = a.copy()
+    a[5, 3] = value
+    return a
+
+
 class TestOneOperandRule:
     """Every route applies ``_operands``' one rule to the reference (partition 0) and the sample's own (1)."""
 
     ROUTES = _operand_routes()
-    # Each fault as (reference, own) from one 64-key (k, v) pair, and the message naming its partition.
+    # Each fault as (q, reference, own) from one query and 64-key (k, v) pair, the error, and its message.
     FAULTS = {
         # Row counts that differ per partition but agree once stacked, so stacking alone pairs keys with wrong values.
-        "rows-differ-in-both": (lambda k, v: ((k, v[:63]), (k, np.concatenate([v, v[:1]]))),
+        "rows-differ-in-both": (lambda q, k, v: (q, (k, v[:63]), (k, np.concatenate([v, v[:1]]))), ShapeError,
                                 "partition 0 needs 2-D k and v with equal row counts, got (64, 8) and (63, 8)"),
         # A 1-wide reference v would broadcast against the sample's own output.
-        "one-wide-reference-v": (lambda k, v: ((k, v[:, :1]), (k, v)),
+        "one-wide-reference-v": (lambda q, k, v: (q, (k, v[:, :1]), (k, v)), ShapeError,
                                  "partition 1's v of shape (64, 8) and partition 0's v of shape (64, 1) differ in width"),
-        "narrower-own-v": (lambda k, v: ((k, v), (k, v[:, :5])),
+        "narrower-own-v": (lambda q, k, v: (q, (k, v), (k, v[:, :5])), ShapeError,
                            "partition 1's v of shape (64, 5) and partition 0's v of shape (64, 8) differ in width"),
         # The lone-reference shortcut at c = 1 runs the reference partition only.
-        "rows-differ-in-own": (lambda k, v: ((k, v), (k, np.concatenate([v, v[:1]]))),
+        "rows-differ-in-own": (lambda q, k, v: (q, (k, v), (k, np.concatenate([v, v[:1]]))), ShapeError,
                                "partition 1 needs 2-D k and v with equal row counts, got (64, 8) and (65, 8)"),
-        "keyless-own": (lambda k, v: ((k, v), (k[:0], v[:0])), "partition 1 has no keys: its k has shape (0, 8)"),
+        "keyless-own": (lambda q, k, v: (q, (k, v), (k[:0], v[:0])), ShapeError,
+                        "partition 1 has no keys: its k has shape (0, 8)"),
+        # Non-finite entries; a NaN v would otherwise reach its output rows silently. The shortcut skips the
+        # sample's own v at c = 1 and the reference's k and v at c = 0.
+        "nan-in-own-v": (lambda q, k, v: (q, (k, v), (k, _with(v, np.nan))), ValueError,
+                         "partition 1's v has non-finite entries"),
+        "inf-in-reference-k": (lambda q, k, v: (q, (_with(k, np.inf), v), (k, v)), ValueError,
+                               "partition 0's k has non-finite entries"),
+        "minus-inf-in-reference-v": (lambda q, k, v: (q, (k, _with(v, -np.inf)), (k, v)), ValueError,
+                                     "partition 0's v has non-finite entries"),
+        "nan-in-q": (lambda q, k, v: (_with(q, np.nan), (k, v), (k, v)), ValueError, "q has non-finite entries"),
     }
 
     @pytest.mark.parametrize("fault", FAULTS)
@@ -1025,10 +1054,10 @@ class TestOneOperandRule:
     def test_fault_is_named_before_any_tile(self, route, fault):
         # 512 queries over 64 keys tile once POOL_MIN_WORK is 0, so a late check would submit tiles.
         q, k, v = partition_inputs(56, 512, 64, 8, 8, np.float32)
-        operands, message = self.FAULTS[fault]
+        operands, error, message = self.FAULTS[fault]
         with tile_pool(2) as pool, mock.patch.object(kernels, "POOL_MIN_WORK", 0), \
-                pytest.raises(ShapeError, match=re.escape(message)):
-            self.ROUTES[route](q, *operands(k, v))
+                pytest.raises(error, match=re.escape(message)):
+            self.ROUTES[route](*operands(q, k, v))
         assert pool.submitted == 0
 
     # Three calls on an f32 4x8 query whose faults numpy alone does not catch: each would return a 4x5 result.
@@ -1269,13 +1298,3 @@ class TestApplyPolicy:
         inputs, cache, _ = self.make()
         with pytest.raises(ValueError, match="reference"):
             apply_policy(inputs, AttentionPolicy.rfg_multi((0.2, 0.2)), [cache])
-
-
-class TestAttentionInputs:
-    """``AttentionInputs`` checks finiteness only; its shape cases are ``TestApplyPolicyOperands``'."""
-
-    def test_non_finite_rejected(self):
-        bad = np.ones((2, 2))
-        bad[0, 0] = np.nan
-        with pytest.raises(ValueError):
-            AttentionInputs(bad, np.ones((2, 2)), np.ones((2, 2)))
