@@ -58,7 +58,8 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--stress-trials", dest="stress_trials", type=int, metavar="N",
                        help="large-logit trials per cell (default: 5)")
     check.add_argument("--corrupt-kernel", dest="corrupt_kernel", type=float, metavar="DELTA",
-                       help="test hook: perturb one coefficient entry by DELTA; a nonzero value must fail the suite")
+                       help="test hook: perturb one coefficient entry by DELTA; a DELTA that changes the entry "
+                            "in the working precision must fail the suite")
 
     sweep = sub.add_parser(
         "sweep", parents=[common],

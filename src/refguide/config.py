@@ -152,6 +152,9 @@ class RunConfig:
         for key in ("side", "blocks", "d_model", "d", "d_v", "steps", "batch", "references", "trials", "iterations"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be at least 1, got {getattr(self, key)}")
+        if not self.out_dir or "\0" in self.out_dir:
+            raise ConfigError(f"key 'out_dir' must be a nonempty path without a null byte ('.' is the working "
+                              f"directory), got {self.out_dir!r}")
         for cell in self.bench_grid:
             if cell[3] < 2:
                 raise ConfigError(f"bench_grid batch must be at least 2, got cell {'x'.join(map(str, cell))}")

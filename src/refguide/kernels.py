@@ -24,9 +24,9 @@ finite raises (``row_softmax_inplace``), as finite operands can overflow.
   suite get both branches and that mass from ``partitions``; ``rfg_matrix``
   and ``guidance_form`` run ``_branches`` via ``_coefficient_branches``.
 
-Every route checks its operands with one rule, ``_operands``, before any
-tile runs: dtypes, shapes, and every entry of ``q``, ``k`` and ``v`` finite.
-A call runs each partition as one ``_tile``, or, if all meet ``tile_rows``'
+Each public route checks once, at entry, with one rule, ``_operands``: dtypes,
+shapes, every entry of ``q``, ``k`` and ``v`` finite; ``_branches`` trusts its
+caller. It runs each partition as one ``_tile``, or, if all meet ``tile_rows``'
 rule, as ``TILE_ROWS``-row tiles with the same bytes, inline or on a thread
 pool (one thread per usable CPU, when BLAS runs one thread), each thread
 reusing one logits scratch (``held_logits``). Every partition's tiles are
@@ -188,11 +188,13 @@ def held_logits(length: int, keys: int) -> int:
 def _operands(q, kvs, keyless=()) -> None:
     """Raise unless ``q`` and the ``(k, v)`` partitions obey every route's one operand rule.
 
-    All share one dtype; ``q`` is 2-D of positive width; each partition's ``k`` and ``v`` are 2-D with
-    equal row counts, ``k`` as wide as ``q``, ``v`` as wide as partition 0's, and ``k`` has a key unless
-    the partition's index is in ``keyless`` (its own softmax needs one); every entry is finite. An error
-    names ``q`` or the partition.
+    ``kvs`` is nonempty; all share one dtype; ``q`` is 2-D of positive width; each partition's ``k`` and
+    ``v`` are 2-D with equal row counts, ``k`` as wide as ``q``, ``v`` as wide as partition 0's, and ``k``
+    has a key unless the partition's index is in ``keyless`` (its own softmax needs one); every entry is
+    finite. An error names ``q`` or the partition.
     """
+    if not kvs:
+        raise ValueError("a kernel call needs at least one (k, v) partition, got none")
     if other := {a.dtype for kv in kvs for a in kv} - {q.dtype}:
         raise ValueError(f"mixed dtypes in one kernel call: {q.dtype} vs {other.pop()}")
     if q.ndim != 2 or q.shape[1] == 0:
@@ -215,12 +217,11 @@ def _operands(q, kvs, keyless=()) -> None:
 def _branches(q, kvs) -> list:
     """``(out, m, s)`` of ``_tile`` over each ``(k, v)`` partition of one query, in partition order.
 
-    ``_operands`` checks them before any tile runs. If every partition meets ``tile_rows``' rule, each runs
-    as tiles into its output, bitwise the single tile: on the pool if ``POOL_WORKERS >= 2``, each in a copy
-    of the caller's context (so ``np.errstate`` reaches it), else inline. Every tile's softmax checks its
+    Each public route checks once, at entry (``_operands``); ``_branches`` trusts its caller. If every partition meets
+    ``tile_rows``' rule, each runs as tiles into its output, bitwise the single tile: pooled if ``POOL_WORKERS >= 2``,
+    each in a copy of the caller's context (so ``np.errstate`` reaches it), else inline. Each tile's softmax checks its
     rows' maxima, the finiteness rule for logits. The call returns, or raises the first tile's error, once all are done.
     """
-    _operands(q, kvs)
     length = q.shape[0]
     scale = 1.0 / float(np.sqrt(q.shape[1]))
     if max(tile_rows(length, k.shape[0]) for k, _ in kvs) == length:
@@ -247,11 +248,12 @@ def partitions(q, kvs) -> tuple:
     concatenated attention over all the partitions gives it per row,
     ``w_j / sum(w)`` with ``w_j = s_j * exp(m_j - M)`` under the common row
     maximum ``M``, summed left to right. With two partitions or more, the
-    exact mass lies strictly inside (0, 1); at extreme logit
-    gaps the quotient rounds to 0.0 or 1.0, and a clip at the working
-    dtype's resolution restores the invariant without moving any other
-    value. A pair of identical partitions gets exactly 0.5; ``_branches`` runs the tiles.
+    exact mass lies strictly inside (0, 1); at extreme logit gaps the
+    quotient rounds to 0.0 or 1.0, and a clip at the working dtype's
+    resolution restores the invariant without moving any other value. A pair
+    of identical partitions gets exactly 0.5; ``_branches`` runs the tiles.
     """
+    _operands(q, kvs)
     parts = _branches(q, kvs)
     outs = [out for out, _, _ in parts]
     top = functools.reduce(np.maximum, [m for _, m, _ in parts])
@@ -277,13 +279,14 @@ def guidance(coeff, a_ref, a_self) -> np.ndarray:
 
 def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Scaled dot-product attention: row_softmax(q k^T / sqrt(d)) v, d the width of q."""
+    _operands(q, [(k, v)])
     return _branches(q, [(k, v)])[0][0]
 
 
 def concat_attention(q, k_ref, v_ref, k_self, v_self) -> np.ndarray:
     """Attention over the reference's tokens, if any, stacked ahead of the sample's own."""
     _operands(q, [(k_ref, v_ref), (k_self, v_self)], keyless=(0,))
-    return attention(q, stack_rows(k_ref, k_self), stack_rows(v_ref, v_self))
+    return _branches(q, [(stack_rows(k_ref, k_self), stack_rows(v_ref, v_self))])[0][0]
 
 
 def rfg_attention(q, k_ref, v_ref, k_self, v_self, c: float) -> np.ndarray:
@@ -294,10 +297,9 @@ def rfg_attention(q, k_ref, v_ref, k_self, v_self, c: float) -> np.ndarray:
 def rfg_multi(q, refs, k_self, v_self) -> np.ndarray:
     """Multi-reference blend: sum_j c_j * A_j + (1 - sum_j c_j) * A_self.
 
-    ``refs`` is a sequence of (c_j, k_j, v_j) triples. A lone reference at
-    c == 0 or c == 1 returns the self or reference branch exactly (no
-    arithmetic on the other branch), so those settings are bitwise equal to
-    plain and cross-frame attention. Every strength and partition is checked first.
+    ``refs`` is a sequence of (c_j, k_j, v_j) triples, every strength and partition checked first. A
+    lone reference at c == 0 or c == 1 returns the self or reference branch exactly (no arithmetic
+    on the other branch), so those settings are bitwise equal to plain and cross-frame attention.
     """
     refs = [(float(c), k, v) for c, k, v in refs]
     if not refs:
@@ -305,9 +307,9 @@ def rfg_multi(q, refs, k_self, v_self) -> np.ndarray:
     if not all(math.isfinite(c) for c, _, _ in refs):
         raise ValueError(f"rfg_multi takes finite strengths, got {[c for c, _, _ in refs]}")
     kvs = [*((k, v) for _, k, v in refs), (k_self, v_self)]
+    _operands(q, kvs)
     if len(refs) == 1 and refs[0][0] in (0.0, 1.0):
-        _operands(q, kvs)
-        return attention(q, *kvs[0 if refs[0][0] == 1.0 else 1])
+        return _branches(q, [kvs[0 if refs[0][0] == 1.0 else 1]])[0][0]
     *a_refs, a_self = [out for out, _, _ in _branches(q, kvs)]
     out = (1.0 - sum(c for c, _, _ in refs)) * a_self
     for (c, _, _), a_ref in zip(refs, a_refs):
@@ -318,11 +320,10 @@ def rfg_multi(q, refs, k_self, v_self) -> np.ndarray:
 def concat_coefficient_vector(q, k_ref, k_self) -> np.ndarray:
     """Per-row weight of the reference partition inside concatenated attention.
 
-    Row l gets sum_ref exp(logit) / sum_all exp(logit), merged from each
-    partition's row maximum and row sum: ``partitions`` over zero-width
-    values, so no output product runs.
+    Row l gets sum_ref exp(logit) / sum_all exp(logit), merged from each partition's
+    row maximum and row sum: ``partitions`` over zero-width values, so no output product runs.
     """
-    return partitions(q, [(k_ref, k_ref[:, :0]), (k_self, k_self[:, :0])])[1][0]
+    return partitions(q, [(k_ref, k_ref[..., :0]), (k_self, k_self[..., :0])])[1][0]
 
 
 def build_rank1_coefficient(c_vec: np.ndarray, d_v: int) -> np.ndarray:
@@ -336,7 +337,7 @@ def build_rank1_coefficient(c_vec: np.ndarray, d_v: int) -> np.ndarray:
 
 
 def _coefficient_branches(q, k_ref, v_ref, k_self, v_self, coeff) -> list:
-    """``[a_ref, a_self]`` from ``_branches``, run once the operands and ``coeff``'s (L, d_v) shape and dtype pass."""
+    """``[a_ref, a_self]`` from ``_branches``, once the entry check passes: operands, ``coeff``'s shape and dtype."""
     kvs = [(k_ref, v_ref), (k_self, v_self)]
     _operands(q, kvs)
     if coeff.shape != (shape := (q.shape[0], v_ref.shape[1])):

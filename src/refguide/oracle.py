@@ -257,9 +257,10 @@ def run_equivalence_suite(
 ) -> EquivalenceReport:
     """Certify the blend kernels against the brute-force oracle.
 
-    ``corrupt_coefficient`` is a test hook: a nonzero value is added to one
-    coefficient entry before the matrix blend, which must make the suite
-    fail and record the offending trial in ``report.worst``.
+    ``corrupt_coefficient`` is a test hook: it is added to one coefficient
+    entry before the matrix blend. A value that changes that entry in the
+    working dtype must make the suite fail and record the offending trial in
+    ``report.worst``; one below about half an ulp of the entry changes nothing.
     """
     if precision not in PRECISION_DTYPES:
         raise ValueError(f"precision must be one of {sorted(PRECISION_DTYPES)}, got {precision!r}")

@@ -404,6 +404,23 @@ class TestErrorPaths:
         assert f"config error: key {key!r} does not apply" in err
         assert not (tmp_path / "sample_0.raw").exists()
 
+    @pytest.mark.parametrize("command", ["generate", "check"])
+    @pytest.mark.parametrize("value, via", [("", "flag"), ("", "file"), ("\0bad", "file")],
+                             ids=["empty-flag", "empty-file", "null-byte-file"])
+    def test_out_dir_that_names_no_directory_exits_2(self, tmp_path, capsys, monkeypatch, command, value, via):
+        # An empty out_dir would write into the working directory, so run from an empty one.
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        extra = {"grid": [[4, 2, 2]], "trials": 1, "stress_trials": 0} if command == "check" else {"steps": 1}
+        payload = {**SMALL_PIPELINE, **extra, **({"out_dir": value} if via == "file" else {})}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, command, "--config", str(path), *(("--out", value) if via == "flag" else ()))
+        assert code == 2
+        assert "config error: key 'out_dir' must be a nonempty path" in err
+        assert not out and not any(work.iterdir())
+
     def test_unknown_config_key(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"coefficinet": 0.3}))

@@ -157,6 +157,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"^{key} must be at least 1, got {value}$"):
             RunConfig(**{key: value})
 
+    @pytest.mark.parametrize("value", ["", "\0bad", "out\0"])
+    def test_out_dir_that_names_no_directory_is_named(self, value):
+        with pytest.raises(ConfigError, match=re.escape(f"key 'out_dir' must be a nonempty path without a null byte "
+                                                        f"('.' is the working directory), got {value!r}")):
+            parse_config(overrides={"out_dir": value})
+
+    def test_out_dir_dot_is_accepted(self):
+        assert parse_config(overrides={"out_dir": "."}).out_dir == "."
+
     def test_invariant_violation_surfaces(self):
         with pytest.raises(ConfigError, match="batch"):
             parse_config(overrides={"batch": 1})

@@ -233,6 +233,15 @@ class TestCoefficientVector:
         q, k_ref, _, k_self, _ = draw_set(53, dtype=np.float32)
         assert concat_coefficient_vector(q, k_ref, k_self).dtype == np.float32
 
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_one_dimensional_key_is_named(self, index):
+        q, k, *_ = draw_set(54)
+        keys = [k, k]
+        keys[index] = k[:, 0]
+        message = re.escape(f"partition {index} needs 2-D k and v with equal row counts, got (4,) and (0,)")
+        with pytest.raises(ShapeError, match=message):
+            concat_coefficient_vector(q, *keys)
+
 
 @st.composite
 def partition_sets(draw):
@@ -868,6 +877,11 @@ class TestFinitenessRule:
 
 
 class TestKeylessPartitions:
+    def test_empty_partition_list_is_named(self):
+        q = draw_set(49)[0]
+        with pytest.raises(ValueError, match=re.escape("a kernel call needs at least one (k, v) partition, got none")):
+            kernels.partitions(q, [])
+
     def test_attention_names_the_partition(self):
         q, k, v = draw_set(50)[:3]
         with pytest.raises(ShapeError, match="partition 0 has no keys"):
@@ -894,7 +908,7 @@ class TestKeylessPartitions:
 
 
 class TestPartitionShapes:
-    """``_branches`` checks every partition's ``k`` and ``v`` once, before any tile runs."""
+    """Each public route checks every partition's ``k`` and ``v`` once, at entry; ``_branches`` trusts its caller."""
 
     BAD_PAIRS = {
         "rows-3-vs-4": lambda k, v: (k[:3], v[:4]),
@@ -926,7 +940,8 @@ class TestPartitionShapes:
 
 
 class TestQueryShape:
-    """``_branches`` checks the query against every partition's ``k``, before any tile runs."""
+    """Each public route checks the query against every partition's ``k`` once, at entry; ``_branches`` trusts its
+    caller."""
 
     CALLS = {
         "attention": (0, lambda q, kv, bad: attention(q, *bad)),
@@ -1076,6 +1091,54 @@ class TestOneOperandRule:
         run, message = self.SILENT[call]
         with pytest.raises(ShapeError, match=re.escape(message)):
             run(lambda rows, cols: gen.uniform(-1, 1, (rows, cols)).astype(np.float32))
+
+
+class TestOneCheckPerCall:
+    """Each public route checks once, at entry: one ``_operands`` call, one ``np.isfinite`` read per operand entry."""
+
+    # The routes of ``_operand_routes`` read all five operands; the others read the ones named.
+    ROUTES = {
+        **{name: (run, "q k_ref v_ref k_self v_self") for name, run in _operand_routes().items()},
+        "attention": (lambda q, ref, own: attention(q, *own), "q k_self v_self"),
+        "apply_policy-plain": (lambda q, ref, own: apply_policy(AttentionInputs(q, *own), AttentionPolicy.plain()),
+                               "q k_self v_self"),
+        "concat_coefficient_vector": (lambda q, ref, own: concat_coefficient_vector(q, ref[0], own[0]),
+                                      "q k_ref k_self"),
+    }
+
+    @pytest.mark.parametrize("length", [64, 512], ids=["untiled", "tiled"])
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_each_operand_entry_is_read_once(self, route, length):
+        q, k_ref, v_ref = partition_inputs(59, length, 64, 8, 8, np.float32)
+        _, k_self, v_self = partition_inputs(60, length, 64, 8, 8, np.float32)
+        operands = {"q": q, "k_ref": k_ref, "v_ref": v_ref, "k_self": k_self, "v_self": v_self}
+        run, names = self.ROUTES[route]
+        checks, reads, real_operands, real_isfinite = [], [], kernels._operands, np.isfinite
+
+        def counting_operands(*args, **kwargs):
+            checks.append(len(args[1]))
+            return real_operands(*args, **kwargs)
+
+        def isfinite(a, *args, **kwargs):
+            if sys._getframe(1).f_code.co_name != "row_softmax_inplace":  # the softmax reads row maxima only
+                reads.append(a)
+            return real_isfinite(a, *args, **kwargs)
+
+        # 512 queries over 64 keys tile once POOL_MIN_WORK is 0; 64 queries never do.
+        with tile_pool(2) as pool, mock.patch.object(kernels, "POOL_MIN_WORK", 0), \
+                mock.patch.object(kernels, "_operands", counting_operands), mock.patch.object(np, "isfinite", isfinite):
+            run(q, (k_ref, v_ref), (k_self, v_self))
+        assert (pool.submitted > 0) == (length == 512)
+        assert len(checks) == 1, checks
+        read = {name for name, a in operands.items() for b in reads if b is a}
+        assert read == set(names.split()), read
+        assert sum(np.size(a) for a in reads) == sum(operands[name].size for name in names.split())
+
+    def test_only_public_entries_call_the_rule(self):
+        tree = ast.parse(Path(kernels.__file__).read_text())
+        callers = {top.name for top in tree.body if isinstance(top, ast.FunctionDef) for node in ast.walk(top)
+                   if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_operands"}
+        assert callers == {"attention", "partitions", "concat_attention", "rfg_multi", "_coefficient_branches"}
 
 
 class TestCoefficientCheck:
