@@ -85,12 +85,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _out_dir(cfg) -> Path:
+    """The output directory, made before a command's work, so an unusable ``--out`` exits 3 at once."""
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def _cmd_check(cfg) -> int:
+    out = _out_dir(cfg)
     report = run_equivalence_suite(
         seed=cfg.check_seed,
         grid=cfg.check_grid,
@@ -100,7 +102,7 @@ def _cmd_check(cfg) -> int:
         corrupt_coefficient=cfg.corrupt_kernel,
     )
     payload = report.to_dict()
-    write_json(_out_dir(cfg) / "check_report.json", payload)
+    write_json(out / "check_report.json", payload)
     print(json_text(payload), end="")
     status = "PASS" if report.passed else "FAIL"
     print(
@@ -129,7 +131,7 @@ def _generate(pipeline_cfg, key: str, value):
 
 
 def _cmd_sweep(cfg) -> int:
-    rows = []
+    out, rows = _out_dir(cfg), []
     for c in cfg.sweep_strengths:
         pipeline_cfg = cfg.pipeline_config(strength_override=c)
         traj = _generate(pipeline_cfg, "sweep_strengths", c)
@@ -137,16 +139,15 @@ def _cmd_sweep(cfg) -> int:
         for t in range(pipeline_cfg.steps + 1):
             for i in sorted(distances):
                 rows.append((c, t, i, distances[i][t]))
-    path = write_sweep_csv(_out_dir(cfg) / "sweep.csv", rows)
+    path = write_sweep_csv(out / "sweep.csv", rows)
     print(f"wrote {path} ({len(rows)} rows)")
     return 0
 
 
 def _cmd_generate(cfg) -> int:
-    pipeline_cfg = cfg.pipeline_config()
+    out, pipeline_cfg = _out_dir(cfg), cfg.pipeline_config()
     key = "layer_strengths" if cfg.layer_strengths is not None else cfg.named_policy()[1][-1]
     traj = _generate(pipeline_cfg, key, getattr(cfg, key))
-    out = _out_dir(cfg)
     for i in range(pipeline_cfg.batch):
         final = traj.final[i]
         write_raw(out / f"sample_{i}.raw", final)
@@ -157,6 +158,7 @@ def _cmd_generate(cfg) -> int:
 
 
 def _cmd_bench(cfg) -> int:
+    out = _out_dir(cfg)
     report = run_bench(
         grid=cfg.bench_grid,
         iterations=cfg.iterations,
@@ -165,7 +167,7 @@ def _cmd_bench(cfg) -> int:
         seed=cfg.check_seed,
     )
     payload = report.to_dict()
-    write_json(_out_dir(cfg) / "bench_report.json", payload)
+    write_json(out / "bench_report.json", payload)
     print(json_text(payload), end="")
     for note in report.expectation_violations:
         print(f"note: {note}", file=sys.stderr)

@@ -27,8 +27,8 @@ finite raises (``row_softmax_inplace``), as finite operands can overflow.
 Each public route checks once, at entry, with one rule, ``_operands``: dtypes,
 shapes, every entry of ``q``, ``k`` and ``v`` finite; ``_branches`` trusts its
 caller. It runs each partition as one ``_tile``, or, if all meet ``tile_rows``'
-rule, as ``TILE_ROWS``-row tiles with the same bytes, inline or on a thread
-pool (one thread per usable CPU, when BLAS runs one thread), each thread
+rule, as ``TILE_ROWS``-row tiles with the same bytes on a thread pool (one
+thread per usable CPU when BLAS runs one thread, else one), each thread
 reusing one logits scratch (``held_logits``). Every partition's tiles are
 submitted before any is awaited; the pool starts with its first use.
 
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ShapeError, row_softmax_inplace, stack_rows
+from .linalg import PRECISION_DTYPES, ShapeError, row_softmax_inplace, stack_rows
 
 # Not called here; the benchmark's span recorder (perfbench/spans.py) wraps
 # ``refguide.kernels.matmul`` and ``row_softmax`` by name, so they stay importable.
@@ -58,12 +58,13 @@ POLICY_KINDS = ("plain", "concat", "cross-frame", "rfg", "rfg-multi", "rfg-matri
 
 # Rows per query tile and the least L * S worth tiling (see ``tile_rows``).
 # The pool gets one thread per usable CPU when OpenBLAS runs one thread (its
-# first nonempty thread variable is "1"), else tiles run inline.
+# first nonempty thread variable is "1"), else one, beside BLAS's own threads.
 TILE_ROWS = 256
 POOL_MIN_WORK = 1 << 19
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 _BLAS_THREADS = next((os.environ[v] for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
                       if os.environ.get(v)), None)
-POOL_WORKERS = len(os.sched_getaffinity(0)) if _BLAS_THREADS == "1" and hasattr(os, "sched_getaffinity") else 1
+POOL_WORKERS = CPUS if _BLAS_THREADS == "1" else 1
 _scratch = threading.local()  # per thread and dtype, one tile logits buffer grown to the largest tile
 
 
@@ -188,15 +189,17 @@ def held_logits(length: int, keys: int) -> int:
 def _operands(q, kvs, keyless=()) -> None:
     """Raise unless ``q`` and the ``(k, v)`` partitions obey every route's one operand rule.
 
-    ``kvs`` is nonempty; all share one dtype; ``q`` is 2-D of positive width; each partition's ``k`` and
-    ``v`` are 2-D with equal row counts, ``k`` as wide as ``q``, ``v`` as wide as partition 0's, and ``k``
-    has a key unless the partition's index is in ``keyless`` (its own softmax needs one); every entry is
-    finite. An error names ``q`` or the partition.
+    ``kvs`` is nonempty; all share one dtype, float32 or float64; ``q`` is 2-D of positive width; each
+    partition's ``k`` and ``v`` are 2-D with equal row counts, ``k`` as wide as ``q``, ``v`` as wide as partition
+    0's, and ``k`` has a key unless the partition's index is in ``keyless`` (its own softmax needs one); every
+    entry is finite. An error names ``q`` or the partition.
     """
     if not kvs:
         raise ValueError("a kernel call needs at least one (k, v) partition, got none")
     if other := {a.dtype for kv in kvs for a in kv} - {q.dtype}:
         raise ValueError(f"mixed dtypes in one kernel call: {q.dtype} vs {other.pop()}")
+    if q.dtype not in PRECISION_DTYPES.values():
+        raise ValueError(f"kernels work in float32 or float64, got {q.dtype}")
     if q.ndim != 2 or q.shape[1] == 0:
         raise ShapeError(f"q must be 2-D and of positive width, got shape {q.shape}")
     for i, (k, v) in enumerate(kvs):
@@ -218,25 +221,22 @@ def _branches(q, kvs) -> list:
     """``(out, m, s)`` of ``_tile`` over each ``(k, v)`` partition of one query, in partition order.
 
     Each public route checks once, at entry (``_operands``); ``_branches`` trusts its caller. If every partition meets
-    ``tile_rows``' rule, each runs as tiles into its output, bitwise the single tile: pooled if ``POOL_WORKERS >= 2``,
-    each in a copy of the caller's context (so ``np.errstate`` reaches it), else inline. Each tile's softmax checks its
+    ``tile_rows``' rule, each runs as tiles into its output, bitwise the single tile, on the pool of ``POOL_WORKERS``
+    threads, each in a copy of the caller's context (so ``np.errstate`` reaches it). Each tile's softmax checks its
     rows' maxima, the finiteness rule for logits. The call returns, or raises the first tile's error, once all are done.
     """
     length = q.shape[0]
     scale = 1.0 / float(np.sqrt(q.shape[1]))
     if max(tile_rows(length, k.shape[0]) for k, _ in kvs) == length:
         return [_tile(q, k, v, scale) for k, v in kvs]
+    from concurrent.futures import wait
+    pool = _tile_pool(POOL_WORKERS, os.getpid())
     outs = [np.empty((length, v.shape[1]), q.dtype) for _, v in kvs]
-    runs = [[(q[lo:lo + TILE_ROWS], k, v, scale, out[lo:lo + TILE_ROWS]) for lo in range(0, length, TILE_ROWS)]
+    rows = [slice(lo, lo + TILE_ROWS) for lo in range(0, length, TILE_ROWS)]
+    runs = [[pool.submit(contextvars.copy_context().run, _tile, q[r], k, v, scale, out[r]) for r in rows]
             for (k, v), out in zip(kvs, outs)]
-    if POOL_WORKERS >= 2:
-        from concurrent.futures import wait
-        pool = _tile_pool(POOL_WORKERS, os.getpid())
-        runs = [[pool.submit(contextvars.copy_context().run, _tile, *args) for args in run] for run in runs]
-        wait([done for run in runs for done in run])  # no error is raised while a tile still runs
-        runs = [[done.result() for done in run] for run in runs]
-    else:
-        runs = [[_tile(*args) for args in run] for run in runs]
+    wait([done for run in runs for done in run])  # no error is raised while a tile still runs
+    runs = [[done.result() for done in run] for run in runs]
     return [(out, *(np.concatenate(a) for a in list(zip(*run))[1:])) for out, run in zip(outs, runs)]
 
 
@@ -337,13 +337,15 @@ def build_rank1_coefficient(c_vec: np.ndarray, d_v: int) -> np.ndarray:
 
 
 def _coefficient_branches(q, k_ref, v_ref, k_self, v_self, coeff) -> list:
-    """``[a_ref, a_self]`` from ``_branches``, once the entry check passes: operands, ``coeff``'s shape and dtype."""
+    """``[a_ref, a_self]`` from ``_branches``, once ``_operands`` and ``coeff``'s shape, dtype and finiteness pass."""
     kvs = [(k_ref, v_ref), (k_self, v_self)]
     _operands(q, kvs)
     if coeff.shape != (shape := (q.shape[0], v_ref.shape[1])):
         raise ShapeError(f"coefficient shape {coeff.shape} does not match output shape {shape}")
     if coeff.dtype != q.dtype:
         raise ValueError(f"mixed dtypes in one kernel call: {q.dtype} vs {coeff.dtype}")
+    if not np.isfinite(coeff).all():
+        raise ValueError("coefficient has non-finite entries")
     return [out for out, _, _ in _branches(q, kvs)]
 
 

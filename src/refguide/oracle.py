@@ -28,11 +28,11 @@ and accounted separately, since the error of the exponential-ratio
 coefficient grows with logit magnitude. The bounds are
 ``PRECISION_THRESHOLDS[precision]`` and ``STRESS_SCALE`` times it.
 
-Trials are independent, each drawn from ``stream(seed, cell, trial)``. When
-the tile pool's rule holds (``kernels.POOL_WORKERS >= 2``) and ``os.fork``
-exists, they are dealt round-robin to that many processes, the caller and
-forked children; the records are folded in (cell, trial) order, so the
-report is byte-identical at any worker count.
+Trials are independent, each drawn from ``stream(seed, cell, trial)``. Where
+``os.fork`` exists, they are dealt round-robin to one process per usable CPU
+(``kernels.CPUS``), the caller and forked children, whatever threads BLAS
+runs; the records are folded in (cell, trial) order, so the report is
+byte-identical at any worker count.
 
 Per-trial errors are normalized by the largest magnitude among the compared
 outputs and the two branch attentions. Rounding error of every identity is
@@ -177,8 +177,8 @@ def _draw_inputs(gen, length, d, d_v, dtype, scale):
 
 
 def _processes(trials: int) -> int:
-    """Processes ``_run_trials`` deals ``trials`` trials to: the caller and its forked children."""
-    return min(kernels.POOL_WORKERS if hasattr(os, "fork") else 1, trials)
+    """Processes ``_run_trials`` deals ``trials`` trials to: the caller and its forked children, one per usable CPU."""
+    return min(kernels.CPUS if hasattr(os, "fork") else 1, trials)
 
 
 def suite_nbytes(grid, precision: str, per_cell: int) -> list:
@@ -204,15 +204,17 @@ def _run_share(run_trial, keys) -> tuple:
 
 
 def _run_trials(run_trial, keys) -> list:
-    """``[run_trial(key) for key in keys]``, dealt round-robin to ``POOL_WORKERS`` processes.
+    """``[run_trial(key) for key in keys]``, dealt round-robin to ``_processes(len(keys))`` processes.
 
-    ``keys`` is only sliced, indexed and measured, so a ``range`` stays lazy.
-    The caller runs share 0, ``keys[0::workers]``; every other share runs in
-    a forked child that pickles its ``_run_share`` result back through a pipe
-    and always leaves through ``os._exit``. All children are reaped before
-    this returns or raises. The exception of the lowest key is raised, the
-    one a serial loop would raise; a child that exits without a result counts
-    as a ``ChildProcessError`` at its share's first key.
+    That is one process per usable CPU, at most one per key, where ``os.fork``
+    exists, however many threads BLAS runs. ``keys`` is only sliced, indexed
+    and measured, so a ``range`` stays lazy. The caller runs share 0,
+    ``keys[0::workers]``; every other share runs in a forked child that
+    pickles its ``_run_share`` result back through a pipe and always leaves
+    through ``os._exit``. All children are reaped before this returns or
+    raises. The exception of the lowest key is raised, the one a serial loop
+    would raise; a child that exits without a result counts as a
+    ``ChildProcessError`` at its share's first key.
     """
     workers = _processes(len(keys))
     shares, children, reaped = [], [], []

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import refguide.bench
+import refguide.cli
 from refguide.artifacts import load_raw
 from refguide.bench import BENCH_POLICIES, run_bench
 from refguide.cli import main
@@ -420,6 +421,22 @@ class TestErrorPaths:
         assert code == 2
         assert "config error: key 'out_dir' must be a nonempty path" in err
         assert not out and not any(work.iterdir())
+
+    # Each command's work, by its name in ``refguide.cli``.
+    @pytest.mark.parametrize("command, work", [
+        ("check", "run_equivalence_suite"), ("sweep", "generate_batch"), ("generate", "generate_batch"),
+        ("bench", "run_bench"),
+    ])
+    def test_out_dir_that_cannot_be_made_exits_3_before_the_work(self, tmp_path, capsys, monkeypatch, command, work):
+        def never(*args, **kwargs):
+            raise AssertionError(f"{work} ran before the output directory was made")
+
+        monkeypatch.setattr(refguide.cli, work, never)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file, not a directory")
+        code, out, err = run(capsys, command, "--out", str(blocker / "sub"))
+        assert code == 3
+        assert "i/o error" in err and not out
 
     def test_unknown_config_key(self, tmp_path, capsys):
         path = tmp_path / "config.json"

@@ -209,13 +209,18 @@ class TestParseConfig:
 def memory_128mib(monkeypatch):
     """A machine with 128 MiB of physical memory, so a command may hold 64 MiB = 67108864 B.
 
-    Returns a setter for ``kernels.POOL_WORKERS`` (1 unless set), the thread
-    count of the tile rule and the process count of the check suite.
+    Returns a setter for the usable CPUs, ``kernels.CPUS`` (1 unless set), with BLAS at one thread: the process
+    count of the check suite and, as ``kernels.POOL_WORKERS``, the thread count of the tile rule.
     """
     memory = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (128 << 20) // 4096}
     monkeypatch.setattr(os, "sysconf", memory.__getitem__)
-    monkeypatch.setattr(kernels, "POOL_WORKERS", 1)
-    return lambda workers: monkeypatch.setattr(kernels, "POOL_WORKERS", workers)
+
+    def cpus(count):
+        monkeypatch.setattr(kernels, "CPUS", count)
+        monkeypatch.setattr(kernels, "POOL_WORKERS", count)
+
+    cpus(1)
+    return cpus
 
 
 def _limit_message(named, command):

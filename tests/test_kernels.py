@@ -495,10 +495,10 @@ class TestPooledPartition:
         with single_tile() as rows:
             untiled = kernels.partitions(q, kvs)
         assert rows == [length, length]
-        # Every shape here runs as tiles, 512 x 512 included: inline at one worker, pooled at two.
+        # Every shape here runs as tiles on the pool, 512 x 512 included, at one worker and at two.
         with tile_pool(1) as pool, mock.patch.object(kernels, "POOL_MIN_WORK", 0):
             inline = kernels.partitions(q, kvs)
-        assert pool.submitted == 0
+        assert pool.submitted == 2 * length // kernels.TILE_ROWS
         with tile_pool(2) as pool, mock.patch.object(kernels, "POOL_MIN_WORK", 0):
             pooled = kernels.partitions(q, kvs)
         assert pool.submitted == 2 * length // kernels.TILE_ROWS
@@ -667,7 +667,7 @@ class TestPooledQuery:
         assert rows == [1024] * count
         with tile_pool(1) as pool:
             assert result_bytes(kernel(q, kvs)) == result_bytes(pooled)
-        assert pool.submitted == 0
+        assert pool.submitted == tiles
 
     def test_overflowing_tile_of_the_second_partition_raises_after_every_tile_finished(self, monkeypatch):
         running, finished = [], []
@@ -792,7 +792,7 @@ class TestTileMemory:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-        assert pool.submitted == (2 * length // kernels.TILE_ROWS if workers > 1 else 0)
+        assert pool.submitted == 2 * length // kernels.TILE_ROWS
         assert np.array_equal(out, warm)
         assert peak < kernels.TILE_ROWS * keys * 4 + out.nbytes, peak
 
@@ -869,7 +869,7 @@ class TestFinitenessRule:
         v = np.eye(keys, dtype=np.float32)  # each output row is its row of softmax weights
         with tile_pool(workers) as pool, np.errstate(over="ignore"):
             out = attention(q, k, v)
-        assert pool.submitted == (length // kernels.TILE_ROWS if workers > 1 and length > 1 else 0)
+        assert pool.submitted == (length // kernels.TILE_ROWS if length > 1 else 0)
         assert np.isfinite(out).all() and not out[:, 0].any()
         logits = q.astype(np.float64) @ k[1:].T.astype(np.float64)
         weights = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -1062,6 +1062,10 @@ class TestOneOperandRule:
         "minus-inf-in-reference-v": (lambda q, k, v: (q, (k, _with(v, -np.inf)), (k, v)), ValueError,
                                      "partition 0's v has non-finite entries"),
         "nan-in-q": (lambda q, k, v: (_with(q, np.nan), (k, v), (k, v)), ValueError, "q has non-finite entries"),
+        # One dtype for every operand, but none the precision table names.
+        **{f"all-{np.dtype(t)}": (lambda q, k, v, t=t: (q.astype(t), *[(k.astype(t), v.astype(t))] * 2), ValueError,
+                                  f"kernels work in float32 or float64, got {np.dtype(t)}")
+           for t in (np.int32, np.float16, np.bool_)},
     }
 
     @pytest.mark.parametrize("fault", FAULTS)
@@ -1113,14 +1117,17 @@ class TestOneCheckPerCall:
         _, k_self, v_self = partition_inputs(60, length, 64, 8, 8, np.float32)
         operands = {"q": q, "k_ref": k_ref, "v_ref": v_ref, "k_self": k_self, "v_self": v_self}
         run, names = self.ROUTES[route]
-        checks, reads, real_operands, real_isfinite = [], [], kernels._operands, np.isfinite
+        checks, reads, coefficient_reads, real_operands, real_isfinite = [], [], [], kernels._operands, np.isfinite
 
         def counting_operands(*args, **kwargs):
             checks.append(len(args[1]))
             return real_operands(*args, **kwargs)
 
         def isfinite(a, *args, **kwargs):
-            if sys._getframe(1).f_code.co_name != "row_softmax_inplace":  # the softmax reads row maxima only
+            caller = sys._getframe(1).f_code.co_name
+            if caller == "_coefficient_branches":  # the coefficient of rfg_matrix and guidance_form, beside the rule
+                coefficient_reads.append(np.size(a))
+            elif caller != "row_softmax_inplace":  # the softmax reads row maxima only
                 reads.append(a)
             return real_isfinite(a, *args, **kwargs)
 
@@ -1133,6 +1140,7 @@ class TestOneCheckPerCall:
         read = {name for name, a in operands.items() for b in reads if b is a}
         assert read == set(names.split()), read
         assert sum(np.size(a) for a in reads) == sum(operands[name].size for name in names.split())
+        assert coefficient_reads == ([length * v_ref.shape[1]] if route in ("rfg_matrix", "guidance_form") else [])
 
     def test_only_public_entries_call_the_rule(self):
         tree = ast.parse(Path(kernels.__file__).read_text())
@@ -1147,6 +1155,8 @@ class TestCoefficientCheck:
     FAULTS = {
         "shape": (lambda c: c[:, :4], ShapeError, "coefficient shape (512, 4) does not match output shape (512, 8)"),
         "dtype": (lambda c: c.astype(np.float64), ValueError, "mixed dtypes in one kernel call: float32 vs float64"),
+        **{name: (lambda c, value=value: _with(c, value), ValueError, "coefficient has non-finite entries")
+           for name, value in (("nan", np.nan), ("inf", np.inf), ("minus-inf", -np.inf))},
     }
 
     @pytest.mark.parametrize("fault", FAULTS)

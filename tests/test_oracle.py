@@ -4,6 +4,8 @@ import json
 import math
 import os
 import signal
+import subprocess
+import sys
 import threading
 from pathlib import Path
 from unittest import mock
@@ -324,7 +326,7 @@ SHARE_TRIALS = dict(trials_per_cell=2, stress_trials_per_cell=1)
 
 
 def _workers(count):
-    return mock.patch.object(refguide.kernels, "POOL_WORKERS", count)
+    return mock.patch.object(refguide.kernels, "CPUS", count)
 
 
 def _stream_failing_at(monkeypatch, action, keys):
@@ -385,6 +387,41 @@ class TestSuiteProcesses:
 
         with _workers(workers), pytest.raises(ValueError, match="^key 0$"):
             _run_trials(fail, range(10**15))
+
+    # A child process that counts the suite's forks, then prints that count and its tile pool's workers to stderr.
+    COUNT_FORKS = (
+        "import os, sys\n"
+        "import refguide.cli, refguide.kernels\n"
+        "forks, fork = [], os.fork\n"
+        "def counting():\n"
+        "    pid = fork()\n"
+        "    if pid:\n"
+        "        forks.append(pid)\n"
+        "    return pid\n"
+        "os.fork = counting\n"
+        "code = refguide.cli.main(sys.argv[1:])\n"
+        "print(len(forks), refguide.kernels.POOL_WORKERS, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+
+    @pytest.mark.skipif(not hasattr(os, "fork") or refguide.kernels.CPUS < 2, reason="needs os.fork and two CPUs")
+    def test_check_forks_per_usable_cpu_whatever_blas_runs(self, tmp_path):
+        blas_vars = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+        clean = {key: value for key, value in os.environ.items() if key not in blas_vars}
+        # The child imports refguide from where this process did, PYTHONPATH set or not.
+        src = str(Path(refguide.kernels.__file__).parents[1])
+        clean["PYTHONPATH"] = os.pathsep.join(filter(None, (src, clean.get("PYTHONPATH"))))
+        runs = {}
+        for name, env in (("unset", clean), ("pinned", {**clean, "OPENBLAS_NUM_THREADS": "1"})):
+            argv = ["check", "--grid", "2x2x2,4x4x4", "--trials", "2", "--stress-trials", "1", "--out", tmp_path / name]
+            done = subprocess.run([sys.executable, "-c", self.COUNT_FORKS, *map(str, argv)], env=env, capture_output=True)
+            assert done.returncode == 0, done.stderr
+            runs[name] = done.stdout, done.stderr.split()[-2:]
+        cpus = refguide.kernels.CPUS
+        forks = str(min(cpus, 6) - 1).encode()  # six trials: at most one process each
+        assert runs["unset"][1] == [forks, b"1"]
+        assert runs["pinned"][1] == [forks, str(cpus).encode()]
+        assert runs["unset"][0] == runs["pinned"][0]
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_killed_child_raises_child_process_error_and_check_exits_3(self, monkeypatch, tmp_path, capsys):

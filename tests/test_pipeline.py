@@ -307,7 +307,7 @@ class TestGenerateBatch:
     ])
     @pytest.mark.parametrize("workers", ["untiled", 1, 2])
     def test_recorded_side32_digests(self, monkeypatch, workers, policy, precision, key):
-        # L = 1024: every partition runs as query tiles, inline at 1 worker and pooled at 2.
+        # L = 1024: every partition runs as query tiles, on a pool of 1 or 2 workers.
         monkeypatch.setattr(kernels, "POOL_WORKERS", 1 if workers == "untiled" else workers)
         if workers == "untiled":
             monkeypatch.setattr(kernels, "POOL_MIN_WORK", float("inf"))  # each partition is one tile
