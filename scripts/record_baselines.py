@@ -41,7 +41,11 @@ from refguide.rng import stream
 DATA_DIR = Path(__file__).resolve().parents[1] / "tests" / "data"
 DISTANCE_STRENGTHS = (-0.3, 0.0, 0.2, 0.35)
 ORACLE_CELLS = ((64, 32, 32), (64, 1, 1))
-ORACLE_DRAWS = (("standard", 0, 1.0), ("stressed", 1, 100.0))  # (name, trial, query scale)
+ORACLE_DRAWS = {"standard": (0, 1.0), "stressed": (1, 100.0)}  # name -> (suite trial, query scale)
+SCALAR_BLEND_RUNS = {  # baselines key -> policy of a default-config generation
+    "final_digest_seeds42_7_cross_frame_default": AttentionPolicy.cross_frame(),
+    "final_digest_seeds42_7_rfg_multi_03_03_default": AttentionPolicy.rfg_multi((0.3, 0.3)),
+}
 SIDE32 = dict(side=32, blocks=2, steps=2, batch=3)
 SIDE32_RUNS = {  # key -> (policy, precision)
     "rfg035/f32": (AttentionPolicy.rfg(0.35), "f32"),
@@ -55,6 +59,11 @@ CHECK_RUNS = {  # key -> run_equivalence_suite keywords beyond CHECK_TRIALS
     "f64/seed3": dict(precision="f64", seed=3),
     "f32/seed0/corrupt1e-3": dict(precision="f32", seed=0, corrupt_coefficient=1e-3),
 }
+
+
+def scalar_blend_digests() -> dict:
+    """Final-latent digests of the ``SCALAR_BLEND_RUNS`` generations, keyed as ``SCALAR_BLEND_RUNS``."""
+    return {key: generate_batch(PipelineConfig(policy=policy)).final_digest() for key, policy in SCALAR_BLEND_RUNS.items()}
 
 
 def side32_digests() -> dict:
@@ -75,7 +84,7 @@ def oracle_digests() -> dict:
     for cell in ORACLE_CELLS:
         cell_index = DEFAULT_GRID.index(cell)
         for precision, dtype in PRECISION_DTYPES.items():
-            for draw, trial, scale in ORACLE_DRAWS:
+            for draw, (trial, scale) in ORACLE_DRAWS.items():
                 inputs = _draw_inputs(stream(0, cell_index, trial), *cell, dtype, scale)
                 out = naive_concat_attention(*inputs)
                 key = f"{'x'.join(map(str, cell))}/{precision}/{draw}"
@@ -97,8 +106,6 @@ def record_baselines() -> dict:
     default = PipelineConfig()
     weights_digest = init_denoiser(42, default).digest()
     final_digest = generate_batch(default).final_digest()
-    cross_frame_digest = generate_batch(PipelineConfig(policy=AttentionPolicy.cross_frame())).final_digest()
-    multi_digest = generate_batch(PipelineConfig(policy=AttentionPolicy.rfg_multi((0.3, 0.3)))).final_digest()
 
     distance_series = {}
     for c in DISTANCE_STRENGTHS:
@@ -109,8 +116,7 @@ def record_baselines() -> dict:
     return {
         "weights_digest_seed42_default": weights_digest,
         "final_digest_seeds42_7_rfg035_default": final_digest,
-        "final_digest_seeds42_7_cross_frame_default": cross_frame_digest,
-        "final_digest_seeds42_7_rfg_multi_03_03_default": multi_digest,
+        **scalar_blend_digests(),
         "distance_series_seed42_default": distance_series,
         "oracle_concat_digests_seed0": oracle_digests(),
         "final_digests_seeds42_7_side32": side32_digests(),

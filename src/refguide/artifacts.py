@@ -28,7 +28,7 @@ def write_raw(raw_path, matrix) -> Path:
         raise ValueError(f"raw latent must be 2-D, got shape {a.shape}")
     raw_path.write_bytes(a.tobytes())
     meta = {"dtype": "f32", "shape": [int(a.shape[0]), int(a.shape[1])], "byte_order": "little"}
-    sidecar_path(raw_path).write_text(json.dumps(meta, indent=2) + "\n")
+    write_json(sidecar_path(raw_path), meta)
     return raw_path
 
 

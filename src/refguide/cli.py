@@ -9,6 +9,7 @@ machine-parseable.
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ import numpy as np
 from .artifacts import json_text, write_json, write_pgm, write_raw, write_sweep_csv
 from .bench import run_bench
 from .config import PRESETS, ConfigError, parse_config
+from .kernels import AttentionPolicy
 from .linalg import PRECISION_DTYPES
 from .oracle import run_equivalence_suite
 from .pipeline import generate_batch, trajectory_distance
@@ -84,15 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _out_dir(cfg) -> Path:
-    """The output directory, made before a command's work, so an unusable ``--out`` exits 3 at once."""
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _cmd_check(cfg) -> int:
-    out = _out_dir(cfg)
+def _cmd_check(cfg, out) -> int:
     report = run_equivalence_suite(
         seed=cfg.check_seed,
         grid=cfg.check_grid,
@@ -130,11 +124,10 @@ def _generate(pipeline_cfg, key: str, value):
         raise ConfigError(f"key {key!r} value {value!r}: {exc}") from exc
 
 
-def _cmd_sweep(cfg) -> int:
-    out, rows = _out_dir(cfg), []
+def _cmd_sweep(cfg, out) -> int:
+    pipeline_cfg, rows = cfg.pipeline_config(), []
     for c in cfg.sweep_strengths:
-        pipeline_cfg = cfg.pipeline_config(strength_override=c)
-        traj = _generate(pipeline_cfg, "sweep_strengths", c)
+        traj = _generate(replace(pipeline_cfg, policy=AttentionPolicy.rfg(c)), "sweep_strengths", c)
         distances = {i: trajectory_distance(traj, i) for i in range(1, pipeline_cfg.batch)}
         for t in range(pipeline_cfg.steps + 1):
             for i in sorted(distances):
@@ -144,8 +137,8 @@ def _cmd_sweep(cfg) -> int:
     return 0
 
 
-def _cmd_generate(cfg) -> int:
-    out, pipeline_cfg = _out_dir(cfg), cfg.pipeline_config()
+def _cmd_generate(cfg, out) -> int:
+    pipeline_cfg = cfg.pipeline_config()
     key = "layer_strengths" if cfg.layer_strengths is not None else cfg.named_policy()[1][-1]
     traj = _generate(pipeline_cfg, key, getattr(cfg, key))
     for i in range(pipeline_cfg.batch):
@@ -157,8 +150,7 @@ def _cmd_generate(cfg) -> int:
     return 0
 
 
-def _cmd_bench(cfg) -> int:
-    out = _out_dir(cfg)
+def _cmd_bench(cfg, out) -> int:
     report = run_bench(
         grid=cfg.bench_grid,
         iterations=cfg.iterations,
@@ -193,11 +185,16 @@ def main(argv=None) -> int:
     # flag that has none instead of dropping it.
     overrides = vars(args)
     command, config_path = overrides.pop("command"), overrides.pop("config")
-    # Overflow and invalid values are named by the finiteness rule (exit 2) or
-    # by the report's null error (exit 1), so numpy's warnings stay silent.
+    # Every config error exits 2 before anything is written; then --out is made
+    # before the work, so an unusable one exits 3 at once. Overflow and invalid
+    # values are named by the finiteness rule (exit 2) or by the report's null
+    # error (exit 1), so numpy's warnings stay silent.
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            return _COMMANDS[command](parse_config(config_path, overrides, command))
+            cfg = parse_config(config_path, overrides, command)
+            out = Path(cfg.out_dir)
+            out.mkdir(parents=True, exist_ok=True)
+            return _COMMANDS[command](cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -199,24 +199,12 @@ class RunConfig:
     def check_grid(self) -> tuple:
         return self.grid if self.grid is not None else DEFAULT_GRID
 
-    def pipeline_config(self, strength_override: float | None = None) -> PipelineConfig:
-        """PipelineConfig for this run; ``strength_override`` swaps in one rfg strength.
-
-        The override only replaces the strength of an ``rfg`` policy: any
-        other policy, or per-block ``layer_strengths``, is rejected by key.
-        """
-        policy, keys = self.named_policy()
-        if strength_override is not None:
-            if self.layer_strengths is not None:
-                raise ConfigError("key 'layer_strengths' sets every block's strength, so sweep cannot override it")
-            if policy.kind != "rfg":
-                raise ConfigError(f"key {keys[0]!r} selects policy {policy.kind!r}, "
-                                  "but sweep varies the strength of an 'rfg' policy")
-            policy = AttentionPolicy.rfg(float(strength_override))
+    def pipeline_config(self) -> PipelineConfig:
+        """PipelineConfig for this run."""
         shared = {f.name: getattr(self, f.name) for f in fields(PipelineConfig) if f.name in _FIELD_NAMES}
         shared["weights_seed"], shared["noise_seed"] = self.resolved_seeds()
         try:
-            return PipelineConfig(**shared, policy=policy)
+            return PipelineConfig(**shared, policy=self.resolved_policy())
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -242,7 +230,8 @@ def parse_config(path=None, overrides=None, command=None) -> RunConfig:
 
     Flags win over the file; both win over defaults. Every violation raises
     ConfigError with a message naming the offending key or file. Given a CLI
-    ``command``, what it holds at its peak must fit in ``MEMORY_FRACTION`` of physical memory.
+    ``command``, what it holds at its peak must fit in ``MEMORY_FRACTION`` of physical memory,
+    and ``"sweep"`` needs an ``rfg`` policy without ``layer_strengths``.
     """
     data = {}
     if path is not None:
@@ -270,6 +259,12 @@ def parse_config(path=None, overrides=None, command=None) -> RunConfig:
         reads = " and ".join(repr(key) for key in keys if key in _POLICY_KEYS) or "no policy key"
         raise ConfigError(f"key {unread[0]!r} does not apply: {keys[0]} {getattr(cfg, keys[0])!r} reads {reads}")
     pipeline = cfg.pipeline_config()
+    if command == "sweep":  # sweep swaps its own strengths into the run's rfg policy
+        if cfg.layer_strengths is not None:
+            raise ConfigError("key 'layer_strengths' sets every block's strength, so sweep cannot override it")
+        if pipeline.policy.kind != "rfg":
+            raise ConfigError(f"key {keys[0]!r} selects policy {pipeline.policy.kind!r}, "
+                              "but sweep varies the strength of an 'rfg' policy")
     if command is None:
         return cfg
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")

@@ -3,14 +3,14 @@
 All kernels share one working dtype per call (float32 or float64) and never
 upcast internally; callers pick the precision by casting their inputs.
 
-Every route is built on one primitive, ``partitions``: one query's
-attention over each of several key/value partitions, plus each partition's
-softmax mass, merged from each row's logit maximum ``m`` and sum ``s`` of
-``exp(logit - m)``. Concatenated attention over the partitions is their
-outputs blended by these masses, for one reference or several. A logits
-buffer is scaled by ``1 / sqrt(d)``, ``d`` the query width, then shifted,
-exponentiated and normalised in place; a row whose maximum logit is not
-finite raises (``row_softmax_inplace``), as finite operands can overflow.
+Every route runs ``_branches``: one query's attention over each of several
+key/value partitions, with each row's logit maximum ``m`` and sum ``s`` of
+``exp(logit - m)``. Only ``partitions`` (so ``concat_coefficient_vector`` and
+the "rfg-matrix" policy) merges them into each partition's softmax mass, the
+weights by which concatenated attention blends the partitions' outputs. A
+logits buffer is scaled by ``1 / sqrt(d)``, ``d`` the query width, then
+shifted, exponentiated and normalised in place; a row whose maximum logit is
+not finite raises (``row_softmax_inplace``), as finite operands can overflow.
 ``attention`` is the one-partition case; the routes to reference conditioning:
 
 * ``concat_attention`` appends the reference keys/values to the sample's own,

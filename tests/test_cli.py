@@ -354,6 +354,23 @@ class TestBlendPreset:
         assert ("config error: key 'references' value 4:" in err) == (code == 2)
 
 
+# (command, config, key its error names): the faults every command shares, each
+# command's over-memory shape, and the policies whose strength sweep cannot vary.
+_SHARED_FAULTS = [({"coefficinet": 0.3}, "coefficinet"), ({"steps": "twenty"}, "steps"),
+                  ({"policy_kind": "concat", "strength": 0.9}, "strength"), ({"batch": 1}, "batch")]
+_TOO_LARGE = {"check": ({"grid": [[10**8, 1, 1]]}, "grid"),
+              "bench": ({"bench_grid": [[10**8, 1, 1, 2]]}, "bench_grid"),
+              "generate": ({"side": 4096, "steps": 10**12}, "steps"),
+              "sweep": ({"side": 4096, "steps": 10**12}, "steps")}
+CONFIG_FAULTS = [
+    *((command, payload, key) for command, too_large in _TOO_LARGE.items()
+      for payload, key in [*_SHARED_FAULTS, too_large]),
+    ("sweep", {"policy_kind": "concat"}, "policy_kind"),
+    ("sweep", {"preset": "blend"}, "preset"),
+    ("sweep", {"layer_strengths": [0.1, 0.2, 0.3, 0.4]}, "layer_strengths"),
+]
+
+
 class TestErrorPaths:
     def test_missing_config_file(self, capsys):
         code, _, err = run(capsys, "generate", "--config", "missing.json")
@@ -438,6 +455,15 @@ class TestErrorPaths:
         assert code == 3
         assert "i/o error" in err and not out
 
+    @pytest.mark.parametrize("command, payload, key", CONFIG_FAULTS)
+    def test_config_error_comes_before_any_write(self, tmp_path, capsys, command, payload, key):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, command, "--config", str(path), "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert err.startswith("config error: ") and re.search(rf"\b{key}\b", err), err
+        assert out == "" and not (tmp_path / "out").exists()
+
     def test_unknown_config_key(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"coefficinet": 0.3}))
@@ -456,25 +482,6 @@ class TestErrorPaths:
 
     def test_sweep_flag_rejected_on_generate(self, capsys):
         assert run(capsys, "generate", "--strengths", "0.1")[0] == 2
-
-    def test_sweep_rejects_layer_strengths(self, tmp_path, capsys):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({"layer_strengths": [0.1, 0.2, 0.3, 0.4], "steps": 3}))
-        code, _, err = run(capsys, "sweep", "--config", str(path), "--strengths=-0.3,0.35", "--out", str(tmp_path))
-        assert code == 2
-        assert "layer_strengths" in err
-        assert not (tmp_path / "sweep.csv").exists()
-
-    @pytest.mark.parametrize("extra, key", [
-        ({"policy_kind": "concat"}, "policy_kind"),
-        ({"preset": "blend"}, "preset"),
-    ])
-    def test_sweep_rejects_non_rfg_policy(self, tmp_path, capsys, extra, key):
-        path = small_config_file(tmp_path, steps=3, **extra)
-        code, _, err = run(capsys, "sweep", "--config", path, "--strengths=0.35", "--out", str(tmp_path))
-        assert code == 2
-        assert f"key {key!r}" in err
-        assert not (tmp_path / "sweep.csv").exists()
 
     @pytest.mark.parametrize("argv", [("check", "--threshold", "0.5"), ("check", "--stress-scale", "1e5")])
     def test_certification_bounds_are_not_flags(self, tmp_path, capsys, argv):

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import dataclasses
 import json
 import os
 import re
@@ -12,6 +13,7 @@ from typing import Literal, get_args, get_origin
 import numpy as np
 import pytest
 
+import refguide.cli
 import refguide.config
 from refguide import kernels
 from refguide.cli import _build_parser
@@ -26,8 +28,9 @@ from refguide.config import (
     RunConfig,
     parse_config,
 )
+from refguide.kernels import AttentionPolicy
 from refguide.oracle import DEFAULT_GRID
-from refguide.pipeline import PipelineConfig
+from refguide.pipeline import PipelineConfig, generate_batch
 
 
 def write_config(tmp_path, payload):
@@ -205,6 +208,38 @@ class TestParseConfig:
         assert cfg.pipeline_config().layer_strengths == (0.1, 0.2, 0.3, 0.4)
 
 
+def _sweep_rule(key, kind):
+    """Sweep's rejection of a policy other than ``rfg``, named by ``key``."""
+    return f"^key {key!r} selects policy {kind!r}, but sweep varies the strength of an 'rfg' policy$"
+
+
+class TestSweepRule:
+    """Sweep varies the strength of an rfg policy, so parse_config rejects any other for it, by key."""
+
+    @pytest.mark.parametrize("overrides, key, kind", [
+        ({"policy_kind": "concat"}, "policy_kind", "concat"),
+        ({"policy_kind": "plain"}, "policy_kind", "plain"),
+        ({"policy_kind": "rfg-multi", "strengths": [0.2, 0.3]}, "policy_kind", "rfg-multi"),
+        ({"preset": "blend"}, "preset", "rfg-multi"),
+    ])
+    def test_another_policy_is_named_by_key(self, overrides, key, kind):
+        parse_config(overrides=overrides, command="generate")
+        with pytest.raises(ConfigError, match=_sweep_rule(key, kind)):
+            parse_config(overrides=overrides, command="sweep")
+
+    def test_layer_strengths_are_named(self):
+        overrides = {"layer_strengths": [0.1, 0.2, 0.3, 0.4]}
+        parse_config(overrides=overrides, command="generate")
+        with pytest.raises(ConfigError, match="^key 'layer_strengths' sets every block's strength, "
+                                              "so sweep cannot override it$"):
+            parse_config(overrides=overrides, command="sweep")
+
+    @pytest.mark.parametrize("overrides", [{}, {"preset": "consistent"}, {"preset": "diverse"},
+                                           {"preset": "temporal"}, {"strength": -0.5}])
+    def test_sweep_accepts_an_rfg_policy(self, overrides):
+        parse_config(overrides=overrides, command="sweep")
+
+
 @pytest.fixture
 def memory_128mib(monkeypatch):
     """A machine with 128 MiB of physical memory, so a command may hold 64 MiB = 67108864 B.
@@ -284,7 +319,13 @@ class TestMemory:
     ])
     @pytest.mark.parametrize("command", ["generate", "sweep"])
     def test_denoiser_boundaries(self, memory_128mib, command, overrides, named):
-        if named is None:
+        kind = parse_config(overrides=overrides).resolved_policy().kind
+        if command == "sweep" and kind != "rfg":
+            # Sweep's rule comes before its memory: it never runs another policy.
+            key = "preset" if "preset" in overrides else "policy_kind"
+            with pytest.raises(ConfigError, match=_sweep_rule(key, kind)):
+                parse_config(overrides=overrides, command=command)
+        elif named is None:
             parse_config(overrides=overrides, command=command)
         else:
             with pytest.raises(ConfigError, match=_limit_message(named, command)):
@@ -390,7 +431,8 @@ class TestMemory:
     # The default run and each preset under every command, and the benchmark's configs.
     @pytest.mark.parametrize("overrides, commands", [
         *(({"preset": preset}, ("generate", "sweep", "check", "bench"))
-          for preset in ("custom", "consistent", "diverse", "temporal", "blend")),
+          for preset in ("custom", "consistent", "diverse", "temporal")),
+        ({"preset": "blend"}, ("generate", "check", "bench")),  # sweep runs an rfg policy only
         ({"side": 32, "blocks": 4, "d": 32, "d_v": 32, "batch": 4, "steps": 3, "policy_kind": "concat"}, ("generate",)),
         ({"side": 8, "blocks": 8, "batch": 8, "steps": 50, "sweep_strengths": [-0.3, 0.2, 0.35]}, ("sweep",)),
         ({"trials": 4, "stress_trials": 1, "precision": "f64"}, ("check",)),
@@ -448,10 +490,14 @@ class TestResolvedView:
         assert payload["resolved_policy"]["kind"] == "rfg-multi"
         assert json.loads(text)["resolved_weights_seed"] == 42
 
-    def test_pipeline_config_strength_override(self):
-        cfg = parse_config(overrides={"preset": "consistent"})
-        pipeline = cfg.pipeline_config(strength_override=-0.25)
-        assert pipeline.policy.strength == -0.25
+    def test_sweep_configs_differ_from_the_run_in_policy_alone(self, tmp_path, monkeypatch):
+        ran = []
+        monkeypatch.setattr(refguide.cli, "generate_batch", lambda cfg: ran.append(cfg) or generate_batch(cfg))
+        path = write_config(tmp_path, {"side": 4, "blocks": 2, "steps": 2, "batch": 3, "preset": "consistent",
+                                       "seed": 3, "duplicate_noise": True, "precision": "f64"})
+        assert refguide.cli.main(["sweep", "--config", path, "--strengths=-0.25,0,0.5", "--out", str(tmp_path)]) == 0
+        run = parse_config(path).pipeline_config()
+        assert ran == [dataclasses.replace(run, policy=AttentionPolicy.rfg(c)) for c in (-0.25, 0.0, 0.5)]
 
     def test_pipeline_precision_propagates(self):
         cfg = parse_config(overrides={"precision": "f64"})

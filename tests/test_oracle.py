@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -39,15 +40,18 @@ SMALL_GRID = ((1, 1, 1), (2, 4, 2), (4, 4, 4))
 BASELINES = json.loads((Path(__file__).parent / "data" / "baselines.json").read_text())
 ORACLE_DIGESTS = BASELINES["oracle_concat_digests_seed0"]
 CHECK_DIGESTS = BASELINES["check_report_digests"]
-# As scripts/record_baselines.py records them: the benchmark's check settings.
-CHECK_TRIALS = dict(trials_per_cell=4, stress_trials_per_cell=1)
-CHECK_RUNS = {
-    "f32/seed0": dict(precision="f32", seed=0),
-    "f64/seed3": dict(precision="f64", seed=3),
-    "f32/seed0/corrupt1e-3": dict(precision="f32", seed=0, corrupt_coefficient=1e-3),
-}
-# Draw name -> (suite trial, query scale), as scripts/record_baselines.py records them.
-ORACLE_DRAWS = {"standard": (0, 1.0), "stressed": (1, 100.0)}
+
+
+def _load_recorder():
+    """``scripts/record_baselines.py``, whose tables name every recorded run."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "record_baselines.py"
+    spec = importlib.util.spec_from_file_location("record_baselines", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+RECORDER = _load_recorder()
 
 
 class TestNaiveAttention:
@@ -116,7 +120,7 @@ class TestRecordedOracleDigests:
     def test_output_bits_match_recorded_digest(self, key):
         cell_text, precision, draw = key.split("/")
         cell = tuple(int(n) for n in cell_text.split("x"))
-        trial, scale = ORACLE_DRAWS[draw]
+        trial, scale = RECORDER.ORACLE_DRAWS[draw]
         inputs = _draw_inputs(
             stream(0, DEFAULT_GRID.index(cell), trial), *cell, PRECISION_DTYPES[precision], scale
         )
@@ -352,10 +356,10 @@ class TestSuiteProcesses:
             os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    @pytest.mark.parametrize("key", sorted(CHECK_RUNS))
+    @pytest.mark.parametrize("key", sorted(RECORDER.CHECK_RUNS))
     def test_report_digest_matches_recorded_at_any_worker_count(self, key, workers):
         with _workers(workers):
-            report = run_equivalence_suite(**CHECK_TRIALS, **CHECK_RUNS[key])
+            report = run_equivalence_suite(**RECORDER.CHECK_TRIALS, **RECORDER.CHECK_RUNS[key])
         payload = json.dumps(report.to_dict(), sort_keys=True).encode()
         assert hashlib.sha256(payload).hexdigest() == CHECK_DIGESTS[key]
 

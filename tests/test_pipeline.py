@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import tracemalloc
 from pathlib import Path
@@ -22,6 +23,18 @@ from refguide.pipeline import (
 )
 
 BASELINES = json.loads((Path(__file__).parent / "data" / "baselines.json").read_text())
+
+
+def _load_recorder():
+    """``scripts/record_baselines.py``, whose tables name every recorded run."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "record_baselines.py"
+    spec = importlib.util.spec_from_file_location("record_baselines", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+RECORDER = _load_recorder()
 
 # Small architecture for fast unit runs; acceptance tests use the defaults.
 SMALL = dict(side=6, blocks=2, d_model=8, d=8, d_v=8, steps=6)
@@ -291,27 +304,20 @@ class TestGenerateBatch:
         traj = generate_batch(PipelineConfig())
         assert traj.final_digest() == BASELINES["final_digest_seeds42_7_rfg035_default"]
 
-    @pytest.mark.parametrize("policy, key", [
-        (AttentionPolicy.cross_frame(), "final_digest_seeds42_7_cross_frame_default"),
-        (AttentionPolicy.rfg_multi((0.3, 0.3)), "final_digest_seeds42_7_rfg_multi_03_03_default"),
-    ])
-    def test_recorded_scalar_blend_digests(self, policy, key):
-        traj = generate_batch(PipelineConfig(policy=policy))
+    @pytest.mark.parametrize("key", list(RECORDER.SCALAR_BLEND_RUNS))
+    def test_recorded_scalar_blend_digests(self, key):
+        traj = generate_batch(PipelineConfig(policy=RECORDER.SCALAR_BLEND_RUNS[key]))
         assert traj.final_digest() == BASELINES[key]
 
-    @pytest.mark.parametrize("policy, precision, key", [
-        (AttentionPolicy.rfg(0.35), "f32", "rfg035/f32"),
-        (AttentionPolicy.concat(), "f32", "concat/f32"),
-        (AttentionPolicy.rfg_matrix(), "f32", "rfg-matrix/f32"),
-        (AttentionPolicy.rfg(0.35), "f64", "rfg035/f64"),
-    ])
+    @pytest.mark.parametrize("key", list(RECORDER.SIDE32_RUNS))
     @pytest.mark.parametrize("workers", ["untiled", 1, 2])
-    def test_recorded_side32_digests(self, monkeypatch, workers, policy, precision, key):
+    def test_recorded_side32_digests(self, monkeypatch, workers, key):
         # L = 1024: every partition runs as query tiles, on a pool of 1 or 2 workers.
         monkeypatch.setattr(kernels, "POOL_WORKERS", 1 if workers == "untiled" else workers)
         if workers == "untiled":
             monkeypatch.setattr(kernels, "POOL_MIN_WORK", float("inf"))  # each partition is one tile
-        cfg = PipelineConfig(side=32, blocks=2, steps=2, batch=3, policy=policy, precision=precision)
+        policy, precision = RECORDER.SIDE32_RUNS[key]
+        cfg = PipelineConfig(**RECORDER.SIDE32, policy=policy, precision=precision)
         assert generate_batch(cfg).final_digest() == BASELINES["final_digests_seeds42_7_side32"][key]
 
 
