@@ -1,22 +1,22 @@
-"""Reference-guided attention numerics.
+"""Reference-guided attention numerics, in nine modules:
 
-Core pieces:
-
-* :mod:`refguide.linalg` -- small dense-matrix helpers (matmul, a stable
-  row softmax that works in place and returns each row's max and sum,
-  norms, row stacking) and the precision-to-dtype table.
-* :mod:`refguide.kernels` -- one primitive, attention over N key/value
-  partitions with each partition's softmax mass, and the variants derived
-  from it: plain self-attention, concatenated attention over a reference's
-  keys/values, the scalar- and multi-reference guided blends, and the
-  per-token coefficient -- the reference partition's mass -- that makes the
-  blend reproduce concatenated attention exactly.
+* :mod:`refguide.linalg` -- dense-matrix helpers (matmul, an in-place row
+  softmax that returns each row's max and sum, norms, row stacking) and the
+  precision-to-dtype table.
+* :mod:`refguide.kernels` -- the attention routes (self, concatenated, the
+  scalar-, multi-reference and matrix blends), each checking its operands
+  once at entry, and ``partitions``, whose reference partition's softmax
+  mass is the coefficient under which the matrix blend reproduces
+  concatenated attention.
 * :mod:`refguide.oracle` -- slow, loop-based 64-bit reference kernels and the
   randomized suite that certifies the fast path against them.
 * :mod:`refguide.pipeline` -- a deterministic toy batch-denoising loop where
-  batch element 0 acts as the reference for the rest.
-* :mod:`refguide.cli` -- the ``refguide`` command (check / sweep / generate /
-  bench).
+  the first sample(s) guide the rest.
+* :mod:`refguide.rng` -- seeded random streams; :mod:`refguide.config` --
+  presets, JSON config files and flag overrides, checked by one schema.
+* :mod:`refguide.artifacts` -- raw latents, PGM previews, sweep CSV and JSON
+  writers; :mod:`refguide.bench` -- the per-policy kernel microbenchmark.
+* :mod:`refguide.cli` -- the ``refguide`` command (check / sweep / generate / bench).
 """
 
 from .kernels import (

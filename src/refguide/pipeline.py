@@ -72,6 +72,8 @@ class PipelineConfig:
                     f"layer_strengths has {len(self.layer_strengths)} entries for {self.blocks} blocks"
                 )
             object.__setattr__(self, "layer_strengths", tuple(float(c) for c in self.layer_strengths))
+            if not np.isfinite(self.layer_strengths).all():
+                raise ValueError(f"layer_strengths must be finite, got {self.layer_strengths}")
 
     @property
     def tokens(self) -> int:

@@ -15,13 +15,7 @@ from refguide.artifacts import (
     write_sweep_csv,
 )
 
-
-def strict_loads(text):
-    """``json.loads`` that fails on the non-standard NaN, Infinity and -Infinity tokens."""
-    def reject(token):
-        raise AssertionError(f"non-standard JSON token {token}")
-
-    return json.loads(text, parse_constant=reject)
+from helpers import strict_loads
 
 
 class TestRawRoundTrip:

@@ -9,18 +9,13 @@ second positional argument's ``kind``.
 """
 
 import importlib
-import importlib.util
 import inspect
-from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+from helpers import load_file
 
 
 def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_file("perfbench/spans.py", "perfbench_spans")
 
 
 def test_every_wrap_point_resolves():

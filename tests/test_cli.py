@@ -17,6 +17,8 @@ from refguide.cli import main
 from refguide.kernels import AttentionPolicy
 from refguide.pipeline import PipelineConfig, generate_batch, trajectory_distance
 
+from helpers import strict_loads
+
 SMALL_PIPELINE = {
     "side": 6, "blocks": 2, "d_model": 8, "d": 8, "d_v": 8, "steps": 6,
 }
@@ -27,14 +29,6 @@ def small_config_file(tmp_path, **extra):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(payload))
     return str(path)
-
-
-def strict_loads(text):
-    """``json.loads`` that fails on the non-standard NaN, Infinity and -Infinity tokens."""
-    def reject(token):
-        raise AssertionError(f"non-standard JSON token {token}")
-
-    return json.loads(text, parse_constant=reject)
 
 
 def run(capsys, *argv):

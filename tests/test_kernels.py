@@ -79,15 +79,6 @@ class TestAttention:
         assert (out <= v.max(axis=0) + 1e-12).all()
         assert (out >= v.min(axis=0) - 1e-12).all()
 
-    def test_zero_width_query_rejected(self):
-        with pytest.raises(ValueError, match="width"):
-            attention(np.ones((2, 0)), np.ones((3, 0)), np.ones((3, 2)))
-
-    def test_mixed_dtypes_rejected(self):
-        q, k, v, *_ = draw_set(14)
-        with pytest.raises(ValueError, match="dtype"):
-            attention(q.astype(np.float32), k, v)
-
     def test_preserves_float32(self):
         q, k, v, *_ = draw_set(15, dtype=np.float32)
         assert attention(q, k, v).dtype == np.float32
@@ -233,16 +224,6 @@ class TestCoefficientVector:
         q, k_ref, _, k_self, _ = draw_set(53, dtype=np.float32)
         assert concat_coefficient_vector(q, k_ref, k_self).dtype == np.float32
 
-    @pytest.mark.parametrize("index", [0, 1])
-    def test_one_dimensional_key_is_named(self, index):
-        q, k, *_ = draw_set(54)
-        keys = [k, k]
-        keys[index] = k[:, 0]
-        message = re.escape(f"partition {index} needs 2-D k and v with equal row counts, got (4,) and (0,)")
-        with pytest.raises(ShapeError, match=message):
-            concat_coefficient_vector(q, *keys)
-
-
 @st.composite
 def partition_sets(draw):
     """q plus reference and self partitions of independent sizes, f32 or f64."""
@@ -258,7 +239,7 @@ def partition_sets(draw):
     return precision, q_scale, (q, *parts)
 
 
-class TestReferenceBranches:
+class TestTwoPartitions:
     """Properties of the two-partition pass behind the rfg-matrix policy."""
 
     @given(partition_sets())
@@ -364,47 +345,6 @@ class TestPartitions:
             assert np.all(np.abs(np.array(grouped[1:], dtype=np.float64) - masses[2:]) <= 4 * ulp)
 
         check()
-
-
-def _matrix_coefficient(q, v_ref):
-    return np.full((q.shape[0], v_ref.shape[1]), 0.5, dtype=q.dtype)
-
-
-# Every public kernel, called on its operands in order: (name, operand count, call).
-PUBLIC_KERNELS = (
-    ("concat_attention", 5, concat_attention),
-    ("rfg_attention", 5, lambda q, kr, vr, ks, vs: rfg_attention(q, kr, vr, ks, vs, 0.35)),
-    ("rfg_multi", 7, lambda q, k1, v1, k2, v2, ks, vs: rfg_multi(q, [(0.3, k1, v1), (0.2, k2, v2)], ks, vs)),
-    ("partitions", 5, lambda q, kr, vr, ks, vs: kernels.partitions(q, [(kr, vr), (ks, vs)])),
-    ("concat_coefficient_vector", 3, concat_coefficient_vector),
-    ("rfg_matrix", 5, lambda q, kr, vr, ks, vs: rfg_matrix(q, kr, vr, ks, vs, _matrix_coefficient(q, vr))),
-    ("guidance_form", 5, lambda q, kr, vr, ks, vs: guidance_form(q, kr, vr, ks, vs, _matrix_coefficient(q, vr))),
-)
-
-
-class TestMixedDtypes:
-    """Every public kernel rejects operands of two precisions, whichever operand differs."""
-
-    # At base f64 with operand 1 in f32, concat_attention's stacked keys
-    # would promote to f64 and match q; the kernel must still reject them.
-    @pytest.mark.parametrize("name, count, kernel", PUBLIC_KERNELS, ids=[case[0] for case in PUBLIC_KERNELS])
-    @pytest.mark.parametrize("dtype, other", [(np.float32, np.float64), (np.float64, np.float32)])
-    def test_each_operand_in_the_other_precision_is_rejected(self, name, count, kernel, dtype, other):
-        gen = stream(60)
-        operands = [gen.uniform(-1, 1, (6, 4)).astype(dtype) for _ in range(count)]
-        for i in range(count):
-            mixed = [a.astype(other) if j == i else a for j, a in enumerate(operands)]
-            with pytest.raises(ValueError, match="mixed dtypes"):
-                kernel(*mixed)
-
-    # A coefficient of the other precision would upcast the blend's result.
-    @pytest.mark.parametrize("kernel", [rfg_matrix, guidance_form], ids=["rfg_matrix", "guidance_form"])
-    @pytest.mark.parametrize("dtype, other", [(np.float32, np.float64), (np.float64, np.float32)])
-    def test_coefficient_in_the_other_precision_is_rejected(self, kernel, dtype, other):
-        gen = stream(61)
-        operands = [gen.uniform(-1, 1, (6, 4)).astype(dtype) for _ in range(5)]
-        with pytest.raises(ValueError, match="mixed dtypes"):
-            kernel(*operands, np.full((6, 4), 0.5, dtype=other))
 
 
 class CountingPool(ThreadPoolExecutor):
@@ -532,19 +472,6 @@ class TestPooledPartition:
         assert pool.submitted == 0
         assert result_bytes([*untiled[0], *untiled[1]]) == result_bytes([*planned[0], *planned[1]])
 
-    def test_zero_width_query_raises_before_any_tile(self):
-        with tile_pool(2) as pool, pytest.raises(ValueError, match="width"):
-            attention(np.ones((1024, 0)), np.ones((1024, 0)), np.ones((1024, 2)))
-        assert pool.submitted == 0
-
-    @pytest.mark.parametrize("operand", [0, 1, 2])
-    def test_mixed_dtypes_raise_before_any_tile(self, operand):
-        parts = partition_inputs(4, 1024, 1024, 8, 8, np.float32)
-        parts[operand] = parts[operand].astype(np.float64)
-        with tile_pool(2) as pool, pytest.raises(ValueError, match="mixed dtypes"):
-            attention(*parts)
-        assert pool.submitted == 0
-
     def test_worker_counts_give_the_same_bytes(self):
         # 16 tiles on up to 4 threads, more than the cores, switching threads often.
         q, k, v = partition_inputs(5, 4096, 512, 8, 8, np.float32)
@@ -578,31 +505,6 @@ class TestPooledPartition:
                 pytest.fail("the forked child waited on its parent's pool threads")
             time.sleep(0.01)
         assert os.waitstatus_to_exitcode(done[1]) == 0
-
-    def test_overflowing_tile_raises_after_every_tile_finished(self, monkeypatch):
-        running, finished = [], []
-        real = kernels.row_softmax_inplace
-
-        def slow_softmax(a):
-            running.append(1)
-            try:
-                if np.isfinite(a).all():
-                    time.sleep(0.05)  # keep the finite tiles in flight while tile 0 fails
-                return real(a)
-            finally:
-                finished.append(1)
-                running.pop()
-
-        monkeypatch.setattr(kernels, "row_softmax_inplace", slow_softmax)
-        q, k, v = overflowing_tile_inputs(0)
-        with tile_pool(2) as pool, np.errstate(over="ignore"):
-            with pytest.raises(ValueError, match="row_softmax requires finite logits"):
-                attention(q, k, v)
-            assert not running
-            assert len(finished) == pool.submitted == 4
-        with tile_pool(1), np.errstate(over="ignore"):
-            with pytest.raises(ValueError, match="row_softmax requires finite logits"):
-                attention(q, k, v)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_caller_errstate_reaches_the_tiles(self, workers):
@@ -669,7 +571,8 @@ class TestPooledQuery:
             assert result_bytes(kernel(q, kvs)) == result_bytes(pooled)
         assert pool.submitted == tiles
 
-    def test_overflowing_tile_of_the_second_partition_raises_after_every_tile_finished(self, monkeypatch):
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_overflowing_tile_raises_after_every_tile_finished(self, failing, monkeypatch):
         running, finished = [], []
         real = kernels.row_softmax_inplace
 
@@ -677,7 +580,7 @@ class TestPooledQuery:
             running.append(1)
             try:
                 if np.isfinite(a).all():
-                    time.sleep(0.05)  # keep the finite tiles in flight while the second partition fails
+                    time.sleep(0.05)  # keep the other partition's finite tiles in flight while this one fails
                 return real(a)
             finally:
                 finished.append(1)
@@ -685,12 +588,15 @@ class TestPooledQuery:
 
         monkeypatch.setattr(kernels, "row_softmax_inplace", slow_softmax)
         q, kvs = query_partitions(2)
-        kvs[1][0][:] = np.float32(3e38)  # finite, but q k^T overflows in every tile of the self partition
+        kvs[failing][0][:] = np.float32(3e38)  # finite, but q k^T overflows in every tile of this partition
         with tile_pool(2) as pool, np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="row_softmax requires finite logits"):
                 kernels.partitions(q, kvs)
             assert not running
             assert len(finished) == pool.submitted == 8
+        with tile_pool(1), np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="row_softmax requires finite logits"):
+                kernels.partitions(q, kvs)
 
 
 class TestOneCodePath:
@@ -812,23 +718,14 @@ class TestTileMemory:
         assert not any(np.shares_memory(a, b) for part in first + second for a in part for b in scratch)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("operand, value", [
-        ("q", np.nan), ("q", np.inf), ("k", np.nan), ("k", -np.inf), ("q", 3e38),
-    ])
-    def test_non_finite_or_overflowing_logits_still_raise(self, workers, operand, value):
+    def test_overflowing_logits_still_raise(self, workers):
+        # A whole row of q in tile 1 at 3e38: finite operands, so the operand rule passes them, but q k^T overflows,
+        # which the tile's softmax catches.
         q, k, v = partition_inputs(23, 1024, 1024, 8, 8, np.float32)
-        # One entry in tile 1 of q, or one key, fails the operand rule before any tile runs; 3e38 fills a
-        # whole row of q, finite operands whose q k^T overflows, which the tile's softmax catches.
-        if operand == "q" and value == 3e38:
-            q[300] = np.float32(value)
-            message = "row_softmax requires finite logits"
-        else:
-            (q if operand == "q" else k)[300, 5] = value
-            message = ("q" if operand == "q" else "partition 0's k") + " has non-finite entries"
-        with tile_pool(workers) as pool, np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match=message):
+        q[300] = np.float32(3e38)
+        with tile_pool(workers), np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="row_softmax requires finite logits"):
                 attention(q, k, v)
-        assert pool.submitted == 0 or value == 3e38
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_overflow_before_the_scale_still_raises(self, workers):
@@ -882,201 +779,170 @@ class TestKeylessPartitions:
         with pytest.raises(ValueError, match=re.escape("a kernel call needs at least one (k, v) partition, got none")):
             kernels.partitions(q, [])
 
-    def test_attention_names_the_partition(self):
-        q, k, v = draw_set(50)[:3]
-        with pytest.raises(ShapeError, match="partition 0 has no keys"):
-            attention(q, k[:0], v[:0])
-
-    @pytest.mark.parametrize("empty", [0, 1])
-    def test_keyless_partition_raises_before_any_tile(self, empty):
-        q, kvs = query_partitions(2)
-        kvs[empty] = (kvs[empty][0][:0], kvs[empty][1][:0])
-        with tile_pool(2) as pool, pytest.raises(ShapeError, match=f"partition {empty} has no keys"):
-            kernels.partitions(q, kvs)
-        assert pool.submitted == 0
-
     def test_concat_with_an_empty_reference_is_self_attention(self):
         q, k_ref, v_ref, k_self, v_self = draw_set(51)
         out = concat_attention(q, k_ref[:0], v_ref[:0], k_self, v_self)
         assert np.array_equal(out, attention(q, k_self, v_self))
 
-    def test_zero_strength_shortcut_checks_the_reference_it_skips(self):
-        q, kvs = query_partitions(2)
-        with tile_pool(2) as pool, pytest.raises(ShapeError, match="partition 0 has no keys"):
-            rfg_multi(q, [(0.0, kvs[0][0][:0], kvs[0][1][:0])], *kvs[1])
-        assert pool.submitted == 0
+
+def _partition_count(names):
+    """The number of ``(k, v)`` partitions a route reading ``names`` passes."""
+    return sum(name.startswith("k") for name in names.split())
 
 
-class TestPartitionShapes:
-    """Each public route checks every partition's ``k`` and ``v`` once, at entry; ``_branches`` trusts its caller."""
-
-    BAD_PAIRS = {
-        "rows-3-vs-4": lambda k, v: (k[:3], v[:4]),
-        "rows-64-vs-65": lambda k, v: (k, np.concatenate([v, v[:1]])),
-        "1d-k": lambda k, v: (k[:, 0], v),
-        "1d-v": lambda k, v: (k, v[:, 0]),
-    }
-    CALLS = {
-        "attention": (0, lambda q, kv, bad: attention(q, *bad)),
-        "rfg_multi": (1, lambda q, kv, bad: rfg_multi(q, [(0.3, *kv), (0.2, *bad)], *kv)),
-        "partitions": (1, lambda q, kv, bad: kernels.partitions(q, [kv, bad])),
-        "apply_policy": (0, lambda q, kv, bad: apply_policy(AttentionInputs(q, *kv), AttentionPolicy.rfg_matrix(),
-                                                            [bad])),
-    }
-
-    @pytest.mark.parametrize("bad", BAD_PAIRS)
-    @pytest.mark.parametrize("call", CALLS)
-    def test_bad_partition_is_named_before_any_tile(self, call, bad):
-        # 512 queries over 64 keys tile once POOL_MIN_WORK is 0, so a late check would submit tiles.
-        q, k, v = partition_inputs(52, 512, 64, 8, 8, np.float32)
-        index, run = self.CALLS[call]
-        k_bad, v_bad = self.BAD_PAIRS[bad](k, v)
-        message = re.escape(f"partition {index} needs 2-D k and v with equal row counts, "
-                            f"got {k_bad.shape} and {v_bad.shape}")
-        with tile_pool(2) as pool, mock.patch.object(kernels, "POOL_MIN_WORK", 0), \
-                pytest.raises(ShapeError, match=message):
-            run(q, (k, v), (k_bad, v_bad))
-        assert pool.submitted == 0
+def _policy_route(policy):
+    """``apply_policy`` under ``policy``: the last partition is the block's own, the others its references."""
+    return lambda q, kvs, coefficient: apply_policy(AttentionInputs(q, *kvs[-1]), policy, kvs[:-1])
 
 
-class TestQueryShape:
-    """Each public route checks the query against every partition's ``k`` once, at entry; ``_branches`` trusts its
-    caller."""
-
-    CALLS = {
-        "attention": (0, lambda q, kv, bad: attention(q, *bad)),
-        "partitions": (1, lambda q, kv, bad: kernels.partitions(q, [kv, bad])),
-        "rfg_multi": (1, lambda q, kv, bad: rfg_multi(q, [(0.3, *kv), (0.2, *bad)], *kv)),
-    }
-
-    @pytest.mark.parametrize("call", CALLS)
-    def test_one_dimensional_query_is_named(self, call):
-        q, k, v = partition_inputs(53, 512, 64, 8, 8, np.float32)
-        with tile_pool(2) as pool, mock.patch.object(kernels, "POOL_MIN_WORK", 0), \
-                pytest.raises(ShapeError, match=re.escape("q must be 2-D and of positive width, got shape (512,)")):
-            self.CALLS[call][1](q[:, 0], (k, v), (k, v))
-        assert pool.submitted == 0
-
-    @pytest.mark.parametrize("q_width, k_width", [(2, 4), (8, 4), (4, 1)])
-    @pytest.mark.parametrize("call", CALLS)
-    def test_width_mismatch_names_q_and_the_partition(self, call, q_width, k_width):
-        # 512 queries over 64 keys tile once POOL_MIN_WORK is 0, so a late check would submit tiles.
-        q, k, v = partition_inputs(54, 512, 64, 8, 8, np.float32)
-        q = q[:, :q_width]
-        index, run = self.CALLS[call]
-        k_same, k_bad = k[:, :q_width], k[:, :k_width]
-        message = re.escape(f"q of shape {q.shape} and partition {index}'s k of shape {k_bad.shape} differ in width")
-        with tile_pool(2) as pool, mock.patch.object(kernels, "POOL_MIN_WORK", 0), \
-                pytest.raises(ShapeError, match=message):
-            run(q, (k_same, v), (k_bad, v))
-        assert pool.submitted == 0
-
-
-ALL_POLICIES = (AttentionPolicy.plain(), AttentionPolicy.concat(), AttentionPolicy.cross_frame(),
-                AttentionPolicy.rfg(0.35), AttentionPolicy.rfg_multi((0.3, 0.2)), AttentionPolicy.rfg_matrix())
-
-
-class TestApplyPolicyOperands:
-    """``apply_policy`` checks the block's own ``k`` and ``v`` under every policy, before any tile runs.
-
-    These are the shape cases ``AttentionInputs`` once checked. The block's own
-    partition follows the policy's references, so its index is ``reference_count``.
-    """
-
-    # 512 queries of width 8 over 64 keys; each fault replaces the block's own (k, v).
-    SELF_FAULTS = {
-        "k-wider-than-q": (lambda k, v: (np.concatenate([k, k[:, :1]], axis=1), v),
-                           "q of shape (512, 8) and partition {i}'s k of shape (64, 9) differ in width"),
-        "kv-row-mismatch": (lambda k, v: (k, np.concatenate([v, v[:1]])),
-                            "partition {i} needs 2-D k and v with equal row counts, got (64, 8) and (65, 8)"),
-        "3-d-k": (lambda k, v: (k[None], v),
-                  "partition {i} needs 2-D k and v with equal row counts, got (1, 64, 8) and (64, 8)"),
-        "keyless-k": (lambda k, v: (k[:0], v[:0]), "partition {i} has no keys: its k has shape (0, 8)"),
-    }
-
-    @pytest.mark.parametrize("fault", SELF_FAULTS)
-    @pytest.mark.parametrize("policy", ALL_POLICIES, ids=lambda policy: policy.kind)
-    def test_bad_own_partition_is_named_before_any_tile(self, policy, fault):
-        q, k, v = partition_inputs(55, 512, 64, 8, 8, np.float32)
-        own, message = self.SELF_FAULTS[fault]
-        inputs = AttentionInputs(q, *own(k, v))
-        with tile_pool(2) as pool, mock.patch.object(kernels, "POOL_MIN_WORK", 0), \
-                pytest.raises(ShapeError, match=re.escape(message.format(i=policy.reference_count))):
-            apply_policy(inputs, policy, [(k, v)] * policy.reference_count)
-        assert pool.submitted == 0
-
-
-def _operand_routes():
-    """Every route over one reference and the sample's own partition, as ``name -> run(q, ref, own)``."""
-    def coefficient(q, ref):
-        return np.full((q.shape[0], ref[1].shape[1]), 0.5, q.dtype)
-
-    routes = {
-        "partitions": lambda q, ref, own: kernels.partitions(q, [ref, own]),
-        "concat_attention": lambda q, ref, own: concat_attention(q, *ref, *own),
-        "rfg_attention": lambda q, ref, own: rfg_attention(q, *ref, *own, 0.35),
-        **{f"rfg_multi-c{c}": lambda q, ref, own, c=c: rfg_multi(q, [(c, *ref)], *own) for c in (0.0, 0.3, 1.0)},
-        "rfg_matrix": lambda q, ref, own: rfg_matrix(q, *ref, *own, coefficient(q, ref)),
-        "guidance_form": lambda q, ref, own: guidance_form(q, *ref, *own, coefficient(q, ref)),
-    }
-    for policy in ALL_POLICIES[1:]:  # "plain" reads no reference
-        if policy.kind == "rfg-multi":
-            policy = AttentionPolicy.rfg_multi((0.3,))
-        routes[f"apply_policy-{policy.kind}"] = lambda q, ref, own, policy=policy: apply_policy(
-            AttentionInputs(q, *own), policy, [ref])
-    return routes
+# Every public route once: name -> (the operands it reads, run). ``run(q, kvs, coefficient)`` calls the route on the
+# (k, v) partitions it passes to ``_operands``, in order; the names are q, partition i's k and v as "ki vi", and the
+# coefficient or the reference list where the route takes one.
+ROUTES = {
+    "attention": ("q k0 v0", lambda q, kvs, c: attention(q, *kvs[0])),
+    "partitions": ("q k0 v0 k1 v1", lambda q, kvs, c: kernels.partitions(q, kvs)),
+    "concat_attention": ("q k0 v0 k1 v1", lambda q, kvs, c: concat_attention(q, *kvs[0], *kvs[1])),
+    # Reads no v: it passes each k's zero-width slice in the v's place, so no v fault runs on it.
+    "concat_coefficient_vector": ("q k0 k1", lambda q, kvs, c: concat_coefficient_vector(q, kvs[0][0], kvs[1][0])),
+    "rfg_attention": ("q k0 v0 k1 v1", lambda q, kvs, c: rfg_attention(q, *kvs[0], *kvs[1], 0.35)),
+    # At c = 0 and c = 1 the lone-reference shortcut runs one partition; it must still check both.
+    **{f"rfg_multi-c{s}": ("q k0 v0 k1 v1", lambda q, kvs, c, s=s: rfg_multi(q, [(s, *kvs[0])], *kvs[1]))
+       for s in (0.0, 0.3, 1.0)},
+    "rfg_multi-two-references": ("q k0 v0 k1 v1 k2 v2",
+                                 lambda q, kvs, c: rfg_multi(q, [(0.3, *kvs[0]), (0.2, *kvs[1])], *kvs[2])),
+    "rfg_matrix": ("q k0 v0 k1 v1 coefficient", lambda q, kvs, c: rfg_matrix(q, *kvs[0], *kvs[1], c)),
+    "guidance_form": ("q k0 v0 k1 v1 coefficient", lambda q, kvs, c: guidance_form(q, *kvs[0], *kvs[1], c)),
+    "apply_policy-plain": ("q k0 v0", _policy_route(AttentionPolicy.plain())),
+    "apply_policy-concat": ("q k0 v0 k1 v1 references", _policy_route(AttentionPolicy.concat())),
+    "apply_policy-cross-frame": ("q k0 v0 k1 v1 references", _policy_route(AttentionPolicy.cross_frame())),
+    "apply_policy-rfg": ("q k0 v0 k1 v1 references", _policy_route(AttentionPolicy.rfg(0.35))),
+    "apply_policy-rfg-multi": ("q k0 v0 k1 v1 k2 v2 references", _policy_route(AttentionPolicy.rfg_multi((0.3, 0.2)))),
+    "apply_policy-rfg-matrix": ("q k0 v0 k1 v1 references", _policy_route(AttentionPolicy.rfg_matrix())),
+}
 
 
 def _with(a, value):
-    """A copy of ``a`` with ``value`` at entry (5, 3)."""
+    """A copy of ``a`` with ``value`` at its last entry: for q, in the last tile."""
     a = a.copy()
-    a[5, 3] = value
+    a[-1, -1] = value
     return a
 
 
-class TestOneOperandRule:
-    """Every route applies ``_operands``' one rule to the reference (partition 0) and the sample's own (1)."""
+# Each fault once: name -> (the operands it corrupts, one at a time; how; the error; its message). Operands are "q",
+# "k", "v", "kv" (a partition's k and v together), "coefficient", "references" (apply_policy's list) and "every" (all
+# at once). The message's fields: {i} the corrupted partition, {name} the operand as the kernels name it, {v} the shape
+# of the v passed beside a corrupted k, and a policy's {kind}, the {count} of references it reads, and those {passed}.
+FAULTS = {
+    "one-dimensional-q": ("q", lambda a: a[:, 0], ShapeError, "q must be 2-D and of positive width, got shape (512,)"),
+    "zero-width-q": ("q", lambda a: a[:, :0], ShapeError, "q must be 2-D and of positive width, got shape (512, 0)"),
+    "narrower-q": ("q", lambda a: a[:, :4], ShapeError,
+                   "q of shape (512, 4) and partition 0's k of shape (64, 8) differ in width"),
+    "float32-q": ("q", lambda a: a.astype(np.float32), ValueError,
+                  "mixed dtypes in one kernel call: float32 vs float64"),
+    # concat_attention checks each partition: a float32 k stacked with a float64 one promotes to q's float64.
+    "float32": ("k v coefficient", lambda a: a.astype(np.float32), ValueError,
+                "mixed dtypes in one kernel call: float64 vs float32"),
+    # One dtype for every operand, but none the precision table names.
+    **{f"all-{np.dtype(t)}": ("every", lambda a, t=t: a.astype(t), ValueError,
+                              f"kernels work in float32 or float64, got {np.dtype(t)}")
+       for t in (np.int32, np.float16, np.bool_)},
+    # A NaN v would otherwise reach its output rows silently.
+    **{name: ("q k v coefficient", lambda a, value=value: _with(a, value), ValueError, "{name} has non-finite entries")
+       for name, value in (("nan", np.nan), ("inf", np.inf), ("minus-inf", -np.inf))},
+    "one-dimensional-k": ("k", lambda a: a[:, 0], ShapeError,
+                          "partition {i} needs 2-D k and v with equal row counts, got (64,) and {v}"),
+    "three-dimensional-k": ("k", lambda a: a[None], ShapeError,
+                            "partition {i} needs 2-D k and v with equal row counts, got (1, 64, 8) and {v}"),
+    "wider-k": ("k", lambda a: np.concatenate([a, a[:, :1]], axis=1), ShapeError,
+                "q of shape (512, 8) and partition {i}'s k of shape (64, 9) differ in width"),
+    # A one-wide k or v would broadcast.
+    "one-wide-k": ("k", lambda a: a[:, :1], ShapeError,
+                   "q of shape (512, 8) and partition {i}'s k of shape (64, 1) differ in width"),
+    "one-dimensional-v": ("v", lambda a: a[:, 0], ShapeError,
+                          "partition {i} needs 2-D k and v with equal row counts, got (64, 8) and (64,)"),
+    # Row counts that differ per partition can agree once stacked (see ``test_faults_numpy_misses_raise``).
+    "v-one-row-short": ("v", lambda a: a[:-1], ShapeError,
+                        "partition {i} needs 2-D k and v with equal row counts, got (64, 8) and (63, 8)"),
+    "v-one-row-long": ("v", lambda a: np.concatenate([a, a[:1]]), ShapeError,
+                       "partition {i} needs 2-D k and v with equal row counts, got (64, 8) and (65, 8)"),
+    # Partition 0's v sets the width, so a one-wide v there is named from partition 1's side.
+    "one-wide-v": ("v", lambda a: a[:, :1], ShapeError, lambda i, **_: (
+        f"partition {i}'s v of shape (64, 1) and partition 0's v of shape (64, 8) differ in width" if i else
+        "partition 1's v of shape (64, 8) and partition 0's v of shape (64, 1) differ in width")),
+    "keyless": ("kv", lambda a: a[:0], ShapeError, "partition {i} has no keys: its k has shape (0, 8)"),
+    "coefficient-shape": ("coefficient", lambda a: a[:, :4], ShapeError,
+                          "coefficient shape (512, 4) does not match output shape (512, 8)"),
+    "one-reference-short": ("references", lambda refs: refs[:-1], ValueError,
+                            "policy {kind!r} needs {count} reference (k, v) pair(s), got {passed}"),
+    "one-reference-extra": ("references", lambda refs: [*refs, refs[0]], ValueError,
+                            "policy {kind!r} needs {count} reference (k, v) pair(s), got {passed}"),
+}
 
-    ROUTES = _operand_routes()
-    # Each fault as (q, reference, own) from one query and 64-key (k, v) pair, the error, and its message.
-    FAULTS = {
-        # Row counts that differ per partition but agree once stacked, so stacking alone pairs keys with wrong values.
-        "rows-differ-in-both": (lambda q, k, v: (q, (k, v[:63]), (k, np.concatenate([v, v[:1]]))), ShapeError,
-                                "partition 0 needs 2-D k and v with equal row counts, got (64, 8) and (63, 8)"),
-        # A 1-wide reference v would broadcast against the sample's own output.
-        "one-wide-reference-v": (lambda q, k, v: (q, (k, v[:, :1]), (k, v)), ShapeError,
-                                 "partition 1's v of shape (64, 8) and partition 0's v of shape (64, 1) differ in width"),
-        "narrower-own-v": (lambda q, k, v: (q, (k, v), (k, v[:, :5])), ShapeError,
-                           "partition 1's v of shape (64, 5) and partition 0's v of shape (64, 8) differ in width"),
-        # The lone-reference shortcut at c = 1 runs the reference partition only.
-        "rows-differ-in-own": (lambda q, k, v: (q, (k, v), (k, np.concatenate([v, v[:1]]))), ShapeError,
-                               "partition 1 needs 2-D k and v with equal row counts, got (64, 8) and (65, 8)"),
-        "keyless-own": (lambda q, k, v: (q, (k, v), (k[:0], v[:0])), ShapeError,
-                        "partition 1 has no keys: its k has shape (0, 8)"),
-        # Non-finite entries; a NaN v would otherwise reach its output rows silently. The shortcut skips the
-        # sample's own v at c = 1 and the reference's k and v at c = 0.
-        "nan-in-own-v": (lambda q, k, v: (q, (k, v), (k, _with(v, np.nan))), ValueError,
-                         "partition 1's v has non-finite entries"),
-        "inf-in-reference-k": (lambda q, k, v: (q, (_with(k, np.inf), v), (k, v)), ValueError,
-                               "partition 0's k has non-finite entries"),
-        "minus-inf-in-reference-v": (lambda q, k, v: (q, (k, _with(v, -np.inf)), (k, v)), ValueError,
-                                     "partition 0's v has non-finite entries"),
-        "nan-in-q": (lambda q, k, v: (_with(q, np.nan), (k, v), (k, v)), ValueError, "q has non-finite entries"),
-        # One dtype for every operand, but none the precision table names.
-        **{f"all-{np.dtype(t)}": (lambda q, k, v, t=t: (q.astype(t), *[(k.astype(t), v.astype(t))] * 2), ValueError,
-                                  f"kernels work in float32 or float64, got {np.dtype(t)}")
-           for t in (np.int32, np.float16, np.bool_)},
-    }
 
-    @pytest.mark.parametrize("fault", FAULTS)
-    @pytest.mark.parametrize("route", ROUTES)
-    def test_fault_is_named_before_any_tile(self, route, fault):
-        # 512 queries over 64 keys tile once POOL_MIN_WORK is 0, so a late check would submit tiles.
-        q, k, v = partition_inputs(56, 512, 64, 8, 8, np.float32)
-        operands, error, message = self.FAULTS[fault]
+def _cases():
+    """``(route, fault, operand)``: each fault on every operand of every route that reads it, with the three exceptions
+    the kernels' rules make (one is ``concat_coefficient_vector``'s, in ``ROUTES``)."""
+    for route, (names, _) in ROUTES.items():
+        for fault, (where, *_) in FAULTS.items():
+            kinds = where.replace("kv", "k").split()
+            read = [name for name in names.split() if name.rstrip("0123456789") in kinds]
+            for operand in ["every"] if where == "every" else read:
+                # A concat reference may be empty: concat_attention passes ``keyless=(0,)``.
+                if fault == "keyless" and operand == "k0" and route in ("concat_attention", "apply_policy-concat"):
+                    continue
+                # A v width can only mismatch another partition's, so a one-partition route has no v-width fault.
+                if fault == "one-wide-v" and _partition_count(names) == 1:
+                    continue
+                yield route, fault, operand
+
+
+CASES = list(_cases())
+
+
+def boundary_operands(names, length=512):
+    """f64 operands by name: ``length`` x 8 ``q`` and coefficient, and a 64 x 8 k and v per partition in ``names``.
+
+    512 queries over 64 keys tile once ``POOL_MIN_WORK`` is 0, so a late check would submit tiles.
+    """
+    operands = {"q": partition_inputs(56, length, 64, 8, 8, np.float64)[0],
+                "coefficient": np.full((length, 8), 0.5)}
+    for i in range(_partition_count(names)):
+        operands[f"k{i}"], operands[f"v{i}"] = partition_inputs(57 + i, length, 64, 8, 8, np.float64)[1:]
+    return operands
+
+
+def partition_list(names, operands):
+    """The ``(k, v)`` partitions in ``operands`` that a route reading ``names`` passes, in order."""
+    return [(operands[f"k{i}"], operands[f"v{i}"]) for i in range(_partition_count(names))]
+
+
+class TestOperandBoundary:
+    """Every public route names each fault in an operand it reads at entry, with one rule, before any tile runs."""
+
+    @pytest.mark.parametrize("route, fault, operand", CASES, ids=["-".join(case) for case in CASES])
+    def test_fault_is_named_before_any_tile(self, route, fault, operand):
+        names, run = ROUTES[route]
+        where, corrupt, error, message = FAULTS[fault]
+        operands = boundary_operands(names)
+        i = int(operand[1:]) if operand[1:].isdigit() else None  # the partition of a "ki" or "vi" operand
+        if operand == "every":
+            operands = {name: corrupt(a) for name, a in operands.items()}
+        elif operand != "references":
+            for name in [operand, f"v{i}"] if where == "kv" else [operand]:
+                operands[name] = corrupt(operands[name])
+        kvs = partition_list(names, operands)
+        if operand == "references":
+            kvs = [*corrupt(kvs[:-1]), kvs[-1]]
+        fields = {"i": i, "name": operand if i is None else f"partition {i}'s {operand[0]}",
+                  "kind": route.removeprefix("apply_policy-"), "count": _partition_count(names) - 1,
+                  "passed": len(kvs) - 1}
+        if operand[0] == "k":
+            # Beside partition i's k the route passes its v or, where it reads none, the k's zero-width slice.
+            fields["v"] = (kvs[i][1] if f"v{i}" in names.split() else kvs[i][0][..., :0]).shape
+        message = message(**fields) if callable(message) else message.format(**fields)
         with tile_pool(2) as pool, mock.patch.object(kernels, "POOL_MIN_WORK", 0), \
                 pytest.raises(error, match=re.escape(message)):
-            self.ROUTES[route](*operands(q, k, v))
+            run(operands["q"], kvs, operands["coefficient"])
         assert pool.submitted == 0
 
     # Three calls on an f32 4x8 query whose faults numpy alone does not catch: each would return a 4x5 result.
@@ -1100,23 +966,12 @@ class TestOneOperandRule:
 class TestOneCheckPerCall:
     """Each public route checks once, at entry: one ``_operands`` call, one ``np.isfinite`` read per operand entry."""
 
-    # The routes of ``_operand_routes`` read all five operands; the others read the ones named.
-    ROUTES = {
-        **{name: (run, "q k_ref v_ref k_self v_self") for name, run in _operand_routes().items()},
-        "attention": (lambda q, ref, own: attention(q, *own), "q k_self v_self"),
-        "apply_policy-plain": (lambda q, ref, own: apply_policy(AttentionInputs(q, *own), AttentionPolicy.plain()),
-                               "q k_self v_self"),
-        "concat_coefficient_vector": (lambda q, ref, own: concat_coefficient_vector(q, ref[0], own[0]),
-                                      "q k_ref k_self"),
-    }
-
     @pytest.mark.parametrize("length", [64, 512], ids=["untiled", "tiled"])
     @pytest.mark.parametrize("route", ROUTES)
     def test_each_operand_entry_is_read_once(self, route, length):
-        q, k_ref, v_ref = partition_inputs(59, length, 64, 8, 8, np.float32)
-        _, k_self, v_self = partition_inputs(60, length, 64, 8, 8, np.float32)
-        operands = {"q": q, "k_ref": k_ref, "v_ref": v_ref, "k_self": k_self, "v_self": v_self}
-        run, names = self.ROUTES[route]
+        names, run = ROUTES[route]
+        operands = boundary_operands(names, length)
+        arrays = [name for name in names.split() if name[0] in "qkv"]
         checks, reads, coefficient_reads, real_operands, real_isfinite = [], [], [], kernels._operands, np.isfinite
 
         def counting_operands(*args, **kwargs):
@@ -1134,41 +989,18 @@ class TestOneCheckPerCall:
         # 512 queries over 64 keys tile once POOL_MIN_WORK is 0; 64 queries never do.
         with tile_pool(2) as pool, mock.patch.object(kernels, "POOL_MIN_WORK", 0), \
                 mock.patch.object(kernels, "_operands", counting_operands), mock.patch.object(np, "isfinite", isfinite):
-            run(q, (k_ref, v_ref), (k_self, v_self))
+            run(operands["q"], partition_list(names, operands), operands["coefficient"])
         assert (pool.submitted > 0) == (length == 512)
         assert len(checks) == 1, checks
-        read = {name for name, a in operands.items() for b in reads if b is a}
-        assert read == set(names.split()), read
-        assert sum(np.size(a) for a in reads) == sum(operands[name].size for name in names.split())
-        assert coefficient_reads == ([length * v_ref.shape[1]] if route in ("rfg_matrix", "guidance_form") else [])
+        assert {name for name, a in operands.items() for b in reads if b is a} == set(arrays)
+        assert sum(np.size(a) for a in reads) == sum(operands[name].size for name in arrays)
+        assert coefficient_reads == ([length * 8] if "coefficient" in names else [])
 
     def test_only_public_entries_call_the_rule(self):
         tree = ast.parse(Path(kernels.__file__).read_text())
         callers = {top.name for top in tree.body if isinstance(top, ast.FunctionDef) for node in ast.walk(top)
                    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_operands"}
         assert callers == {"attention", "partitions", "concat_attention", "rfg_multi", "_coefficient_branches"}
-
-
-class TestCoefficientCheck:
-    """``rfg_matrix`` and ``guidance_form`` reject a bad coefficient before any tile runs."""
-
-    FAULTS = {
-        "shape": (lambda c: c[:, :4], ShapeError, "coefficient shape (512, 4) does not match output shape (512, 8)"),
-        "dtype": (lambda c: c.astype(np.float64), ValueError, "mixed dtypes in one kernel call: float32 vs float64"),
-        **{name: (lambda c, value=value: _with(c, value), ValueError, "coefficient has non-finite entries")
-           for name, value in (("nan", np.nan), ("inf", np.inf), ("minus-inf", -np.inf))},
-    }
-
-    @pytest.mark.parametrize("fault", FAULTS)
-    @pytest.mark.parametrize("kernel", [rfg_matrix, guidance_form], ids=["rfg_matrix", "guidance_form"])
-    def test_bad_coefficient_is_rejected_before_any_tile(self, kernel, fault):
-        # 512 queries over 64 keys tile once POOL_MIN_WORK is 0, so a late check would submit tiles.
-        q, k, v = partition_inputs(58, 512, 64, 8, 8, np.float32)
-        bad, error, message = self.FAULTS[fault]
-        with tile_pool(2) as pool, mock.patch.object(kernels, "POOL_MIN_WORK", 0), \
-                pytest.raises(error, match=re.escape(message)):
-            kernel(q, k, v, k, v, bad(np.full((512, 8), 0.5, np.float32)))
-        assert pool.submitted == 0
 
 
 class TestRank1Coefficient:
@@ -1215,11 +1047,6 @@ class TestMatrixBlendEquivalence:
         a = rfg_matrix(q, k_ref, v_ref, k_self, v_self, coeff)
         b = guidance_form(q, k_ref, v_ref, k_self, v_self, coeff)
         assert max_rel_error(a, b) < 1e-14
-
-    def test_coefficient_shape_checked(self):
-        q, k_ref, v_ref, k_self, v_self = draw_set(71)
-        with pytest.raises(ShapeError):
-            rfg_matrix(q, k_ref, v_ref, k_self, v_self, np.zeros((1, 1)))
 
     def test_out_of_range_coefficient_still_computes(self):
         # The corruption hook feeds coefficients outside (0,1); the blend must
@@ -1276,15 +1103,6 @@ class TestAttentionPolicy:
     def test_total_magnitude_of_one_does_not_warn(self, policy, recwarn):
         AttentionPolicy(policy.kind, policy.strengths)
         assert not recwarn
-
-    def test_needs_reference(self):
-        assert AttentionPolicy.plain().reference_count == 0
-        assert AttentionPolicy.cross_frame().reference_count == 1
-
-    def test_reference_counts(self):
-        assert AttentionPolicy.plain().reference_count == 0
-        assert AttentionPolicy.concat().reference_count == 1
-        assert AttentionPolicy.rfg_multi((0.2, 0.3, 0.1)).reference_count == 3
 
     @pytest.mark.parametrize("policy, strengths, strength, count", [
         (AttentionPolicy.plain(), (), 0.0, 0),
@@ -1361,13 +1179,3 @@ class TestApplyPolicy:
             for _ in range(2):
                 apply_policy(inputs, policy, [cache] * refs)
         assert calls == [list(policy.strengths)] * 2
-
-    def test_missing_cache_rejected(self):
-        inputs, _, _ = self.make()
-        with pytest.raises(ValueError, match="reference"):
-            apply_policy(inputs, AttentionPolicy.concat())
-
-    def test_cache_count_mismatch_rejected(self):
-        inputs, cache, _ = self.make()
-        with pytest.raises(ValueError, match="reference"):
-            apply_policy(inputs, AttentionPolicy.rfg_multi((0.2, 0.2)), [cache])

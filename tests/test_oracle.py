@@ -1,6 +1,5 @@
 import ast
 import hashlib
-import importlib.util
 import json
 import math
 import os
@@ -36,22 +35,16 @@ from refguide.oracle import (
 )
 from refguide.rng import stream
 
+from helpers import load_file
+
 SMALL_GRID = ((1, 1, 1), (2, 4, 2), (4, 4, 4))
 BASELINES = json.loads((Path(__file__).parent / "data" / "baselines.json").read_text())
 ORACLE_DIGESTS = BASELINES["oracle_concat_digests_seed0"]
 CHECK_DIGESTS = BASELINES["check_report_digests"]
 
 
-def _load_recorder():
-    """``scripts/record_baselines.py``, whose tables name every recorded run."""
-    path = Path(__file__).resolve().parents[1] / "scripts" / "record_baselines.py"
-    spec = importlib.util.spec_from_file_location("record_baselines", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-RECORDER = _load_recorder()
+# ``scripts/record_baselines.py``, whose tables name every recorded run.
+RECORDER = load_file("scripts/record_baselines.py", "record_baselines")
 
 
 class TestNaiveAttention:

@@ -1,5 +1,5 @@
-import importlib.util
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -22,19 +22,13 @@ from refguide.pipeline import (
     trajectory_distance,
 )
 
+from helpers import load_file
+
 BASELINES = json.loads((Path(__file__).parent / "data" / "baselines.json").read_text())
 
 
-def _load_recorder():
-    """``scripts/record_baselines.py``, whose tables name every recorded run."""
-    path = Path(__file__).resolve().parents[1] / "scripts" / "record_baselines.py"
-    spec = importlib.util.spec_from_file_location("record_baselines", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-RECORDER = _load_recorder()
+# ``scripts/record_baselines.py``, whose tables name every recorded run.
+RECORDER = load_file("scripts/record_baselines.py", "record_baselines")
 
 # Small architecture for fast unit runs; acceptance tests use the defaults.
 SMALL = dict(side=6, blocks=2, d_model=8, d=8, d_v=8, steps=6)
@@ -79,6 +73,12 @@ class TestPipelineConfig:
     def test_layer_strengths_length_checked(self):
         with pytest.raises(ValueError, match="layer_strengths"):
             PipelineConfig(layer_strengths=(0.1, 0.2))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_layer_strength_is_named(self, bad):
+        # The config itself raises, so no weight is drawn before the error.
+        with pytest.raises(ValueError, match=re.escape(f"layer_strengths must be finite, got (0.1, {bad}, 0.1, 0.1)")):
+            PipelineConfig(layer_strengths=(0.1, bad, 0.1, 0.1))
 
     def test_layer_policies_expand(self):
         cfg = PipelineConfig(layer_strengths=(0.1, 0.2, 0.3, 0.4))
