@@ -797,7 +797,7 @@ def _policy_route(policy):
 
 # Every public route once: name -> (the operands it reads, run). ``run(q, kvs, coefficient)`` calls the route on the
 # (k, v) partitions it passes to ``_operands``, in order; the names are q, partition i's k and v as "ki vi", and the
-# coefficient or the reference list where the route takes one.
+# coefficient where the route takes one.
 ROUTES = {
     "attention": ("q k0 v0", lambda q, kvs, c: attention(q, *kvs[0])),
     "partitions": ("q k0 v0 k1 v1", lambda q, kvs, c: kernels.partitions(q, kvs)),
@@ -813,11 +813,11 @@ ROUTES = {
     "rfg_matrix": ("q k0 v0 k1 v1 coefficient", lambda q, kvs, c: rfg_matrix(q, *kvs[0], *kvs[1], c)),
     "guidance_form": ("q k0 v0 k1 v1 coefficient", lambda q, kvs, c: guidance_form(q, *kvs[0], *kvs[1], c)),
     "apply_policy-plain": ("q k0 v0", _policy_route(AttentionPolicy.plain())),
-    "apply_policy-concat": ("q k0 v0 k1 v1 references", _policy_route(AttentionPolicy.concat())),
-    "apply_policy-cross-frame": ("q k0 v0 k1 v1 references", _policy_route(AttentionPolicy.cross_frame())),
-    "apply_policy-rfg": ("q k0 v0 k1 v1 references", _policy_route(AttentionPolicy.rfg(0.35))),
-    "apply_policy-rfg-multi": ("q k0 v0 k1 v1 k2 v2 references", _policy_route(AttentionPolicy.rfg_multi((0.3, 0.2)))),
-    "apply_policy-rfg-matrix": ("q k0 v0 k1 v1 references", _policy_route(AttentionPolicy.rfg_matrix())),
+    "apply_policy-concat": ("q k0 v0 k1 v1", _policy_route(AttentionPolicy.concat())),
+    "apply_policy-cross-frame": ("q k0 v0 k1 v1", _policy_route(AttentionPolicy.cross_frame())),
+    "apply_policy-rfg": ("q k0 v0 k1 v1", _policy_route(AttentionPolicy.rfg(0.35))),
+    "apply_policy-rfg-multi": ("q k0 v0 k1 v1 k2 v2", _policy_route(AttentionPolicy.rfg_multi((0.3, 0.2)))),
+    "apply_policy-rfg-matrix": ("q k0 v0 k1 v1", _policy_route(AttentionPolicy.rfg_matrix())),
 }
 
 
@@ -828,20 +828,25 @@ def _with(a, value):
     return a
 
 
+def _other_precision(a):
+    """``a`` in the precision the call's other operands are not in."""
+    return a.astype(np.float32 if a.dtype == np.float64 else np.float64)
+
+
 # Each fault once: name -> (the operands it corrupts, one at a time; how; the error; its message). Operands are "q",
-# "k", "v", "kv" (a partition's k and v together), "coefficient", "references" (apply_policy's list) and "every" (all
-# at once). The message's fields: {i} the corrupted partition, {name} the operand as the kernels name it, {v} the shape
-# of the v passed beside a corrupted k, and a policy's {kind}, the {count} of references it reads, and those {passed}.
+# "k", "v", "kv" (a partition's k and v together), "coefficient", "every" (all at once), or one operand by name. The
+# message's fields: {i} the corrupted partition, {name} the operand as the kernels name it, {v} the shape of the v
+# passed beside a corrupted k, and the call's {base} precision and the {other} one.
 FAULTS = {
     "one-dimensional-q": ("q", lambda a: a[:, 0], ShapeError, "q must be 2-D and of positive width, got shape (512,)"),
     "zero-width-q": ("q", lambda a: a[:, :0], ShapeError, "q must be 2-D and of positive width, got shape (512, 0)"),
     "narrower-q": ("q", lambda a: a[:, :4], ShapeError,
                    "q of shape (512, 4) and partition 0's k of shape (64, 8) differ in width"),
-    "float32-q": ("q", lambda a: a.astype(np.float32), ValueError,
-                  "mixed dtypes in one kernel call: float32 vs float64"),
-    # concat_attention checks each partition: a float32 k stacked with a float64 one promotes to q's float64.
-    "float32": ("k v coefficient", lambda a: a.astype(np.float32), ValueError,
-                "mixed dtypes in one kernel call: float64 vs float32"),
+    "other-precision-q": ("q", _other_precision, ValueError, "mixed dtypes in one kernel call: {other} vs {base}"),
+    # A coefficient of the other precision would upcast the blend's result. concat_attention checks each partition:
+    # a float32 k stacked with a float64 one promotes to float64.
+    "other-precision": ("k v coefficient", _other_precision, ValueError,
+                        "mixed dtypes in one kernel call: {base} vs {other}"),
     # One dtype for every operand, but none the precision table names.
     **{f"all-{np.dtype(t)}": ("every", lambda a, t=t: a.astype(t), ValueError,
                               f"kernels work in float32 or float64, got {np.dtype(t)}")
@@ -866,16 +871,13 @@ FAULTS = {
     "v-one-row-long": ("v", lambda a: np.concatenate([a, a[:1]]), ShapeError,
                        "partition {i} needs 2-D k and v with equal row counts, got (64, 8) and (65, 8)"),
     # Partition 0's v sets the width, so a one-wide v there is named from partition 1's side.
-    "one-wide-v": ("v", lambda a: a[:, :1], ShapeError, lambda i, **_: (
-        f"partition {i}'s v of shape (64, 1) and partition 0's v of shape (64, 8) differ in width" if i else
-        "partition 1's v of shape (64, 8) and partition 0's v of shape (64, 1) differ in width")),
+    "one-wide-v0": ("v0", lambda a: a[:, :1], ShapeError,
+                    "partition 1's v of shape (64, 8) and partition 0's v of shape (64, 1) differ in width"),
+    "one-wide-later-v": ("v1 v2", lambda a: a[:, :1], ShapeError,
+                         "partition {i}'s v of shape (64, 1) and partition 0's v of shape (64, 8) differ in width"),
     "keyless": ("kv", lambda a: a[:0], ShapeError, "partition {i} has no keys: its k has shape (0, 8)"),
     "coefficient-shape": ("coefficient", lambda a: a[:, :4], ShapeError,
                           "coefficient shape (512, 4) does not match output shape (512, 8)"),
-    "one-reference-short": ("references", lambda refs: refs[:-1], ValueError,
-                            "policy {kind!r} needs {count} reference (k, v) pair(s), got {passed}"),
-    "one-reference-extra": ("references", lambda refs: [*refs, refs[0]], ValueError,
-                            "policy {kind!r} needs {count} reference (k, v) pair(s), got {passed}"),
 }
 
 
@@ -885,13 +887,13 @@ def _cases():
     for route, (names, _) in ROUTES.items():
         for fault, (where, *_) in FAULTS.items():
             kinds = where.replace("kv", "k").split()
-            read = [name for name in names.split() if name.rstrip("0123456789") in kinds]
+            read = [name for name in names.split() if name in kinds or name.rstrip("0123456789") in kinds]
             for operand in ["every"] if where == "every" else read:
                 # A concat reference may be empty: concat_attention passes ``keyless=(0,)``.
                 if fault == "keyless" and operand == "k0" and route in ("concat_attention", "apply_policy-concat"):
                     continue
                 # A v width can only mismatch another partition's, so a one-partition route has no v-width fault.
-                if fault == "one-wide-v" and _partition_count(names) == 1:
+                if fault == "one-wide-v0" and _partition_count(names) == 1:
                     continue
                 yield route, fault, operand
 
@@ -899,16 +901,20 @@ def _cases():
 CASES = list(_cases())
 
 
-def boundary_operands(names, length=512):
-    """f64 operands by name: ``length`` x 8 ``q`` and coefficient, and a 64 x 8 k and v per partition in ``names``.
+def boundary_operands(names, dtype, length=512):
+    """Operands by name in ``dtype``: ``length`` x 8 ``q`` and coefficient, and a 64 x 8 k and v per partition in
+    ``names``.
 
     512 queries over 64 keys tile once ``POOL_MIN_WORK`` is 0, so a late check would submit tiles.
     """
-    operands = {"q": partition_inputs(56, length, 64, 8, 8, np.float64)[0],
-                "coefficient": np.full((length, 8), 0.5)}
+    operands = {"q": partition_inputs(56, length, 64, 8, 8, dtype)[0], "coefficient": np.full((length, 8), 0.5, dtype)}
     for i in range(_partition_count(names)):
-        operands[f"k{i}"], operands[f"v{i}"] = partition_inputs(57 + i, length, 64, 8, 8, np.float64)[1:]
+        operands[f"k{i}"], operands[f"v{i}"] = partition_inputs(57 + i, length, 64, 8, 8, dtype)[1:]
     return operands
+
+
+# Each fault runs at both precisions: a wider operand in an f32 call is the mistake ``np.full``'s float64 invites.
+PRECISIONS = pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
 
 
 def partition_list(names, operands):
@@ -919,27 +925,25 @@ def partition_list(names, operands):
 class TestOperandBoundary:
     """Every public route names each fault in an operand it reads at entry, with one rule, before any tile runs."""
 
+    @PRECISIONS
     @pytest.mark.parametrize("route, fault, operand", CASES, ids=["-".join(case) for case in CASES])
-    def test_fault_is_named_before_any_tile(self, route, fault, operand):
+    def test_fault_is_named_before_any_tile(self, route, fault, operand, dtype):
         names, run = ROUTES[route]
         where, corrupt, error, message = FAULTS[fault]
-        operands = boundary_operands(names)
+        operands = boundary_operands(names, dtype)
         i = int(operand[1:]) if operand[1:].isdigit() else None  # the partition of a "ki" or "vi" operand
         if operand == "every":
             operands = {name: corrupt(a) for name, a in operands.items()}
-        elif operand != "references":
+        else:
             for name in [operand, f"v{i}"] if where == "kv" else [operand]:
                 operands[name] = corrupt(operands[name])
         kvs = partition_list(names, operands)
-        if operand == "references":
-            kvs = [*corrupt(kvs[:-1]), kvs[-1]]
         fields = {"i": i, "name": operand if i is None else f"partition {i}'s {operand[0]}",
-                  "kind": route.removeprefix("apply_policy-"), "count": _partition_count(names) - 1,
-                  "passed": len(kvs) - 1}
+                  "base": np.dtype(dtype), "other": _other_precision(np.empty(0, dtype)).dtype}
         if operand[0] == "k":
             # Beside partition i's k the route passes its v or, where it reads none, the k's zero-width slice.
             fields["v"] = (kvs[i][1] if f"v{i}" in names.split() else kvs[i][0][..., :0]).shape
-        message = message(**fields) if callable(message) else message.format(**fields)
+        message = message.format(**fields)
         with tile_pool(2) as pool, mock.patch.object(kernels, "POOL_MIN_WORK", 0), \
                 pytest.raises(error, match=re.escape(message)):
             run(operands["q"], kvs, operands["coefficient"])
@@ -966,11 +970,12 @@ class TestOperandBoundary:
 class TestOneCheckPerCall:
     """Each public route checks once, at entry: one ``_operands`` call, one ``np.isfinite`` read per operand entry."""
 
+    @PRECISIONS
     @pytest.mark.parametrize("length", [64, 512], ids=["untiled", "tiled"])
     @pytest.mark.parametrize("route", ROUTES)
-    def test_each_operand_entry_is_read_once(self, route, length):
+    def test_each_operand_entry_is_read_once(self, route, length, dtype):
         names, run = ROUTES[route]
-        operands = boundary_operands(names, length)
+        operands = boundary_operands(names, dtype, length)
         arrays = [name for name in names.split() if name[0] in "qkv"]
         checks, reads, coefficient_reads, real_operands, real_isfinite = [], [], [], kernels._operands, np.isfinite
 
@@ -1159,6 +1164,23 @@ class TestApplyPolicy:
         inputs, cache, (q, k_ref, v_ref, k_self, v_self) = self.make()
         out = apply_policy(inputs, AttentionPolicy.rfg_multi((0.4,)), [cache])
         assert np.array_equal(out, rfg_attention(q, k_ref, v_ref, k_self, v_self, 0.4))
+
+    @pytest.mark.parametrize("policy, refs, message", [
+        (AttentionPolicy.concat(), 0, "policy 'concat' needs 1 reference (k, v) pair(s), got 0"),
+        (AttentionPolicy.concat(), 2, "policy 'concat' needs 1 reference (k, v) pair(s), got 2"),
+        (AttentionPolicy.cross_frame(), 0, "policy 'cross-frame' needs 1 reference (k, v) pair(s), got 0"),
+        (AttentionPolicy.cross_frame(), 2, "policy 'cross-frame' needs 1 reference (k, v) pair(s), got 2"),
+        (AttentionPolicy.rfg(0.35), 0, "policy 'rfg' needs 1 reference (k, v) pair(s), got 0"),
+        (AttentionPolicy.rfg(0.35), 2, "policy 'rfg' needs 1 reference (k, v) pair(s), got 2"),
+        (AttentionPolicy.rfg_multi((0.3, 0.2)), 1, "policy 'rfg-multi' needs 2 reference (k, v) pair(s), got 1"),
+        (AttentionPolicy.rfg_multi((0.3, 0.2)), 3, "policy 'rfg-multi' needs 2 reference (k, v) pair(s), got 3"),
+        (AttentionPolicy.rfg_matrix(), 0, "policy 'rfg-matrix' needs 1 reference (k, v) pair(s), got 0"),
+        (AttentionPolicy.rfg_matrix(), 2, "policy 'rfg-matrix' needs 1 reference (k, v) pair(s), got 2"),
+    ])
+    def test_reference_count_is_named(self, policy, refs, message):
+        inputs, cache, _ = self.make()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            apply_policy(inputs, policy, [cache] * refs)
 
     @pytest.mark.parametrize("policy, refs", [
         (AttentionPolicy.cross_frame(), 1),
