@@ -243,7 +243,7 @@ def parse_config(path=None, overrides=None, command=None) -> RunConfig:
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
         if not isinstance(raw, dict):
-            raise ConfigError(f"config root must be a JSON object, got {type(raw).__name__}")
+            raise ConfigError(f"config root in {path} must be a JSON object, got {type(raw).__name__}")
         data.update(raw)
     if overrides:
         data.update({k: v for k, v in overrides.items() if v is not None})

@@ -22,15 +22,16 @@ not finite raises (``row_softmax_inplace``), as finite operands can overflow.
   reproduces ``concat_attention`` up to rounding, which is what the
   equivalence oracle certifies. The "rfg-matrix" policy and the oracle's
   suite get both branches and that mass from ``partitions``; ``rfg_matrix``
-  and ``guidance_form`` run ``_branches`` via ``_coefficient_branches``.
+  and ``guidance_form`` take the coefficient and run ``_branches``.
 
 Each public route checks once, at entry, with one rule, ``_operands``: dtypes,
-shapes, every entry of ``q``, ``k`` and ``v`` finite; ``_branches`` trusts its
-caller. It runs each partition as one ``_tile``, or, if all meet ``tile_rows``'
-rule, as ``TILE_ROWS``-row tiles with the same bytes on a thread pool (one
-thread per usable CPU when BLAS runs one thread, else one), each thread
-reusing one logits scratch (``held_logits``). Every partition's tiles are
-submitted before any is awaited; the pool starts with its first use.
+shapes, every entry of ``q``, ``k``, ``v`` and any coefficient finite;
+``_branches`` trusts its caller. It runs each partition as one ``_tile``, or,
+if all meet ``tile_rows``' rule, as ``TILE_ROWS``-row tiles with the same
+bytes on a thread pool (one thread per usable CPU when BLAS runs one thread,
+else one), each thread reusing one logits scratch (``held_logits``). Every
+partition's tiles are submitted before any is awaited; the pool starts with
+its first use.
 
 ``apply_policy`` runs an ``AttentionPolicy``, a kind plus one strength per
 reference the scalar blend reads, over each reference's ``(k, v)``, so
@@ -186,33 +187,39 @@ def held_logits(length: int, keys: int) -> int:
     return min(length, tile_rows(length, keys) * POOL_WORKERS) * keys
 
 
-def _operands(q, kvs, keyless=()) -> None:
-    """Raise unless ``q`` and the ``(k, v)`` partitions obey every route's one operand rule.
+def _operands(q, kvs, keyless=(), coeff=None) -> None:
+    """Raise unless ``q``, the ``(k, v)`` partitions and any ``coeff`` obey every route's one operand rule.
 
     ``kvs`` is nonempty; all share one dtype, float32 or float64; ``q`` is 2-D of positive width; each
-    partition's ``k`` and ``v`` are 2-D with equal row counts, ``k`` as wide as ``q``, ``v`` as wide as partition
-    0's, and ``k`` has a key unless the partition's index is in ``keyless`` (its own softmax needs one); every
-    entry is finite. An error names ``q`` or the partition.
+    partition's ``k`` is 2-D, as wide as ``q``, with a key unless the partition's index is in ``keyless`` (its own
+    softmax needs one), and then its ``v`` is 2-D with as many rows, as wide as partition 0's; ``coeff`` has the
+    output's shape; every entry is finite. An error names ``q``, the partition's ``k`` or ``v``, or the coefficient.
     """
     if not kvs:
         raise ValueError("a kernel call needs at least one (k, v) partition, got none")
-    if other := {a.dtype for kv in kvs for a in kv} - {q.dtype}:
+    named = [("q", q), *((f"partition {i}'s {n}", a) for i, kv in enumerate(kvs) for n, a in zip("kv", kv)),
+             *([("coefficient", coeff)] if coeff is not None else [])]
+    if other := {a.dtype for _, a in named} - {q.dtype}:
         raise ValueError(f"mixed dtypes in one kernel call: {q.dtype} vs {other.pop()}")
     if q.dtype not in PRECISION_DTYPES.values():
         raise ValueError(f"kernels work in float32 or float64, got {q.dtype}")
     if q.ndim != 2 or q.shape[1] == 0:
         raise ShapeError(f"q must be 2-D and of positive width, got shape {q.shape}")
     for i, (k, v) in enumerate(kvs):
-        if k.ndim != 2 or v.ndim != 2 or k.shape[0] != v.shape[0]:
-            raise ShapeError(f"partition {i} needs 2-D k and v with equal row counts, got {k.shape} and {v.shape}")
+        if k.ndim != 2:
+            raise ShapeError(f"partition {i}'s k must be 2-D, got shape {k.shape}")
         if k.shape[0] == 0 and i not in keyless:
             raise ShapeError(f"partition {i} has no keys: its k has shape {k.shape}")
         if k.shape[1] != q.shape[1]:
             raise ShapeError(f"q of shape {q.shape} and partition {i}'s k of shape {k.shape} differ in width")
+        if v.ndim != 2 or v.shape[0] != k.shape[0]:
+            raise ShapeError(f"partition {i}'s v must be 2-D with the {k.shape[0]} rows of its k, got shape {v.shape}")
         if v.shape[1] != kvs[0][1].shape[1]:
             raise ShapeError(f"partition {i}'s v of shape {v.shape} and partition 0's v of shape {kvs[0][1].shape} "
                              "differ in width")
-    for name, a in (("q", q), *((f"partition {i}'s {n}", a) for i, kv in enumerate(kvs) for n, a in zip("kv", kv))):
+    if coeff is not None and coeff.shape != (shape := (q.shape[0], kvs[0][1].shape[1])):
+        raise ShapeError(f"coefficient shape {coeff.shape} does not match output shape {shape}")
+    for name, a in named:
         if not np.isfinite(a).all():
             raise ValueError(f"{name} has non-finite entries")
 
@@ -337,15 +344,9 @@ def build_rank1_coefficient(c_vec: np.ndarray, d_v: int) -> np.ndarray:
 
 
 def _coefficient_branches(q, k_ref, v_ref, k_self, v_self, coeff) -> list:
-    """``[a_ref, a_self]`` from ``_branches``, once ``_operands`` and ``coeff``'s shape, dtype and finiteness pass."""
+    """``[a_ref, a_self]`` from ``_branches``, once ``_operands`` passes the two partitions and ``coeff``."""
     kvs = [(k_ref, v_ref), (k_self, v_self)]
-    _operands(q, kvs)
-    if coeff.shape != (shape := (q.shape[0], v_ref.shape[1])):
-        raise ShapeError(f"coefficient shape {coeff.shape} does not match output shape {shape}")
-    if coeff.dtype != q.dtype:
-        raise ValueError(f"mixed dtypes in one kernel call: {q.dtype} vs {coeff.dtype}")
-    if not np.isfinite(coeff).all():
-        raise ValueError("coefficient has non-finite entries")
+    _operands(q, kvs, coeff=coeff)
     return [out for out, _, _ in _branches(q, kvs)]
 
 

@@ -195,15 +195,12 @@ def denoise_step(latents, t: int, steps: int, weights, policies: tuple):
 
     ``policies`` holds one AttentionPolicy per block. The first
     ``reference_count`` samples (none under the plain policy) are the
-    references; ``_forward`` runs them with plain attention.
+    references; ``_forward`` runs them with plain attention. Nothing is
+    checked here: ``generate_batch``, the one caller, passes each ``t`` in
+    ``range(steps)``, and ``PipelineConfig`` gives one policy per block and a
+    batch larger than the reference count.
     """
-    if not 0 <= t < steps:
-        raise ValueError(f"step index {t} outside [0, {steps})")
-    if len(policies) != len(weights.blocks):
-        raise ValueError(f"got {len(policies)} per-layer policies for {len(weights.blocks)} blocks")
     n_refs = policies[0].reference_count
-    if latents.shape[0] <= n_refs and n_refs > 0:
-        raise ValueError(f"batch of {latents.shape[0]} cannot supply {n_refs} reference(s) and a guided sample")
     return latents + (_forward(latents, weights, policies, n_refs) - latents) * (1.0 / (steps - t))
 
 
@@ -270,8 +267,8 @@ def generate_batch(config: PipelineConfig) -> Trajectory:
 
 def trajectory_distance(traj: Trajectory, sample: int) -> np.ndarray:
     """Per-step Frobenius distance between ``sample`` and the reference (index 0)."""
-    if not 1 <= sample < traj.batch:
-        raise IndexError(f"sample index must be in [1, {traj.batch}), got {sample}")
+    if isinstance(sample, bool) or not isinstance(sample, (int, np.integer)) or not 1 <= sample < traj.batch:
+        raise IndexError(f"sample index must be an integer in [1, {traj.batch}), got {sample!r}")
     return np.array(
         [frobenius_norm(traj.states[t, sample] - traj.states[t, 0]) for t in range(traj.steps + 1)],
         dtype=np.float64,

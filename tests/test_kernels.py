@@ -835,8 +835,8 @@ def _other_precision(a):
 
 # Each fault once: name -> (the operands it corrupts, one at a time; how; the error; its message). Operands are "q",
 # "k", "v", "kv" (a partition's k and v together), "coefficient", "every" (all at once), or one operand by name. The
-# message's fields: {i} the corrupted partition, {name} the operand as the kernels name it, {v} the shape of the v
-# passed beside a corrupted k, and the call's {base} precision and the {other} one.
+# message's fields: {i} the corrupted partition, {name} the operand as the kernels name it, and the call's {base}
+# precision and the {other} one.
 FAULTS = {
     "one-dimensional-q": ("q", lambda a: a[:, 0], ShapeError, "q must be 2-D and of positive width, got shape (512,)"),
     "zero-width-q": ("q", lambda a: a[:, :0], ShapeError, "q must be 2-D and of positive width, got shape (512, 0)"),
@@ -854,22 +854,20 @@ FAULTS = {
     # A NaN v would otherwise reach its output rows silently.
     **{name: ("q k v coefficient", lambda a, value=value: _with(a, value), ValueError, "{name} has non-finite entries")
        for name, value in (("nan", np.nan), ("inf", np.inf), ("minus-inf", -np.inf))},
-    "one-dimensional-k": ("k", lambda a: a[:, 0], ShapeError,
-                          "partition {i} needs 2-D k and v with equal row counts, got (64,) and {v}"),
-    "three-dimensional-k": ("k", lambda a: a[None], ShapeError,
-                            "partition {i} needs 2-D k and v with equal row counts, got (1, 64, 8) and {v}"),
+    "one-dimensional-k": ("k", lambda a: a[:, 0], ShapeError, "partition {i}'s k must be 2-D, got shape (64,)"),
+    "three-dimensional-k": ("k", lambda a: a[None], ShapeError, "partition {i}'s k must be 2-D, got shape (1, 64, 8)"),
     "wider-k": ("k", lambda a: np.concatenate([a, a[:, :1]], axis=1), ShapeError,
                 "q of shape (512, 8) and partition {i}'s k of shape (64, 9) differ in width"),
     # A one-wide k or v would broadcast.
     "one-wide-k": ("k", lambda a: a[:, :1], ShapeError,
                    "q of shape (512, 8) and partition {i}'s k of shape (64, 1) differ in width"),
     "one-dimensional-v": ("v", lambda a: a[:, 0], ShapeError,
-                          "partition {i} needs 2-D k and v with equal row counts, got (64, 8) and (64,)"),
+                          "partition {i}'s v must be 2-D with the 64 rows of its k, got shape (64,)"),
     # Row counts that differ per partition can agree once stacked (see ``test_faults_numpy_misses_raise``).
     "v-one-row-short": ("v", lambda a: a[:-1], ShapeError,
-                        "partition {i} needs 2-D k and v with equal row counts, got (64, 8) and (63, 8)"),
+                        "partition {i}'s v must be 2-D with the 64 rows of its k, got shape (63, 8)"),
     "v-one-row-long": ("v", lambda a: np.concatenate([a, a[:1]]), ShapeError,
-                       "partition {i} needs 2-D k and v with equal row counts, got (64, 8) and (65, 8)"),
+                       "partition {i}'s v must be 2-D with the 64 rows of its k, got shape (65, 8)"),
     # Partition 0's v sets the width, so a one-wide v there is named from partition 1's side.
     "one-wide-v0": ("v0", lambda a: a[:, :1], ShapeError,
                     "partition 1's v of shape (64, 8) and partition 0's v of shape (64, 1) differ in width"),
@@ -940,9 +938,6 @@ class TestOperandBoundary:
         kvs = partition_list(names, operands)
         fields = {"i": i, "name": operand if i is None else f"partition {i}'s {operand[0]}",
                   "base": np.dtype(dtype), "other": _other_precision(np.empty(0, dtype)).dtype}
-        if operand[0] == "k":
-            # Beside partition i's k the route passes its v or, where it reads none, the k's zero-width slice.
-            fields["v"] = (kvs[i][1] if f"v{i}" in names.split() else kvs[i][0][..., :0]).shape
         message = message.format(**fields)
         with tile_pool(2) as pool, mock.patch.object(kernels, "POOL_MIN_WORK", 0), \
                 pytest.raises(error, match=re.escape(message)):
@@ -952,11 +947,11 @@ class TestOperandBoundary:
     # Three calls on an f32 4x8 query whose faults numpy alone does not catch: each would return a 4x5 result.
     SILENT = {
         "concat_attention": (lambda m: concat_attention(m(4, 8), m(3, 8), m(2, 5), m(2, 8), m(3, 5)),
-                             "partition 0 needs 2-D k and v"),
+                             "partition 0's v must be 2-D with the 3 rows of its k, got shape (2, 5)"),
         "rfg_attention": (lambda m: rfg_attention(m(4, 8), m(3, 8), m(3, 1), m(2, 8), m(2, 5), 0.35),
                           "partition 1's v of shape (2, 5) and partition 0's v of shape (3, 1) differ in width"),
         "rfg_multi": (lambda m: rfg_multi(m(4, 8), [(1.0, m(3, 8), m(3, 5))], m(2, 8), m(9, 5)),
-                      "partition 1 needs 2-D k and v with equal row counts, got (2, 8) and (9, 5)"),
+                      "partition 1's v must be 2-D with the 2 rows of its k, got shape (9, 5)"),
     }
 
     @pytest.mark.parametrize("call", SILENT)
@@ -976,18 +971,14 @@ class TestOneCheckPerCall:
     def test_each_operand_entry_is_read_once(self, route, length, dtype):
         names, run = ROUTES[route]
         operands = boundary_operands(names, dtype, length)
-        arrays = [name for name in names.split() if name[0] in "qkv"]
-        checks, reads, coefficient_reads, real_operands, real_isfinite = [], [], [], kernels._operands, np.isfinite
+        checks, reads, real_operands, real_isfinite = [], [], kernels._operands, np.isfinite
 
         def counting_operands(*args, **kwargs):
             checks.append(len(args[1]))
             return real_operands(*args, **kwargs)
 
         def isfinite(a, *args, **kwargs):
-            caller = sys._getframe(1).f_code.co_name
-            if caller == "_coefficient_branches":  # the coefficient of rfg_matrix and guidance_form, beside the rule
-                coefficient_reads.append(np.size(a))
-            elif caller != "row_softmax_inplace":  # the softmax reads row maxima only
+            if sys._getframe(1).f_code.co_name != "row_softmax_inplace":  # the softmax reads row maxima only
                 reads.append(a)
             return real_isfinite(a, *args, **kwargs)
 
@@ -997,9 +988,8 @@ class TestOneCheckPerCall:
             run(operands["q"], partition_list(names, operands), operands["coefficient"])
         assert (pool.submitted > 0) == (length == 512)
         assert len(checks) == 1, checks
-        assert {name for name, a in operands.items() for b in reads if b is a} == set(arrays)
-        assert sum(np.size(a) for a in reads) == sum(operands[name].size for name in arrays)
-        assert coefficient_reads == ([length * 8] if "coefficient" in names else [])
+        assert {name for name, a in operands.items() for b in reads if b is a} == set(names.split())
+        assert sum(np.size(a) for a in reads) == sum(operands[name].size for name in names.split())
 
     def test_only_public_entries_call_the_rule(self):
         tree = ast.parse(Path(kernels.__file__).read_text())

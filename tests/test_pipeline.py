@@ -185,27 +185,6 @@ class TestDenoiseStep:
         pred = pipeline._forward(latents, w, (AttentionPolicy.plain(),) * cfg.blocks, 0)
         assert np.allclose(out[0], pred[0], atol=1e-6)
 
-    def test_step_index_validated(self):
-        cfg = small_config(batch=2)
-        w = init_denoiser(8, cfg)
-        latents = initial_noise(cfg)
-        with pytest.raises(ValueError, match="step"):
-            denoise_step(latents, cfg.steps, cfg.steps, w, cfg.layer_policies())
-
-    def test_policy_list_length_checked(self):
-        cfg = small_config(batch=2)
-        w = init_denoiser(8, cfg)
-        latents = initial_noise(cfg)
-        with pytest.raises(ValueError, match="policies"):
-            denoise_step(latents, 0, cfg.steps, w, (AttentionPolicy.plain(),) * 5)
-
-    def test_batch_must_exceed_reference_count(self):
-        cfg = small_config(batch=2)
-        w = init_denoiser(8, cfg)
-        latents = initial_noise(cfg)[:1]
-        with pytest.raises(ValueError, match="reference"):
-            denoise_step(latents, 0, cfg.steps, w, cfg.layer_policies())
-
     def test_plain_members_are_independent(self):
         cfg = small_config(batch=3, policy=AttentionPolicy.plain())
         w = init_denoiser(9, cfg)
@@ -345,6 +324,14 @@ class TestTrajectoryDistance:
             trajectory_distance(traj, 0)
         with pytest.raises(IndexError):
             trajectory_distance(traj, traj.batch)
+
+    # A bool would index the batch axis as a mask, selecting every sample; a float indexes nothing.
+    @pytest.mark.parametrize("sample", [True, np.True_, 1.0])
+    def test_non_integer_index_rejected(self, sample):
+        traj = generate_batch(small_config(side=4, steps=2, blocks=1))
+        assert trajectory_distance(traj, np.int64(1)).tolist() == trajectory_distance(traj, 1).tolist()
+        with pytest.raises(IndexError, match=re.escape(f"must be an integer in [1, 4), got {sample!r}")):
+            trajectory_distance(traj, sample)
 
     def test_independent_noise_gives_positive_series(self):
         traj = generate_batch(small_config(policy=AttentionPolicy.plain()))
