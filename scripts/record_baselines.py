@@ -2,7 +2,9 @@
 
 Run after any intentional change to the weight draw order, the denoiser
 forward pass, the update schedule, or the sweep CSV format, then review the
-diff before committing. The recorded values pin:
+diff before committing. BLAS runs one thread, as in the tests, and the file
+names the BLAS kernel it was recorded under: other kernels sum in another
+order, so they give other bits. The recorded values pin:
 
   - the weight digest for seed 42 at the default architecture,
   - the final-latent digest for the default generate run (rfg 0.35), and
@@ -32,7 +34,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from refguide.cli import main as cli_main
-from refguide.kernels import AttentionPolicy
+from refguide.kernels import AttentionPolicy, blas_kernel, one_blas_thread
 from refguide.linalg import PRECISION_DTYPES
 from refguide.oracle import DEFAULT_GRID, _draw_inputs, naive_concat_attention, run_equivalence_suite
 from refguide.pipeline import PipelineConfig, generate_batch, init_denoiser, trajectory_distance
@@ -114,6 +116,7 @@ def record_baselines() -> dict:
         distance_series[repr(c)] = trajectory_distance(traj, 1).tolist()
 
     return {
+        "blas_kernel": blas_kernel(),
         "weights_digest_seed42_default": weights_digest,
         "final_digest_seeds42_7_rfg035_default": final_digest,
         **scalar_blend_digests(),
@@ -137,13 +140,15 @@ def command_output(command: str, name: str) -> bytes:
 def main() -> int:
     DATA_DIR.mkdir(parents=True, exist_ok=True)
 
-    baselines = record_baselines()
+    with one_blas_thread():
+        baselines = record_baselines()
+        sweep = command_output("sweep", "sweep.csv")
     baseline_path = DATA_DIR / "baselines.json"
     baseline_path.write_text(json.dumps(baselines, indent=2) + "\n")
     print(f"wrote {baseline_path}")
 
     sweep_path = DATA_DIR / "sweep_baseline.csv"
-    sweep_path.write_bytes(command_output("sweep", "sweep.csv"))
+    sweep_path.write_bytes(sweep)
     print(f"wrote {sweep_path} ({len(sweep_path.read_bytes())} bytes)")
     return 0
 

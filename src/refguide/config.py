@@ -155,6 +155,11 @@ class RunConfig:
         if not self.out_dir or "\0" in self.out_dir:
             raise ConfigError(f"key 'out_dir' must be a nonempty path without a null byte ('.' is the working "
                               f"directory), got {self.out_dir!r}")
+        try:
+            os.fsencode(self.out_dir)
+        except UnicodeEncodeError as exc:
+            raise ConfigError(f"key 'out_dir' must be a path the {exc.encoding} file system encoding can hold, got "
+                              f"{self.out_dir!r}") from exc
         for cell in self.bench_grid:
             if cell[3] < 2:
                 raise ConfigError(f"bench_grid batch must be at least 2, got cell {'x'.join(map(str, cell))}")
@@ -199,6 +204,13 @@ class RunConfig:
     def check_grid(self) -> tuple:
         return self.grid if self.grid is not None else DEFAULT_GRID
 
+    def partitions(self, command: str) -> list:
+        """``(L, S)`` of the attention partitions ``command`` runs: the pipeline's, or each cell's self and concat."""
+        if command in ("generate", "sweep"):
+            return [self.pipeline_config().partition]
+        cells = self.check_grid if command == "check" else self.bench_grid
+        return [(cell[0], keys) for cell in cells for keys in (cell[0], 2 * cell[0])]
+
     def pipeline_config(self) -> PipelineConfig:
         """PipelineConfig for this run."""
         shared = {f.name: getattr(self, f.name) for f in fields(PipelineConfig) if f.name in _FIELD_NAMES}
@@ -239,7 +251,7 @@ def parse_config(path=None, overrides=None, command=None) -> RunConfig:
         if not p.is_file():
             raise ConfigError(f"config file not found: {path}")
         try:
-            raw = json.loads(p.read_text())
+            raw = json.loads(p.read_text(encoding="utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
         if not isinstance(raw, dict):

@@ -28,10 +28,12 @@ Each public route checks once, at entry, with one rule, ``_operands``: dtypes,
 shapes, every entry of ``q``, ``k``, ``v`` and any coefficient finite;
 ``_branches`` trusts its caller. It runs each partition as one ``_tile``, or,
 if all meet ``tile_rows``' rule, as ``TILE_ROWS``-row tiles with the same
-bytes on a thread pool (one thread per usable CPU when BLAS runs one thread,
-else one), each thread reusing one logits scratch (``held_logits``). Every
-partition's tiles are submitted before any is awaited; the pool starts with
-its first use.
+bytes on a thread pool (one thread per usable CPU while OpenBLAS reports one
+thread, asked through ctypes at each call; else the caller alone), each
+thread reusing one logits scratch (``held_logits``). Every partition's tiles
+are submitted before any is awaited; the pool starts with its first use. A
+command pins BLAS at one thread (``one_blas_thread``) unless a partition it
+runs is large but untiled (``blas_splits``); library calls leave BLAS as set.
 
 ``apply_policy`` runs an ``AttentionPolicy``, a kind plus one strength per
 reference the scalar blend reads, over each reference's ``(k, v)``, so
@@ -39,13 +41,16 @@ pipeline code never branches on kernel names itself; every policy with
 strengths is one ``rfg_multi`` call.
 """
 
+import contextlib
 import contextvars
+import ctypes
 import functools
 import math
 import os
 import threading
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -58,25 +63,64 @@ from .linalg import matmul, row_softmax  # noqa: F401
 POLICY_KINDS = ("plain", "concat", "cross-frame", "rfg", "rfg-multi", "rfg-matrix")
 
 # Rows per query tile and the least L * S worth tiling (see ``tile_rows``).
-# The pool gets one thread per usable CPU when OpenBLAS runs one thread (its
-# first nonempty thread variable is "1"), else one, beside BLAS's own threads.
 TILE_ROWS = 256
 POOL_MIN_WORK = 1 << 19
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-_BLAS_THREADS = next((os.environ[v] for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-                      if os.environ.get(v)), None)
-POOL_WORKERS = CPUS if _BLAS_THREADS == "1" else 1
 _scratch = threading.local()  # per thread and dtype, one tile logits buffer grown to the largest tile
 
 
 @functools.cache
-def _tile_pool(workers: int, pid: int):
-    """The tile pool of process ``pid``: a forked child has none of its parent's threads."""
+def _openblas():
+    """``(get_threads, set_threads, kernel_name)`` of the OpenBLAS numpy loaded, or None if it lacks them."""
+    home = Path(np.__file__).parent
+    for path in [*home.parent.glob(f"{home.name}.libs/*openblas*"), *home.glob(".dylibs/*openblas*")]:
+        with contextlib.suppress(OSError, AttributeError):  # RTLD_NOLOAD: numpy's copy, never a second one
+            lib = ctypes.CDLL(str(path), getattr(os, "RTLD_NOLOAD", 0))
+            funcs = [lib[f"scipy_openblas_{f}64_"] for f in ("get_num_threads", "set_num_threads", "get_corename")]
+            for f, args, result in zip(funcs, ([], [ctypes.c_int], []), (ctypes.c_int, None, ctypes.c_char_p)):
+                f.argtypes, f.restype = args, result
+            return tuple(funcs)
+    return None
+
+
+def blas_threads():
+    """OpenBLAS's thread count; without its exports, 1 if the first nonempty thread variable is "1", else None."""
+    if lib := _openblas():
+        return lib[0]()
+    env = (os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
+    return 1 if next(filter(None, env), None) == "1" else None
+
+
+def blas_kernel():
+    """The kernel OpenBLAS picked for this CPU (such as "SkylakeX"), or None without its exports."""
+    return (lib := _openblas()) and lib[2]().decode()
+
+
+def pool_workers() -> int:
+    """Tile threads: one per usable CPU while BLAS runs one thread, else one (the caller's) beside BLAS's own."""
+    return CPUS if blas_threads() == 1 else 1
+
+
+def one_blas_thread() -> contextlib.ExitStack:
+    """Set OpenBLAS to one thread until the returned context exits, if it has the setter and runs more.
+
+    The count belongs to the process: BLAS calls on other threads meanwhile run at one thread too.
+    """
+    restore = contextlib.ExitStack()
+    if (lib := _openblas()) and (threads := lib[0]()) != 1:
+        lib[1](1)
+        restore.callback(lib[1], threads)
+    return restore
+
+
+@functools.cache
+def _tile_pool(pid: int):
+    """The ``CPUS``-thread tile pool of process ``pid``: a forked child has none of its parent's threads."""
     # Imported on first use: concurrent.futures imports logging, about 1 MiB
     # that a process which never pools (``refguide check``) should not carry.
     from concurrent.futures import ThreadPoolExecutor
 
-    return ThreadPoolExecutor(workers, thread_name_prefix="refguide-tile")
+    return ThreadPoolExecutor(CPUS, thread_name_prefix="refguide-tile")
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,16 +219,23 @@ def _tile(q, k, v, scale, out=None) -> tuple:
 def tile_rows(length: int, keys: int) -> int:
     """Query rows per tile of an L x S partition: ``TILE_ROWS``, or all ``length`` rows untiled.
 
-    It tiles if L is a multiple of ``TILE_ROWS`` (two tiles at least), S of 64 and
-    ``L * S >= POOL_MIN_WORK``: then tiles are bitwise the single tile, and worth it.
+    It tiles if L is a multiple of ``TILE_ROWS`` (two tiles at least), S of 64 and ``L * S >= POOL_MIN_WORK``:
+    then tiles are worth it, and bitwise the single tile under OpenBLAS's SkylakeX kernel (not Haswell's).
     """
     tiles = not length % TILE_ROWS and length >= 2 * TILE_ROWS and not keys % 64 and length * keys >= POOL_MIN_WORK
     return TILE_ROWS if tiles else length
 
 
+def blas_splits(length: int, keys: int) -> bool:
+    """Whether BLAS's own threads should split an L x S partition: it does not tile, but would with L padded to a
+    multiple of ``TILE_ROWS`` and S to one of 64, so it is as large as the partitions the pool splits."""
+    padded = -(-length // TILE_ROWS) * TILE_ROWS
+    return tile_rows(length, keys) == length and tile_rows(padded, -(-keys // 64) * 64) < padded
+
+
 def held_logits(length: int, keys: int) -> int:
-    """Logits a call over partitions of at most S = ``keys`` keys holds: L x S, or a tile per thread if tiled."""
-    return min(length, tile_rows(length, keys) * POOL_WORKERS) * keys
+    """Logits a call over partitions of at most S = ``keys`` keys holds: L x S, or at most a tile per CPU if tiled."""
+    return min(length, tile_rows(length, keys) * CPUS) * keys
 
 
 def _operands(q, kvs, keyless=(), coeff=None) -> None:
@@ -228,22 +279,26 @@ def _branches(q, kvs) -> list:
     """``(out, m, s)`` of ``_tile`` over each ``(k, v)`` partition of one query, in partition order.
 
     Each public route checks once, at entry (``_operands``); ``_branches`` trusts its caller. If every partition meets
-    ``tile_rows``' rule, each runs as tiles into its output, bitwise the single tile, on the pool of ``POOL_WORKERS``
-    threads, each in a copy of the caller's context (so ``np.errstate`` reaches it). Each tile's softmax checks its
-    rows' maxima, the finiteness rule for logits. The call returns, or raises the first tile's error, once all are done.
+    ``tile_rows``' rule, each runs as tiles into its output, bitwise the single tile: in the caller if ``pool_workers()``
+    is 1, else on the ``CPUS``-thread pool, each in a copy of the caller's context (so ``np.errstate`` reaches it).
+    Each tile's softmax checks its rows' maxima, the finiteness rule for logits. The call returns, or raises the first
+    tile's error, once no tile still runs.
     """
     length = q.shape[0]
     scale = 1.0 / float(np.sqrt(q.shape[1]))
     if max(tile_rows(length, k.shape[0]) for k, _ in kvs) == length:
         return [_tile(q, k, v, scale) for k, v in kvs]
-    from concurrent.futures import wait
-    pool = _tile_pool(POOL_WORKERS, os.getpid())
     outs = [np.empty((length, v.shape[1]), q.dtype) for _, v in kvs]
     rows = [slice(lo, lo + TILE_ROWS) for lo in range(0, length, TILE_ROWS)]
-    runs = [[pool.submit(contextvars.copy_context().run, _tile, q[r], k, v, scale, out[r]) for r in rows]
-            for (k, v), out in zip(kvs, outs)]
-    wait([done for run in runs for done in run])  # no error is raised while a tile still runs
-    runs = [[done.result() for done in run] for run in runs]
+    if pool_workers() == 1:  # the caller runs the tiles, with the bytes of the pool's
+        runs = [[_tile(q[r], k, v, scale, out[r]) for r in rows] for (k, v), out in zip(kvs, outs)]
+    else:
+        from concurrent.futures import wait
+        pool = _tile_pool(os.getpid())
+        runs = [[pool.submit(contextvars.copy_context().run, _tile, q[r], k, v, scale, out[r]) for r in rows]
+                for (k, v), out in zip(kvs, outs)]
+        wait([done for run in runs for done in run])  # no error is raised while a tile still runs
+        runs = [[done.result() for done in run] for run in runs]
     return [(out, *(np.concatenate(a) for a in list(zip(*run))[1:])) for out, run in zip(outs, runs)]
 
 

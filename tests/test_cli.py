@@ -2,6 +2,9 @@ import contextlib
 import hashlib
 import json
 import re
+import subprocess
+import sys
+import threading
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -11,13 +14,15 @@ import pytest
 
 import refguide.bench
 import refguide.cli
+from refguide import kernels
 from refguide.artifacts import load_raw
 from refguide.bench import BENCH_POLICIES, run_bench
 from refguide.cli import main
+from refguide.config import ConfigError
 from refguide.kernels import AttentionPolicy
 from refguide.pipeline import PipelineConfig, generate_batch, trajectory_distance
 
-from helpers import strict_loads
+from helpers import BLAS_VARS, child_env, strict_loads
 
 SMALL_PIPELINE = {
     "side": 6, "blocks": 2, "d_model": 8, "d": 8, "d_v": 8, "steps": 6,
@@ -382,6 +387,23 @@ class TestErrorPaths:
         assert "config error: key 'out_dir' must be a nonempty path" in err
         assert not out and not any(work.iterdir())
 
+    # In the C locale the file system encoding is ASCII, so "résultats" is no path there.
+    @pytest.mark.skipif(sys.platform != "linux", reason="needs Linux's ASCII C locale")
+    @pytest.mark.parametrize("flags, code, err", [
+        (["--out", "out"], 0, b""),  # the file is read as UTF-8 and the flag's out_dir wins
+        ([], 2, b"config error: key 'out_dir' must be a path the ascii file system encoding can hold, "
+                b"got 'r\\xe9sultats'\n"),
+    ], ids=["flag", "file"])
+    def test_c_locale_reads_config_as_utf8_and_names_an_unencodable_out_dir(self, tmp_path, flags, code, err):
+        (tmp_path / "config.json").write_text(json.dumps({"out_dir": "résultats", "steps": 1}, ensure_ascii=False),
+                                              encoding="utf-8")
+        env = child_env(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+        done = subprocess.run([sys.executable, "-m", "refguide.cli", "generate", "--config", "config.json", *flags],
+                              cwd=tmp_path, env=env, capture_output=True)
+        assert (done.returncode, done.stderr) == (code, err)
+        assert bool(done.stdout) == (code == 0)
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json", *(["out"] if code == 0 else [])]
+
     # Each command's work, by its name in ``refguide.cli``.
     @pytest.mark.parametrize("command, work", [
         ("check", "run_equivalence_suite"), ("sweep", "generate_batch"), ("generate", "generate_batch"),
@@ -474,3 +496,131 @@ class TestErrorPaths:
             code, _, err = run(capsys, *argv, "--out", str(tmp_path))
         assert code == 2
         assert "error: " in err
+
+
+OPENBLAS = kernels._openblas()
+
+
+@pytest.fixture
+def blas_at_two_threads():
+    """OpenBLAS at two threads for the test, then at the count it had; a BLAS without the setter is left alone."""
+    if OPENBLAS is None:
+        yield None
+        return
+    get, put, _ = OPENBLAS
+    before = get()
+    put(2)
+    yield 2
+    put(before)
+
+
+def tiled_generate(monkeypatch, overflows=False):
+    """Replace ``generate``'s work with one tiled ``attention`` call, whose logits overflow (exit 2) if ``overflows``.
+
+    Returns a list that gets, for each tile, whether a pool thread ran it and OpenBLAS's thread count then.
+    """
+    seen, real = [], kernels._tile
+
+    def tile(*args):
+        seen.append((threading.current_thread().name.startswith("refguide-tile"), OPENBLAS and OPENBLAS[0]()))
+        return real(*args)
+
+    def command(cfg, out):
+        kernels.attention(*[np.full((1024, 8), 3e38 if overflows else 1, np.float32)] * 3)  # four tiles
+        return 0
+
+    monkeypatch.setattr(kernels, "_tile", tile)
+    monkeypatch.setitem(refguide.cli._COMMANDS, "generate", command)
+    return seen
+
+
+class TestBlasThreads:
+    """A command runs BLAS at one thread unless it holds a large untiled partition, then restores the count; the tile
+    pool follows the count BLAS reports."""
+
+    @pytest.mark.skipif(OPENBLAS is None, reason="needs OpenBLAS's thread getter and setter")
+    @pytest.mark.parametrize("overflows, code", [(False, 0), (True, 2)])
+    def test_command_runs_one_blas_thread_and_restores_the_count(self, monkeypatch, tmp_path, blas_at_two_threads,
+                                                                 overflows, code):
+        seen = tiled_generate(monkeypatch, overflows)
+        assert kernels.pool_workers() == 1
+        assert main(["generate", "--out", str(tmp_path)]) == code
+        assert seen == [(kernels.CPUS > 1, 1)] * 4
+        assert (OPENBLAS[0](), kernels.pool_workers()) == (2, 1)
+
+    # Side 40 (L = 1600), a 1000-row cell: L * S is past POOL_MIN_WORK, but L is no multiple of 256, so nothing tiles.
+    @pytest.mark.skipif(OPENBLAS is None, reason="needs OpenBLAS's thread getter and setter")
+    @pytest.mark.parametrize("command, config, pinned", [
+        ("generate", {}, True),
+        ("generate", {"side": 32, "policy_kind": "concat"}, True),
+        ("generate", {"side": 40}, False),
+        ("sweep", {"side": 40}, False),
+        ("check", {}, True),
+        ("check", {"grid": [[1000, 4, 4]]}, False),
+        ("bench", {}, True),
+        ("bench", {"bench_grid": [[64, 8, 8, 2], [1000, 4, 4, 2]]}, False),
+    ])
+    def test_command_keeps_blas_threads_only_for_a_large_untiled_partition(self, monkeypatch, tmp_path,
+                                                                           blas_at_two_threads, command, config,
+                                                                           pinned):
+        seen = []
+        monkeypatch.setitem(refguide.cli._COMMANDS, command, lambda cfg, out: seen.append(OPENBLAS[0]()) or 0)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert (seen, OPENBLAS[0]()) == ([1 if pinned else 2], 2)
+
+    @pytest.mark.parametrize("env, pooled", [
+        ({}, False),
+        ({"OPENBLAS_NUM_THREADS": "1"}, True),
+        ({"OMP_NUM_THREADS": "1"}, True),
+        ({"OPENBLAS_NUM_THREADS": "", "GOTO_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, False),
+    ])
+    def test_without_the_library_the_pool_follows_the_environment_and_nothing_is_pinned(
+            self, monkeypatch, tmp_path, blas_at_two_threads, env, pooled):
+        for var in BLAS_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        seen = tiled_generate(monkeypatch)
+        monkeypatch.setattr(kernels, "_openblas", lambda: None)
+        assert (kernels.blas_kernel(), kernels.blas_threads()) == (None, 1 if pooled else None)
+        assert main(["generate", "--out", str(tmp_path)]) == 0
+        assert seen == [(pooled and kernels.CPUS > 1, blas_at_two_threads)] * 4
+
+    # A child that runs ``refguide.cli.main`` on its arguments, then one tiled library call, and prints to stderr as
+    # JSON the tile workers and BLAS's thread count at each call that asked for the pool, and that count before and
+    # after the command. The process has one pool: the library call, with BLAS threaded again, runs its tiles itself.
+    RECORD_POOLS = (
+        "import json, sys\n"
+        "import numpy as np\n"
+        "import refguide.cli, refguide.kernels as k\n"
+        "asked, pool = set(), k._tile_pool\n"
+        "def recording(pid):\n"
+        "    asked.add((k.pool_workers(), k.blas_threads()))\n"
+        "    return pool(pid)\n"
+        "k._tile_pool = recording\n"
+        "before = k.blas_threads()\n"
+        "code = refguide.cli.main(sys.argv[1:])\n"
+        "after = k.blas_threads()\n"
+        "q = np.ones((1024, 8), np.float32)\n"
+        "k.attention(q, q, q)\n"
+        "print(json.dumps([sorted(asked), before, after]), file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+
+    @pytest.mark.skipif(OPENBLAS is None or kernels.CPUS < 2, reason="needs OpenBLAS's setter and two CPUs")
+    def test_generate_with_blas_variables_unset_pools_per_cpu_at_one_blas_thread(self, tmp_path):
+        config = tmp_path / "side32.json"
+        config.write_text(json.dumps({"side": 32, "blocks": 2, "steps": 2, "batch": 3}))  # L = 1024 tiles
+        runs, outputs = {}, {}
+        for name, env in (("unset", child_env()), ("pinned", child_env(OPENBLAS_NUM_THREADS="1"))):
+            argv = ["generate", "--config", str(config), "--out", str(tmp_path / name)]
+            done = subprocess.run([sys.executable, "-c", self.RECORD_POOLS, *argv], env=env, capture_output=True)
+            assert done.returncode == 0, done.stderr
+            runs[name] = json.loads(done.stderr)
+            outputs[name] = {path.name: path.read_bytes() for path in (tmp_path / name).iterdir()}
+        assert runs["unset"][0] == runs["pinned"][0] == [[kernels.CPUS, 1]]
+        assert runs["unset"][1] == runs["unset"][2] > 1  # BLAS's own count, restored
+        assert runs["pinned"][1:] == [1, 1]
+        assert outputs["unset"] == outputs["pinned"]

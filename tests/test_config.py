@@ -98,13 +98,6 @@ class TestParseConfig:
         cfg = parse_config(path, overrides={"steps": 11})
         assert cfg.steps == 11
 
-    # Bytes that are not UTF-8: the file is read in the locale's encoding, so the message is no table row.
-    def test_undecodable_json_named(self, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_bytes(b'\xff\xfe{"steps": 3}')
-        with pytest.raises(ConfigError, match=f"malformed JSON in {re.escape(str(path))}"):
-            parse_config(str(path))
-
     def test_out_dir_dot_is_accepted(self):
         assert parse_config(overrides={"out_dir": "."}).out_dir == "."
 
@@ -132,6 +125,9 @@ CONFIG_FAULTS = [
     ("malformed-json", b"{not json",
      "malformed JSON in config.json: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
      COMMANDS),
+    # The file is read as UTF-8 in every locale.
+    ("undecodable-bytes", b'\xff\xfe{"steps": 3}',
+     "malformed JSON in config.json: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte", COMMANDS),
     ("list-root", [1, 2], "config root in config.json must be a JSON object, got list", COMMANDS),
     ("string-root", "text", "config root in config.json must be a JSON object, got str", COMMANDS),
     ("unknown-key", {"coefficinet": 0.3}, "unknown config key 'coefficinet'", COMMANDS),
@@ -287,15 +283,14 @@ class TestSweepRule:
 def memory_128mib(monkeypatch):
     """A machine with 128 MiB of physical memory, so a command may hold 64 MiB = 67108864 B.
 
-    Returns a setter for the usable CPUs, ``kernels.CPUS`` (1 unless set), with BLAS at one thread: the process
-    count of the check suite and, as ``kernels.POOL_WORKERS``, the thread count of the tile rule.
+    Returns a setter for the usable CPUs, ``kernels.CPUS`` (1 unless set): the process count of the check suite and
+    the tile rule's most threads.
     """
     memory = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (128 << 20) // 4096}
     monkeypatch.setattr(os, "sysconf", memory.__getitem__)
 
     def cpus(count):
         monkeypatch.setattr(kernels, "CPUS", count)
-        monkeypatch.setattr(kernels, "POOL_WORKERS", count)
 
     cpus(1)
     return cpus
@@ -491,7 +486,7 @@ class TestMemory:
         named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         named |= {alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                   for alias in node.names}
-        assert named & {"tile_rows", "POOL_WORKERS", "itemsize"} == set()
+        assert named & {"tile_rows", "pool_workers", "itemsize"} == set()
 
 
 class TestBlendPreset:

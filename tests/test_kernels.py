@@ -44,6 +44,8 @@ from refguide.oracle import (
 )
 from refguide.rng import stream
 
+from helpers import child_env
+
 
 def draw_set(seed, length=4, d=3, d_v=2, dtype=np.float64, q_scale=1.0):
     gen = stream(seed)
@@ -383,27 +385,34 @@ class GatedPool(CountingPool):
 
 @contextmanager
 def tile_pool(workers, pool=None):
-    """Run ``partitions`` with ``POOL_WORKERS`` set to ``workers`` on ``pool``, by default a fresh counting pool."""
+    """Run ``partitions`` with ``pool_workers()`` at ``workers`` on ``pool``, by default a fresh counting pool."""
     pool = pool or CountingPool(workers)
     try:
-        with mock.patch.object(kernels, "POOL_WORKERS", workers), \
-                mock.patch.object(kernels, "_tile_pool", lambda workers, pid: pool):
+        with mock.patch.object(kernels, "pool_workers", lambda: workers), \
+                mock.patch.object(kernels, "_tile_pool", lambda pid: pool):
             yield pool
     finally:
         pool.shutdown()
 
 
 @contextmanager
-def single_tile():
-    """Run every partition as one ``_tile`` call over all query rows, the untiled reference."""
+def tile_heights():
+    """Record the query rows of each ``_tile`` call, in whichever thread it runs."""
     rows = []
     real = kernels._tile
 
-    def whole(q, *args):
+    def recorded(q, *args):
         rows.append(q.shape[0])
         return real(q, *args)
 
-    with mock.patch.object(kernels, "POOL_MIN_WORK", math.inf), mock.patch.object(kernels, "_tile", whole):
+    with mock.patch.object(kernels, "_tile", recorded):
+        yield rows
+
+
+@contextmanager
+def single_tile():
+    """Run every partition as one ``_tile`` call over all query rows, the untiled reference."""
+    with mock.patch.object(kernels, "POOL_MIN_WORK", math.inf), tile_heights() as rows:
         yield rows
 
 
@@ -435,10 +444,10 @@ class TestPooledPartition:
         with single_tile() as rows:
             untiled = kernels.partitions(q, kvs)
         assert rows == [length, length]
-        # Every shape here runs as tiles on the pool, 512 x 512 included, at one worker and at two.
-        with tile_pool(1) as pool, mock.patch.object(kernels, "POOL_MIN_WORK", 0):
+        # Every shape here runs as tiles, 512 x 512 included: in the caller at one worker, on the pool at two.
+        with tile_pool(1) as pool, tile_heights() as heights, mock.patch.object(kernels, "POOL_MIN_WORK", 0):
             inline = kernels.partitions(q, kvs)
-        assert pool.submitted == 2 * length // kernels.TILE_ROWS
+        assert (pool.submitted, heights) == (0, [kernels.TILE_ROWS] * (2 * length // kernels.TILE_ROWS))
         with tile_pool(2) as pool, mock.patch.object(kernels, "POOL_MIN_WORK", 0):
             pooled = kernels.partitions(q, kvs)
         assert pool.submitted == 2 * length // kernels.TILE_ROWS
@@ -492,7 +501,7 @@ class TestPooledPartition:
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_starts_its_own_pool(self):
         q, k, v = partition_inputs(9, 1024, 1024, 8, 8, np.float32)
-        with mock.patch.object(kernels, "POOL_WORKERS", 2):
+        with mock.patch.object(kernels, "pool_workers", lambda: 2):
             expected = attention(q, k, v)  # the parent's pool threads now exist
             pid = os.fork()
             if pid == 0:
@@ -520,17 +529,12 @@ class TestPooledPartition:
         ({"OPENBLAS_NUM_THREADS": "", "GOTO_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, False),
     ])
     def test_pool_needs_one_blas_thread_and_import_starts_no_pool(self, env, pooled):
-        blas_vars = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-        clean = {key: value for key, value in os.environ.items() if key not in blas_vars}
-        # The child imports refguide from where this process did, PYTHONPATH set or not.
-        src = str(Path(kernels.__file__).parents[1])
-        clean["PYTHONPATH"] = os.pathsep.join(filter(None, (src, clean.get("PYTHONPATH"))))
         code = (
             "import sys, threading, refguide.cli, refguide.kernels as k; "
-            "print(k.POOL_WORKERS, threading.active_count(), 'concurrent.futures' in sys.modules)"
+            "print(k.pool_workers(), threading.active_count(), 'concurrent.futures' in sys.modules)"
         )
         out = subprocess.run(
-            [sys.executable, "-c", code], env={**clean, **env}, capture_output=True, text=True, check=True
+            [sys.executable, "-c", code], env=child_env(**env), capture_output=True, text=True, check=True
         ).stdout.split()
         workers = len(os.sched_getaffinity(0)) if pooled else 1
         assert out == [str(workers), "1", "False"]
@@ -567,9 +571,9 @@ class TestPooledQuery:
         with single_tile() as rows:
             assert result_bytes(kernel(q, kvs)) == result_bytes(pooled)
         assert rows == [1024] * count
-        with tile_pool(1) as pool:
+        with tile_pool(1) as pool, tile_heights() as heights:  # in the caller
             assert result_bytes(kernel(q, kvs)) == result_bytes(pooled)
-        assert pool.submitted == tiles
+        assert (pool.submitted, heights) == (0, [kernels.TILE_ROWS] * tiles)
 
     @pytest.mark.parametrize("failing", [0, 1])
     def test_overflowing_tile_raises_after_every_tile_finished(self, failing, monkeypatch):
@@ -698,7 +702,7 @@ class TestTileMemory:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-        assert pool.submitted == 2 * length // kernels.TILE_ROWS
+        assert pool.submitted == (2 * length // kernels.TILE_ROWS if workers > 1 else 0)  # one worker: the caller
         assert np.array_equal(out, warm)
         assert peak < kernels.TILE_ROWS * keys * 4 + out.nbytes, peak
 
@@ -766,7 +770,7 @@ class TestFinitenessRule:
         v = np.eye(keys, dtype=np.float32)  # each output row is its row of softmax weights
         with tile_pool(workers) as pool, np.errstate(over="ignore"):
             out = attention(q, k, v)
-        assert pool.submitted == (length // kernels.TILE_ROWS if length > 1 else 0)
+        assert pool.submitted == (length // kernels.TILE_ROWS if length > 1 and workers > 1 else 0)
         assert np.isfinite(out).all() and not out[:, 0].any()
         logits = q.astype(np.float64) @ k[1:].T.astype(np.float64)
         weights = np.exp(logits - logits.max(axis=1, keepdims=True))

@@ -35,7 +35,7 @@ from refguide.oracle import (
 )
 from refguide.rng import stream
 
-from helpers import load_file
+from helpers import child_env, load_file
 
 SMALL_GRID = ((1, 1, 1), (2, 4, 2), (4, 4, 4))
 BASELINES = json.loads((Path(__file__).parent / "data" / "baselines.json").read_text())
@@ -397,19 +397,14 @@ class TestSuiteProcesses:
         "    return pid\n"
         "os.fork = counting\n"
         "code = refguide.cli.main(sys.argv[1:])\n"
-        "print(len(forks), refguide.kernels.POOL_WORKERS, file=sys.stderr)\n"
+        "print(len(forks), refguide.kernels.pool_workers(), file=sys.stderr)\n"
         "sys.exit(code)\n"
     )
 
     @pytest.mark.skipif(not hasattr(os, "fork") or refguide.kernels.CPUS < 2, reason="needs os.fork and two CPUs")
     def test_check_forks_per_usable_cpu_whatever_blas_runs(self, tmp_path):
-        blas_vars = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-        clean = {key: value for key, value in os.environ.items() if key not in blas_vars}
-        # The child imports refguide from where this process did, PYTHONPATH set or not.
-        src = str(Path(refguide.kernels.__file__).parents[1])
-        clean["PYTHONPATH"] = os.pathsep.join(filter(None, (src, clean.get("PYTHONPATH"))))
         runs = {}
-        for name, env in (("unset", clean), ("pinned", {**clean, "OPENBLAS_NUM_THREADS": "1"})):
+        for name, env in (("unset", child_env()), ("pinned", child_env(OPENBLAS_NUM_THREADS="1"))):
             argv = ["check", "--grid", "2x2x2,4x4x4", "--trials", "2", "--stress-trials", "1", "--out", tmp_path / name]
             done = subprocess.run([sys.executable, "-c", self.COUNT_FORKS, *map(str, argv)], env=env, capture_output=True)
             assert done.returncode == 0, done.stderr

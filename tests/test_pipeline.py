@@ -291,8 +291,8 @@ class TestGenerateBatch:
     @pytest.mark.parametrize("key", list(RECORDER.SIDE32_RUNS))
     @pytest.mark.parametrize("workers", ["untiled", 1, 2])
     def test_recorded_side32_digests(self, monkeypatch, workers, key):
-        # L = 1024: every partition runs as query tiles, on a pool of 1 or 2 workers.
-        monkeypatch.setattr(kernels, "POOL_WORKERS", 1 if workers == "untiled" else workers)
+        # L = 1024: every partition runs as query tiles, in the caller (1 worker) or on the pool (2).
+        monkeypatch.setattr(kernels, "pool_workers", lambda: 1 if workers == "untiled" else workers)
         if workers == "untiled":
             monkeypatch.setattr(kernels, "POOL_MIN_WORK", float("inf"))  # each partition is one tile
         policy, precision = RECORDER.SIDE32_RUNS[key]
