@@ -11,7 +11,8 @@ order, so they give other bits. The recorded values pin:
     for the default cross-frame and rfg-multi (0.3, 0.3) runs,
   - final-latent digests at side 32 (L=1024, large enough for the kernels'
     pooled query tiles) for rfg 0.35, concat and rfg-matrix at f32 and rfg
-    0.35 at f64, on a small schedule (2 blocks, 2 steps, batch 3),
+    0.35 at f64, and at side 40 (L=1600, a 64-row last tile) for rfg 0.35
+    and concat at f32, on a small schedule (2 blocks, 2 steps, batch 3),
   - the per-step reference distances for c in {-0.3, 0, 0.2, 0.35},
   - the output digests of the loop oracle ``naive_concat_attention`` on fixed
     suite draws (two cells, f32 and f64, one standard and one stressed
@@ -48,12 +49,18 @@ SCALAR_BLEND_RUNS = {  # baselines key -> policy of a default-config generation
     "final_digest_seeds42_7_cross_frame_default": AttentionPolicy.cross_frame(),
     "final_digest_seeds42_7_rfg_multi_03_03_default": AttentionPolicy.rfg_multi((0.3, 0.3)),
 }
-SIDE32 = dict(side=32, blocks=2, steps=2, batch=3)
-SIDE32_RUNS = {  # key -> (policy, precision)
-    "rfg035/f32": (AttentionPolicy.rfg(0.35), "f32"),
-    "concat/f32": (AttentionPolicy.concat(), "f32"),
-    "rfg-matrix/f32": (AttentionPolicy.rfg_matrix(), "f32"),
-    "rfg035/f64": (AttentionPolicy.rfg(0.35), "f64"),
+TILED_SCHEDULE = dict(blocks=2, steps=2, batch=3)
+TILED_RUNS = {  # side -> {key -> (policy, precision)}
+    32: {
+        "rfg035/f32": (AttentionPolicy.rfg(0.35), "f32"),
+        "concat/f32": (AttentionPolicy.concat(), "f32"),
+        "rfg-matrix/f32": (AttentionPolicy.rfg_matrix(), "f32"),
+        "rfg035/f64": (AttentionPolicy.rfg(0.35), "f64"),
+    },
+    40: {
+        "rfg035/f32": (AttentionPolicy.rfg(0.35), "f32"),
+        "concat/f32": (AttentionPolicy.concat(), "f32"),
+    },
 }
 CHECK_TRIALS = dict(trials_per_cell=4, stress_trials_per_cell=1)
 CHECK_RUNS = {  # key -> run_equivalence_suite keywords beyond CHECK_TRIALS
@@ -68,12 +75,11 @@ def scalar_blend_digests() -> dict:
     return {key: generate_batch(PipelineConfig(policy=policy)).final_digest() for key, policy in SCALAR_BLEND_RUNS.items()}
 
 
-def side32_digests() -> dict:
-    """Final-latent digests of the ``SIDE32_RUNS`` generations, keyed ``policy/precision``."""
-    return {
-        key: generate_batch(PipelineConfig(**SIDE32, policy=policy, precision=precision)).final_digest()
-        for key, (policy, precision) in SIDE32_RUNS.items()
-    }
+def tiled_digest(side: int, key: str) -> str:
+    """Final-latent digest of the ``TILED_RUNS[side][key]`` generation."""
+    policy, precision = TILED_RUNS[side][key]
+    cfg = PipelineConfig(side=side, **TILED_SCHEDULE, policy=policy, precision=precision)
+    return generate_batch(cfg).final_digest()
 
 
 def oracle_digests() -> dict:
@@ -122,7 +128,8 @@ def record_baselines() -> dict:
         **scalar_blend_digests(),
         "distance_series_seed42_default": distance_series,
         "oracle_concat_digests_seed0": oracle_digests(),
-        "final_digests_seeds42_7_side32": side32_digests(),
+        **{f"final_digests_seeds42_7_side{side}": {key: tiled_digest(side, key) for key in runs}
+           for side, runs in TILED_RUNS.items()},
         "check_report_digests": check_report_digests(),
         "config_json_digest_generate_default": hashlib.sha256(command_output("generate", "config.json")).hexdigest(),
     }

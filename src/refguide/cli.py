@@ -8,7 +8,6 @@ machine-parseable.
 """
 
 import argparse
-import contextlib
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -18,7 +17,7 @@ import numpy as np
 from .artifacts import json_text, write_json, write_pgm, write_raw, write_sweep_csv
 from .bench import run_bench
 from .config import PRESETS, ConfigError, parse_config
-from .kernels import AttentionPolicy, blas_splits, one_blas_thread
+from .kernels import AttentionPolicy, one_blas_thread
 from .linalg import PRECISION_DTYPES
 from .oracle import run_equivalence_suite
 from .pipeline import generate_batch, trajectory_distance
@@ -190,15 +189,13 @@ def main(argv=None) -> int:
     # before the work, so an unusable one exits 3 at once. Overflow and invalid
     # values are named by the finiteness rule (exit 2) or by the report's null
     # error (exit 1), so numpy's warnings stay silent. The work runs BLAS at one
-    # thread, beside a tile pool of one per CPU, unless a partition is too large
-    # for one thread but does not tile: then BLAS keeps its threads to split it.
+    # thread, beside a tile pool of one per CPU.
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             cfg = parse_config(config_path, overrides, command)
             out = Path(cfg.out_dir)
             out.mkdir(parents=True, exist_ok=True)
-            threaded = any(blas_splits(*shape) for shape in cfg.partitions(command))
-            with contextlib.nullcontext() if threaded else one_blas_thread():
+            with one_blas_thread():
                 return _COMMANDS[command](cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

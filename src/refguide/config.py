@@ -204,13 +204,6 @@ class RunConfig:
     def check_grid(self) -> tuple:
         return self.grid if self.grid is not None else DEFAULT_GRID
 
-    def partitions(self, command: str) -> list:
-        """``(L, S)`` of the attention partitions ``command`` runs: the pipeline's, or each cell's self and concat."""
-        if command in ("generate", "sweep"):
-            return [self.pipeline_config().partition]
-        cells = self.check_grid if command == "check" else self.bench_grid
-        return [(cell[0], keys) for cell in cells for keys in (cell[0], 2 * cell[0])]
-
     def pipeline_config(self) -> PipelineConfig:
         """PipelineConfig for this run."""
         shared = {f.name: getattr(self, f.name) for f in fields(PipelineConfig) if f.name in _FIELD_NAMES}

@@ -27,13 +27,14 @@ not finite raises (``row_softmax_inplace``), as finite operands can overflow.
 Each public route checks once, at entry, with one rule, ``_operands``: dtypes,
 shapes, every entry of ``q``, ``k``, ``v`` and any coefficient finite;
 ``_branches`` trusts its caller. It runs each partition as one ``_tile``, or,
-if all meet ``tile_rows``' rule, as ``TILE_ROWS``-row tiles with the same
-bytes on a thread pool (one thread per usable CPU while OpenBLAS reports one
-thread, asked through ctypes at each call; else the caller alone), each
-thread reusing one logits scratch (``held_logits``). Every partition's tiles
-are submitted before any is awaited; the pool starts with its first use. A
-command pins BLAS at one thread (``one_blas_thread``) unless a partition it
-runs is large but untiled (``blas_splits``); library calls leave BLAS as set.
+if all meet ``tile_rows``' rule, as ``TILE_ROWS``-row tiles, the last one
+shorter if L is not a multiple, on a thread pool (one thread per usable CPU
+while OpenBLAS reports one thread, asked through ctypes at each call; else the
+caller alone), each thread reusing one logits scratch (``held_logits``). Every
+partition's tiles are submitted before any is awaited; the pool starts with
+its first use. The bytes depend on the shape and the BLAS kernel only, never
+on the worker count. A command pins BLAS at one thread (``one_blas_thread``);
+library calls leave BLAS as set.
 
 ``apply_policy`` runs an ``AttentionPolicy``, a kind plus one strength per
 reference the scalar blend reads, over each reference's ``(k, v)``, so
@@ -219,23 +220,21 @@ def _tile(q, k, v, scale, out=None) -> tuple:
 def tile_rows(length: int, keys: int) -> int:
     """Query rows per tile of an L x S partition: ``TILE_ROWS``, or all ``length`` rows untiled.
 
-    It tiles if L is a multiple of ``TILE_ROWS`` (two tiles at least), S of 64 and ``L * S >= POOL_MIN_WORK``:
-    then tiles are worth it, and bitwise the single tile under OpenBLAS's SkylakeX kernel (not Haswell's).
+    It tiles if ``L >= 2 * TILE_ROWS`` and ``L * S >= POOL_MIN_WORK``, the last tile shorter if L is not a multiple
+    of ``TILE_ROWS``. Under OpenBLAS's SkylakeX kernel (not Haswell's) tiles of ``TILE_ROWS`` rows over a multiple of
+    64 keys are bitwise the single tile; a ragged shape may differ from it by a few ulps. No byte depends on the
+    worker count.
     """
-    tiles = not length % TILE_ROWS and length >= 2 * TILE_ROWS and not keys % 64 and length * keys >= POOL_MIN_WORK
-    return TILE_ROWS if tiles else length
-
-
-def blas_splits(length: int, keys: int) -> bool:
-    """Whether BLAS's own threads should split an L x S partition: it does not tile, but would with L padded to a
-    multiple of ``TILE_ROWS`` and S to one of 64, so it is as large as the partitions the pool splits."""
-    padded = -(-length // TILE_ROWS) * TILE_ROWS
-    return tile_rows(length, keys) == length and tile_rows(padded, -(-keys // 64) * 64) < padded
+    return TILE_ROWS if length >= 2 * TILE_ROWS and length * keys >= POOL_MIN_WORK else length
 
 
 def held_logits(length: int, keys: int) -> int:
-    """Logits a call over partitions of at most S = ``keys`` keys holds: L x S, or at most a tile per CPU if tiled."""
-    return min(length, tile_rows(length, keys) * CPUS) * keys
+    """Logits the larger of an L x L and an L x S call holds, S = ``keys``: L x S, or at most a tile per CPU if tiled.
+
+    Each caller runs both. The L x L call is the larger only where it does not tile and L x S does (for S = 2L, L from
+    513 to 724 at one CPU).
+    """
+    return max(min(length, tile_rows(length, s) * CPUS) * s for s in (length, keys))
 
 
 def _operands(q, kvs, keyless=(), coeff=None) -> None:
@@ -279,7 +278,7 @@ def _branches(q, kvs) -> list:
     """``(out, m, s)`` of ``_tile`` over each ``(k, v)`` partition of one query, in partition order.
 
     Each public route checks once, at entry (``_operands``); ``_branches`` trusts its caller. If every partition meets
-    ``tile_rows``' rule, each runs as tiles into its output, bitwise the single tile: in the caller if ``pool_workers()``
+    ``tile_rows``' rule, each runs as tiles into its output, with one set of bytes: in the caller if ``pool_workers()``
     is 1, else on the ``CPUS``-thread pool, each in a copy of the caller's context (so ``np.errstate`` reaches it).
     Each tile's softmax checks its rows' maxima, the finiteness rule for logits. The call returns, or raises the first
     tile's error, once no tile still runs.

@@ -80,18 +80,13 @@ class PipelineConfig:
         return self.side * self.side
 
     @property
-    def partition(self) -> tuple:
-        """``(L, S)``: the queries and the most keys of one attention partition ("concat" stacks 2L keys)."""
-        return self.tokens, 2 * self.tokens if self.policy.kind == "concat" else self.tokens
-
-    @property
     def dtype(self):
         return PRECISION_DTYPES[self.precision]
 
     def working_set(self) -> tuple:
         """``(what, keys, nbytes)`` per array ``generate_batch`` holds at its peak; "policy" sets R references."""
         tokens, size, d, d_v = self.tokens, np.dtype(self.dtype).itemsize, self.d, self.d_v
-        logits = held_logits(*self.partition)
+        logits = held_logits(tokens, 2 * tokens if self.policy.kind == "concat" else tokens)
         weights = self.blocks * self.d_model * (2 * d + 2 * d_v) + (tokens + 2) * self.d_model  # drawn in f64
         return (("attention logits", ("side",), logits * size),
                 ("trajectory latents", ("steps", "batch"), (self.steps + 1) * self.batch * tokens * size),

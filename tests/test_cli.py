@@ -535,8 +535,7 @@ def tiled_generate(monkeypatch, overflows=False):
 
 
 class TestBlasThreads:
-    """A command runs BLAS at one thread unless it holds a large untiled partition, then restores the count; the tile
-    pool follows the count BLAS reports."""
+    """Every command runs BLAS at one thread, then restores the count; the tile pool follows the count BLAS reports."""
 
     @pytest.mark.skipif(OPENBLAS is None, reason="needs OpenBLAS's thread getter and setter")
     @pytest.mark.parametrize("overflows, code", [(False, 0), (True, 2)])
@@ -548,27 +547,25 @@ class TestBlasThreads:
         assert seen == [(kernels.CPUS > 1, 1)] * 4
         assert (OPENBLAS[0](), kernels.pool_workers()) == (2, 1)
 
-    # Side 40 (L = 1600), a 1000-row cell: L * S is past POOL_MIN_WORK, but L is no multiple of 256, so nothing tiles.
+    # Small partitions and large ones, on the tile grid (side 32) or off it (side 40: L = 1600; a 1000-row cell).
     @pytest.mark.skipif(OPENBLAS is None, reason="needs OpenBLAS's thread getter and setter")
-    @pytest.mark.parametrize("command, config, pinned", [
-        ("generate", {}, True),
-        ("generate", {"side": 32, "policy_kind": "concat"}, True),
-        ("generate", {"side": 40}, False),
-        ("sweep", {"side": 40}, False),
-        ("check", {}, True),
-        ("check", {"grid": [[1000, 4, 4]]}, False),
-        ("bench", {}, True),
-        ("bench", {"bench_grid": [[64, 8, 8, 2], [1000, 4, 4, 2]]}, False),
+    @pytest.mark.parametrize("command, config", [
+        ("generate", {}),
+        ("generate", {"side": 32, "policy_kind": "concat"}),
+        ("generate", {"side": 40}),
+        ("sweep", {"side": 40}),
+        ("check", {}),
+        ("check", {"grid": [[1000, 4, 4]]}),
+        ("bench", {}),
+        ("bench", {"bench_grid": [[64, 8, 8, 2], [1000, 4, 4, 2]]}),
     ])
-    def test_command_keeps_blas_threads_only_for_a_large_untiled_partition(self, monkeypatch, tmp_path,
-                                                                           blas_at_two_threads, command, config,
-                                                                           pinned):
+    def test_every_command_pins_one_blas_thread(self, monkeypatch, tmp_path, blas_at_two_threads, command, config):
         seen = []
         monkeypatch.setitem(refguide.cli._COMMANDS, command, lambda cfg, out: seen.append(OPENBLAS[0]()) or 0)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
-        assert (seen, OPENBLAS[0]()) == ([1 if pinned else 2], 2)
+        assert (seen, OPENBLAS[0]()) == ([1], 2)
 
     @pytest.mark.parametrize("env, pooled", [
         ({}, False),

@@ -346,14 +346,17 @@ class TestMemory:
         ({"blocks": 2027}, "keys 'blocks', 'd_model', 'd', 'd_v' (0.0619 GiB of denoiser weights)"),
         ({"blocks": 2028, "policy_kind": "plain"}, None),
         ({"blocks": 2029, "policy_kind": "plain"}, "keys 'blocks', 'd_model', 'd', 'd_v' (0.062 GiB of denoiser weights)"),
-        # side 62 (T = 3844, untiled): 59105344 of logits, 65940864 in all; side 63: 63011844 and 70065364.
-        ({"side": 62}, None),
-        ({"side": 63}, "key 'side' (0.0587 GiB of attention logits)"),
+        # From T = 725 (side 27) a partition tiles: one 256-row tile of T logits, 1024 T, beside 336 T of trajectory,
+        # 256 T + 131584 of weights, 384 T of projections, 512 T of hidden states and 256 T of reference; sum
+        # 2768 T + 131584, T <= 24197.4. Side 155 (T = 24025) holds 66632784; side 156 (T = 24336) 67493632.
+        ({"side": 155}, None),
+        ({"side": 156}, "key 'side' (0.0232 GiB of attention logits)"),
         # side 64 (T = 4096) tiles: one 256-row tile of 4096 logits, 4 MiB.
         ({"side": 64}, None),
-        # concat, S = 2T: side 52 holds 58492928 of logits and 63340288 in all; side 53 63123848 alone.
-        ({"side": 52, "policy_kind": "concat"}, None),
-        ({"side": 53, "policy_kind": "concat"}, "key 'side' (0.0588 GiB of attention logits)"),
+        # concat, S = 2T: a tile of 2T logits, 2048 T; sum 3792 T + 131584, T <= 17662.8. Side 132 (T = 17424)
+        # holds 66203392; side 133 (T = 17689) 67208272, 36227072 of it logits.
+        ({"side": 132, "policy_kind": "concat"}, None),
+        ({"side": 133, "policy_kind": "concat"}, "key 'side' (0.0337 GiB of attention logits)"),
     ])
     @pytest.mark.parametrize("command", ["generate", "sweep"])
     def test_denoiser_boundaries(self, memory_128mib, command, overrides, named):
@@ -385,14 +388,15 @@ class TestMemory:
     # A check cell, ``oracle.suite_nbytes``: one trial, in each of the
     # min(workers, trials) processes the suite forks, holds
     #   held_logits(L, 2L) * itemsize + L (48 (3d + 2d_v) + 160 d_v),
-    # 8 L² + 400 L at f32 for a (L, 1, 1) cell below the tile rule. The default
+    # at f32 for a (L, 1, 1) cell that tiles (L >= 725), one 256-row tile of 2L
+    # logits per worker W and 400 L of the rest: (2048 W + 400) L. The default
     # 20 + 5 trials run in 2 processes at 2 workers, in 1 with one trial.
     @pytest.mark.parametrize("overrides, workers, cell", [
-        ({"grid": [[2871, 1, 1]]}, 1, None),  # 67089528
-        ({"grid": [[2872, 1, 1]]}, 1, "2872x1x1"),  # 67135872
-        ({"grid": [[64, 4, 4], [2872, 1, 1]]}, 1, "2872x1x1"),
-        ({"grid": [[2023, 1, 1]]}, 2, None),  # 2 x 33549432
-        ({"grid": [[2024, 1, 1]]}, 2, "2024x1x1"),  # 2 x 33582208
+        ({"grid": [[27413, 1, 1]]}, 1, None),  # 2448 L = 67107024
+        ({"grid": [[27414, 1, 1]]}, 1, "27414x1x1"),  # 67109472
+        ({"grid": [[64, 4, 4], [27414, 1, 1]]}, 1, "27414x1x1"),
+        ({"grid": [[7463, 1, 1]]}, 2, None),  # 2 x 4496 L = 2 x 33553648
+        ({"grid": [[7464, 1, 1]]}, 2, "7464x1x1"),  # 2 x 33558144
         # 4096 queries over 8192 keys tile: 512 rows of logits at 2 workers, 2 x 18415616 in all.
         ({"grid": [[4096, 1, 1]]}, 2, None),
         ({"grid": [[1, 466031, 1]]}, 1, None),  # 144 d + 264
@@ -411,15 +415,16 @@ class TestMemory:
                 parse_config(overrides=overrides, command="check")
 
     # A bench cell, ``bench.bench_nbytes``: (B L (2d + d_v) + held_logits(L, 2L)) * itemsize,
-    # (4 B + 2) * 4 for a (1, 1, 2, B) cell and (2 L² + 6 L) * 4 for a (L, 1, 1, 2) one.
+    # (4 B + 2) * 4 for a (1, 1, 2, B) cell and, with one 256-row tile of 2L logits from
+    # L = 725, (512 L + 6 L) * 4 = 2072 L for a (L, 1, 1, 2) one.
     @pytest.mark.parametrize("overrides, cell", [
         ({"bench_grid": [[1, 1, 2, 4194303]]}, None),
         ({"bench_grid": [[1, 1, 2, 4194304]]}, "1x1x2x4194304"),
         ({"bench_grid": [[1, 1, 2, 2097151]], "precision": "f64"}, None),
         ({"bench_grid": [[1, 1, 2, 2097152]], "precision": "f64"}, "1x1x2x2097152"),
-        ({"bench_grid": [[2894, 1, 1, 2]]}, None),  # 67071344
-        ({"bench_grid": [[2895, 1, 1, 2]]}, "2895x1x1x2"),  # 67117680
-        ({"bench_grid": [[64, 64, 64, 8], [2895, 1, 1, 2]]}, "2895x1x1x2"),
+        ({"bench_grid": [[32388, 1, 1, 2]]}, None),  # 67107936
+        ({"bench_grid": [[32389, 1, 1, 2]]}, "32389x1x1x2"),  # 67110008
+        ({"bench_grid": [[64, 64, 64, 8], [32389, 1, 1, 2]]}, "32389x1x1x2"),
     ])
     def test_bench_cell_boundaries(self, memory_128mib, overrides, cell):
         if cell is None:
@@ -429,9 +434,9 @@ class TestMemory:
                 parse_config(overrides=overrides, command="bench")
 
     # Each part fits in 64 MiB alone, but not their sum: steps 10000 and blocks
-    # 1000 hold 40964096 of trajectory and 32834048 of weights; side 63 holds
-    # 63011844 of logits beside 7053520 of the rest.
-    @pytest.mark.parametrize("overrides", [{"steps": 10000, "blocks": 1000}, {"side": 63}])
+    # 1000 hold 40964096 of trajectory and 32834048 of weights; side 156 holds
+    # 24920064 of logits beside 42573568 of the rest.
+    @pytest.mark.parametrize("overrides", [{"steps": 10000, "blocks": 1000}, {"side": 156}])
     def test_parts_that_fit_alone_can_overflow_together(self, memory_128mib, overrides):
         parts = parse_config(overrides=overrides).pipeline_config().working_set()
         assert all(nbytes <= 64 << 20 for _, _, nbytes in parts)

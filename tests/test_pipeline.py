@@ -288,16 +288,15 @@ class TestGenerateBatch:
         traj = generate_batch(PipelineConfig(policy=RECORDER.SCALAR_BLEND_RUNS[key]))
         assert traj.final_digest() == BASELINES[key]
 
-    @pytest.mark.parametrize("key", list(RECORDER.SIDE32_RUNS))
+    @pytest.mark.parametrize("side, key", [(side, key) for side, runs in RECORDER.TILED_RUNS.items() for key in runs])
     @pytest.mark.parametrize("workers", ["untiled", 1, 2])
-    def test_recorded_side32_digests(self, monkeypatch, workers, key):
-        # L = 1024: every partition runs as query tiles, in the caller (1 worker) or on the pool (2).
+    def test_recorded_tiled_digests(self, monkeypatch, workers, side, key):
+        # L = 1024 or 1600 (a 64-row last tile): every partition runs as query tiles, in the caller (1 worker) or on
+        # the pool (2).
         monkeypatch.setattr(kernels, "pool_workers", lambda: 1 if workers == "untiled" else workers)
         if workers == "untiled":
             monkeypatch.setattr(kernels, "POOL_MIN_WORK", float("inf"))  # each partition is one tile
-        policy, precision = RECORDER.SIDE32_RUNS[key]
-        cfg = PipelineConfig(**RECORDER.SIDE32, policy=policy, precision=precision)
-        assert generate_batch(cfg).final_digest() == BASELINES["final_digests_seeds42_7_side32"][key]
+        assert RECORDER.tiled_digest(side, key) == BASELINES[f"final_digests_seeds42_7_side{side}"][key]
 
 
 class TestTrajectory:
