@@ -220,21 +220,27 @@ def _tile(q, k, v, scale, out=None) -> tuple:
 def tile_rows(length: int, keys: int) -> int:
     """Query rows per tile of an L x S partition: ``TILE_ROWS``, or all ``length`` rows untiled.
 
-    It tiles if ``L >= 2 * TILE_ROWS`` and ``L * S >= POOL_MIN_WORK``, the last tile shorter if L is not a multiple
-    of ``TILE_ROWS``. Under OpenBLAS's SkylakeX kernel (not Haswell's) tiles of ``TILE_ROWS`` rows over a multiple of
-    64 keys are bitwise the single tile; a ragged shape may differ from it by a few ulps. No byte depends on the
-    worker count.
+    It tiles if L exceeds ``TILE_ROWS`` and L rounded up to a multiple of ``TILE_ROWS``, times S rounded up to one of
+    64, is at least ``POOL_MIN_WORK``: every shape the tile grid of that size covers (484 x 968 tiles as 512 x 1024
+    would), the last tile shorter if L is not a multiple of ``TILE_ROWS``. Under OpenBLAS's SkylakeX kernel (not
+    Haswell's) tiles of ``TILE_ROWS`` rows over a multiple of 64 keys are bitwise the single tile; a ragged shape may
+    differ from it by a few ulps. No byte depends on the worker count.
     """
-    return TILE_ROWS if length >= 2 * TILE_ROWS and length * keys >= POOL_MIN_WORK else length
+    padded = -(-length // TILE_ROWS) * TILE_ROWS * -(-keys // 64) * 64
+    return TILE_ROWS if length > TILE_ROWS and padded >= POOL_MIN_WORK else length
 
 
 def held_logits(length: int, keys: int) -> int:
-    """Logits the larger of an L x L and an L x S call holds, S = ``keys``: L x S, or at most a tile per CPU if tiled.
+    """Logits an L x L and an L x S call, S = ``keys``, hold at most between them; each caller runs both.
 
-    Each caller runs both. The L x L call is the larger only where it does not tile and L x S does (for S = 2L, L from
-    513 to 724 at one CPU).
+    An untiled call holds its L x S logits until it returns; a tiled one leaves each thread's scratch of one full tile
+    held after it, on as many threads as there are tiles at most. So where L x L does not tile and L x S does (for
+    S = 2L, L from 481 to 640), both count.
     """
-    return max(min(length, tile_rows(length, s) * CPUS) * s for s in (length, keys))
+    rows = min(-(-length // TILE_ROWS), CPUS) * TILE_ROWS
+    tiled = [rows * s for s in (length, keys) if tile_rows(length, s) < length]
+    untiled = [length * s for s in (length, keys) if tile_rows(length, s) == length]
+    return max(tiled, default=0) + max(untiled, default=0)
 
 
 def _operands(q, kvs, keyless=(), coeff=None) -> None:

@@ -346,7 +346,7 @@ class TestMemory:
         ({"blocks": 2027}, "keys 'blocks', 'd_model', 'd', 'd_v' (0.0619 GiB of denoiser weights)"),
         ({"blocks": 2028, "policy_kind": "plain"}, None),
         ({"blocks": 2029, "policy_kind": "plain"}, "keys 'blocks', 'd_model', 'd', 'd_v' (0.062 GiB of denoiser weights)"),
-        # From T = 725 (side 27) a partition tiles: one 256-row tile of T logits, 1024 T, beside 336 T of trajectory,
+        # From T = 641 (side 26) a partition tiles: one 256-row tile of T logits, 1024 T, beside 336 T of trajectory,
         # 256 T + 131584 of weights, 384 T of projections, 512 T of hidden states and 256 T of reference; sum
         # 2768 T + 131584, T <= 24197.4. Side 155 (T = 24025) holds 66632784; side 156 (T = 24336) 67493632.
         ({"side": 155}, None),
@@ -388,7 +388,7 @@ class TestMemory:
     # A check cell, ``oracle.suite_nbytes``: one trial, in each of the
     # min(workers, trials) processes the suite forks, holds
     #   held_logits(L, 2L) * itemsize + L (48 (3d + 2d_v) + 160 d_v),
-    # at f32 for a (L, 1, 1) cell that tiles (L >= 725), one 256-row tile of 2L
+    # at f32 for a (L, 1, 1) cell whose L x L call tiles too (L >= 641), one 256-row tile of 2L
     # logits per worker W and 400 L of the rest: (2048 W + 400) L. The default
     # 20 + 5 trials run in 2 processes at 2 workers, in 1 with one trial.
     @pytest.mark.parametrize("overrides, workers, cell", [
@@ -416,7 +416,7 @@ class TestMemory:
 
     # A bench cell, ``bench.bench_nbytes``: (B L (2d + d_v) + held_logits(L, 2L)) * itemsize,
     # (4 B + 2) * 4 for a (1, 1, 2, B) cell and, with one 256-row tile of 2L logits from
-    # L = 725, (512 L + 6 L) * 4 = 2072 L for a (L, 1, 1, 2) one.
+    # L = 641, (512 L + 6 L) * 4 = 2072 L for a (L, 1, 1, 2) one.
     @pytest.mark.parametrize("overrides, cell", [
         ({"bench_grid": [[1, 1, 2, 4194303]]}, None),
         ({"bench_grid": [[1, 1, 2, 4194304]]}, "1x1x2x4194304"),

@@ -475,6 +475,7 @@ class TestPooledPartition:
     @pytest.mark.parametrize("length, keys, dtype", [
         (256, 4096, np.float32),  # a single tile
         (512, 512, np.float32),  # L * S below the threshold
+        (480, 960, np.float32),  # 512 x 960 padded, below the threshold
     ])
     def test_shapes_outside_the_rule_never_submit(self, length, keys, dtype):
         q, k, v = partition_inputs(3, length, keys, 8, 8, dtype)
@@ -485,12 +486,14 @@ class TestPooledPartition:
 
     # Tiled against untiled, the largest gap in eps of the dtype relative to max|untiled| of each of out, m and s,
     # over seeds 0 to 19: 8.2 (576 x 1024), 12.9 (1088 x 1024), 1.5 (1024 x 1004) and 16.1 (1600 x 1600), in out at
-    # d_v = 8 and, at 1004 keys, in m and s too. The bound, 64 eps, is 4x the worst.
+    # d_v = 8 and, at 1004 keys, in m and s too; 484 x 968 (512 x 1024 padded) was bitwise at d = 8 and 32, f32 and
+    # f64. The bound, 64 eps, is 4x the worst.
     @pytest.mark.parametrize("length, keys, d, dtype, heights", [
         (576, 1024, 8, np.float32, [256, 256, 64]),  # L not a multiple of the tile height
         (1088, 1024, 8, np.float64, [256] * 4 + [64]),
         (1024, 1004, 32, np.float64, [256] * 4),  # S not a multiple of 64
         (1600, 1600, 8, np.float64, [256] * 6 + [64]),  # side 40
+        (484, 968, 32, np.float32, [256, 228]),  # side 22, concat: L and S off the grid, below 512 rows
     ])
     def test_ragged_shapes_tile_near_the_untiled_call(self, length, keys, d, dtype, heights):
         q, k, v = partition_inputs(3, length, keys, d, d, dtype)
@@ -730,21 +733,23 @@ class TestTileMemory:
         assert np.array_equal(out, warm)
         assert peak < kernels.TILE_ROWS * length * 4 + out.nbytes, peak
 
-    # At one CPU, 600 x 1200 tiles (256 x 1200 logits) but 600 x 600 does not (600 x 600, the larger): the estimate
-    # counts the larger. Beside the logits, a call holds its output and its rows' m and s, about 19 KB here.
-    @pytest.mark.parametrize("keys", [600, 1200])
-    def test_held_logits_cover_what_a_warm_call_allocates(self, monkeypatch, keys):
+    # At one CPU, 600 x 1200 tiles (256 x 1200 logits of scratch, kept after the call) but 600 x 600 does not (768 x 640
+    # padded, below POOL_MIN_WORK): its 600 x 600 logits come while the scratch is held, 667200 f32 between them.
+    # Beside the logits and their two outputs, the calls hold their rows' m and s and small temporaries, 19959 B here.
+    def test_held_logits_cover_an_untiled_call_beside_a_tiled_calls_scratch(self, monkeypatch):
         monkeypatch.setattr(kernels, "CPUS", 1)
-        q, k, v = partition_inputs(26, 600, keys, 8, 8, np.float32)
-        with tile_pool(1):
-            attention(q, k, v)  # the scratch is now held
+        monkeypatch.setattr(kernels, "_scratch", threading.local())  # made under tracemalloc, so counted
+        q, k, v = partition_inputs(26, 600, 1200, 8, 8, np.float32)
+        with tile_pool(1), tile_heights() as rows:
             tracemalloc.start()
             try:
-                out = attention(q, k, v)
+                outs = [attention(q, k, v), attention(q, k[:600], v[:600])]
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-        assert peak - out.nbytes <= kernels.held_logits(600, 1200) * 4 + (64 << 10), peak
+        assert rows == [256, 256, 88, 600]
+        assert peak - sum(out.nbytes for out in outs) <= kernels.held_logits(600, 1200) * 4 + (64 << 10), peak
+        assert peak > (600 * 600 + 256 * 1200) * 4, peak
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_results_share_no_memory_with_the_scratch(self, workers):
