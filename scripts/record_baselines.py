@@ -2,9 +2,11 @@
 
 Run after any intentional change to the weight draw order, the denoiser
 forward pass, the update schedule, or the sweep CSV format, then review the
-diff before committing. BLAS runs one thread, as in the tests, and the file
-names the BLAS kernel it was recorded under: other kernels sum in another
-order, so they give other bits. The recorded values pin:
+diff before committing. The kernels and the denoiser run BLAS at one thread
+themselves (``kernels.one_blas_thread``) where numpy's OpenBLAS has the setter;
+with another BLAS, set ``OPENBLAS_NUM_THREADS=1``. The file names the BLAS
+kernel it was recorded under: other kernels sum in another order, so they give
+other bits. The recorded values pin:
 
   - the weight digest for seed 42 at the default architecture,
   - the final-latent digest for the default generate run (rfg 0.35), and
@@ -35,7 +37,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from refguide.cli import main as cli_main
-from refguide.kernels import AttentionPolicy, blas_kernel, one_blas_thread
+from refguide.kernels import AttentionPolicy, blas_kernel
 from refguide.linalg import PRECISION_DTYPES
 from refguide.oracle import DEFAULT_GRID, _draw_inputs, naive_concat_attention, run_equivalence_suite
 from refguide.pipeline import PipelineConfig, generate_batch, init_denoiser, trajectory_distance
@@ -147,9 +149,8 @@ def command_output(command: str, name: str) -> bytes:
 def main() -> int:
     DATA_DIR.mkdir(parents=True, exist_ok=True)
 
-    with one_blas_thread():
-        baselines = record_baselines()
-        sweep = command_output("sweep", "sweep.csv")
+    baselines = record_baselines()
+    sweep = command_output("sweep", "sweep.csv")
     baseline_path = DATA_DIR / "baselines.json"
     baseline_path.write_text(json.dumps(baselines, indent=2) + "\n")
     print(f"wrote {baseline_path}")

@@ -17,7 +17,7 @@ import numpy as np
 from .artifacts import json_text, write_json, write_pgm, write_raw, write_sweep_csv
 from .bench import run_bench
 from .config import PRESETS, ConfigError, parse_config
-from .kernels import AttentionPolicy, one_blas_thread
+from .kernels import AttentionPolicy
 from .linalg import PRECISION_DTYPES
 from .oracle import run_equivalence_suite
 from .pipeline import generate_batch, trajectory_distance
@@ -188,15 +188,14 @@ def main(argv=None) -> int:
     # Every config error exits 2 before anything is written; then --out is made
     # before the work, so an unusable one exits 3 at once. Overflow and invalid
     # values are named by the finiteness rule (exit 2) or by the report's null
-    # error (exit 1), so numpy's warnings stay silent. The work runs BLAS at one
-    # thread, beside a tile pool of one per CPU.
+    # error (exit 1), so numpy's warnings stay silent. The kernels and the
+    # denoiser's step loop run BLAS at one thread themselves (one_blas_thread).
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             cfg = parse_config(config_path, overrides, command)
             out = Path(cfg.out_dir)
             out.mkdir(parents=True, exist_ok=True)
-            with one_blas_thread():
-                return _COMMANDS[command](cfg, out)
+            return _COMMANDS[command](cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -26,15 +26,14 @@ not finite raises (``row_softmax_inplace``), as finite operands can overflow.
 
 Each public route checks once, at entry, with one rule, ``_operands``: dtypes,
 shapes, every entry of ``q``, ``k``, ``v`` and any coefficient finite;
-``_branches`` trusts its caller. It runs each partition as one ``_tile``, or,
-if all meet ``tile_rows``' rule, as ``TILE_ROWS``-row tiles, the last one
-shorter if L is not a multiple, on a thread pool (one thread per usable CPU
-while OpenBLAS reports one thread, asked through ctypes at each call; else the
-caller alone), each thread reusing one logits scratch (``held_logits``). Every
-partition's tiles are submitted before any is awaited; the pool starts with
-its first use. The bytes depend on the shape and the BLAS kernel only, never
-on the worker count. A command pins BLAS at one thread (``one_blas_thread``);
-library calls leave BLAS as set.
+``_branches`` trusts its caller. It runs BLAS at one thread wherever numpy's
+OpenBLAS exports the setter, in commands and library calls alike, restoring
+the count on return or raise (``one_blas_thread``). It runs each partition as
+one ``_tile`` or, under ``tile_rows``' rule, as query-row tiles on a pool of
+one thread per usable CPU (the caller alone if BLAS runs more), each thread
+reusing one logits scratch (``held_logits``); the pool starts with its first
+use. The bytes depend on the shape and the BLAS kernel only, never on the
+worker count.
 
 ``apply_policy`` runs an ``AttentionPolicy``, a kind plus one strength per
 reference the scalar blend reads, over each reference's ``(k, v)``, so
@@ -68,6 +67,7 @@ TILE_ROWS = 256
 POOL_MIN_WORK = 1 << 19
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 _scratch = threading.local()  # per thread and dtype, one tile logits buffer grown to the largest tile
+_UNPINNED = contextlib.nullcontext()  # ``one_blas_thread`` without the setter or at one thread: a shared no-op
 
 
 @functools.cache
@@ -98,19 +98,20 @@ def blas_kernel():
 
 
 def pool_workers() -> int:
-    """Tile threads: one per usable CPU while BLAS runs one thread, else one (the caller's) beside BLAS's own."""
+    """Tile threads: one per usable CPU while BLAS runs one thread (as ``_branches`` sets it), else the caller alone."""
     return CPUS if blas_threads() == 1 else 1
 
 
-def one_blas_thread() -> contextlib.ExitStack:
-    """Set OpenBLAS to one thread until the returned context exits, if it has the setter and runs more.
+def one_blas_thread() -> contextlib.AbstractContextManager:
+    """Set OpenBLAS to one thread until the returned context exits, then restore its count, on return or raise.
 
-    The count belongs to the process: BLAS calls on other threads meanwhile run at one thread too.
+    The count is the process's: other threads' BLAS runs at one thread meanwhile; concurrent pins can undo each other.
     """
+    if not (lib := _openblas()) or (threads := lib[0]()) == 1:
+        return _UNPINNED
+    lib[1](1)
     restore = contextlib.ExitStack()
-    if (lib := _openblas()) and (threads := lib[0]()) != 1:
-        lib[1](1)
-        restore.callback(lib[1], threads)
+    restore.callback(lib[1], threads)
     return restore
 
 
@@ -283,28 +284,29 @@ def _operands(q, kvs, keyless=(), coeff=None) -> None:
 def _branches(q, kvs) -> list:
     """``(out, m, s)`` of ``_tile`` over each ``(k, v)`` partition of one query, in partition order.
 
-    Each public route checks once, at entry (``_operands``); ``_branches`` trusts its caller. If every partition meets
-    ``tile_rows``' rule, each runs as tiles into its output, with one set of bytes: in the caller if ``pool_workers()``
-    is 1, else on the ``CPUS``-thread pool, each in a copy of the caller's context (so ``np.errstate`` reaches it).
-    Each tile's softmax checks its rows' maxima, the finiteness rule for logits. The call returns, or raises the first
-    tile's error, once no tile still runs.
+    Each public route checks once, at entry (``_operands``); ``_branches`` trusts its caller. It holds BLAS at one
+    thread throughout, tile wait included (``one_blas_thread``). If every partition meets ``tile_rows``' rule, each
+    runs as tiles into its output, one set of bytes: in the caller if ``pool_workers()`` is 1, else on the pool, each
+    in a copy of the caller's context (so ``np.errstate`` reaches it). Each tile's softmax checks its rows' maxima,
+    the finiteness rule for logits. It returns, or raises the first tile's error, once no tile still runs.
     """
-    length = q.shape[0]
-    scale = 1.0 / float(np.sqrt(q.shape[1]))
-    if max(tile_rows(length, k.shape[0]) for k, _ in kvs) == length:
-        return [_tile(q, k, v, scale) for k, v in kvs]
-    outs = [np.empty((length, v.shape[1]), q.dtype) for _, v in kvs]
-    rows = [slice(lo, lo + TILE_ROWS) for lo in range(0, length, TILE_ROWS)]
-    if pool_workers() == 1:  # the caller runs the tiles, with the bytes of the pool's
-        runs = [[_tile(q[r], k, v, scale, out[r]) for r in rows] for (k, v), out in zip(kvs, outs)]
-    else:
-        from concurrent.futures import wait
-        pool = _tile_pool(os.getpid())
-        runs = [[pool.submit(contextvars.copy_context().run, _tile, q[r], k, v, scale, out[r]) for r in rows]
-                for (k, v), out in zip(kvs, outs)]
-        wait([done for run in runs for done in run])  # no error is raised while a tile still runs
-        runs = [[done.result() for done in run] for run in runs]
-    return [(out, *(np.concatenate(a) for a in list(zip(*run))[1:])) for out, run in zip(outs, runs)]
+    with one_blas_thread():
+        length = q.shape[0]
+        scale = 1.0 / float(np.sqrt(q.shape[1]))
+        if max(tile_rows(length, k.shape[0]) for k, _ in kvs) == length:
+            return [_tile(q, k, v, scale) for k, v in kvs]
+        outs = [np.empty((length, v.shape[1]), q.dtype) for _, v in kvs]
+        rows = [slice(lo, lo + TILE_ROWS) for lo in range(0, length, TILE_ROWS)]
+        if pool_workers() == 1:  # the caller runs the tiles, with the bytes of the pool's
+            runs = [[_tile(q[r], k, v, scale, out[r]) for r in rows] for (k, v), out in zip(kvs, outs)]
+        else:
+            from concurrent.futures import wait
+            pool = _tile_pool(os.getpid())
+            runs = [[pool.submit(contextvars.copy_context().run, _tile, q[r], k, v, scale, out[r]) for r in rows]
+                    for (k, v), out in zip(kvs, outs)]
+            wait([done for run in runs for done in run])  # no error is raised while a tile still runs
+            runs = [[done.result() for done in run] for run in runs]
+        return [(out, *(np.concatenate(a) for a in list(zip(*run))[1:])) for out, run in zip(outs, runs)]
 
 
 def partitions(q, kvs) -> tuple:

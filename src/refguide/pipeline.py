@@ -15,8 +15,6 @@ the same block in the same pass, rebuilt every step from their current
 latents. The reference therefore never sees the guided samples, so its
 trajectory is bitwise identical across policies and batch sizes for fixed
 seeds.
-
-``denoise_step`` takes one policy per block (``PipelineConfig.layer_policies``).
 """
 
 import hashlib
@@ -24,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import AttentionInputs, AttentionPolicy, apply_policy, held_logits
+from .kernels import AttentionInputs, AttentionPolicy, apply_policy, held_logits, one_blas_thread
 from .linalg import PRECISION_DTYPES, frobenius_norm, matmul
 from .rng import stream, uniform_matrix
 
@@ -253,15 +251,16 @@ def initial_noise(config: PipelineConfig) -> np.ndarray:
 
 
 def generate_batch(config: PipelineConfig) -> Trajectory:
-    """Run the full batch loop; a pure function of the config."""
+    """Run the full batch loop, its GEMMs at one BLAS thread (``one_blas_thread``); a pure function of the config."""
     weights = init_denoiser(config.weights_seed, config)
     policies = config.layer_policies()
     states = np.empty(
         (config.steps + 1, config.batch, config.side, config.side), dtype=config.dtype
     )
     states[0] = initial_noise(config)
-    for t in range(config.steps):
-        states[t + 1] = denoise_step(states[t], t, config.steps, weights, policies)
+    with one_blas_thread():
+        for t in range(config.steps):
+            states[t + 1] = denoise_step(states[t], t, config.steps, weights, policies)
     return Trajectory(states=states)
 
 

@@ -1,9 +1,12 @@
-"""Helpers the test modules share: loading a repository file as a module, strict JSON, and a child's environment."""
+"""Helpers the test modules share: loading a repository file as a module, strict JSON, a child's environment, and
+seeded attention operands."""
 
 import importlib.util
 import json
 import os
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -37,3 +40,22 @@ def child_env(**extra):
     env = {key: value for key, value in os.environ.items() if key not in BLAS_VARS}
     src = str(Path(refguide.__file__).parents[1])
     return {**env, "PYTHONPATH": os.pathsep.join(filter(None, (src, env.get("PYTHONPATH")))), **extra}
+
+
+def partition_inputs(seed, length, keys, d, d_v, dtype):
+    """Seeded ``q`` (length, d), ``k`` (keys, d) and ``v`` (keys, d_v), uniform in [-1, 1)."""
+    from refguide.rng import stream
+
+    gen = stream(seed)
+    shapes = ((length, d), (keys, d), (keys, d_v))
+    return [gen.uniform(-1, 1, shape).astype(dtype) for shape in shapes]
+
+
+def overflowing_tile_inputs(tile):
+    """f32 inputs of four pooled tiles whose tile ``tile`` overflows its logits."""
+    from refguide import kernels
+
+    q, k, v = partition_inputs(7, 4 * kernels.TILE_ROWS, 512, 8, 8, np.float32)
+    rows = slice(tile * kernels.TILE_ROWS, (tile + 1) * kernels.TILE_ROWS)
+    q[rows] = np.float32(3e38)  # finite, but q k^T overflows
+    return q, k, v

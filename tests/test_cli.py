@@ -14,6 +14,7 @@ import pytest
 
 import refguide.bench
 import refguide.cli
+import refguide.pipeline
 from refguide import kernels
 from refguide.artifacts import load_raw
 from refguide.bench import BENCH_POLICIES, run_bench
@@ -22,7 +23,7 @@ from refguide.config import ConfigError
 from refguide.kernels import AttentionPolicy
 from refguide.pipeline import PipelineConfig, generate_batch, trajectory_distance
 
-from helpers import BLAS_VARS, child_env, strict_loads
+from helpers import BLAS_VARS, child_env, load_file, overflowing_tile_inputs, strict_loads
 
 SMALL_PIPELINE = {
     "side": 6, "blocks": 2, "d_model": 8, "d": 8, "d_v": 8, "steps": 6,
@@ -499,6 +500,11 @@ class TestErrorPaths:
 
 
 OPENBLAS = kernels._openblas()
+BASELINES = json.loads((Path(__file__).parent / "data" / "baselines.json").read_text())
+RECORDER = load_file("scripts/record_baselines.py", "record_baselines")
+# Keys that cut a command's repetitions, not its shapes.
+SHORT_RUNS = {"generate": {"steps": 1}, "sweep": {"steps": 1}, "check": {"trials": 1, "stress_trials": 0},
+              "bench": {"iterations": 1, "warmup": 0}}
 
 
 @pytest.fixture
@@ -514,28 +520,35 @@ def blas_at_two_threads():
     put(before)
 
 
+def blas_readings(monkeypatch):
+    """Two lists that get, at each ``kernels._tile`` and each ``pipeline.matmul`` call, whether a pool thread made it
+    and OpenBLAS's thread count then."""
+    tiles, matmuls = [], []
+    for module, name, seen in ((kernels, "_tile", tiles), (refguide.pipeline, "matmul", matmuls)):
+        def reading(*args, real=getattr(module, name), seen=seen):
+            seen.append((threading.current_thread().name.startswith("refguide-tile"), OPENBLAS and OPENBLAS[0]()))
+            return real(*args)
+
+        monkeypatch.setattr(module, name, reading)
+    return tiles, matmuls
+
+
 def tiled_generate(monkeypatch, overflows=False):
     """Replace ``generate``'s work with one tiled ``attention`` call, whose logits overflow (exit 2) if ``overflows``.
 
     Returns a list that gets, for each tile, whether a pool thread ran it and OpenBLAS's thread count then.
     """
-    seen, real = [], kernels._tile
-
-    def tile(*args):
-        seen.append((threading.current_thread().name.startswith("refguide-tile"), OPENBLAS and OPENBLAS[0]()))
-        return real(*args)
-
     def command(cfg, out):
         kernels.attention(*[np.full((1024, 8), 3e38 if overflows else 1, np.float32)] * 3)  # four tiles
         return 0
 
-    monkeypatch.setattr(kernels, "_tile", tile)
     monkeypatch.setitem(refguide.cli._COMMANDS, "generate", command)
-    return seen
+    return blas_readings(monkeypatch)[0]
 
 
 class TestBlasThreads:
-    """Every command runs BLAS at one thread, then restores the count; the tile pool follows the count BLAS reports."""
+    """Kernel calls and the denoiser's steps run BLAS at one thread, in commands and library calls alike, then restore
+    the count; the tile pool follows the count BLAS reports."""
 
     @pytest.mark.skipif(OPENBLAS is None, reason="needs OpenBLAS's thread getter and setter")
     @pytest.mark.parametrize("overflows, code", [(False, 0), (True, 2)])
@@ -559,13 +572,39 @@ class TestBlasThreads:
         ("bench", {}),
         ("bench", {"bench_grid": [[64, 8, 8, 2], [1000, 4, 4, 2]]}),
     ])
-    def test_every_command_pins_one_blas_thread(self, monkeypatch, tmp_path, blas_at_two_threads, command, config):
-        seen = []
-        monkeypatch.setitem(refguide.cli._COMMANDS, command, lambda cfg, out: seen.append(OPENBLAS[0]()) or 0)
+    def test_every_command_runs_its_blas_work_at_one_thread(self, monkeypatch, tmp_path, blas_at_two_threads,
+                                                              command, config):
+        tiles, matmuls = blas_readings(monkeypatch)
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
+        path.write_text(json.dumps({**config, **SHORT_RUNS[command]}))
         assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
-        assert (seen, OPENBLAS[0]()) == ([1], 2)
+        assert tiles and {count for _, count in tiles + matmuls} == {1}
+        assert bool(matmuls) == (command in ("generate", "sweep"))
+        assert OPENBLAS[0]() == 2
+
+    @pytest.mark.skipif(OPENBLAS is None, reason="needs OpenBLAS's thread getter and setter")
+    def test_library_generate_batch_pools_per_cpu_at_one_blas_thread(self, monkeypatch, blas_at_two_threads):
+        tiles, matmuls = blas_readings(monkeypatch)
+        workers, real = [], kernels.pool_workers
+        monkeypatch.setattr(kernels, "pool_workers", lambda: workers.append(real()) or workers[-1])
+        config = PipelineConfig(side=32, **RECORDER.TILED_SCHEDULE, policy=AttentionPolicy.rfg(0.35))  # L = 1024 tiles
+        digest = generate_batch(config).final_digest()
+        assert digest == BASELINES["final_digests_seeds42_7_side32"]["rfg035/f32"]
+        assert set(workers) == {kernels.CPUS}
+        assert set(tiles) == {(kernels.CPUS > 1, 1)} and {count for _, count in matmuls} == {1}
+        assert OPENBLAS[0]() == 2
+
+    @pytest.mark.skipif(OPENBLAS is None, reason="needs OpenBLAS's thread getter and setter")
+    @pytest.mark.parametrize("tiled", [False, True], ids=["untiled", "tiled-raises"])
+    def test_a_kernel_call_runs_one_blas_thread_and_restores_the_count(self, monkeypatch, blas_at_two_threads, tiled):
+        tiles, _ = blas_readings(monkeypatch)
+        if tiled:
+            with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite logits"):
+                kernels.attention(*overflowing_tile_inputs(2))
+        else:
+            kernels.attention(*[np.ones((64, 8), np.float32)] * 3)
+        assert len(tiles) == (4 if tiled else 1) and {count for _, count in tiles} == {1}
+        assert OPENBLAS[0]() == 2
 
     @pytest.mark.parametrize("env, pooled", [
         ({}, False),
@@ -585,24 +624,27 @@ class TestBlasThreads:
         assert main(["generate", "--out", str(tmp_path)]) == 0
         assert seen == [(pooled and kernels.CPUS > 1, blas_at_two_threads)] * 4
 
-    # A child that runs ``refguide.cli.main`` on its arguments, then one tiled library call, and prints to stderr as
-    # JSON the tile workers and BLAS's thread count at each call that asked for the pool, and that count before and
-    # after the command. The process has one pool: the library call, with BLAS threaded again, runs its tiles itself.
+    # A child that runs ``refguide.cli.main`` on its arguments, then library ``generate_batch`` on the same side-32
+    # config, and prints to stderr as JSON, for each of the two, the tile workers and BLAS's thread count at each call
+    # that asked for the pool; BLAS's count before, between and after; and the sha256 of the library's final latents.
     RECORD_POOLS = (
-        "import json, sys\n"
-        "import numpy as np\n"
+        "import hashlib, json, sys\n"
         "import refguide.cli, refguide.kernels as k\n"
-        "asked, pool = set(), k._tile_pool\n"
+        "from refguide.pipeline import PipelineConfig, generate_batch\n"
+        "asked, pool = [], k._tile_pool\n"
         "def recording(pid):\n"
-        "    asked.add((k.pool_workers(), k.blas_threads()))\n"
+        "    asked[-1].add((k.pool_workers(), k.blas_threads()))\n"
         "    return pool(pid)\n"
         "k._tile_pool = recording\n"
-        "before = k.blas_threads()\n"
+        "counts = [k.blas_threads()]\n"
+        "asked.append(set())\n"
         "code = refguide.cli.main(sys.argv[1:])\n"
-        "after = k.blas_threads()\n"
-        "q = np.ones((1024, 8), np.float32)\n"
-        "k.attention(q, q, q)\n"
-        "print(json.dumps([sorted(asked), before, after]), file=sys.stderr)\n"
+        "counts.append(k.blas_threads())\n"
+        "asked.append(set())\n"
+        "final = generate_batch(PipelineConfig(side=32, blocks=2, steps=2, batch=3)).final\n"
+        "counts.append(k.blas_threads())\n"
+        "digest = hashlib.sha256(final.astype('<f4').tobytes()).hexdigest()\n"
+        "print(json.dumps([[sorted(a) for a in asked], counts, digest]), file=sys.stderr)\n"
         "sys.exit(code)\n"
     )
 
@@ -617,7 +659,10 @@ class TestBlasThreads:
             assert done.returncode == 0, done.stderr
             runs[name] = json.loads(done.stderr)
             outputs[name] = {path.name: path.read_bytes() for path in (tmp_path / name).iterdir()}
-        assert runs["unset"][0] == runs["pinned"][0] == [[kernels.CPUS, 1]]
-        assert runs["unset"][1] == runs["unset"][2] > 1  # BLAS's own count, restored
-        assert runs["pinned"][1:] == [1, 1]
+        # The command and the library call alike pool per CPU at one BLAS thread.
+        assert runs["unset"][0] == runs["pinned"][0] == [[[kernels.CPUS, 1]]] * 2
+        assert runs["unset"][1][0] > 1 and set(runs["unset"][1]) == {runs["unset"][1][0]}  # BLAS's own, restored
+        assert runs["pinned"][1] == [1, 1, 1]
         assert outputs["unset"] == outputs["pinned"]
+        command_latents = b"".join(outputs["unset"][f"sample_{i}.raw"] for i in range(3))
+        assert runs["unset"][2] == runs["pinned"][2] == hashlib.sha256(command_latents).hexdigest()

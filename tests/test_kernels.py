@@ -44,7 +44,7 @@ from refguide.oracle import (
 )
 from refguide.rng import stream
 
-from helpers import child_env
+from helpers import child_env, overflowing_tile_inputs, partition_inputs
 
 
 def draw_set(seed, length=4, d=3, d_v=2, dtype=np.float64, q_scale=1.0):
@@ -416,12 +416,6 @@ def single_tile():
         yield rows
 
 
-def partition_inputs(seed, length, keys, d, d_v, dtype):
-    gen = stream(seed)
-    shapes = ((length, d), (keys, d), (keys, d_v))
-    return [gen.uniform(-1, 1, shape).astype(dtype) for shape in shapes]
-
-
 def bytes_at_each_worker_count(q, k, v) -> list:
     """The bytes of one partition's ``_branches`` at 1, 2 and 4 tile workers, more than the cores, switching threads
     often."""
@@ -435,14 +429,6 @@ def bytes_at_each_worker_count(q, k, v) -> list:
     finally:
         sys.setswitchinterval(interval)
     return results
-
-
-def overflowing_tile_inputs(tile):
-    """f32 inputs of four pooled tiles whose tile ``tile`` overflows its logits."""
-    q, k, v = partition_inputs(7, 4 * kernels.TILE_ROWS, 512, 8, 8, np.float32)
-    rows = slice(tile * kernels.TILE_ROWS, (tile + 1) * kernels.TILE_ROWS)
-    q[rows] = np.float32(3e38)  # finite, but q k^T overflows
-    return q, k, v
 
 
 class TestPooledPartition:
