@@ -109,9 +109,9 @@ class RunConfig:
 
     The field annotations are the config schema: every value is checked
     against its field's type when the config is built (``X | None`` marks the
-    keys that may be null), then against the range invariants below, so no
-    command re-checks what it reads from here; memory depends on the command,
-    so ``parse_config`` checks it. The denoiser's keys default to ``PipelineConfig``.
+    keys that may be null), then against the range invariants below. The
+    denoiser's keys default to ``PipelineConfig``, which checks their ranges;
+    ``parse_config`` builds it under every command, and checks memory per command.
     """
 
     preset: Literal[PRESETS] = "custom"
@@ -149,7 +149,7 @@ class RunConfig:
             value = getattr(self, key)
             if value is not None and value < 0:
                 raise ConfigError(f"{key} must be nonnegative, got {value}")
-        for key in ("side", "blocks", "d_model", "d", "d_v", "steps", "batch", "references", "trials", "iterations"):
+        for key in ("references", "trials", "iterations"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be at least 1, got {getattr(self, key)}")
         if not self.out_dir or "\0" in self.out_dir:

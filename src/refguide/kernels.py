@@ -29,11 +29,11 @@ shapes, every entry of ``q``, ``k``, ``v`` and any coefficient finite;
 ``_branches`` trusts its caller. It runs BLAS at one thread wherever numpy's
 OpenBLAS exports the setter, in commands and library calls alike, restoring
 the count on return or raise (``one_blas_thread``). It runs each partition as
-one ``_tile`` or, under ``tile_rows``' rule, as query-row tiles on a pool of
-one thread per usable CPU (the caller alone if BLAS runs more), each thread
-reusing one logits scratch (``held_logits``); the pool starts with its first
-use. The bytes depend on the shape and the BLAS kernel only, never on the
-worker count.
+one ``_tile`` or, under ``tile_rows``' rule, as query-row tiles dealt to shares:
+the caller runs share 0 and a pool of ``CPUS - 1`` threads the rest, at one
+worker the same code; each thread reuses one logits scratch (``held_logits``),
+and the pool starts with its first share. The bytes depend on the shape and
+the BLAS kernel only, never on the worker count.
 
 ``apply_policy`` runs an ``AttentionPolicy``, a kind plus one strength per
 reference the scalar blend reads, over each reference's ``(k, v)``, so
@@ -98,7 +98,7 @@ def blas_kernel():
 
 
 def pool_workers() -> int:
-    """Tile threads: one per usable CPU while BLAS runs one thread (as ``_branches`` sets it), else the caller alone."""
+    """Tile shares, the caller's included: ``CPUS`` while BLAS runs one thread (as ``_branches`` sets it), else 1."""
     return CPUS if blas_threads() == 1 else 1
 
 
@@ -117,12 +117,11 @@ def one_blas_thread() -> contextlib.AbstractContextManager:
 
 @functools.cache
 def _tile_pool(pid: int):
-    """The ``CPUS``-thread tile pool of process ``pid``: a forked child has none of its parent's threads."""
-    # Imported on first use: concurrent.futures imports logging, about 1 MiB
-    # that a process which never pools (``refguide check``) should not carry.
+    """Process ``pid``'s tile pool: ``CPUS - 1`` threads (one at least) beside the caller; a fork inherits none."""
+    # Imported on first use: concurrent.futures imports logging, 1 MiB a process that never pools should not carry.
     from concurrent.futures import ThreadPoolExecutor
 
-    return ThreadPoolExecutor(CPUS, thread_name_prefix="refguide-tile")
+    return ThreadPoolExecutor(max(CPUS - 1, 1), thread_name_prefix="refguide-tile")
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,28 +284,33 @@ def _branches(q, kvs) -> list:
     """``(out, m, s)`` of ``_tile`` over each ``(k, v)`` partition of one query, in partition order.
 
     Each public route checks once, at entry (``_operands``); ``_branches`` trusts its caller. It holds BLAS at one
-    thread throughout, tile wait included (``one_blas_thread``). If every partition meets ``tile_rows``' rule, each
-    runs as tiles into its output, one set of bytes: in the caller if ``pool_workers()`` is 1, else on the pool, each
-    in a copy of the caller's context (so ``np.errstate`` reaches it). Each tile's softmax checks its rows' maxima,
-    the finiteness rule for logits. It returns, or raises the first tile's error, once no tile still runs.
+    thread throughout (``one_blas_thread``). If every partition meets ``tile_rows``' rule, all their tiles, in order,
+    are dealt to ``W = min(pool_workers(), tiles)`` shares: share ``w`` writes tiles ``w``, ``w + W``, ... into ``out``,
+    ``m`` and ``s``. The caller runs share 0, the pool the rest, each in a copy of the caller's context (so
+    ``np.errstate`` reaches it). Once no share runs, it returns or raises the first error in share order, such as a
+    softmax's on a row whose maximum is not finite.
     """
     with one_blas_thread():
         length = q.shape[0]
         scale = 1.0 / float(np.sqrt(q.shape[1]))
         if max(tile_rows(length, k.shape[0]) for k, _ in kvs) == length:
             return [_tile(q, k, v, scale) for k, v in kvs]
-        outs = [np.empty((length, v.shape[1]), q.dtype) for _, v in kvs]
-        rows = [slice(lo, lo + TILE_ROWS) for lo in range(0, length, TILE_ROWS)]
-        if pool_workers() == 1:  # the caller runs the tiles, with the bytes of the pool's
-            runs = [[_tile(q[r], k, v, scale, out[r]) for r in rows] for (k, v), out in zip(kvs, outs)]
-        else:
-            from concurrent.futures import wait
-            pool = _tile_pool(os.getpid())
-            runs = [[pool.submit(contextvars.copy_context().run, _tile, q[r], k, v, scale, out[r]) for r in rows]
-                    for (k, v), out in zip(kvs, outs)]
-            wait([done for run in runs for done in run])  # no error is raised while a tile still runs
-            runs = [[done.result() for done in run] for run in runs]
-        return [(out, *(np.concatenate(a) for a in list(zip(*run))[1:])) for out, run in zip(outs, runs)]
+        parts = [(np.empty((length, v.shape[1]), q.dtype), *np.empty((2, length), q.dtype)) for _, v in kvs]
+        tiles = [(slice(i, i + TILE_ROWS), *kv, *p) for kv, p in zip(kvs, parts) for i in range(0, length, TILE_ROWS)]
+        workers = min(pool_workers(), len(tiles))
+
+        def share(w):
+            for r, k, v, out, m, s in tiles[w::workers]:
+                _, m[r], s[r] = _tile(q[r], k, v, scale, out[r])
+
+        helpers = [_tile_pool(os.getpid()).submit(contextvars.copy_context().run, share, w) for w in range(1, workers)]
+        try:
+            share(0)
+        finally:
+            errors = [helper.exception() for helper in helpers]  # waits: nothing raises while a share still runs
+        for error in filter(None, errors):
+            raise error
+        return parts
 
 
 def partitions(q, kvs) -> tuple:

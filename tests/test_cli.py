@@ -533,6 +533,12 @@ def blas_readings(monkeypatch):
     return tiles, matmuls
 
 
+def tile_threads(tiles, workers, count):
+    """What ``blas_readings`` gets, sorted, for ``tiles`` tiles dealt to ``workers`` shares: a pool thread runs every
+    tile but share 0's, the caller's, at BLAS count ``count``."""
+    return sorted((tile % workers != 0, count) for tile in range(tiles))
+
+
 def tiled_generate(monkeypatch, overflows=False):
     """Replace ``generate``'s work with one tiled ``attention`` call, whose logits overflow (exit 2) if ``overflows``.
 
@@ -557,7 +563,8 @@ class TestBlasThreads:
         seen = tiled_generate(monkeypatch, overflows)
         assert kernels.pool_workers() == 1
         assert main(["generate", "--out", str(tmp_path)]) == code
-        assert seen == [(kernels.CPUS > 1, 1)] * 4
+        workers = min(kernels.CPUS, 4)
+        assert sorted(seen) == tile_threads(workers if overflows else 4, workers, 1)  # a share stops at its error
         assert (OPENBLAS[0](), kernels.pool_workers()) == (2, 1)
 
     # Small partitions and large ones, on the tile grid (side 32) or off it (side 40: L = 1600; a 1000-row cell).
@@ -591,7 +598,7 @@ class TestBlasThreads:
         digest = generate_batch(config).final_digest()
         assert digest == BASELINES["final_digests_seeds42_7_side32"]["rfg035/f32"]
         assert set(workers) == {kernels.CPUS}
-        assert set(tiles) == {(kernels.CPUS > 1, 1)} and {count for _, count in matmuls} == {1}
+        assert set(tiles) == {(False, 1), (kernels.CPUS > 1, 1)} and {count for _, count in matmuls} == {1}
         assert OPENBLAS[0]() == 2
 
     @pytest.mark.skipif(OPENBLAS is None, reason="needs OpenBLAS's thread getter and setter")
@@ -622,7 +629,7 @@ class TestBlasThreads:
         monkeypatch.setattr(kernels, "_openblas", lambda: None)
         assert (kernels.blas_kernel(), kernels.blas_threads()) == (None, 1 if pooled else None)
         assert main(["generate", "--out", str(tmp_path)]) == 0
-        assert seen == [(pooled and kernels.CPUS > 1, blas_at_two_threads)] * 4
+        assert sorted(seen) == tile_threads(4, min(kernels.CPUS, 4) if pooled else 1, blas_at_two_threads)
 
     # A child that runs ``refguide.cli.main`` on its arguments, then library ``generate_batch`` on the same side-32
     # config, and prints to stderr as JSON, for each of the two, the tile workers and BLAS's thread count at each call

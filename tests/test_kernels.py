@@ -350,10 +350,11 @@ class TestPartitions:
 
 
 class CountingPool(ThreadPoolExecutor):
-    """A tile pool that counts the tiles submitted to it."""
+    """A tile pool for ``workers`` shares that counts the shares submitted to it; like ``_tile_pool``, it has
+    ``workers - 1`` threads (one at least) named "refguide-tile"."""
 
     def __init__(self, workers):
-        super().__init__(workers)
+        super().__init__(max(workers - 1, 1), thread_name_prefix="refguide-tile")
         self.submitted = 0
 
     def submit(self, *args, **kwargs):
@@ -362,7 +363,7 @@ class CountingPool(ThreadPoolExecutor):
 
 
 class GatedPool(CountingPool):
-    """A counting pool whose first tile waits, up to 10 s, until ``expected`` tiles are submitted."""
+    """A counting pool whose first share waits, up to 10 s, until ``expected`` shares are submitted."""
 
     def __init__(self, workers, expected):
         super().__init__(workers)
@@ -381,6 +382,25 @@ class GatedPool(CountingPool):
     def _first(self, fn, *args):
         self.first_saw_all = self.all_submitted.wait(timeout=10)
         return fn(*args)
+
+
+class InFlightPool(CountingPool):
+    """A counting pool that records which shares are in flight and, in order, which have returned."""
+
+    def __init__(self, workers):
+        super().__init__(workers)
+        self.running, self.returned = set(), []
+
+    def submit(self, *args):
+        return super().submit(self._tracked, *args)
+
+    def _tracked(self, *args):
+        self.running.add(args[-1])
+        try:
+            return args[0](*args[1:])
+        finally:
+            self.running.discard(args[-1])
+            self.returned.append(args[-1])
 
 
 @contextmanager
@@ -452,7 +472,7 @@ class TestPooledPartition:
         assert (pool.submitted, heights) == (0, [kernels.TILE_ROWS] * (2 * length // kernels.TILE_ROWS))
         with tile_pool(2) as pool, mock.patch.object(kernels, "POOL_MIN_WORK", 0):
             pooled = kernels.partitions(q, kvs)
-        assert pool.submitted == 2 * length // kernels.TILE_ROWS
+        assert pool.submitted == 1  # share 1; the caller runs share 0
         for tiled in (inline, pooled):
             for a, b in zip([*untiled[0], *untiled[1]], [*tiled[0], *tiled[1]]):
                 assert a.dtype == b.dtype == dtype
@@ -572,15 +592,16 @@ def result_bytes(result) -> bytes:
 
 
 class TestPooledQuery:
-    """A query's partitions share the pool: every tile is submitted before any is awaited."""
+    """A query's partitions share the pool: their tiles are dealt to shares, and every share is submitted before any
+    is awaited."""
 
     @pytest.mark.parametrize("name, count, kernel", MULTI_PARTITION_KERNELS, ids=[c[0] for c in MULTI_PARTITION_KERNELS])
     def test_every_tile_is_submitted_before_any_is_awaited(self, name, count, kernel):
         q, kvs = query_partitions(count)
         tiles = count * 1024 // kernels.TILE_ROWS
-        with tile_pool(2, GatedPool(2, tiles)) as pool:
+        with tile_pool(4, GatedPool(4, 3)) as pool:
             pooled = kernel(q, kvs)
-        assert pool.first_saw_all and pool.submitted == tiles
+        assert pool.first_saw_all and pool.submitted == 3
         with single_tile() as rows:
             assert result_bytes(kernel(q, kvs)) == result_bytes(pooled)
         assert rows == [1024] * count
@@ -588,8 +609,10 @@ class TestPooledQuery:
             assert result_bytes(kernel(q, kvs)) == result_bytes(pooled)
         assert (pool.submitted, heights) == (0, [kernels.TILE_ROWS] * tiles)
 
-    @pytest.mark.parametrize("failing", [0, 1])
+    @pytest.mark.parametrize("failing", [0, 1], ids=["caller", "helper"])
     def test_overflowing_tile_raises_after_every_tile_finished(self, failing, monkeypatch):
+        # Eight tiles in two shares. q's rows of tile ``failing`` overflow q k^T in that tile of both partitions, so
+        # share ``failing`` alone fails, at its first tile, while the other share's finite tiles keep it in flight.
         running, finished = [], []
         real = kernels.row_softmax_inplace
 
@@ -597,7 +620,7 @@ class TestPooledQuery:
             running.append(1)
             try:
                 if np.isfinite(a).all():
-                    time.sleep(0.05)  # keep the other partition's finite tiles in flight while this one fails
+                    time.sleep(0.05)  # keep the other share's finite tiles in flight while the failing one raises
                 return real(a)
             finally:
                 finished.append(1)
@@ -605,15 +628,67 @@ class TestPooledQuery:
 
         monkeypatch.setattr(kernels, "row_softmax_inplace", slow_softmax)
         q, kvs = query_partitions(2)
-        kvs[failing][0][:] = np.float32(3e38)  # finite, but q k^T overflows in every tile of this partition
-        with tile_pool(2) as pool, np.errstate(over="ignore", invalid="ignore"):
+        q[failing * kernels.TILE_ROWS:(failing + 1) * kernels.TILE_ROWS] = np.float32(3e38)  # finite operands
+        with tile_pool(2, InFlightPool(2)) as pool, np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="row_softmax requires finite logits"):
                 kernels.partitions(q, kvs)
-            assert not running
-            assert len(finished) == pool.submitted == 8
+            assert not running and not pool.running and pool.returned == [1]
+            assert len(finished) == 1 + 4  # the failing share stops at its first tile; the other runs its four
         with tile_pool(1), np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="row_softmax requires finite logits"):
                 kernels.partitions(q, kvs)
+
+
+class TestOneRunner:
+    """A tiled call deals its tiles round-robin to ``W`` shares: the caller runs share 0, the pool the other W - 1."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_the_caller_runs_share_0_and_pool_threads_the_rest(self, workers):
+        q, kvs = query_partitions(2)  # eight tiles, numbered partition by partition
+        ran, real = [], kernels._tile
+
+        def recorded(tile_q, k, *args):
+            row = (tile_q.ctypes.data - q.ctypes.data) // q.strides[0]
+            partition = [k is part_k for part_k, _ in kvs].index(True)
+            ran.append((partition * 4 + row // kernels.TILE_ROWS, threading.current_thread()))
+            return real(tile_q, k, *args)
+
+        with tile_pool(workers) as pool, mock.patch.object(kernels, "_tile", recorded):
+            kernels.partitions(q, kvs)
+        assert pool.submitted == workers - 1
+        assert sorted(tile for tile, _ in ran) == list(range(8))
+        for share in range(workers):
+            threads = {thread for tile, thread in ran if tile % workers == share}
+            assert len(threads) == 1  # one share, one thread
+            thread = threads.pop()
+            assert thread is threading.current_thread() if share == 0 else thread.name.startswith("refguide-tile")
+
+    @pytest.mark.parametrize("failing, raised", [((0, 1, 2, 3), 0), ((1, 2, 3), 1), ((2, 3), 2)])
+    def test_the_first_error_in_share_order_is_raised(self, failing, raised):
+        q, kvs = query_partitions(2)  # at four workers, share w holds tile w of each partition
+        real = kernels._tile
+
+        def failing_tile(tile_q, *args):
+            if (share := (tile_q.ctypes.data - q.ctypes.data) // q.strides[0] // kernels.TILE_ROWS) in failing:
+                raise ValueError(f"share {share}")
+            return real(tile_q, *args)
+
+        with tile_pool(4), mock.patch.object(kernels, "_tile", failing_tile):
+            with pytest.raises(ValueError, match=f"^share {raised}$"):
+                kernels.partitions(q, kvs)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_tiled_call_leaves_one_pool_thread_per_helper_share(self, workers):
+        code = (
+            "import sys, threading, numpy as np, refguide.kernels as k\n"
+            f"k.pool_workers = lambda: {workers}\n"
+            "k.attention(*[np.ones((1024, 8), np.float32)] * 3)  # four tiles\n"
+            "print(sum(t.name.startswith('refguide-tile') for t in threading.enumerate()),"
+            " 'concurrent.futures' in sys.modules)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True,
+                             check=True).stdout.split()
+        assert out == [str(workers - 1), str(workers > 1)]
 
 
 class TestOneCodePath:
@@ -672,11 +747,11 @@ class TestOneTileRule:
 
 
 class BarrierPool(CountingPool):
-    """A counting pool whose first ``workers`` tiles wait for each other (up to 10 s), so every thread runs one."""
+    """A counting pool whose first shares, one per thread, wait for each other (up to 10 s): every thread runs one."""
 
     def __init__(self, workers):
         super().__init__(workers)
-        self.barrier = threading.Barrier(workers, timeout=10)
+        self.barrier = threading.Barrier(self._max_workers, timeout=10)
 
     def submit(self, fn, *args):
         if self.submitted < self.barrier.parties:
@@ -688,8 +763,9 @@ class BarrierPool(CountingPool):
         return fn(*args)
 
 
-def held_scratch(pool, workers):
-    """The scratch buffers of the calling thread and of each of ``pool``'s ``workers`` threads."""
+def held_scratch(pool):
+    """The scratch buffers of the calling thread and of each of ``pool``'s threads."""
+    workers = pool._max_workers
     barrier = threading.Barrier(workers, timeout=10)
 
     def held():
@@ -715,7 +791,7 @@ class TestTileMemory:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-        assert pool.submitted == (2 * tiles if workers > 1 else 0)  # one worker: the caller
+        assert pool.submitted == 2 * (min(workers, tiles) - 1)  # per call, every share but the caller's
         assert np.array_equal(out, warm)
         assert peak < kernels.TILE_ROWS * length * 4 + out.nbytes, peak
 
@@ -746,7 +822,7 @@ class TestTileMemory:
             first = kernels._branches(q, kvs)
             kept = result_bytes([a for part in first for a in part])
             second = kernels._branches(q_next, kvs)
-            scratch = held_scratch(pool, workers)
+            scratch = held_scratch(pool)
         assert len(scratch) >= workers
         assert result_bytes([a for part in first for a in part]) == kept
         assert not np.array_equal(first[0][0], second[0][0])
@@ -801,7 +877,7 @@ class TestFinitenessRule:
         v = np.eye(keys, dtype=np.float32)  # each output row is its row of softmax weights
         with tile_pool(workers) as pool, np.errstate(over="ignore"):
             out = attention(q, k, v)
-        assert pool.submitted == (length // kernels.TILE_ROWS if length > 1 and workers > 1 else 0)
+        assert pool.submitted == (workers - 1 if length > 1 else 0)
         assert np.isfinite(out).all() and not out[:, 0].any()
         logits = q.astype(np.float64) @ k[1:].T.astype(np.float64)
         weights = np.exp(logits - logits.max(axis=1, keepdims=True))
