@@ -28,12 +28,12 @@ Each public route checks once, at entry, with one rule, ``_operands``: dtypes,
 shapes, every entry of ``q``, ``k``, ``v`` and any coefficient finite;
 ``_branches`` trusts its caller. It runs BLAS at one thread wherever numpy's
 OpenBLAS exports the setter, in commands and library calls alike, restoring
-the count on return or raise (``one_blas_thread``). It runs each partition as
-one ``_tile`` or, under ``tile_rows``' rule, as query-row tiles dealt to shares:
-the caller runs share 0 and a pool of ``CPUS - 1`` threads the rest, at one
-worker the same code; each thread reuses one logits scratch (``held_logits``),
-and the pool starts with its first share. The bytes depend on the shape and
-the BLAS kernel only, never on the worker count.
+the count on return or raise (``one_blas_thread``). A call tiles when its
+largest partition meets ``tile_rows``' rule, and every partition then runs
+256-row tiles dealt to shares: the caller runs share 0, a pool of ``CPUS - 1``
+threads the rest (at one worker, the same code). Each thread reuses one logits
+scratch, so every call's logits stay within ``held_logits(L, largest S)``. The
+bytes depend on the shape and the BLAS kernel only, never on the worker count.
 
 ``apply_policy`` runs an ``AttentionPolicy``, a kind plus one strength per
 reference the scalar blend reads, over each reference's ``(k, v)``, so
@@ -218,7 +218,7 @@ def _tile(q, k, v, scale, out=None) -> tuple:
 
 
 def tile_rows(length: int, keys: int) -> int:
-    """Query rows per tile of an L x S partition: ``TILE_ROWS``, or all ``length`` rows untiled.
+    """Query rows per tile of a call of L queries whose largest partition has S keys: ``TILE_ROWS``, or all L.
 
     It tiles if L exceeds ``TILE_ROWS`` and L rounded up to a multiple of ``TILE_ROWS``, times S rounded up to one of
     64, is at least ``POOL_MIN_WORK``: every shape the tile grid of that size covers (484 x 968 tiles as 512 x 1024
@@ -231,7 +231,7 @@ def tile_rows(length: int, keys: int) -> int:
 
 
 def held_logits(length: int, keys: int) -> int:
-    """Logits an L x L and an L x S call, S = ``keys``, hold at most between them; each caller runs both.
+    """Logits an L x L and an L x S call, S their largest partition's ``keys``, hold at most; each caller runs both.
 
     An untiled call holds its L x S logits until it returns; a tiled one leaves each thread's scratch of one full tile
     held after it, on as many threads as there are tiles at most. So where L x L does not tile and L x S does (for
@@ -284,19 +284,19 @@ def _branches(q, kvs) -> list:
     """``(out, m, s)`` of ``_tile`` over each ``(k, v)`` partition of one query, in partition order.
 
     Each public route checks once, at entry (``_operands``); ``_branches`` trusts its caller. It holds BLAS at one
-    thread throughout (``one_blas_thread``). If every partition meets ``tile_rows``' rule, all their tiles, in order,
-    are dealt to ``W = min(pool_workers(), tiles)`` shares: share ``w`` writes tiles ``w``, ``w + W``, ... into ``out``,
-    ``m`` and ``s``. The caller runs share 0, the pool the rest, each in a copy of the caller's context (so
-    ``np.errstate`` reaches it). Once no share runs, it returns or raises the first error in share order, such as a
-    softmax's on a row whose maximum is not finite.
+    thread throughout (``one_blas_thread``) and asks ``tile_rows`` once, for its largest partition. If that tiles,
+    every partition's tiles of that height, in order, are dealt to ``W = min(pool_workers(), tiles)`` shares: share
+    ``w`` writes tiles ``w``, ``w + W``, ... into ``out``, ``m`` and ``s``. The caller runs share 0, the pool the
+    rest, each in a copy of the caller's context (so ``np.errstate`` reaches it). Once no share runs, it returns or
+    raises the first error in share order, such as a softmax's on a row whose maximum is not finite.
     """
     with one_blas_thread():
         length = q.shape[0]
         scale = 1.0 / float(np.sqrt(q.shape[1]))
-        if max(tile_rows(length, k.shape[0]) for k, _ in kvs) == length:
+        if (rows := tile_rows(length, max(k.shape[0] for k, _ in kvs))) == length:
             return [_tile(q, k, v, scale) for k, v in kvs]
         parts = [(np.empty((length, v.shape[1]), q.dtype), *np.empty((2, length), q.dtype)) for _, v in kvs]
-        tiles = [(slice(i, i + TILE_ROWS), *kv, *p) for kv, p in zip(kvs, parts) for i in range(0, length, TILE_ROWS)]
+        tiles = [(slice(i, i + rows), *kv, *p) for kv, p in zip(kvs, parts) for i in range(0, length, rows)]
         workers = min(pool_workers(), len(tiles))
 
         def share(w):

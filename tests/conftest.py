@@ -1,18 +1,16 @@
 """Shared test setup.
 
-BLAS thread pools are pinned to one thread before numpy loads: the regression
-digests assert bitwise-identical results run to run, and threaded reductions
-can reorder floating-point sums. The digests also depend on the BLAS kernel,
-so the report header names the running one and the one they were recorded
-under. Hypothesis runs derandomized so the suite is reproducible in CI.
+Tests run BLAS the way users do: the kernels and ``generate_batch`` pin
+OpenBLAS to one thread themselves where numpy's build exports the setter
+(``kernels.one_blas_thread``), so no thread variable is set here. The
+regression digests assert bitwise-identical results run to run, and depend on
+the BLAS kernel, so the report header names the running one, its thread
+count, and the one they were recorded under. Hypothesis runs derandomized so
+the suite is reproducible in CI.
 """
 
 import json
-import os
 from pathlib import Path
-
-for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
-    os.environ.setdefault(var, "1")
 
 from hypothesis import settings
 

@@ -512,17 +512,20 @@ class TestPooledPartition:
         for a, b in zip(untiled, tiled):
             assert np.abs(a - b).max() <= 64 * np.finfo(dtype).eps * np.abs(a).max()
 
-    def test_one_partition_outside_the_rule_runs_the_whole_call_untiled(self):
-        # 512 x 2048 meets the rule, 512 x 512 is below POOL_MIN_WORK: one tile height per call, so nothing tiles.
+    def test_the_largest_partition_plans_every_partitions_tiles(self):
+        # 512 x 2048 meets the rule, 512 x 512 is below POOL_MIN_WORK: the call asks the rule once, for its largest
+        # partition, so both run as 256-row tiles.
         q, k, v = partition_inputs(6, 512, 2048, 8, 8, np.float32)
         kvs = [(k, v), tuple(partition_inputs(7, 512, 512, 8, 8, np.float32)[1:])]
         with single_tile() as rows:
             untiled = kernels.partitions(q, kvs)
         assert rows == [512, 512]
-        with tile_pool(2) as pool:
+        with tile_pool(2) as pool, tile_heights() as heights:
             planned = kernels.partitions(q, kvs)
-        assert pool.submitted == 0
-        assert result_bytes([*untiled[0], *untiled[1]]) == result_bytes([*planned[0], *planned[1]])
+        assert (pool.submitted, heights) == (1, [kernels.TILE_ROWS] * 4)  # share 1; the caller runs share 0
+        for a, b in zip([*untiled[0], *untiled[1]], [*planned[0], *planned[1]]):
+            assert a.dtype == b.dtype == np.float32
+            assert np.array_equal(a, b)
 
     def test_worker_counts_give_the_same_bytes(self):
         q, k, v = partition_inputs(5, 4096, 512, 8, 8, np.float32)
@@ -736,10 +739,16 @@ class TestOneTileRule:
                 for top in ast.parse(Path(path).read_text()).body
                 for node in ast.walk(top) if isinstance(node, (ast.Name, ast.Attribute, ast.alias))]
 
+    def readers(self, constant):
+        """The top-level names in ``kernels`` whose code reads ``constant``."""
+        return {top for top, name, node in self.names(kernels.__file__)
+                if name == constant and not isinstance(getattr(node, "ctx", None), ast.Store)}
+
     def test_only_the_rule_function_reads_the_work_cut(self):
-        readers = {top for top, name, node in self.names(kernels.__file__)
-                   if name == "POOL_MIN_WORK" and not isinstance(getattr(node, "ctx", None), ast.Store)}
-        assert readers == {"tile_rows"}
+        assert self.readers("POOL_MIN_WORK") == {"tile_rows"}
+
+    def test_only_the_rule_and_its_memory_bound_read_the_tile_height(self):
+        assert self.readers("TILE_ROWS") == {"tile_rows", "held_logits"}
 
     def test_config_names_no_tile_constant(self):
         named = {name for _, name, _ in self.names(Path(kernels.__file__).with_name("config.py"))}
@@ -812,6 +821,29 @@ class TestTileMemory:
         assert rows == [256, 256, 88, 600]
         assert peak - sum(out.nbytes for out in outs) <= kernels.held_logits(600, 1200) * 4 + (64 << 10), peak
         assert peak > (600 * 600 + 256 * 1200) * 4, peak
+
+    # A 64-key reference beside a 1024-key self partition: the call asks the tile rule for its largest partition, so
+    # both run as tiles and a warm call's logits stay within what ``held_logits`` states for the 1024 x 1024 call.
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("route", ["partitions", "rfg_attention", "rfg_multi-c0.3", "concat_coefficient_vector",
+                                       "rfg_matrix", "guidance_form", "apply_policy-rfg", "apply_policy-rfg-matrix"])
+    def test_a_call_of_unequal_partitions_holds_its_largest_partitions_tiles(self, monkeypatch, route, workers):
+        monkeypatch.setattr(kernels, "CPUS", workers)
+        q, k, v = partition_inputs(27, 1024, 1024, 8, 8, np.float32)
+        kvs = [tuple(partition_inputs(28, 1024, 64, 8, 8, np.float32)[1:]), (k, v)]
+        coefficient = np.full((1024, 8), 0.35, np.float32)
+        run = ROUTES[route][1]
+        with tile_pool(workers):
+            warm = run(q, kvs, coefficient)  # every thread now holds its scratch
+            tracemalloc.start()
+            try:
+                out = run(q, kvs, coefficient)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        outs = [out] if isinstance(out, np.ndarray) else [*out[0], *out[1]]  # partitions: (outs, masses)
+        assert result_bytes(outs) == result_bytes([warm] if isinstance(warm, np.ndarray) else [*warm[0], *warm[1]])
+        assert peak - sum(a.nbytes for a in outs) <= kernels.held_logits(1024, 1024) * 4 + (64 << 10), peak
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_results_share_no_memory_with_the_scratch(self, workers):
