@@ -209,6 +209,7 @@ def _tile(q, k, v, scale, out=None) -> tuple:
     """
     size = q.shape[0] * k.shape[0]
     if out is not None and getattr(_scratch, q.dtype.name, np.empty(0)).size < size:
+        vars(_scratch).pop(q.dtype.name, None)  # free the smaller tile before the larger one is made
         setattr(_scratch, q.dtype.name, np.empty(size, q.dtype))
     logits = None if out is None else getattr(_scratch, q.dtype.name)[:size].reshape(q.shape[0], k.shape[0])
     p = np.matmul(q, k.T, out=logits)

@@ -1,11 +1,16 @@
 """Brute-force attention oracle and the kernel equivalence suite.
 
 The naive functions here recompute attention with explicit Python loops over
-``math.exp`` in 64-bit floats. Every dot product is a left-to-right ``sum``
-of products, ``sum(map(mul, ...))``, and V is read by column; the recorded
-digests pin those bits, so do not reorder or compensate the sums. They share
-no arithmetic code with the numpy kernels in :mod:`refguide.kernels`; that
-independence is the point, so keep numpy expressions out of the naive paths.
+``math.exp`` in 64-bit floats. Every dot product is a ``sum`` of products,
+``sum(map(mul, ...))``, and V is read by column; the recorded digests pin
+those bits, so do not reorder or compensate the sums. That ``sum`` is plain
+left to right on CPython 3.10 and 3.11 only: from 3.12 on it compensates
+float sums (``sum([1e16, 1.0, -1e16])`` is 1.0, not 0.0), so the recorded
+oracle and check-report digests hold on 3.10 and 3.11. The sums stay
+builtin: ``functools.reduce(operator.add, ...)`` measured 1.4-1.65x slower
+per dot product. They share no arithmetic code with the numpy kernels in
+:mod:`refguide.kernels`; that independence is the point, so keep numpy
+expressions out of the naive paths.
 
 ``run_equivalence_suite`` draws seeded random inputs over a grid of shapes.
 Per trial it makes the call the "rfg-matrix" policy makes, ``partitions``
@@ -29,10 +34,11 @@ coefficient grows with logit magnitude. The bounds are
 ``PRECISION_THRESHOLDS[precision]`` and ``STRESS_SCALE`` times it.
 
 Trials are independent, each drawn from ``stream(seed, cell, trial)``. Where
-``os.fork`` exists, they are dealt round-robin to one process per usable CPU
-(``kernels.CPUS``), the caller and forked children, whatever threads BLAS
-runs; the records are folded in (cell, trial) order, so the report is
-byte-identical at any worker count.
+``os.fork`` exists, they run in one process per usable CPU (``kernels.CPUS``),
+the caller and forked children, whatever threads BLAS runs; each process
+claims the next trial from a shared queue whenever it finishes one, so a
+faster process runs more. The records are folded in (cell, trial) order, so
+the report is byte-identical at any worker count.
 
 Per-trial errors are normalized by the largest magnitude among the compared
 outputs and the two branch attentions. Rounding error of every identity is
@@ -46,7 +52,10 @@ correct kernels at random.
 import math
 import os
 import pickle
+import select
+import struct
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from operator import mul
 
 import numpy as np
@@ -177,7 +186,7 @@ def _draw_inputs(gen, length, d, d_v, dtype, scale):
 
 
 def _processes(trials: int) -> int:
-    """Processes ``_run_trials`` deals ``trials`` trials to: the caller and its forked children, one per usable CPU."""
+    """Processes ``_run_trials`` runs ``trials`` trials in: the caller and its forked children, one per usable CPU."""
     return min(kernels.CPUS if hasattr(os, "fork") else 1, trials)
 
 
@@ -192,31 +201,102 @@ def suite_nbytes(grid, precision: str, per_cell: int) -> list:
             * processes for length, d, d_v in grid]
 
 
-def _run_share(run_trial, keys) -> tuple:
-    """``(records, error)`` of ``run_trial(key)`` over ``keys``; ``error`` is the first ``(key, exception)``, or None."""
-    records = []
-    for key in keys:
+_RECORD = struct.Struct("=q")  # one queued trial position
+
+
+class _Queue:
+    """Trial positions ``first`` to ``end - 1``, queued in order as ``_RECORD``s into a pipe that forked children share.
+
+    Both ends are non-blocking. Whole records go in writes of at most ``PIPE_BUF`` bytes, so each write and each
+    ``_RECORD.size`` read is atomic and needs no lock. Only the caller writes: it queues as many positions as the pipe
+    holds, tops the queue up as it claims, and closes the write end once every position is queued.
+    """
+
+    def __init__(self, first: int, end: int):
+        self.read_fd, self.write_fd = os.pipe()
+        os.set_blocking(self.read_fd, False)
+        os.set_blocking(self.write_fd, False)
+        self.next, self.end = first, end
+        self.top_up()
+
+    def top_up(self) -> None:
+        while self.write_fd is not None:
+            count = min(select.PIPE_BUF // _RECORD.size, self.end - self.next)
+            if not count:
+                self.close_writer()
+                return
+            try:
+                os.write(self.write_fd, b"".join(map(_RECORD.pack, range(self.next, self.next + count))))
+            except BlockingIOError:  # full
+                return
+            self.next += count
+
+    def close_writer(self) -> None:
+        if self.write_fd is not None:
+            os.close(self.write_fd)
+            self.write_fd = None
+
+    def close(self) -> None:
+        """Close the write end, so the children see the end, drop the positions no process claimed, close the rest."""
+        self.close_writer()
         try:
-            records.append(run_trial(key))
+            while os.read(self.read_fd, select.PIPE_BUF):
+                pass
+        except BlockingIOError:  # empty, a child not yet past its close_writer
+            pass
+        os.close(self.read_fd)
+
+    def claim(self) -> int | None:
+        """The next queued position, or None once the queue is closed and empty.
+
+        The caller tops the queue up first; a process without the write end waits while the queue is open and empty.
+        """
+        while True:
+            self.top_up()
+            try:
+                record = os.read(self.read_fd, _RECORD.size)
+            except BlockingIOError:  # empty, a write end open
+                if self.write_fd is None:
+                    select.select([self.read_fd], [], [])
+                continue
+            return _RECORD.unpack(record)[0] if record else None
+
+
+def _run_share(run_trial, keys, position, claim) -> tuple:
+    """``(records, error)`` of ``run_trial`` from ``keys[position]`` on, at each position ``claim()`` gives until None.
+
+    ``records`` maps each position run to its record; ``error`` is the first ``(position, exception)``, or None.
+    """
+    records = {}
+    while position is not None:
+        try:
+            records[position] = run_trial(keys[position])
         except Exception as exc:
-            return records, (key, exc)
+            return records, (position, exc)
+        position = claim()
     return records, None
 
 
 def _run_trials(run_trial, keys) -> list:
-    """``[run_trial(key) for key in keys]``, dealt round-robin to ``_processes(len(keys))`` processes.
+    """``[run_trial(key) for key in keys]``, run by ``_processes(len(keys))`` processes that claim keys as they free up.
 
     That is one process per usable CPU, at most one per key, where ``os.fork``
-    exists, however many threads BLAS runs. ``keys`` is only sliced, indexed
-    and measured, so a ``range`` stays lazy. The caller runs share 0,
-    ``keys[0::workers]``; every other share runs in a forked child that
-    pickles its ``_run_share`` result back through a pipe and always leaves
-    through ``os._exit``. All children are reaped before this returns or
-    raises. The exception of the lowest key is raised, the one a serial loop
-    would raise; a child that exits without a result counts as a
-    ``ChildProcessError`` at its share's first key.
+    exists, however many threads BLAS runs. Process w runs position w first,
+    then claims the next queued position each time it finishes a trial, so
+    a faster process runs more trials; the caller is process 0 and queues
+    the positions from the process count on, in order (``_Queue``). ``keys``
+    is only indexed and measured, so a ``range`` stays lazy. Every other
+    process is a forked child that pickles its ``_run_share`` result back
+    through a pipe and always leaves through ``os._exit``. A process stops
+    claiming at its first error, the others run on; once the caller stops,
+    the positions still queued are dropped. All children are reaped before
+    this returns or raises. Positions are claimed in increasing order, so the
+    exception of the lowest key is raised, the one a serial loop would raise;
+    a child that exits without a result counts as a ``ChildProcessError`` at
+    the lowest position no process returned.
     """
     workers = _processes(len(keys))
+    queue = _Queue(workers, len(keys)) if workers > 1 else None
     shares, children, reaped = [], [], []
     try:
         for w in range(1, workers):
@@ -226,27 +306,37 @@ def _run_trials(run_trial, keys) -> list:
                 status = 1
                 try:
                     os.close(read_fd)
-                    payload = pickle.dumps(_run_share(run_trial, keys[w::workers]))
+                    queue.close_writer()
+                    payload = pickle.dumps(_run_share(run_trial, keys, w, queue.claim))
                     with open(write_fd, "wb") as pipe:
                         pipe.write(payload)
                     status = 0
                 finally:
                     os._exit(status)
             os.close(write_fd)
-            children.append((pid, read_fd, keys[w]))
-        shares.append(_run_share(run_trial, keys[::workers]))
+            children.append((pid, read_fd))
+        claim = queue.claim if queue else partial(next, iter(range(1, len(keys))), None)
+        shares.append(_run_share(run_trial, keys, 0, claim))
     finally:
-        for pid, read_fd, first in children:
+        if queue:
+            queue.close()
+        for pid, read_fd in children:
             with open(read_fd, "rb") as pipe:
                 payload = pipe.read()
-            reaped.append((pid, first, payload, os.waitpid(pid, 0)[1]))
-    for pid, first, payload, status in reaped:  # a child exits 0 only after its whole payload is written
-        shares.append(pickle.loads(payload) if status == 0 else ([], (first, ChildProcessError(
-            f"suite worker {pid} exited without a result (wait status {status})"))))
-    errors = [error for _, error in shares if error is not None]
+            reaped.append((pid, payload, os.waitpid(pid, 0)[1]))
+    records, errors = {}, []
+    for records_of, error in shares + [pickle.loads(payload) for _, payload, status in reaped if status == 0]:
+        records.update(records_of)
+        errors += [error] if error else []
+    for pid, _, status in reaped:  # a child exits 0 only after its whole payload is written
+        if status != 0:
+            done = records.keys() | {position for position, _ in errors}
+            missing = next(p for p in range(len(keys)) if p not in done)
+            errors.append((missing, ChildProcessError(
+                f"suite worker {pid} exited without a result (wait status {status})")))
     if errors:
         raise min(errors, key=lambda error: error[0])[1]
-    return [shares[i % workers][0][i // workers] for i in range(len(keys))]
+    return [records[p] for p in range(len(keys))]
 
 
 def run_equivalence_suite(

@@ -5,8 +5,9 @@ OpenBLAS to one thread themselves where numpy's build exports the setter
 (``kernels.one_blas_thread``), so no thread variable is set here. The
 regression digests assert bitwise-identical results run to run, and depend on
 the BLAS kernel, so the report header names the running one, its thread
-count, and the one they were recorded under. Hypothesis runs derandomized so
-the suite is reproducible in CI.
+count, and the one they were recorded under; the oracle's digests also
+depend on the interpreter's float ``sum``, so the header says whether it is
+plain. Hypothesis runs derandomized so the suite is reproducible in CI.
 """
 
 import json
@@ -23,4 +24,10 @@ def pytest_report_header(config):
 
     kernel, threads = kernels.blas_kernel(), kernels.blas_threads()
     recorded = json.loads((Path(__file__).parent / "data" / "baselines.json").read_text())["blas_kernel"]
-    return f"BLAS kernel: {kernel} at {threads} thread(s); tests/data digests recorded under {recorded}"
+    # CPython 3.12 and later compensate float sums, and the oracle's digests assume plain left-to-right ones.
+    plain = sum([1e16, 1.0, -1e16]) == 0.0
+    return [
+        f"BLAS kernel: {kernel} at {threads} thread(s); tests/data digests recorded under {recorded}",
+        f"float sum(): {'plain left to right' if plain else 'compensated'}; the oracle and check-report digests "
+        "assume plain (CPython 3.10 and 3.11)",
+    ]

@@ -804,6 +804,24 @@ class TestTileMemory:
         assert np.array_equal(out, warm)
         assert peak < kernels.TILE_ROWS * length * 4 + out.nbytes, peak
 
+    # One thread's scratch grows from 256 x 1024 to 256 x 2048 logits: the smaller tile is freed before the larger one is
+    # made, so the two are never held together. Beside the new tile and the output, the call holds its rows' m and s and
+    # small temporaries, about 50 KiB here; holding the old tile as well would add 1 MiB.
+    def test_a_growing_scratch_frees_the_smaller_tile_first(self, monkeypatch):
+        monkeypatch.setattr(kernels, "CPUS", 1)
+        monkeypatch.setattr(kernels, "_scratch", threading.local())  # made under tracemalloc, so counted
+        q, k, v = partition_inputs(29, 512, 2048, 8, 8, np.float32)
+        with tile_pool(1), tile_heights() as rows:
+            tracemalloc.start()
+            try:
+                attention(q, k[:1024], v[:1024])
+                out = attention(q, k, v)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert rows == [256] * 4
+        assert peak < kernels.TILE_ROWS * 2048 * 4 + out.nbytes + (64 << 10), peak
+
     # At one CPU, 600 x 1200 tiles (256 x 1200 logits of scratch, kept after the call) but 600 x 600 does not (768 x 640
     # padded, below POOL_MIN_WORK): its 600 x 600 logits come while the scratch is held, 667200 f32 between them.
     # Beside the logits and their two outputs, the calls hold their rows' m and s and small temporaries, 19959 B here.

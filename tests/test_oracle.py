@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -340,7 +341,7 @@ def _stream_failing_at(monkeypatch, action, keys):
 
 
 class TestSuiteProcesses:
-    """Trials dealt to forked workers give the serial suite's report and errors."""
+    """Trials run in forked workers give the serial suite's report and errors."""
 
     @pytest.fixture(autouse=True)
     def no_child_left(self):
@@ -378,12 +379,48 @@ class TestSuiteProcesses:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_keys_stay_lazy(self, workers):
-        # A list of 10**15 keys would not fit in memory; the range is only sliced.
+        # A list of 10**15 keys would not fit in memory; the range is only indexed.
         def fail(key):
             raise ValueError(f"key {key}")
 
         with _workers(workers), pytest.raises(ValueError, match="^key 0$"):
             _run_trials(fail, range(10**15))
+
+    # 20000 positions are 160000 B of queue, more than a pipe holds: the caller tops it up as it claims, and at four
+    # workers more processes than this host's CPUs read it at once. A record read twice or torn would show in ``ran``.
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_every_key_runs_once_however_many_the_queue_holds(self, tmp_path, workers):
+        ran = tmp_path / "ran"
+
+        def run(key):
+            with open(ran, "a") as out:
+                out.write(f"{key}\n")
+            return -key
+
+        with _workers(workers):
+            assert _run_trials(run, range(20000)) == [-key for key in range(20000)]
+        assert sorted(map(int, ran.read_text().split())) == list(range(20000))
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_a_slow_child_leaves_its_trials_to_the_caller(self, monkeypatch, tmp_path, workers):
+        with _workers(1):
+            expected = run_equivalence_suite(seed=5, grid=SHARE_GRID, **SHARE_TRIALS).to_dict()
+        parent, ran = os.getpid(), tmp_path / "ran"
+
+        def note(index):
+            with open(ran, "a") as out:  # one short O_APPEND write per trial: lines never interleave
+                out.write(f"{index} {os.getpid()}\n")
+            if os.getpid() != parent:
+                time.sleep(0.2)
+
+        _stream_failing_at(monkeypatch, note, range(6))
+        with _workers(workers):
+            report = run_equivalence_suite(seed=5, grid=SHARE_GRID, **SHARE_TRIALS).to_dict()
+        runs = [line.split() for line in ran.read_text().splitlines()]
+        assert sorted(int(index) for index, _ in runs) == list(range(6))  # each trial ran once
+        assert sum(pid == str(parent) for _, pid in runs) > 3
+        assert report == expected
 
     # A child process that counts the suite's forks, then prints that count and its tile pool's workers to stderr.
     COUNT_FORKS = (
