@@ -36,7 +36,7 @@ def load_raw(raw_path) -> np.ndarray:
     """Reload a raw latent; bitwise inverse of ``write_raw``."""
     raw_path = Path(raw_path)
     meta = json.loads(sidecar_path(raw_path).read_text())
-    if meta.get("dtype") != "f32" or meta.get("byte_order") != "little":
+    if not isinstance(meta, dict) or meta.get("dtype") != "f32" or meta.get("byte_order") != "little":
         raise ValueError(f"unsupported raw format described by {sidecar_path(raw_path)}: {meta}")
     shape = meta.get("shape")
     if not (isinstance(shape, list) and len(shape) == 2 and all(type(s) is int and s > 0 for s in shape)):

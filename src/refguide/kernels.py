@@ -31,8 +31,8 @@ OpenBLAS exports the setter, in commands and library calls alike, restoring
 the count on return or raise (``one_blas_thread``). A call tiles when its
 largest partition meets ``tile_rows``' rule, and every partition then runs
 256-row tiles dealt to shares: the caller runs share 0, a pool of ``CPUS - 1``
-threads the rest (at one worker, the same code). Each thread reuses one logits
-scratch, so every call's logits stay within ``held_logits(L, largest S)``. The
+threads the rest (at one worker, the same code). A share's logits buffer dies
+with it: a call holds ``held_logits(L, largest S)`` at most, none after it. The
 bytes depend on the shape and the BLAS kernel only, never on the worker count.
 
 ``apply_policy`` runs an ``AttentionPolicy``, a kind plus one strength per
@@ -47,7 +47,6 @@ import ctypes
 import functools
 import math
 import os
-import threading
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -66,7 +65,6 @@ POLICY_KINDS = ("plain", "concat", "cross-frame", "rfg", "rfg-multi", "rfg-matri
 TILE_ROWS = 256
 POOL_MIN_WORK = 1 << 19
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-_scratch = threading.local()  # per thread and dtype, one tile logits buffer grown to the largest tile
 _UNPINNED = contextlib.nullcontext()  # ``one_blas_thread`` without the setter or at one thread: a shared no-op
 
 
@@ -200,18 +198,15 @@ class AttentionPolicy:
         return 1 if self.kind in ("concat", "rfg-matrix") else len(self.strengths)
 
 
-def _tile(q, k, v, scale, out=None) -> tuple:
+def _tile(q, k, v, scale, out=None, logits=None) -> tuple:
     """``(out, m, s)`` of attention for one tile of query rows, logits scaled by ``scale``.
 
-    Given ``out``, its rows of the partition's output, the logits go to this
-    thread's scratch. Pool threads run it, so it calls numpy and
+    Given ``out``, its rows of the partition's output, and ``logits``, a flat buffer of at least the tile's rows times
+    keys, it writes into them; without, it allocates both. Pool threads run it, so it calls numpy and
     ``row_softmax_inplace`` only: the span recorder is single-threaded.
     """
-    size = q.shape[0] * k.shape[0]
-    if out is not None and getattr(_scratch, q.dtype.name, np.empty(0)).size < size:
-        vars(_scratch).pop(q.dtype.name, None)  # free the smaller tile before the larger one is made
-        setattr(_scratch, q.dtype.name, np.empty(size, q.dtype))
-    logits = None if out is None else getattr(_scratch, q.dtype.name)[:size].reshape(q.shape[0], k.shape[0])
+    if logits is not None:
+        logits = logits[:q.shape[0] * k.shape[0]].reshape(q.shape[0], k.shape[0])
     p = np.matmul(q, k.T, out=logits)
     p *= scale
     m, s = row_softmax_inplace(p)
@@ -234,14 +229,10 @@ def tile_rows(length: int, keys: int) -> int:
 def held_logits(length: int, keys: int) -> int:
     """Logits an L x L and an L x S call, S their largest partition's ``keys``, hold at most; each caller runs both.
 
-    An untiled call holds its L x S logits until it returns; a tiled one leaves each thread's scratch of one full tile
-    held after it, on as many threads as there are tiles at most. So where L x L does not tile and L x S does (for
-    S = 2L, L from 481 to 640), both count.
+    A call holds its logits only while it runs: an untiled one all L x S, a tiled one a full tile's per share, one
+    share per tile of an L-row partition (``CPUS`` at most). So the larger of the two calls bounds both.
     """
-    rows = min(-(-length // TILE_ROWS), CPUS) * TILE_ROWS
-    tiled = [rows * s for s in (length, keys) if tile_rows(length, s) < length]
-    untiled = [length * s for s in (length, keys) if tile_rows(length, s) == length]
-    return max(tiled, default=0) + max(untiled, default=0)
+    return max(min(-(-length // (rows := tile_rows(length, s))), CPUS) * rows * s for s in (length, keys))
 
 
 def _operands(q, kvs, keyless=(), coeff=None) -> None:
@@ -285,24 +276,26 @@ def _branches(q, kvs) -> list:
     """``(out, m, s)`` of ``_tile`` over each ``(k, v)`` partition of one query, in partition order.
 
     Each public route checks once, at entry (``_operands``); ``_branches`` trusts its caller. It holds BLAS at one
-    thread throughout (``one_blas_thread``) and asks ``tile_rows`` once, for its largest partition. If that tiles,
-    every partition's tiles of that height, in order, are dealt to ``W = min(pool_workers(), tiles)`` shares: share
-    ``w`` writes tiles ``w``, ``w + W``, ... into ``out``, ``m`` and ``s``. The caller runs share 0, the pool the
-    rest, each in a copy of the caller's context (so ``np.errstate`` reaches it). Once no share runs, it returns or
-    raises the first error in share order, such as a softmax's on a row whose maximum is not finite.
+    thread throughout (``one_blas_thread``) and asks ``tile_rows`` once, for its largest partition of S keys. If that
+    tiles, every partition's tiles of that height, in order, are dealt to ``W = min(pool_workers(), tiles)`` shares:
+    share ``w`` writes tiles ``w``, ``w + W``, ... into ``out``, ``m`` and ``s`` through one rows x S logits buffer
+    of its own. The caller runs share 0, the pool the rest, each in a copy of the caller's context (so
+    ``np.errstate`` reaches it). Once no share runs, it returns or raises the first error in share order, such as a
+    softmax's on a row whose maximum is not finite.
     """
     with one_blas_thread():
         length = q.shape[0]
         scale = 1.0 / float(np.sqrt(q.shape[1]))
-        if (rows := tile_rows(length, max(k.shape[0] for k, _ in kvs))) == length:
+        if (rows := tile_rows(length, keys := max(k.shape[0] for k, _ in kvs))) == length:
             return [_tile(q, k, v, scale) for k, v in kvs]
         parts = [(np.empty((length, v.shape[1]), q.dtype), *np.empty((2, length), q.dtype)) for _, v in kvs]
         tiles = [(slice(i, i + rows), *kv, *p) for kv, p in zip(kvs, parts) for i in range(0, length, rows)]
         workers = min(pool_workers(), len(tiles))
 
         def share(w):
+            logits = np.empty(rows * keys, q.dtype)
             for r, k, v, out, m, s in tiles[w::workers]:
-                _, m[r], s[r] = _tile(q[r], k, v, scale, out[r])
+                _, m[r], s[r] = _tile(q[r], k, v, scale, out[r], logits)
 
         helpers = [_tile_pool(os.getpid()).submit(contextvars.copy_context().run, share, w) for w in range(1, workers)]
         try:

@@ -49,10 +49,12 @@ class TestRawRoundTrip:
         with pytest.raises(ValueError, match="bytes"):
             load_raw(path)
 
-    def test_bad_sidecar_detected(self, tmp_path):
+    # A sidecar of another format, or whose JSON root is not an object at all.
+    @pytest.mark.parametrize("meta", [{"dtype": "f64", "shape": [2, 2], "byte_order": "little"}, [1, 2], "x", None])
+    def test_bad_sidecar_detected(self, tmp_path, meta):
         path = write_raw(tmp_path / "latent.raw", np.zeros((2, 2), np.float32))
-        sidecar_path(path).write_text(json.dumps({"dtype": "f64", "shape": [2, 2], "byte_order": "little"}))
-        with pytest.raises(ValueError, match="format"):
+        sidecar_path(path).write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=f"^unsupported raw format described by {re.escape(str(sidecar_path(path)))}: "):
             load_raw(path)
 
     def test_bad_sidecar_shape_detected(self, tmp_path):

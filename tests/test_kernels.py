@@ -747,101 +747,61 @@ class TestOneTileRule:
     def test_only_the_rule_function_reads_the_work_cut(self):
         assert self.readers("POOL_MIN_WORK") == {"tile_rows"}
 
-    def test_only_the_rule_and_its_memory_bound_read_the_tile_height(self):
-        assert self.readers("TILE_ROWS") == {"tile_rows", "held_logits"}
+    def test_only_the_rule_function_reads_the_tile_height(self):
+        assert self.readers("TILE_ROWS") == {"tile_rows"}
 
     def test_config_names_no_tile_constant(self):
         named = {name for _, name, _ in self.names(Path(kernels.__file__).with_name("config.py"))}
         assert not named & {"POOL_MIN_WORK", "TILE_ROWS"}
 
 
-class BarrierPool(CountingPool):
-    """A counting pool whose first shares, one per thread, wait for each other (up to 10 s): every thread runs one."""
-
-    def __init__(self, workers):
-        super().__init__(workers)
-        self.barrier = threading.Barrier(self._max_workers, timeout=10)
-
-    def submit(self, fn, *args):
-        if self.submitted < self.barrier.parties:
-            fn, args = self._meet, (fn, *args)
-        return super().submit(fn, *args)
-
-    def _meet(self, fn, *args):
-        self.barrier.wait()
-        return fn(*args)
+def traced(call):
+    """``(call(), current, peak)``: the bytes tracemalloc saw still held after ``call`` returned, and at most."""
+    tracemalloc.start()
+    try:
+        result = call()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, current, peak
 
 
-def held_scratch(pool):
-    """The scratch buffers of the calling thread and of each of ``pool``'s threads."""
-    workers = pool._max_workers
-    barrier = threading.Barrier(workers, timeout=10)
-
-    def held():
-        barrier.wait()
-        return list(vars(kernels._scratch).values())
-
-    futures = [ThreadPoolExecutor.submit(pool, held) for _ in range(workers)]
-    return [*vars(kernels._scratch).values(), *(a for done in futures for a in done.result(timeout=10))]
+def branch_bytes(length, kvs, itemsize, workers) -> int:
+    """What ``_branches`` allocates beside the logits: each partition's L x d_v output and its m and s rows, and 64 KiB
+    of small temporaries per running share, such as numpy's ufunc buffer (8192 items) for the softmax's broadcast
+    row shift and divide, 33 KiB at f32."""
+    return sum(length * (v.shape[1] + 2) for _, v in kvs) * itemsize + workers * (64 << 10)
 
 
 class TestTileMemory:
-    """A tiled partition holds one reused logits tile per worker."""
+    """A tiled call holds one logits buffer per share while it runs, and none once it returns."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("length, tiles", [(2048, 8), (1600, 7)], ids=["on-grid", "ragged"])
-    def test_a_warm_call_allocates_less_than_one_tile_plus_its_output(self, workers, length, tiles):
+    def test_a_call_allocates_its_held_logits_beside_its_outputs(self, monkeypatch, workers, length, tiles):
+        monkeypatch.setattr(kernels, "CPUS", workers)
         q, k, v = partition_inputs(20, length, length, 32, 32, np.float32)
-        with tile_pool(workers, BarrierPool(workers)) as pool:
-            warm = attention(q, k, v)  # every worker now holds its scratch
-            tracemalloc.start()
-            try:
-                out = attention(q, k, v)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+        with tile_pool(workers) as pool:
+            warm = attention(q, k, v)
+            out, _, peak = traced(lambda: attention(q, k, v))
         assert pool.submitted == 2 * (min(workers, tiles) - 1)  # per call, every share but the caller's
         assert np.array_equal(out, warm)
-        assert peak < kernels.TILE_ROWS * length * 4 + out.nbytes, peak
+        assert peak <= kernels.held_logits(length, length) * 4 + branch_bytes(length, [(k, v)], 4, workers), peak
 
-    # One thread's scratch grows from 256 x 1024 to 256 x 2048 logits: the smaller tile is freed before the larger one is
-    # made, so the two are never held together. Beside the new tile and the output, the call holds its rows' m and s and
-    # small temporaries, about 50 KiB here; holding the old tile as well would add 1 MiB.
-    def test_a_growing_scratch_frees_the_smaller_tile_first(self, monkeypatch):
+    # At one CPU, 600 x 1200 tiles (256 x 1200 logits while it runs) but 600 x 600 does not (768 x 640 padded, below
+    # POOL_MIN_WORK): its 600 x 600 logits come after the tiled call dropped its own, so the larger of the two bounds
+    # both. Beside the logits and their two outputs, the calls hold their rows' m and s and small temporaries.
+    def test_held_logits_take_the_larger_of_an_untiled_and_a_tiled_call(self, monkeypatch):
         monkeypatch.setattr(kernels, "CPUS", 1)
-        monkeypatch.setattr(kernels, "_scratch", threading.local())  # made under tracemalloc, so counted
-        q, k, v = partition_inputs(29, 512, 2048, 8, 8, np.float32)
-        with tile_pool(1), tile_heights() as rows:
-            tracemalloc.start()
-            try:
-                attention(q, k[:1024], v[:1024])
-                out = attention(q, k, v)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-        assert rows == [256] * 4
-        assert peak < kernels.TILE_ROWS * 2048 * 4 + out.nbytes + (64 << 10), peak
-
-    # At one CPU, 600 x 1200 tiles (256 x 1200 logits of scratch, kept after the call) but 600 x 600 does not (768 x 640
-    # padded, below POOL_MIN_WORK): its 600 x 600 logits come while the scratch is held, 667200 f32 between them.
-    # Beside the logits and their two outputs, the calls hold their rows' m and s and small temporaries, 19959 B here.
-    def test_held_logits_cover_an_untiled_call_beside_a_tiled_calls_scratch(self, monkeypatch):
-        monkeypatch.setattr(kernels, "CPUS", 1)
-        monkeypatch.setattr(kernels, "_scratch", threading.local())  # made under tracemalloc, so counted
+        assert kernels.held_logits(600, 1200) == max(600 * 600, 256 * 1200)
         q, k, v = partition_inputs(26, 600, 1200, 8, 8, np.float32)
         with tile_pool(1), tile_heights() as rows:
-            tracemalloc.start()
-            try:
-                outs = [attention(q, k, v), attention(q, k[:600], v[:600])]
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+            outs, _, peak = traced(lambda: [attention(q, k, v), attention(q, k[:600], v[:600])])
         assert rows == [256, 256, 88, 600]
-        assert peak - sum(out.nbytes for out in outs) <= kernels.held_logits(600, 1200) * 4 + (64 << 10), peak
-        assert peak > (600 * 600 + 256 * 1200) * 4, peak
+        assert 600 * 600 * 4 < peak - sum(out.nbytes for out in outs) <= kernels.held_logits(600, 1200) * 4 + (64 << 10)
 
     # A 64-key reference beside a 1024-key self partition: the call asks the tile rule for its largest partition, so
-    # both run as tiles and a warm call's logits stay within what ``held_logits`` states for the 1024 x 1024 call.
+    # both run as tiles and the call's logits stay within what ``held_logits`` states for the 1024 x 1024 call.
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("route", ["partitions", "rfg_attention", "rfg_multi-c0.3", "concat_coefficient_vector",
                                        "rfg_matrix", "guidance_form", "apply_policy-rfg", "apply_policy-rfg-matrix"])
@@ -852,31 +812,42 @@ class TestTileMemory:
         coefficient = np.full((1024, 8), 0.35, np.float32)
         run = ROUTES[route][1]
         with tile_pool(workers):
-            warm = run(q, kvs, coefficient)  # every thread now holds its scratch
-            tracemalloc.start()
-            try:
-                out = run(q, kvs, coefficient)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+            warm = run(q, kvs, coefficient)
+            out, _, peak = traced(lambda: run(q, kvs, coefficient))
         outs = [out] if isinstance(out, np.ndarray) else [*out[0], *out[1]]  # partitions: (outs, masses)
         assert result_bytes(outs) == result_bytes([warm] if isinstance(warm, np.ndarray) else [*warm[0], *warm[1]])
-        assert peak - sum(a.nbytes for a in outs) <= kernels.held_logits(1024, 1024) * 4 + (64 << 10), peak
+        assert peak <= kernels.held_logits(1024, 1024) * 4 + branch_bytes(1024, kvs, 4, workers), peak
+
+    # A fresh caller thread, so no per-thread state of earlier calls can hide what this one keeps, warms the pool with
+    # a 1024 x 512 call, then a 1024 x 1024 call is traced:
+    # its shares' 256 x 1024 logits, one buffer per share, are gone once it returns; only its output and small
+    # leftovers stay held.
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_tiled_call_holds_no_logits_once_it_returns(self, workers, dtype):
+        q, k, v = partition_inputs(24, 1024, 1024, 8, 8, dtype)
+
+        def warm_then_trace():
+            attention(q, k[:512], v[:512])
+            return traced(lambda: attention(q, k, v))
+
+        with tile_pool(workers) as pool, tile_heights() as rows, ThreadPoolExecutor(1) as caller:
+            out, held, _ = caller.submit(warm_then_trace).result(timeout=60)
+        assert pool.submitted == 2 * (workers - 1)
+        assert rows == [256] * 8
+        assert held - out.nbytes <= 64 << 10, held
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_results_share_no_memory_with_the_scratch(self, workers):
+    def test_a_second_call_leaves_the_first_calls_results_intact(self, workers):
         q, k, v = partition_inputs(21, 1024, 1024, 8, 8, np.float32)
         q_next = partition_inputs(22, 1024, 1024, 8, 8, np.float32)[0]
         kvs = [(k, v), (k[::-1].copy(), v[::-1].copy())]
-        with tile_pool(workers, BarrierPool(workers)) as pool:
+        with tile_pool(workers):
             first = kernels._branches(q, kvs)
             kept = result_bytes([a for part in first for a in part])
             second = kernels._branches(q_next, kvs)
-            scratch = held_scratch(pool)
-        assert len(scratch) >= workers
         assert result_bytes([a for part in first for a in part]) == kept
         assert not np.array_equal(first[0][0], second[0][0])
-        assert not any(np.shares_memory(a, b) for part in first + second for a in part for b in scratch)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_overflowing_logits_still_raise(self, workers):
