@@ -43,9 +43,10 @@ class BenchReport:
 
 
 def bench_nbytes(grid, precision: str) -> list:
-    """Bytes ``run_bench`` holds at each cell of ``grid``: B samples' q, k and v, and concat's logits over 2L keys."""
+    """Bytes ``run_bench`` holds at each cell of ``grid``: B samples' q, k and v, and the logits of concat over 2L
+    keys or of rfg over two partitions of L."""
     itemsize = np.dtype(PRECISION_DTYPES[precision]).itemsize
-    return [(batch * length * (2 * d + d_v) + held_logits(length, 2 * length)) * itemsize
+    return [(batch * length * (2 * d + d_v) + held_logits(length, 2 * length, 2)) * itemsize
             for length, d, d_v, batch in grid]
 
 

@@ -32,8 +32,9 @@ the count on return or raise (``one_blas_thread``). A call tiles when its
 largest partition meets ``tile_rows``' rule, and every partition then runs
 256-row tiles dealt to shares: the caller runs share 0, a pool of ``CPUS - 1``
 threads the rest (at one worker, the same code). A share's logits buffer dies
-with it: a call holds ``held_logits(L, largest S)`` at most, none after it. The
-bytes depend on the shape and the BLAS kernel only, never on the worker count.
+with it: a call of P partitions holds ``held_logits(L, largest S, P)`` at
+most, none after it. The bytes depend on the shape and the BLAS kernel only,
+never on the worker count.
 
 ``apply_policy`` runs an ``AttentionPolicy``, a kind plus one strength per
 reference the scalar blend reads, over each reference's ``(k, v)``, so
@@ -226,13 +227,19 @@ def tile_rows(length: int, keys: int) -> int:
     return TILE_ROWS if length > TILE_ROWS and padded >= POOL_MIN_WORK else length
 
 
-def held_logits(length: int, keys: int) -> int:
-    """Logits an L x L and an L x S call, S their largest partition's ``keys``, hold at most; each caller runs both.
+def held_logits(length: int, keys: int, partitions: int = 1) -> int:
+    """Logits an L x L and an L x S call of up to ``partitions`` partitions hold at most, S their largest partition's
+    ``keys``; each caller runs both.
 
-    A call holds its logits only while it runs: an untiled one all L x S, a tiled one a full tile's per share, one
-    share per tile of an L-row partition (``CPUS`` at most). So the larger of the two calls bounds both.
+    A call holds its logits only while it runs: an untiled one all L x S, one partition after another, a tiled one a
+    full tile's per share, one share per tile of all its partitions (``CPUS`` at most). So the larger of the two calls
+    bounds both.
     """
-    return max(min(-(-length // (rows := tile_rows(length, s))), CPUS) * rows * s for s in (length, keys))
+    def held(s):
+        rows = tile_rows(length, s)
+        return (min(partitions * -(-length // rows), CPUS) if rows < length else 1) * rows * s
+
+    return max(held(length), held(keys))
 
 
 def _operands(q, kvs, keyless=(), coeff=None) -> None:

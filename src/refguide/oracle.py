@@ -35,8 +35,10 @@ coefficient grows with logit magnitude. The bounds are
 
 Trials are independent, each drawn from ``stream(seed, cell, trial)``. Where
 ``os.fork`` exists, they run in one process per usable CPU (``kernels.CPUS``),
-the caller and forked children, whatever threads BLAS runs; each process
-claims the next trial from a shared queue whenever it finishes one, so a
+the caller and forked children, whatever threads BLAS runs. The caller
+queues every chunk of consecutive trials in one pipe before the first fork
+(on Linux a chunk is one trial while trials outnumber processes by at most
+2048), and each process claims the next chunk whenever it finishes one, so a
 faster process runs more. The records are folded in (cell, trial) order, so
 the report is byte-identical at any worker count.
 
@@ -55,7 +57,6 @@ import pickle
 import select
 import struct
 from dataclasses import asdict, dataclass, field
-from functools import partial
 from operator import mul
 
 import numpy as np
@@ -193,110 +194,67 @@ def _processes(trials: int) -> int:
 def suite_nbytes(grid, precision: str, per_cell: int) -> list:
     """Bytes held while trials run at each cell of ``grid``: one trial in each process ``_run_trials`` uses.
 
-    A trial: concat's logits over 2L keys, 48 B per drawn value (array, f64 draw, naive Python float) and
-    160 per L x d_v output entry (some sixteen arrays at up to 8 B, and a naive Python float).
+    A trial: the logits of concat over 2L keys or of ``partitions`` over two partitions of L, 48 B per drawn value
+    (array, f64 draw, naive Python float) and 160 per L x d_v output entry (some sixteen arrays at up to 8 B, and a
+    naive Python float).
     """
     itemsize, processes = np.dtype(PRECISION_DTYPES[precision]).itemsize, _processes(len(grid) * per_cell)
-    return [(kernels.held_logits(length, 2 * length) * itemsize + length * (48 * (3 * d + 2 * d_v) + 160 * d_v))
+    return [(kernels.held_logits(length, 2 * length, 2) * itemsize + length * (48 * (3 * d + 2 * d_v) + 160 * d_v))
             * processes for length, d, d_v in grid]
 
 
-_RECORD = struct.Struct("=q")  # one queued trial position
+_RECORD = struct.Struct("=H")  # one queued chunk index
 
 
-class _Queue:
-    """Trial positions ``first`` to ``end - 1``, queued in order as ``_RECORD``s into a pipe that forked children share.
+def _run_share(run_trial, keys, position, queue, chunks) -> tuple:
+    """``(records, error)`` of ``run_trial`` at ``position``, then at each chunk of ``chunks`` whose index it reads
+    from ``queue``, once the chunk before has run, until EOF or the first error.
 
-    Both ends are non-blocking. Whole records go in writes of at most ``PIPE_BUF`` bytes, so each write and each
-    ``_RECORD.size`` read is atomic and needs no lock. Only the caller writes: it queues as many positions as the pipe
-    holds, tops the queue up as it claims, and closes the write end once every position is queued.
+    The queue's write end is closed before any process reads it, so a ``_RECORD.size`` read returns a whole record or
+    EOF, and never blocks. ``records`` maps each position run to its record; ``error`` is the first
+    ``(position, exception)``, or None.
     """
-
-    def __init__(self, first: int, end: int):
-        self.read_fd, self.write_fd = os.pipe()
-        os.set_blocking(self.read_fd, False)
-        os.set_blocking(self.write_fd, False)
-        self.next, self.end = first, end
-        self.top_up()
-
-    def top_up(self) -> None:
-        while self.write_fd is not None:
-            count = min(select.PIPE_BUF // _RECORD.size, self.end - self.next)
-            if not count:
-                self.close_writer()
-                return
+    records, positions = {}, [position]
+    while positions:
+        for position in positions:
             try:
-                os.write(self.write_fd, b"".join(map(_RECORD.pack, range(self.next, self.next + count))))
-            except BlockingIOError:  # full
-                return
-            self.next += count
-
-    def close_writer(self) -> None:
-        if self.write_fd is not None:
-            os.close(self.write_fd)
-            self.write_fd = None
-
-    def close(self) -> None:
-        """Close the write end, so the children see the end, drop the positions no process claimed, close the rest."""
-        self.close_writer()
-        try:
-            while os.read(self.read_fd, select.PIPE_BUF):
-                pass
-        except BlockingIOError:  # empty, a child not yet past its close_writer
-            pass
-        os.close(self.read_fd)
-
-    def claim(self) -> int | None:
-        """The next queued position, or None once the queue is closed and empty.
-
-        The caller tops the queue up first; a process without the write end waits while the queue is open and empty.
-        """
-        while True:
-            self.top_up()
-            try:
-                record = os.read(self.read_fd, _RECORD.size)
-            except BlockingIOError:  # empty, a write end open
-                if self.write_fd is None:
-                    select.select([self.read_fd], [], [])
-                continue
-            return _RECORD.unpack(record)[0] if record else None
-
-
-def _run_share(run_trial, keys, position, claim) -> tuple:
-    """``(records, error)`` of ``run_trial`` from ``keys[position]`` on, at each position ``claim()`` gives until None.
-
-    ``records`` maps each position run to its record; ``error`` is the first ``(position, exception)``, or None.
-    """
-    records = {}
-    while position is not None:
-        try:
-            records[position] = run_trial(keys[position])
-        except Exception as exc:
-            return records, (position, exc)
-        position = claim()
+                records[position] = run_trial(keys[position])
+            except Exception as exc:
+                return records, (position, exc)
+        record = os.read(queue, _RECORD.size)
+        positions = chunks[_RECORD.unpack(record)[0]] if record else ()
     return records, None
 
 
 def _run_trials(run_trial, keys) -> list:
     """``[run_trial(key) for key in keys]``, run by ``_processes(len(keys))`` processes that claim keys as they free up.
 
-    That is one process per usable CPU, at most one per key, where ``os.fork``
-    exists, however many threads BLAS runs. Process w runs position w first,
-    then claims the next queued position each time it finishes a trial, so
-    a faster process runs more trials; the caller is process 0 and queues
-    the positions from the process count on, in order (``_Queue``). ``keys``
-    is only indexed and measured, so a ``range`` stays lazy. Every other
-    process is a forked child that pickles its ``_run_share`` result back
-    through a pipe and always leaves through ``os._exit``. A process stops
-    claiming at its first error, the others run on; once the caller stops,
-    the positions still queued are dropped. All children are reaped before
-    this returns or raises. Positions are claimed in increasing order, so the
-    exception of the lowest key is raised, the one a serial loop would raise;
-    a child that exits without a result counts as a ``ChildProcessError`` at
-    the lowest position no process returned.
+    That is one process per usable CPU, at most one per key, where
+    ``os.fork`` exists, however many threads BLAS runs. Before the first
+    fork, the caller cuts the positions from the process count on into at
+    most ``PIPE_BUF // _RECORD.size`` chunks of consecutive positions (on
+    Linux, one position each while there are at most 2048 more keys than
+    processes) and queues every chunk index in one pipe, in one write, then
+    closes its write end. Process w runs position w first, then reads the
+    next chunk index each time it finishes a chunk, so a faster process runs
+    more trials; the caller is process 0. ``keys`` is only indexed and
+    measured, so a ``range`` stays lazy. Every other process is a forked
+    child that pickles its ``_run_share`` result back through a pipe and
+    always leaves through ``os._exit``. A process stops at its first error,
+    the others run on; once the caller stops, it drains the queue, so the
+    chunks no process claimed are dropped. All children are reaped before
+    this returns or raises. Chunks are claimed in increasing order and each
+    runs in order, so the exception of the lowest key is raised, the one a
+    serial loop would raise; a child that exits without a result counts as a
+    ``ChildProcessError`` at the lowest position no process returned.
     """
     workers = _processes(len(keys))
-    queue = _Queue(workers, len(keys)) if workers > 1 else None
+    rest = range(workers, len(keys))
+    size = max(-(-len(rest) // (select.PIPE_BUF // _RECORD.size)), 1)
+    chunks = [rest[i:i + size] for i in range(0, len(rest), size)]
+    queue, write_fd = os.pipe()
+    os.write(write_fd, b"".join(map(_RECORD.pack, range(len(chunks)))))  # one atomic write into an empty pipe
+    os.close(write_fd)
     shares, children, reaped = [], [], []
     try:
         for w in range(1, workers):
@@ -306,8 +264,7 @@ def _run_trials(run_trial, keys) -> list:
                 status = 1
                 try:
                     os.close(read_fd)
-                    queue.close_writer()
-                    payload = pickle.dumps(_run_share(run_trial, keys, w, queue.claim))
+                    payload = pickle.dumps(_run_share(run_trial, keys, w, queue, chunks))
                     with open(write_fd, "wb") as pipe:
                         pipe.write(payload)
                     status = 0
@@ -315,11 +272,11 @@ def _run_trials(run_trial, keys) -> list:
                     os._exit(status)
             os.close(write_fd)
             children.append((pid, read_fd))
-        claim = queue.claim if queue else partial(next, iter(range(1, len(keys))), None)
-        shares.append(_run_share(run_trial, keys, 0, claim))
+        shares.append(_run_share(run_trial, keys, 0, queue, chunks))
     finally:
-        if queue:
-            queue.close()
+        while os.read(queue, select.PIPE_BUF):  # drop the chunks no process claimed, so the children stop
+            pass
+        os.close(queue)
         for pid, read_fd in children:
             with open(read_fd, "rb") as pipe:
                 payload = pipe.read()

@@ -84,7 +84,8 @@ class PipelineConfig:
     def working_set(self) -> tuple:
         """``(what, keys, nbytes)`` per array ``generate_batch`` holds at its peak; "policy" sets R references."""
         tokens, size, d, d_v = self.tokens, np.dtype(self.dtype).itemsize, self.d, self.d_v
-        logits = held_logits(tokens, 2 * tokens if self.policy.kind == "concat" else tokens)
+        concat = self.policy.kind == "concat"  # one partition of 2T keys; every other kind R + 1 of T
+        logits = held_logits(tokens, 2 * tokens if concat else tokens, 1 if concat else self.policy.reference_count + 1)
         weights = self.blocks * self.d_model * (2 * d + 2 * d_v) + (tokens + 2) * self.d_model  # drawn in f64
         return (("attention logits", ("side",), logits * size),
                 ("trajectory latents", ("steps", "batch"), (self.steps + 1) * self.batch * tokens * size),

@@ -818,6 +818,29 @@ class TestTileMemory:
         assert result_bytes(outs) == result_bytes([warm] if isinstance(warm, np.ndarray) else [*warm[0], *warm[1]])
         assert peak <= kernels.held_logits(1024, 1024) * 4 + branch_bytes(1024, kvs, 4, workers), peak
 
+    # At 8 CPUs, two 768-key partitions of 768 queries make 6 tiles, each its own share with its own 256 x 768 logits:
+    # more shares than one partition's 3 tiles. Each share waits after its tile until all six hold their buffers, so
+    # the peak is every share's logits at once, which ``held_logits`` counts over both partitions.
+    def test_held_logits_count_the_shares_of_every_partition(self, monkeypatch):
+        monkeypatch.setattr(kernels, "CPUS", 8)
+        assert kernels.held_logits(768, 768, 2) == 6 * 256 * 768
+        q, k, v = partition_inputs(29, 768, 768, 8, 8, np.float32)
+        kvs = [(k[::-1].copy(), v[::-1].copy()), (k, v)]
+        real, together = kernels._tile, threading.Barrier(6, timeout=10)
+
+        def held_until_all_ran(*args):
+            result = real(*args)
+            together.wait()
+            return result
+
+        with tile_pool(8) as pool:
+            warm = rfg_attention(q, *kvs[0], *kvs[1], 0.35)
+            with mock.patch.object(kernels, "_tile", held_until_all_ran):
+                out, _, peak = traced(lambda: rfg_attention(q, *kvs[0], *kvs[1], 0.35))
+        assert pool.submitted == 2 * 5
+        assert np.array_equal(out, warm)
+        assert 6 * 256 * 768 * 4 < peak <= kernels.held_logits(768, 768, 2) * 4 + branch_bytes(768, kvs, 4, 6), peak
+
     # A fresh caller thread, so no per-thread state of earlier calls can hide what this one keeps, warms the pool with
     # a 1024 x 512 call, then a 1024 x 1024 call is traced:
     # its shares' 256 x 1024 logits, one buffer per share, are gone once it returns; only its output and small

@@ -386,20 +386,41 @@ class TestSuiteProcesses:
         with _workers(workers), pytest.raises(ValueError, match="^key 0$"):
             _run_trials(fail, range(10**15))
 
-    # 20000 positions are 160000 B of queue, more than a pipe holds: the caller tops it up as it claims, and at four
-    # workers more processes than this host's CPUs read it at once. A record read twice or torn would show in ``ran``.
+    # 20000 keys are more positions than one atomic pipe write (2048 records) can queue one by one: the caller queues
+    # them as 2000 chunks of 10 before the first fork, nothing tops the queue up, and at four workers more processes
+    # than this host's CPUs read it at once. A chunk read twice or a torn record would show in ``ran``.
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_every_key_runs_once_however_many_the_queue_holds(self, tmp_path, workers):
         ran = tmp_path / "ran"
 
         def run(key):
             with open(ran, "a") as out:
-                out.write(f"{key}\n")
+                out.write(f"{key} {os.getpid()}\n")
             return -key
 
         with _workers(workers):
             assert _run_trials(run, range(20000)) == [-key for key in range(20000)]
-        assert sorted(map(int, ran.read_text().split())) == list(range(20000))
+        runs = [tuple(map(int, line.split())) for line in ran.read_text().splitlines()]
+        assert sorted(key for key, _ in runs) == list(range(20000))
+        pids = dict(runs)
+        chunks = [range(start, min(start + 10, 20000)) for start in range(workers, 20000, 10)]
+        assert all(len({pids[key] for key in chunk}) == 1 for chunk in chunks)  # one process a chunk
+
+    # At 20000 keys the positions from the process count w on run in chunks of 10: w + 10 to w + 19 is chunk 1. Two
+    # failing keys in chunk 1 stop its one process at the lower. In chunks 1 and 2, the process of chunk 2 may stop
+    # first, or chunk 2 may be dropped unclaimed. Either way the lower key's error comes out.
+    @pytest.mark.parametrize("offsets", [(17, 13), (24, 17)], ids=["one-chunk", "two-chunks"])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_error_of_the_lowest_key_is_raised_from_chunks(self, workers, offsets):
+        failing = {workers + offset for offset in offsets}
+
+        def run(key):
+            if key in failing:
+                raise ValueError(f"key {key}")
+            return key
+
+        with _workers(workers), pytest.raises(ValueError, match=f"^key {min(failing)}$"):
+            _run_trials(run, range(20000))
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     @pytest.mark.parametrize("workers", [2, 3])
